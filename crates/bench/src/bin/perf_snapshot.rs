@@ -4,14 +4,14 @@
 //!
 //! ```text
 //! perf_snapshot [--scale F] [--iters N] [--units N] [--unit NAME]
-//!               [--jobs N] [--sweep] [--classes] [--out DIR]
+//!               [--jobs N] [--out DIR]
 //! ```
 //!
 //! One record per (unit, method): mean/min wall time plus the key
 //! `RunMetrics` v3 counters (SAT calls, conflicts, solver µs), so perf
 //! regressions are attributable to solver work vs. engine overhead.
 
-use eco_bench::run_method_configured_classes;
+use eco_bench::run_method_jobs;
 use eco_benchgen::{build_unit, table1_units};
 use eco_core::json::escape_json;
 use eco_core::SupportMethod;
@@ -24,8 +24,6 @@ struct Config {
     units: usize,
     unit: Option<String>,
     jobs: usize,
-    sweep: bool,
-    classes: bool,
     out_dir: String,
 }
 
@@ -36,8 +34,6 @@ fn parse_config() -> Result<Config, String> {
         units: usize::MAX,
         unit: None,
         jobs: 1,
-        sweep: false,
-        classes: false,
         out_dir: ".".to_string(),
     };
     let mut it = std::env::args().skip(1);
@@ -67,14 +63,11 @@ fn parse_config() -> Result<Config, String> {
                     .parse()
                     .map_err(|_| "--jobs expects an integer".to_string())?
             }
-            "--sweep" => config.sweep = true,
-            "--classes" => config.classes = true,
             "--out" => config.out_dir = value("--out")?,
             other => {
                 return Err(format!(
                     "unknown flag {other:?}\nusage: perf_snapshot [--scale F] \
-                     [--iters N] [--units N] [--unit NAME] [--jobs N] [--sweep] \
-                     [--classes] [--out DIR]"
+                     [--iters N] [--units N] [--unit NAME] [--jobs N] [--out DIR]"
                 ))
             }
         }
@@ -117,14 +110,7 @@ fn main() {
             let mut min = Duration::MAX;
             let mut last = None;
             for _ in 0..config.iters {
-                let r = run_method_configured_classes(
-                    &problem,
-                    method,
-                    Some(500_000),
-                    config.jobs,
-                    config.sweep,
-                    config.classes,
-                );
+                let r = run_method_jobs(&problem, method, Some(500_000), config.jobs);
                 total += r.time;
                 min = min.min(r.time);
                 last = Some(r);
@@ -156,16 +142,6 @@ fn main() {
                     m.sat_calls.conflicts,
                     duration_us(m.sat_calls.time),
                 );
-                if config.sweep {
-                    let _ = write!(record, ",\"oracle_hits\":{}", m.sweep.oracle_hits);
-                }
-                if config.classes {
-                    let _ = write!(
-                        record,
-                        ",\"inherited_answers\":{}",
-                        m.classes.inherited_answers
-                    );
-                }
             }
             record.push('}');
             eprintln!(
@@ -180,8 +156,8 @@ fn main() {
     let mut json = String::new();
     let _ = write!(
         json,
-        "{{\"schema_version\":1,\"suite\":\"table1\",\"scale\":{},\"iters\":{},\"jobs\":{},\"sweep\":{},\"classes\":{},\"cases\":[",
-        config.scale, config.iters, config.jobs, config.sweep, config.classes
+        "{{\"schema_version\":1,\"suite\":\"table1\",\"scale\":{},\"iters\":{},\"jobs\":{},\"cases\":[",
+        config.scale, config.iters, config.jobs
     );
     json.push_str(&cases.join(","));
     json.push_str("]}\n");

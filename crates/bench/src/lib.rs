@@ -60,35 +60,7 @@ pub fn options_for_jobs(
     per_call_conflicts: Option<u64>,
     jobs: usize,
 ) -> EcoOptions {
-    options_configured(method, per_call_conflicts, jobs, false)
-}
-
-/// [`options_for_jobs`] with the simulation-guided SAT-sweeping layer
-/// toggled. Sweeping keeps every output byte-identical; only the
-/// SAT-call and runtime columns may move, which is exactly what the
-/// bench measures.
-pub fn options_configured(
-    method: SupportMethod,
-    per_call_conflicts: Option<u64>,
-    jobs: usize,
-    sweep: bool,
-) -> EcoOptions {
-    options_configured_classes(method, per_call_conflicts, jobs, sweep, false)
-}
-
-/// [`options_configured`] with the test-equivalence-class layer
-/// toggled. Like sweeping, classes keep every output byte-identical
-/// while dropping observed SAT calls.
-pub fn options_configured_classes(
-    method: SupportMethod,
-    per_call_conflicts: Option<u64>,
-    jobs: usize,
-    sweep: bool,
-    classes: bool,
-) -> EcoOptions {
     EcoOptions::builder()
-        .sweep(sweep)
-        .classes(classes)
         .method(method)
         .cegar_min(method == SupportMethod::SatPrune)
         .per_call_conflicts(per_call_conflicts)
@@ -119,38 +91,7 @@ pub fn run_method_jobs(
     per_call_conflicts: Option<u64>,
     jobs: usize,
 ) -> MethodResult {
-    run_method_configured(problem, method, per_call_conflicts, jobs, false)
-}
-
-/// [`run_method_jobs`] with the SAT-sweeping layer toggled.
-pub fn run_method_configured(
-    problem: &EcoProblem,
-    method: SupportMethod,
-    per_call_conflicts: Option<u64>,
-    jobs: usize,
-    sweep: bool,
-) -> MethodResult {
-    run_method_configured_classes(problem, method, per_call_conflicts, jobs, sweep, false)
-}
-
-/// [`run_method_configured`] with the test-equivalence-class layer
-/// toggled.
-pub fn run_method_configured_classes(
-    problem: &EcoProblem,
-    method: SupportMethod,
-    per_call_conflicts: Option<u64>,
-    jobs: usize,
-    sweep: bool,
-    classes: bool,
-) -> MethodResult {
-    let engine = EcoEngine::new(options_configured_classes(
-        method,
-        per_call_conflicts,
-        jobs,
-        sweep,
-        classes,
-    ))
-    .with_metrics();
+    let engine = EcoEngine::new(options_for_jobs(method, per_call_conflicts, jobs)).with_metrics();
     let t = std::time::Instant::now();
     match engine.solve(&problem.snapshot()) {
         Ok(out) => MethodResult {

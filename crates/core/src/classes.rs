@@ -1,18 +1,19 @@
-//! Test-equivalence-class pruning (schema v8): simulation-first
-//! partitioning of divisors and support subsets so that SAT calls are
-//! spent on class representatives only.
+//! Test-equivalence-class pruning for `SAT_prune`: simulation-first
+//! answers to the subset-feasibility probes of the exact support
+//! search, so SAT calls are spent only on queries whose verdict is not
+//! already forced.
 //!
-//! Three pieces live here:
+//! Two pieces live here:
 //!
 //! - [`EquivClasses`]: the per-target class layer over the two-copy
-//!   support instance of expression (2). It combines the A/B witness
-//!   store of the PR 8 sweep oracle (satisfiable answers inherited
-//!   from stored pattern pairs) with a feasible-set store (UNSAT
-//!   answers inherited by supersets of a proven-feasible subset — a
-//!   monotonicity argument, see [`EquivClasses::proves_feasible`]).
-//!   Witness models from real SAT calls refine the stores CEGAR-style,
-//!   and raw witnesses carry across quantification-refinement rounds
-//!   and across requests via the [`EcoCache`](crate::EcoCache).
+//!   support instance of expression (2). It keeps an A/B witness store
+//!   (satisfiable answers replayed from stored pattern pairs) and a
+//!   feasible-set store (UNSAT answers inherited by supersets of a
+//!   proven-feasible subset — a monotonicity argument, see
+//!   [`EquivClasses::proves_feasible`]). Witness models from real SAT
+//!   calls refine the stores CEGAR-style, and raw witnesses carry
+//!   across quantification-refinement rounds and across requests via
+//!   the [`EcoCache`](crate::EcoCache).
 //! - [`MinimizeHook`]: the *learn-only* observation point
 //!   `minimize_assumptions` exposes so the class layer can harvest
 //!   witnesses and feasible sets from the recursion's real calls.
@@ -24,27 +25,22 @@
 //!   Inheritance is confined to verdict-only consumers:
 //!   [`SupportSolver::subset_feasible`](crate::support::SupportSolver::subset_feasible)
 //!   and the `CEGAR_min` equivalence checks.
-//! - [`partition_literals`]: the public partition-and-prove API the
-//!   property tests drive: literals are partitioned by bit-parallel
-//!   signatures, each member is SAT-proven equal to its class
-//!   representative, and counterexamples split classes until the
-//!   partition is exact. Under a tripped or fault-injecting governor
-//!   it degrades to the identity partition (never a wrong answer).
 //!
 //! Everything here is *verdict-preserving*: an answer the layer
 //! short-circuits is one the SAT solver would have returned, so
-//! patches, costs, dispositions, and exit codes are byte-identical for
-//! any `--jobs`/`--sweep` combination — only `sat_calls` drops, and
-//! the drop is auditable as `sat_calls - observed_sat_calls ==
+//! patches, costs, dispositions, and exit codes are exactly those of a
+//! run without the layer — only the observed SAT calls drop, and the
+//! drop is auditable as `sat_calls - observed_sat_calls ==
 //! sweep.oracle_hits + classes.inherited_answers`.
 
-use crate::cnf::CnfEncoder;
 use crate::miter::QuantifiedMiter;
 use crate::observe::ClassesCounters;
-use crate::sweep::{signature_at, word_of, SWEEP_POOL_WORDS};
 use eco_aig::{Aig, AigLit, NodeId, PatternPool};
-use eco_sat::{Lit, ResourceGovernor, SolveResult, Solver};
+use eco_sat::{Lit, ResourceGovernor, Solver};
 use std::collections::{HashMap, HashSet};
+
+/// Random 64-pattern words per input in the initial witness pool.
+const POOL_WORDS: usize = 4;
 
 /// Cap on witness patterns stored per side; beyond it the layer stays
 /// sound, just less sharp.
@@ -56,21 +52,21 @@ const MAX_CARRIED_WITNESSES: usize = 1024;
 /// Cap on stored feasible (UNSAT-proven) subsets.
 const MAX_FEASIBLE_SETS: usize = 512;
 
-/// Cap on tracked representative subsets (counting only).
-const MAX_REPRESENTATIVES: usize = 4096;
-
 /// The per-target test-equivalence-class layer over the support
 /// instance of expression (2).
 ///
-/// Like the sweep oracle it keeps two signature sets — `A` for
-/// patterns with `M(0, x) = 1`, `B` for `M(1, x) = 1` — whose agreeing
-/// projections witness infeasibility (the instance is satisfiable).
-/// On top it stores subsets proven *feasible* (UNSAT): activations are
-/// constraints, so every superset of a feasible subset is feasible too
-/// and the UNSAT answer is inherited without a call. Quantification
-/// refinement only strengthens the miter (`M_new = M_old ∧ extra`), so
-/// carried feasible sets stay valid; carried infeasibility witnesses
-/// are re-verified by simulation before being trusted.
+/// A subset `S` of divisors is *infeasible* exactly when the instance
+/// `M(0, x1) ∧ M(1, x2) ∧ (d(x1) = d(x2) for d ∈ S)` is satisfiable.
+/// The layer keeps two signature sets — `A` for patterns with
+/// `M(0, x) = 1`, `B` for `M(1, x) = 1` — and a pair whose divisor
+/// signatures agree on `S` is a ready-made model, so the `Sat` answer
+/// is replayed without a call. On top it stores subsets proven
+/// *feasible* (UNSAT): activations are constraints, so every superset
+/// of a feasible subset is feasible too and the UNSAT answer is
+/// inherited without a call. Quantification refinement only
+/// strengthens the miter (`M_new = M_old ∧ extra`), so carried feasible
+/// sets stay valid; carried infeasibility witnesses are re-verified by
+/// simulation before being trusted.
 #[derive(Debug)]
 pub(crate) struct EquivClasses {
     miter: Aig,
@@ -85,8 +81,8 @@ pub(crate) struct EquivClasses {
     witnesses: Vec<(Vec<bool>, Vec<bool>)>,
     /// Canonical (sorted) divisor-index sets proven feasible (UNSAT).
     feasible: Vec<Vec<usize>>,
-    /// Canonical subsets that went to the real solver (counting only).
-    reps: HashSet<Vec<usize>>,
+    /// `Sat` answers replayed from stored witness pairs.
+    oracle_hits: u64,
     stats: ClassesCounters,
     governor: Option<ResourceGovernor>,
 }
@@ -107,36 +103,13 @@ impl EquivClasses {
             b_sigs: Vec::new(),
             witnesses: Vec::new(),
             feasible: Vec::new(),
-            reps: HashSet::new(),
+            oracle_hits: 0,
             stats: ClassesCounters::default(),
             governor: None,
         };
-        // Partition the divisors into signature classes (canonical up
-        // to complement) under a pool over all miter inputs — the
-        // partition the counters report.
-        let class_pool = PatternPool::new(x_count + 1, SWEEP_POOL_WORDS, seed);
-        let sigs = class_pool.signatures(&classes.miter);
-        let nw = class_pool.num_words();
-        let mut distinct: HashSet<Vec<u64>> = HashSet::new();
-        for &dl in &classes.divisor_lits {
-            let node = dl.node().index();
-            let mut v: Vec<u64> = sigs[node * nw..(node + 1) * nw].to_vec();
-            if dl.is_complement() {
-                for w in &mut v {
-                    *w = !*w;
-                }
-            }
-            if v.first().is_some_and(|w| w & 1 == 1) {
-                for w in &mut v {
-                    *w = !*w;
-                }
-            }
-            distinct.insert(v);
-        }
-        classes.stats.partitions = distinct.len() as u64;
         // Harvest initial A/B patterns from a pool over the x inputs,
         // simulating the miter under both cofactors of n.
-        let pool = PatternPool::new(x_count, SWEEP_POOL_WORDS, seed);
+        let pool = PatternPool::new(x_count, POOL_WORDS, seed);
         for w in 0..pool.num_words() {
             let x_words = pool.input_words(w);
             for n_value in [false, true] {
@@ -204,7 +177,7 @@ impl EquivClasses {
         let keys: HashSet<Vec<u64>> = small.iter().map(project).collect();
         let hit = large.iter().any(|sig| keys.contains(&project(sig)));
         if hit {
-            self.stats.inherited_answers += 1;
+            self.oracle_hits += 1;
         }
         hit
     }
@@ -316,20 +289,6 @@ impl EquivClasses {
         after > before
     }
 
-    /// Notes a subset that went to the real solver (for the
-    /// `representatives` counter).
-    pub(crate) fn note_representative(&mut self, indices: &[usize]) {
-        if !self.active() || self.reps.len() >= MAX_REPRESENTATIVES {
-            return;
-        }
-        let mut canon: Vec<usize> = indices.to_vec();
-        canon.sort_unstable();
-        canon.dedup();
-        if self.reps.insert(canon) {
-            self.stats.representatives = self.reps.len() as u64;
-        }
-    }
-
     /// The raw witness pairs accumulated so far (for carry/caching).
     pub(crate) fn witnesses(&self) -> &[(Vec<bool>, Vec<bool>)] {
         &self.witnesses
@@ -342,15 +301,34 @@ impl EquivClasses {
         &self.feasible
     }
 
-    /// Adopts a feasible set carried from an earlier refinement round.
-    pub(crate) fn adopt_feasible(&mut self, indices: &[usize]) {
-        self.learn_feasible(indices);
+    /// The accumulated counters: `Sat` answers replayed from stored
+    /// witness pairs, and the class counters (whose
+    /// `inherited_answers` are the `Unsat` answers).
+    pub(crate) fn stats(&self) -> (u64, ClassesCounters) {
+        (self.oracle_hits, self.stats)
     }
+}
 
-    /// The accumulated counters.
-    pub(crate) fn stats(&self) -> ClassesCounters {
-        self.stats
+/// The simulated value of `lit` in a node-word vector produced by
+/// [`Aig::simulate`].
+fn word_of(words: &[u64], lit: AigLit) -> u64 {
+    let w = words[lit.node().index()];
+    if lit.is_complement() {
+        !w
+    } else {
+        w
     }
+}
+
+/// Packs the divisor values of pattern slot `r` into a bitset.
+fn signature_at(words: &[u64], divisor_lits: &[AigLit], r: u32) -> Vec<u64> {
+    let mut sig = vec![0u64; divisor_lits.len().div_ceil(64).max(1)];
+    for (d, &dl) in divisor_lits.iter().enumerate() {
+        if word_of(words, dl) >> r & 1 == 1 {
+            sig[d / 64] |= 1u64 << (d % 64);
+        }
+    }
+    sig
 }
 
 /// Learn-only observation point for `minimize_assumptions` recursion
@@ -384,24 +362,14 @@ pub(crate) struct SupportClassesHook<'a> {
     pub x2: &'a [Lit],
 }
 
-impl SupportClassesHook<'_> {
-    fn indices(&self, fixed: &[Lit], extra: &[Lit]) -> Vec<usize> {
-        let mut v: Vec<usize> = fixed
-            .iter()
-            .chain(extra)
-            .filter_map(|l| self.aux_index.get(l).copied())
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-}
-
 impl MinimizeHook for SupportClassesHook<'_> {
     fn learn(&mut self, fixed: &[Lit], extra: &[Lit], unsat: bool, solver: &Solver) {
-        let indices = self.indices(fixed, extra);
-        self.classes.note_representative(&indices);
         if unsat {
+            let indices: Vec<usize> = fixed
+                .iter()
+                .chain(extra)
+                .filter_map(|l| self.aux_index.get(l).copied())
+                .collect();
             self.classes.learn_feasible(&indices);
         } else {
             let read = |lits: &[Lit]| -> Vec<bool> {
@@ -415,214 +383,12 @@ impl MinimizeHook for SupportClassesHook<'_> {
     }
 }
 
-/// The outcome of [`partition_literals`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PartitionOutcome {
-    /// Equivalence classes as index lists into the input literal
-    /// slice; the first member of each class is its representative.
-    /// Classes appear in first-member order, members in index order.
-    /// Two literals share a class exactly when they compute the same
-    /// function (same phase).
-    pub classes: Vec<Vec<usize>>,
-    /// SAT calls issued for representative proofs
-    /// ([`crate::SatCallKind::Classes`]).
-    pub sat_calls: u64,
-    /// `partitions` / `representatives` / `inherited_answers` /
-    /// `refinement_rounds` as the engine's class layer would report
-    /// them: inherited answers are the member–member equivalences
-    /// implied transitively by the proven member–representative pairs
-    /// (`C(k-1, 2)` per class of size `k`).
-    pub stats: ClassesCounters,
-    /// `true` when chaos (governor trip, fault injection, or budget
-    /// exhaustion) degraded the result to the identity partition.
-    pub degraded: bool,
-}
-
-/// Partitions `literals` of `aig` into test-equivalence classes and
-/// proves every class exact: members are SAT-verified equal to their
-/// class representative, and a failed proof's counterexample refines
-/// the partition CEGAR-style before anything is re-proven.
-///
-/// Under a tripped or fault-injecting [`ResourceGovernor`], or when a
-/// budgeted proof returns `Unknown`, the result degrades to the
-/// identity partition (one class per literal, zero inherited answers)
-/// — never a wrong answer.
-pub fn partition_literals(
-    aig: &Aig,
-    literals: &[AigLit],
-    seed: u64,
-    per_call_conflicts: Option<u64>,
-    governor: Option<&ResourceGovernor>,
-) -> PartitionOutcome {
-    let identity = |sat_calls: u64, stats: ClassesCounters| PartitionOutcome {
-        classes: (0..literals.len()).map(|i| vec![i]).collect(),
-        sat_calls,
-        stats: ClassesCounters {
-            partitions: literals.len() as u64,
-            representatives: 0,
-            inherited_answers: 0,
-            refinement_rounds: stats.refinement_rounds,
-            witness_replays: 0,
-        },
-        degraded: true,
-    };
-    let chaos = |g: &&ResourceGovernor| g.trip().is_some() || g.fault_injections() > 0;
-    if governor.as_ref().is_some_and(chaos) {
-        return identity(0, ClassesCounters::default());
-    }
-    let mut stats = ClassesCounters::default();
-    let mut sat_calls = 0u64;
-    if literals.is_empty() {
-        return PartitionOutcome {
-            classes: Vec::new(),
-            sat_calls,
-            stats,
-            degraded: false,
-        };
-    }
-    let mut solver = Solver::new();
-    if let Some(g) = governor {
-        solver.set_search_control(Some(g.control()));
-    }
-    let mut enc = CnfEncoder::new(aig);
-    let lits: Vec<Lit> = literals
-        .iter()
-        .map(|&l| enc.lit(aig, &mut solver, l))
-        .collect();
-    let mut pool = PatternPool::new(aig.num_inputs(), SWEEP_POOL_WORDS, seed);
-    // Each counterexample splits the failing pair's class, so the
-    // number of refinement rounds is bounded by the literal count; the
-    // slack guards against a degenerate witness that fails to split.
-    let max_rounds = 2 * literals.len() + 8;
-    let mut rounds = 0usize;
-    'outer: loop {
-        // Partition by exact signature over the current pool.
-        let sigs = pool.signatures(aig);
-        let nw = pool.num_words();
-        let mut order: Vec<Vec<usize>> = Vec::new();
-        let mut by_sig: HashMap<Vec<u64>, usize> = HashMap::new();
-        for (i, &l) in literals.iter().enumerate() {
-            let node = l.node().index();
-            let mut v: Vec<u64> = sigs[node * nw..(node + 1) * nw].to_vec();
-            if l.is_complement() {
-                for w in &mut v {
-                    *w = !*w;
-                }
-            }
-            match by_sig.get(&v) {
-                Some(&g) => order[g].push(i),
-                None => {
-                    by_sig.insert(v, order.len());
-                    order.push(vec![i]);
-                }
-            }
-        }
-        // Prove each member equal to its class representative.
-        let mut proofs = 0u64;
-        for group in &order {
-            let rep = group[0];
-            for &m in &group[1..] {
-                for (a, b) in [(lits[rep], !lits[m]), (!lits[rep], lits[m])] {
-                    if governor.as_ref().is_some_and(chaos) {
-                        return identity(sat_calls, stats);
-                    }
-                    if let Some(c) = per_call_conflicts {
-                        solver.set_budget(Some(c), None);
-                    }
-                    sat_calls += 1;
-                    match solver.solve(&[a, b]) {
-                        SolveResult::Unsat => {}
-                        SolveResult::Sat => {
-                            // Counterexample: replay it as a pattern
-                            // and re-partition.
-                            let bits: Vec<bool> = aig
-                                .inputs()
-                                .iter()
-                                .map(|&n| {
-                                    enc.var(n)
-                                        .map(|v| {
-                                            solver
-                                                .model_value(v.positive())
-                                                .to_option()
-                                                .unwrap_or(false)
-                                        })
-                                        .unwrap_or(false)
-                                })
-                                .collect();
-                            pool.add_pattern(&bits);
-                            stats.refinement_rounds += 1;
-                            rounds += 1;
-                            if rounds > max_rounds {
-                                return identity(sat_calls, stats);
-                            }
-                            continue 'outer;
-                        }
-                        SolveResult::Unknown => {
-                            return identity(sat_calls, stats);
-                        }
-                    }
-                }
-                proofs += 1;
-            }
-        }
-        // Every member proven: the k-1 representative proofs per class
-        // imply the remaining C(k-1, 2) pairwise equivalences.
-        stats.partitions = order.len() as u64;
-        stats.representatives = proofs;
-        stats.inherited_answers = order
-            .iter()
-            .map(|g| {
-                let k = g.len() as u64;
-                k.saturating_sub(1) * k.saturating_sub(2) / 2
-            })
-            .sum();
-        return PartitionOutcome {
-            classes: order,
-            sat_calls,
-            stats,
-            degraded: false,
-        };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eco_aig::Aig;
-
-    fn xor_pair() -> (Aig, Vec<AigLit>) {
-        let mut g = Aig::new();
-        let a = g.add_input();
-        let b = g.add_input();
-        let x1 = g.xor(a, b);
-        let x2 = g.xor(b, a);
-        let and = g.and(a, b);
-        g.add_output(x1);
-        g.add_output(x2);
-        g.add_output(and);
-        (g, vec![x1, x2, and, a])
-    }
-
-    #[test]
-    fn equal_literals_share_a_proven_class() {
-        let (g, lits) = xor_pair();
-        let out = partition_literals(&g, &lits, 7, None, None);
-        assert!(!out.degraded);
-        let class_of = |i: usize| out.classes.iter().position(|c| c.contains(&i)).unwrap();
-        assert_eq!(class_of(0), class_of(1), "xor(a,b) == xor(b,a)");
-        assert_ne!(class_of(0), class_of(2));
-        assert_ne!(class_of(2), class_of(3));
-        assert_eq!(out.stats.partitions, out.classes.len() as u64);
-    }
-
-    #[test]
-    fn empty_input_partitions_trivially() {
-        let g = Aig::new();
-        let out = partition_literals(&g, &[], 1, None, None);
-        assert!(out.classes.is_empty());
-        assert_eq!(out.sat_calls, 0);
-        assert!(!out.degraded);
-    }
+    use crate::problem::EcoProblem;
+    use crate::support::support_solver_for;
+    use crate::window::compute_window;
 
     #[test]
     fn feasible_set_inheritance_is_superset_monotone() {
@@ -650,6 +416,45 @@ mod tests {
         // learning the superset afterwards is subsumed away
         c.learn_feasible(&[0, 1]);
         assert_eq!(c.feasible_sets().len(), 1);
-        assert_eq!(c.stats().inherited_answers, 1);
+        assert_eq!(c.stats().1.inherited_answers, 1);
+    }
+
+    #[test]
+    fn witness_store_agrees_with_the_support_solver() {
+        // impl: y = a & b (target); spec: y = a | b. Divisors: a, b.
+        let mut im = Aig::new();
+        let a = im.add_input();
+        let b = im.add_input();
+        let t = im.and(a, b);
+        im.add_output(t);
+        let mut sp = Aig::new();
+        let a2 = sp.add_input();
+        let b2 = sp.add_input();
+        let o = sp.or(a2, b2);
+        sp.add_output(o);
+        let p = EcoProblem::with_unit_weights(im, sp, vec![t.node()]).expect("valid");
+        let qm = QuantifiedMiter::build(&p, 0, &[], None);
+        let divisors = compute_window(&p).divisors;
+        let mut classes = EquivClasses::build(&qm, &divisors, 1);
+        let mut ss = support_solver_for(&p, &qm, &divisors, None);
+        // Every subset the store calls infeasible must be Sat for the
+        // real instance (soundness).
+        for mask in 0u32..1 << divisors.len().min(4) {
+            let subset: Vec<usize> = (0..divisors.len())
+                .filter(|&i| mask >> i & 1 == 1)
+                .collect();
+            let feasible = ss.subset_feasible(&subset).expect("no budget");
+            if classes.proves_infeasible(&subset) {
+                assert!(!feasible, "store claimed infeasible for {subset:?}");
+            }
+        }
+        // The empty subset cannot express a non-constant patch; both
+        // sides must agree it is infeasible.
+        assert!(!ss.subset_feasible(&[]).expect("no budget"));
+        assert!(
+            classes.proves_infeasible(&[]),
+            "256 random patterns must find an A/B pair for the empty subset"
+        );
+        assert!(classes.stats().0 >= 1);
     }
 }

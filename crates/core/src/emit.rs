@@ -5,7 +5,7 @@
 
 use crate::engine::{AppliedPatch, EcoOutcome};
 use eco_aig::{AigLit, NodeId};
-use eco_netlist::{AigConversion, Netlist, NetlistPatch};
+use eco_netlist::{AigConversion, Netlist, NetlistError, NetlistPatch};
 use std::collections::HashMap;
 
 /// A patch expressed over nets, ready for insertion.
@@ -74,6 +74,53 @@ pub fn netlist_patches(
             })
         })
         .collect()
+}
+
+/// The patched implementation netlist for `outcome`.
+///
+/// When every entry of `named` (from [`netlist_patches`]) is present,
+/// the patches are spliced into `netlist` in order with
+/// [`Netlist::insert_patch`], preserving every original name. A patch
+/// may read a net whose original gates still pass through an earlier
+/// target, even though that path vanished from the engine's AIG once
+/// the earlier patch was applied; the splice then closes a
+/// combinational loop. So a splice of more than one patch is checked,
+/// and a loop falls back to the netlist rebuilt from
+/// [`EcoOutcome::patched_implementation`], as does an unnameable patch.
+/// A single patch needs no check: its divisors exclude its own TFO.
+///
+/// Returns the netlist and whether it was spliced (`false` = rebuilt).
+///
+/// # Errors
+///
+/// Any [`NetlistError`] of a splice, or of the loop check other than
+/// [`NetlistError::CombinationalCycle`].
+pub fn patched_netlist(
+    outcome: &EcoOutcome,
+    named: &[Option<NamedPatch>],
+    netlist: &Netlist,
+) -> Result<(Netlist, bool), NetlistError> {
+    let rebuilt = || {
+        Netlist::from_aig(
+            format!("{}_patched", netlist.name()),
+            &outcome.patched_implementation,
+        )
+    };
+    if !named.iter().all(Option::is_some) {
+        return Ok((rebuilt(), false));
+    }
+    let mut current = netlist.clone();
+    for (i, np) in named.iter().flatten().enumerate() {
+        current = current.insert_patch(&np.target_net, &np.patch, &format!("eco{i}"))?;
+    }
+    if named.len() > 1 {
+        match current.to_aig() {
+            Ok(_) => {}
+            Err(NetlistError::CombinationalCycle(_)) => return Ok((rebuilt(), false)),
+            Err(e) => return Err(e),
+        }
+    }
+    Ok((current, true))
 }
 
 #[cfg(test)]
@@ -185,6 +232,68 @@ mod tests {
                 .expect("insert");
         }
         let patched_aig = current.to_aig().expect("valid").aig;
+        let spec_aig = spec.to_aig().expect("valid").aig;
+        assert_eq!(
+            check_equivalence(&patched_aig, &spec_aig, None),
+            CecResult::Equivalent
+        );
+    }
+
+    #[test]
+    fn a_splice_that_closes_a_loop_falls_back_to_the_rebuilt_netlist() {
+        // t1's patch is the constant 0, which removes the AIG path from
+        // t2 through p and m to w. Solved after t1, t2 may then read the
+        // cheap net w, whose original gates still pass through t2, so
+        // splicing both patches in place closes t2 -> p -> m -> w -> t2.
+        let impl_src = "
+            module m (a, b, c, d, y1, y2, y3);
+              input a, b, c, d;
+              output y1, y2, y3;
+              wire t1, t2, p, q, w;
+              // eco_target t1
+              // eco_target t2
+              or  g1 (t1, a, b);   // BUG: spec wants constant 0
+              xor g2 (t2, c, d);   // BUG: spec wants a & c
+              and g3 (p, t1, t2);
+              or  g4 (q, p, c);
+              and g5 (w, a, q);
+              buf g6 (y1, w);
+              buf g7 (y2, t2);
+              buf g8 (y3, t1);
+            endmodule";
+        let spec_src = "
+            module m (a, b, c, d, y1, y2, y3);
+              input a, b, c, d;
+              output y1, y2, y3;
+              wire na, t1, t2, p, q, w;
+              not g0 (na, a);
+              and g1 (t1, a, na);
+              and g2 (t2, a, c);
+              and g3 (p, t1, t2);
+              or  g4 (q, p, c);
+              and g5 (w, a, q);
+              buf g6 (y1, w);
+              buf g7 (y2, t2);
+              buf g8 (y3, t1);
+            endmodule";
+        let parsed = parse_verilog(impl_src).expect("impl");
+        let spec = parse_verilog(spec_src).expect("spec").netlist;
+        let names: Vec<&str> = parsed.targets.iter().map(String::as_str).collect();
+        let mut weights = WeightTable::new();
+        weights.set("w", 1);
+        let problem = EcoProblem::from_netlists(&parsed.netlist, &spec, &names, &weights, 10)
+            .expect("problem");
+        let outcome = EcoEngine::new(EcoOptions::default())
+            .solve(&problem.snapshot())
+            .expect("run");
+        assert!(outcome.verified);
+        let conversion = parsed.netlist.to_aig().expect("valid");
+        let named = netlist_patches(&outcome, &names, &parsed.netlist, &conversion);
+        assert!(named.iter().all(Option::is_some), "both patches nameable");
+
+        let (patched, spliced) = patched_netlist(&outcome, &named, &parsed.netlist).expect("emit");
+        let patched_aig = patched.to_aig().expect("acyclic").aig;
+        assert!(!spliced, "the looping splice must be replaced");
         let spec_aig = spec.to_aig().expect("valid").aig;
         assert_eq!(
             check_equivalence(&patched_aig, &spec_aig, None),

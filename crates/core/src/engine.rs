@@ -20,7 +20,6 @@ use crate::qbf::{check_targets_sufficient_observed, QbfOutcome};
 use crate::snapshot::{cone_hash, hash_aig, hash_bytes, ContentHasher, ProblemSnapshot};
 use crate::structural::structural_patch;
 use crate::support::{support_solver_for, SupportResult, SupportSolver};
-use crate::sweep::{check_outputs_equivalence_swept, SweepOracle};
 use crate::window::{
     compute_divisors, compute_window, independent_targets, per_target_outputs, Window,
 };
@@ -90,7 +89,7 @@ pub struct EcoOptions {
     pub sat_prune: SatPruneOptions,
     /// Run the final equivalence check.
     pub verify: bool,
-    /// Wall-clock deadline for one [`EcoEngine::run`] call, enforced
+    /// Wall-clock deadline for one [`EcoEngine::solve`] call, enforced
     /// cooperatively from inside every SAT call (`None` = no deadline).
     pub timeout: Option<Duration>,
     /// Global conflict pool drawn down by every SAT call of the run,
@@ -121,29 +120,6 @@ pub struct EcoOptions {
     /// dispositions, and run-level metric totals are invariant across
     /// `jobs` (worker attribution and wall-clock times are not).
     pub jobs: usize,
-    /// SAT sweeping (fraig): attach a simulation-based infeasibility
-    /// oracle to each target's support solver and run the final
-    /// verification through a simulation prefilter. Verdict-preserving
-    /// by construction — patches, costs, dispositions, and exit codes
-    /// are byte-identical with sweeping on or off; only the number of
-    /// real SAT calls drops (never rises).
-    pub sweep: bool,
-    /// Test-equivalence-class pruning: partition candidate divisors
-    /// and support subsets into classes over the per-target
-    /// simulation/counterexample pattern pool and spend SAT calls on
-    /// class representatives only — UNSAT answers are inherited by
-    /// supersets of proven-feasible subsets, SAT answers by stored
-    /// witness models, and failed-representative models refine the
-    /// partition CEGAR-style; `CEGAR_min` equivalence checks inherit
-    /// SAT answers from harvested counterexample valuations the same
-    /// way. Inheritance is confined to verdict-only query sites —
-    /// conflict-guided minimization and cube prime expansion always
-    /// see real calls — which is what keeps the results byte-identical
-    /// with the option on or off (audited via
-    /// `classes.inherited_answers`), like [`EcoOptions::sweep`], with
-    /// which it composes. Disabled automatically under a fault plan,
-    /// whose call-indexed schedules would otherwise shift.
-    pub classes: bool,
 }
 
 impl Default for EcoOptions {
@@ -169,8 +145,6 @@ impl Default for EcoOptions {
             degraded_retry: true,
             verify_budget_factor: 8,
             jobs: 1,
-            sweep: false,
-            classes: false,
         }
     }
 }
@@ -287,7 +261,7 @@ impl EcoOptionsBuilder {
         self
     }
 
-    /// Sets a wall-clock deadline for each [`EcoEngine::run`] call.
+    /// Sets a wall-clock deadline for each [`EcoEngine::solve`] call.
     pub fn timeout(mut self, deadline: Option<Duration>) -> Self {
         self.options.timeout = deadline;
         self
@@ -327,18 +301,6 @@ impl EcoOptionsBuilder {
     /// Sets the worker-thread count for the parallel backend.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.options.jobs = jobs;
-        self
-    }
-
-    /// Enables or disables the SAT-sweeping (fraig) front end.
-    pub fn sweep(mut self, enabled: bool) -> Self {
-        self.options.sweep = enabled;
-        self
-    }
-
-    /// Enables or disables test-equivalence-class pruning.
-    pub fn classes(mut self, enabled: bool) -> Self {
-        self.options.classes = enabled;
         self
     }
 
@@ -579,7 +541,7 @@ impl EcoEngine {
     }
 
     /// Installs an externally-owned [`ResourceGovernor`], overriding
-    /// the one [`EcoEngine::run`] would build from
+    /// the one [`EcoEngine::solve`] would build from
     /// [`EcoOptions::timeout`]/[`EcoOptions::global_conflicts`]. Keep a
     /// clone of the handle to [`ResourceGovernor::cancel`] a running
     /// engine from another thread or to share one pool across several
@@ -590,7 +552,7 @@ impl EcoEngine {
     }
 
     /// Attaches an observer; every [`EcoEvent`] of subsequent
-    /// [`EcoEngine::run`] calls is delivered to it. Repeated calls
+    /// [`EcoEngine::solve`] calls is delivered to it. Repeated calls
     /// compose (all observers see every event).
     pub fn with_observer<O: EcoObserver + Send + 'static>(mut self, observer: O) -> EcoEngine {
         self.observers.push(Arc::new(Mutex::new(observer)));
@@ -598,7 +560,7 @@ impl EcoEngine {
     }
 
     /// Attaches a shared observer, for callers that need to keep a
-    /// handle to it (e.g. to inspect accumulated state after `run`).
+    /// handle to it (e.g. to inspect accumulated state after `solve`).
     pub fn with_shared_observer(
         mut self,
         observer: Arc<Mutex<dyn EcoObserver + Send>>,
@@ -612,26 +574,6 @@ impl EcoEngine {
     pub fn with_metrics(mut self) -> EcoEngine {
         self.collect_metrics = true;
         self
-    }
-
-    /// Runs the full flow on `problem`.
-    ///
-    /// Deprecated shim over [`EcoEngine::solve`]: it clones `problem`
-    /// into a fresh [`ProblemSnapshot`] on every call, paying the
-    /// hashing cost each time. Call
-    /// `engine.solve(&problem.snapshot())` instead (and keep the
-    /// snapshot around to share it across runs and threads).
-    ///
-    /// # Errors
-    ///
-    /// See [`EcoEngine::solve`].
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `solve(&problem.snapshot())`; snapshots share the problem by `Arc` \
-                and precompute the content hashes the cache layer keys on"
-    )]
-    pub fn run(&self, problem: &EcoProblem) -> Result<EcoOutcome, EcoError> {
-        self.solve(&ProblemSnapshot::new(problem.clone()))
     }
 
     /// Runs the full flow on the snapshotted problem.
@@ -1443,10 +1385,7 @@ impl EcoEngine {
         governor: Option<&ResourceGovernor>,
         obs: &ObserverHandle,
     ) -> Result<(NodePatch, TargetPatchReport), EcoError> {
-        // The class layer is disabled under a fault plan: inherited
-        // answers skip real solver calls, which would shift the plan's
-        // call-indexed fault schedule.
-        let classes_on = opts.classes && opts.fault_plan.is_none();
+        let classes_on = class_layer_on(opts);
         // Class layer carried across quantification-refinement
         // iterations: witnesses are replayed (re-verified by
         // simulation against the refined miter), feasible sets are
@@ -1463,25 +1402,8 @@ impl EcoEngine {
             let mut ss = support_solver_for(work, qm, &divisors, opts.per_call_conflicts);
             ss.set_observer(obs.clone(), Some(original_index));
             ss.set_governor(governor.cloned());
-            if opts.sweep {
-                // The oracle is rebuilt deterministically from the
-                // miter and divisor list on every refinement
-                // iteration, so swept runs are identical at any job
-                // count.
-                obs.emit(|| EcoEvent::SweepStarted {
-                    target_index: Some(original_index),
-                });
-                let sweep_t = Instant::now();
-                let seed = sweep_seed(original_index, assignments.len());
-                let oracle = SweepOracle::build(qm, &divisors, seed);
-                obs.emit(|| EcoEvent::SweepFinished {
-                    target_index: Some(original_index),
-                    elapsed: sweep_t.elapsed(),
-                });
-                ss.set_sweep_oracle(Some(oracle));
-            }
             if classes_on {
-                let seed = sweep_seed(original_index, assignments.len());
+                let seed = classes_seed(original_index, assignments.len());
                 let mut classes = EquivClasses::build(qm, &divisors, seed);
                 match carried.take() {
                     Some(prev) => {
@@ -1489,7 +1411,7 @@ impl EcoEngine {
                             classes.replay_witness(x1, x2);
                         }
                         for f in prev.feasible_sets() {
-                            classes.adopt_feasible(f);
+                            classes.learn_feasible(f);
                         }
                     }
                     None => {
@@ -1512,7 +1434,6 @@ impl EcoEngine {
                 Ok(f) => f,
                 Err(e) => {
                     *spent += ss.sat_calls;
-                    emit_sweep_oracle_report(obs, &ss, original_index);
                     emit_classes_report(obs, &ss, original_index);
                     return Err(e);
                 }
@@ -1520,7 +1441,6 @@ impl EcoEngine {
             if !feasible {
                 if exact {
                     *spent += ss.sat_calls;
-                    emit_sweep_oracle_report(obs, &ss, original_index);
                     emit_classes_report(obs, &ss, original_index);
                     return Err(EcoError::NoFeasibleSupport {
                         target_index: original_index,
@@ -1528,13 +1448,11 @@ impl EcoEngine {
                 }
                 if assignments.len() >= opts.max_refinements {
                     *spent += ss.sat_calls;
-                    emit_sweep_oracle_report(obs, &ss, original_index);
                     emit_classes_report(obs, &ss, original_index);
                     return Err(EcoError::budget_exhausted("quantification refinement"));
                 }
                 let (x1, x2) = ss.infeasibility_witness();
                 *spent += ss.sat_calls;
-                emit_sweep_oracle_report(obs, &ss, original_index);
                 emit_classes_report(obs, &ss, original_index);
                 if classes_on {
                     carried = ss.take_classes();
@@ -1578,7 +1496,6 @@ impl EcoEngine {
                 Ok(s) => s,
                 Err(e) => {
                     *spent += ss.sat_calls;
-                    emit_sweep_oracle_report(obs, &ss, original_index);
                     emit_classes_report(obs, &ss, original_index);
                     return Err(e);
                 }
@@ -1589,7 +1506,6 @@ impl EcoEngine {
                 .map(|&i| divisors[i])
                 .collect();
             *spent += ss.sat_calls;
-            emit_sweep_oracle_report(obs, &ss, original_index);
             emit_classes_report(obs, &ss, original_index);
             if classes_on {
                 if let Some(classes) = ss.take_classes() {
@@ -1739,7 +1655,7 @@ impl EcoEngine {
                 .tfo_mask(work.targets.iter().copied(), &fanouts);
             let weight = |n: NodeId| work.weight(n);
             let eligible = |n: NodeId| !tfo[n.index()];
-            let classes_on = opts.classes && opts.fault_plan.is_none();
+            let classes_on = class_layer_on(opts);
             let mut cegar_counters = ClassesCounters::default();
             let cm = cegar_min_observed(
                 &work.implementation,
@@ -1760,8 +1676,7 @@ impl EcoEngine {
             if cegar_counters != ClassesCounters::default() {
                 obs.emit(|| EcoEvent::ClassesReport {
                     target_index: Some(original_index),
-                    partitions: cegar_counters.partitions,
-                    representatives: cegar_counters.representatives,
+                    oracle_hits: 0,
                     inherited_answers: cegar_counters.inherited_answers,
                     refinement_rounds: cegar_counters.refinement_rounds,
                     witness_replays: cegar_counters.witness_replays,
@@ -2172,16 +2087,14 @@ impl EcoEngine {
                 let worker_gov = cancel.clone();
                 let (sweep_obs, sink) = buffered_handle(obs.is_active());
                 let spec = spec.clone();
-                let sweep = opts.sweep;
                 let handle = std::thread::spawn(move || {
-                    verify_chunk(
+                    check_outputs_equivalence_observed(
                         &task.snapshot,
                         &spec,
-                        &task.outputs,
+                        Some(&task.outputs),
                         budget,
                         &sweep_obs,
                         Some(&worker_gov),
-                        sweep,
                     )
                 });
                 sweeps.push(SweepExec::Running {
@@ -2215,14 +2128,13 @@ impl EcoEngine {
         let mut iter = sweeps.into_iter();
         while let Some(exec) = iter.next() {
             let verdict = match exec {
-                SweepExec::Deferred(task) => verify_chunk(
+                SweepExec::Deferred(task) => check_outputs_equivalence_observed(
                     &task.snapshot,
                     spec,
-                    &task.outputs,
+                    Some(&task.outputs),
                     budget,
                     obs,
                     governor,
-                    opts.sweep,
                 ),
                 SweepExec::Running { handle, sink, .. } => {
                     let verdict = join_worker(handle.join());
@@ -2689,101 +2601,40 @@ fn options_fingerprint(opts: &EcoOptions) -> u64 {
     normalized.global_propagations = None;
     normalized.fault_plan = None;
     normalized.jobs = 1;
-    // Sweeping is verdict-preserving, so swept and unswept runs may
-    // share cache entries.
-    normalized.sweep = false;
-    // So is the class layer: inherited answers carry verdicts a real
-    // solver call would have produced.
-    normalized.classes = false;
     hash_bytes(TAG_OPTS, format!("{normalized:?}").as_bytes())
 }
 
-/// Deterministic seed for a target's sweep oracle. Depends only on
+/// Whether the test-equivalence-class layer answers this solve's
+/// subset-feasibility and `CEGAR_min` probes: only under `SAT_prune`,
+/// whose exact subset search issues the probes it can answer, and
+/// never under a fault plan, whose call-indexed schedule inherited
+/// answers would shift.
+fn class_layer_on(opts: &EcoOptions) -> bool {
+    opts.method == SupportMethod::SatPrune && opts.fault_plan.is_none()
+}
+
+/// Deterministic seed for a target's class layer. Depends only on
 /// jobs-invariant quantities (target index and refinement iteration),
-/// so swept runs are reproducible at any `--jobs` count.
-fn sweep_seed(target_index: usize, refinement: usize) -> u64 {
+/// so classed runs are reproducible at any `--jobs` count.
+fn classes_seed(target_index: usize, refinement: usize) -> u64 {
     (target_index as u64)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(refinement as u64)
 }
 
-/// Reports a support solver's sweep-oracle counters (a no-op without
-/// an attached oracle, i.e. whenever sweeping is off).
-fn emit_sweep_oracle_report(obs: &ObserverHandle, ss: &SupportSolver, target_index: usize) {
-    let Some(stats) = ss.sweep_stats() else {
-        return;
-    };
-    obs.emit(|| EcoEvent::SweepReport {
-        target_index: Some(target_index),
-        classes: stats.classes,
-        merges: 0,
-        sat_calls: 0,
-        refinement_rounds: stats.refinement_rounds,
-        nodes_eliminated: 0,
-        oracle_hits: stats.oracle_hits,
-        sim_discharged_outputs: 0,
-    });
-}
-
 /// Reports a support solver's class-layer counters (a no-op without an
-/// attached [`EquivClasses`], i.e. whenever `--classes` is off).
+/// attached [`EquivClasses`], i.e. outside `SAT_prune`).
 fn emit_classes_report(obs: &ObserverHandle, ss: &SupportSolver, target_index: usize) {
-    let Some(stats) = ss.classes_stats() else {
+    let Some((oracle_hits, stats)) = ss.classes_stats() else {
         return;
     };
     obs.emit(|| EcoEvent::ClassesReport {
         target_index: Some(target_index),
-        partitions: stats.partitions,
-        representatives: stats.representatives,
+        oracle_hits,
         inherited_answers: stats.inherited_answers,
         refinement_rounds: stats.refinement_rounds,
         witness_replays: stats.witness_replays,
     });
-}
-
-/// One verification chunk: the sweeping check (simulation prefilter,
-/// same verdict, at most the same single SAT call) when `sweep` is on,
-/// the plain check otherwise.
-fn verify_chunk(
-    snapshot: &Aig,
-    spec: &Aig,
-    outputs: &[usize],
-    budget: Option<u64>,
-    obs: &ObserverHandle,
-    governor: Option<&ResourceGovernor>,
-    sweep: bool,
-) -> CecResult {
-    if !sweep {
-        return check_outputs_equivalence_observed(
-            snapshot,
-            spec,
-            Some(outputs),
-            budget,
-            obs,
-            governor,
-        );
-    }
-    obs.emit(|| EcoEvent::SweepStarted { target_index: None });
-    let sweep_t = Instant::now();
-    // Chunk-independent fixed seed: the pool depends only on the input
-    // count, keeping the query set identical across job counts.
-    let report =
-        check_outputs_equivalence_swept(snapshot, spec, Some(outputs), budget, obs, governor, 0);
-    obs.emit(|| EcoEvent::SweepFinished {
-        target_index: None,
-        elapsed: sweep_t.elapsed(),
-    });
-    obs.emit(|| EcoEvent::SweepReport {
-        target_index: None,
-        classes: 0,
-        merges: 0,
-        sat_calls: 0,
-        refinement_rounds: 0,
-        nodes_eliminated: 0,
-        oracle_hits: u64::from(report.sim_counterexample),
-        sim_discharged_outputs: report.sim_discharged_outputs,
-    });
-    report.result
 }
 
 /// Only pure, full-effort results enter the solve cache: a degraded or

@@ -93,12 +93,11 @@ mod window;
 pub use cache::{CacheLayer, CacheStats, EcoCache};
 pub use cec::{check_equivalence, CecResult};
 pub use cegar_min::{cegar_min, cegar_min_filtered, CegarMinResult};
-pub use classes::{partition_literals, PartitionOutcome};
 pub use cnf::CnfEncoder;
 pub use cost::{generate_weights, WeightDistribution};
 pub use cubes::{enumerate_patch_sop, PatchSop};
 pub use detect::{detect_targets, DetectOptions, DetectedTargets};
-pub use emit::{netlist_patches, NamedPatch};
+pub use emit::{netlist_patches, patched_netlist, NamedPatch};
 pub use engine::{
     AppliedPatch, EcoEngine, EcoOptions, EcoOptionsBuilder, EcoOutcome, PatchKind, SupportMethod,
     TargetDisposition, TargetPatchReport,

@@ -67,17 +67,11 @@ pub enum SatCallKind {
     Refinement,
     /// Combinational equivalence checking.
     Cec,
-    /// Equivalence proofs of sweep candidate pairs (fraig merging).
-    Sweep,
-    /// Representative-equivalence proofs of the test-equivalence-class
-    /// layer (schema v8): member ≡ representative checks issued by
-    /// [`crate::partition_literals`].
-    Classes,
 }
 
 impl SatCallKind {
     /// All kinds, in the order used by per-kind metric arrays.
-    pub const ALL: [SatCallKind; 10] = [
+    pub const ALL: [SatCallKind; 8] = [
         SatCallKind::Qbf,
         SatCallKind::Support,
         SatCallKind::Minimize,
@@ -86,8 +80,6 @@ impl SatCallKind {
         SatCallKind::CegarMin,
         SatCallKind::Refinement,
         SatCallKind::Cec,
-        SatCallKind::Sweep,
-        SatCallKind::Classes,
     ];
 
     /// Stable snake_case name used in the JSON schema.
@@ -101,8 +93,6 @@ impl SatCallKind {
             SatCallKind::CegarMin => "cegar_min",
             SatCallKind::Refinement => "refinement",
             SatCallKind::Cec => "cec",
-            SatCallKind::Sweep => "sweep",
-            SatCallKind::Classes => "classes",
         }
     }
 
@@ -301,54 +291,18 @@ pub enum EcoEvent {
         /// `true` on a hit (the derived artifact was reused).
         hit: bool,
     },
-    /// A simulation-guided sweep phase began (schema v7): either the
-    /// sweep oracle construction for one target's support queries, or a
-    /// swept CEC verification wave.
-    SweepStarted {
-        /// Target the sweep serves (`None` for verification waves).
-        target_index: Option<usize>,
-    },
-    /// The matching end of an [`EcoEvent::SweepStarted`] span.
-    SweepFinished {
-        /// Target the sweep served (`None` for verification waves).
-        target_index: Option<usize>,
-        /// Wall-clock time of the sweep phase.
-        elapsed: Duration,
-    },
-    /// Counter report of one sweep activity (schema v7): oracle
-    /// construction, swept verification, or a `fraig_reduce` run.
-    /// Aggregated into [`SweepCounters`].
-    SweepReport {
-        /// Target the sweep served (`None` for shared activities).
-        target_index: Option<usize>,
-        /// Equivalence-candidate classes examined.
-        classes: u64,
-        /// Node merges proven by SAT.
-        merges: u64,
-        /// SAT calls spent on sweep proofs ([`SatCallKind::Sweep`]).
-        sat_calls: u64,
-        /// CEGAR refinement rounds (counterexample patterns fed back).
-        refinement_rounds: u64,
-        /// AIG nodes eliminated by proven merges.
-        nodes_eliminated: u64,
-        /// Support-feasibility queries answered by simulation alone
-        /// (no solver call issued).
-        oracle_hits: u64,
-        /// Verification outputs discharged by simulation/structure
-        /// without a dedicated SAT call.
-        sim_discharged_outputs: u64,
-    },
-    /// Counter report of one test-equivalence-class activity (schema
-    /// v8): the per-target class layer over support/minimize/cube/cegar
-    /// queries. Aggregated into [`ClassesCounters`].
+    /// Counter report of the test-equivalence-class layer for one
+    /// target: the `SAT_prune` support probes and `CEGAR_min`
+    /// equivalence checks it answered without a solver call.
+    /// Aggregated into [`SweepCounters`] and [`ClassesCounters`].
     ClassesReport {
         /// Target the class layer served (`None` for shared activities).
         target_index: Option<usize>,
-        /// Divisor-signature equivalence classes over the pattern pool.
-        partitions: u64,
-        /// Distinct representative queries sent to the real solver.
-        representatives: u64,
-        /// Queries answered by class inheritance (no solver call).
+        /// `Sat` answers replayed from stored witness pairs.
+        oracle_hits: u64,
+        /// `Unsat` answers inherited from proven-feasible subsets, plus
+        /// `CEGAR_min` checks whose disagreement a stored
+        /// counterexample already witnessed.
         inherited_answers: u64,
         /// Partition refinements from replayed witness models.
         refinement_rounds: u64,
@@ -530,10 +484,9 @@ pub struct TargetMetrics {
     /// SAT calls per the target's [`crate::TargetPatchReport`].
     pub sat_calls: u64,
     /// SAT calls observed as [`EcoEvent::SatCall`] events attributed to
-    /// this target. Equal to `sat_calls` by construction on unswept,
-    /// classless runs; under `--sweep` / `--classes` the report counter
-    /// also tallies calls the simulation oracle or class layer
-    /// discharged (keeping reports byte-identical to a plain run), so
+    /// this target. The report counter also tallies the calls the
+    /// `SAT_prune` class layer answered without the solver (keeping
+    /// reports byte-identical to a run without the layer), so
     /// `sat_calls - observed_sat_calls` is exactly this target's share
     /// of [`SweepCounters::oracle_hits`] plus
     /// [`ClassesCounters::inherited_answers`]. Kept separate so the
@@ -580,7 +533,7 @@ pub struct SatCallMetrics {
     /// Total solver wall-clock time.
     pub time: Duration,
     /// Per-kind breakdown, parallel to [`SatCallKind::ALL`].
-    pub by_kind: [KindMetrics; 10],
+    pub by_kind: [KindMetrics; 8],
     /// Per-call conflict histogram ([`CONFLICT_BUCKET_BOUNDS`]).
     pub conflict_histogram: [u64; NUM_CONFLICT_BUCKETS],
     /// Per-call latency histogram ([`LATENCY_BUCKET_BOUNDS_US`]).
@@ -649,58 +602,36 @@ pub struct CacheCounters {
     pub outcome_misses: u64,
 }
 
-/// Run-wide SAT-sweeping counters (schema v7), aggregated from
-/// [`EcoEvent::SweepReport`] events. All zero when sweeping is off
-/// ([`crate::EcoOptions::sweep`]).
+/// Witness-replay counter of the `SAT_prune` class layer, aggregated
+/// from [`EcoEvent::ClassesReport`] events. Zero outside `SAT_prune`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SweepCounters {
-    /// Equivalence-candidate classes examined across all sweeps.
-    pub classes: u64,
-    /// Node merges proven by SAT.
-    pub merges: u64,
-    /// SAT calls spent on sweep proofs ([`SatCallKind::Sweep`]).
-    pub sweep_sat_calls: u64,
-    /// CEGAR refinement rounds (counterexamples fed back as patterns).
-    pub refinement_rounds: u64,
-    /// AIG nodes eliminated by proven merges.
-    pub nodes_eliminated: u64,
-    /// Support-feasibility queries answered by simulation alone.
+    /// Support-feasibility probes answered `Sat` from a stored witness
+    /// pair (no solver call issued).
     pub oracle_hits: u64,
-    /// Verification outputs discharged without a dedicated SAT call.
-    pub sim_discharged_outputs: u64,
 }
 
-/// Run-wide test-equivalence-class counters (schema v8), aggregated
-/// from [`EcoEvent::ClassesReport`] events. All zero when the class
-/// layer is off ([`crate::EcoOptions::classes`]).
+/// Run-wide test-equivalence-class counters, aggregated from
+/// [`EcoEvent::ClassesReport`] events. Zero outside `SAT_prune`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClassesCounters {
-    /// Divisor-signature equivalence classes over the pattern pools.
-    pub partitions: u64,
-    /// Distinct representative queries sent to the real solver.
-    pub representatives: u64,
-    /// Queries answered by class inheritance (no solver call issued).
+    /// Probes answered without a solver call: `Unsat` answers inherited
+    /// by supersets of proven-feasible subsets, plus `CEGAR_min` checks
+    /// whose disagreement a stored counterexample already witnessed.
     pub inherited_answers: u64,
-    /// Partition refinements from replayed witness models.
+    /// Witness models from real calls absorbed into the pattern store.
     pub refinement_rounds: u64,
     /// Carried/cached witness patterns accepted on replay.
     pub witness_replays: u64,
 }
 
-/// Per-request serving-layer failure-mode counters (schema v6), filled
-/// in by `eco_patchd` when it serializes per-request metrics. All zero
-/// for runs that never crossed a serving layer.
+/// Per-request serving-layer counters, filled in by `eco_patchd` when
+/// it serializes per-request metrics. Zero for runs that never crossed
+/// a serving layer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServingCounters {
-    /// Requests load-shed at admission (bounded queue full).
-    pub shed: u64,
-    /// Requests whose deadline expired while queued (rejected before
-    /// any solver work).
-    pub expired: u64,
     /// Daemon-side retries after a fair-share budget trip.
     pub retried: u64,
-    /// Worker panics isolated by the serving layer.
-    pub panicked: u64,
 }
 
 impl CacheCounters {
@@ -810,14 +741,12 @@ pub struct RunMetrics {
     /// Cache hit/miss counters ([`EcoEvent::CacheQuery`]); all zero
     /// when no cache is attached.
     pub cache: CacheCounters,
-    /// Serving-layer failure-mode counters (schema v6); all zero for
-    /// runs that never crossed a serving layer.
+    /// Serving-layer counters; zero for runs that never crossed a
+    /// serving layer.
     pub serving: ServingCounters,
-    /// SAT-sweeping counters (schema v7); all zero when sweeping is
-    /// off.
+    /// Witness replays of the `SAT_prune` class layer.
     pub sweep: SweepCounters,
-    /// Test-equivalence-class counters (schema v8); all zero when the
-    /// class layer is off.
+    /// Inherited answers of the `SAT_prune` class layer.
     pub classes: ClassesCounters,
 }
 
@@ -840,9 +769,9 @@ fn push_json_string(out: &mut String, text: &str) {
 
 impl RunMetrics {
     /// Serializes to the stable JSON schema documented in
-    /// `EXPERIMENTS.md` (schema_version 8, which added the
-    /// test-equivalence-class counters and the `classes` SAT-call kind
-    /// on top of v7's sweep counters). Key order is fixed; durations
+    /// `EXPERIMENTS.md` (schema_version 9, which dropped v8's
+    /// always-zero sweep, class, and serving counters and the two
+    /// never-emitted SAT-call kinds). Key order is fixed; durations
     /// are integer microseconds; fractions carry six decimal places.
     pub fn to_json(&self) -> String {
         let us = |d: Duration| -> u64 { d.as_micros().min(u64::MAX as u128) as u64 };
@@ -851,7 +780,7 @@ impl RunMetrics {
             None => "null".to_string(),
         };
         let mut s = String::new();
-        s.push_str("{\"schema_version\":8");
+        s.push_str("{\"schema_version\":9");
         match &self.request_id {
             Some(id) => {
                 s.push_str(",\"request_id\":");
@@ -978,31 +907,13 @@ impl RunMetrics {
             c.outcome_hits,
             c.outcome_misses
         ));
-        let v = &self.serving;
-        s.push_str(&format!(
-            ",\"serving\":{{\"shed\":{},\"expired\":{},\"retried\":{},\"panicked\":{}}}",
-            v.shed, v.expired, v.retried, v.panicked
-        ));
-        let w = &self.sweep;
-        s.push_str(&format!(
-            ",\"sweep\":{{\"classes\":{},\"merges\":{},\"sweep_sat_calls\":{},\
-             \"refinement_rounds\":{},\"nodes_eliminated\":{},\"oracle_hits\":{},\
-             \"sim_discharged_outputs\":{}}}",
-            w.classes,
-            w.merges,
-            w.sweep_sat_calls,
-            w.refinement_rounds,
-            w.nodes_eliminated,
-            w.oracle_hits,
-            w.sim_discharged_outputs
-        ));
         let c = &self.classes;
         s.push_str(&format!(
-            ",\"classes\":{{\"partitions\":{},\"representatives\":{},\
-             \"inherited_answers\":{},\"refinement_rounds\":{},\
+            ",\"serving\":{{\"retried\":{}}},\"sweep\":{{\"oracle_hits\":{}}},\
+             \"classes\":{{\"inherited_answers\":{},\"refinement_rounds\":{},\
              \"witness_replays\":{}}}",
-            c.partitions,
-            c.representatives,
+            self.serving.retried,
+            self.sweep.oracle_hits,
             c.inherited_answers,
             c.refinement_rounds,
             c.witness_replays
@@ -1183,36 +1094,15 @@ impl EcoObserver for MetricsObserver {
                 self.metrics.request_id = Some(request_id.clone());
             }
             EcoEvent::CacheQuery { layer, hit } => self.metrics.cache.record(layer, hit),
-            EcoEvent::SweepReport {
-                classes,
-                merges,
-                sat_calls,
-                refinement_rounds,
-                nodes_eliminated,
-                oracle_hits,
-                sim_discharged_outputs,
-                ..
-            } => {
-                let w = &mut self.metrics.sweep;
-                w.classes += classes;
-                w.merges += merges;
-                w.sweep_sat_calls += sat_calls;
-                w.refinement_rounds += refinement_rounds;
-                w.nodes_eliminated += nodes_eliminated;
-                w.oracle_hits += oracle_hits;
-                w.sim_discharged_outputs += sim_discharged_outputs;
-            }
             EcoEvent::ClassesReport {
-                partitions,
-                representatives,
+                oracle_hits,
                 inherited_answers,
                 refinement_rounds,
                 witness_replays,
                 ..
             } => {
+                self.metrics.sweep.oracle_hits += oracle_hits;
                 let c = &mut self.metrics.classes;
-                c.partitions += partitions;
-                c.representatives += representatives;
                 c.inherited_answers += inherited_answers;
                 c.refinement_rounds += refinement_rounds;
                 c.witness_replays += witness_replays;
@@ -1374,20 +1264,12 @@ mod tests {
             ..RunMetrics::default()
         };
         let json = m.to_json();
-        assert!(json.starts_with("{\"schema_version\":8"));
+        assert!(json.starts_with("{\"schema_version\":9"));
         assert!(json.contains("\"request_id\":null"));
         assert!(json.contains("\"cache\":{\"netlist_hits\":0"));
-        assert!(
-            json.contains("\"serving\":{\"shed\":0,\"expired\":0,\"retried\":0,\"panicked\":0}")
-        );
         assert!(json.contains(
-            "\"sweep\":{\"classes\":0,\"merges\":0,\"sweep_sat_calls\":0,\
-             \"refinement_rounds\":0,\"nodes_eliminated\":0,\"oracle_hits\":0,\
-             \"sim_discharged_outputs\":0}"
-        ));
-        assert!(json.contains(
-            "\"classes\":{\"partitions\":0,\"representatives\":0,\
-             \"inherited_answers\":0,\"refinement_rounds\":0,\
+            "\"serving\":{\"retried\":0},\"sweep\":{\"oracle_hits\":0},\
+             \"classes\":{\"inherited_answers\":0,\"refinement_rounds\":0,\
              \"witness_replays\":0}"
         ));
         assert!(json.contains("\"per_call_conflicts\":null"));

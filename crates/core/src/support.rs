@@ -8,7 +8,6 @@ use crate::error::EcoError;
 use crate::miter::QuantifiedMiter;
 use crate::observe::{ClassesCounters, EcoEvent, ObserverHandle, SatCallKind, SupportStep};
 use crate::problem::EcoProblem;
-use crate::sweep::{OracleStats, SweepOracle};
 use eco_aig::NodeId;
 use eco_sat::{Lit, ResourceGovernor, SolveResult, Solver};
 
@@ -227,12 +226,9 @@ pub struct SupportSolver {
     target_index: Option<usize>,
     /// Shared resource governor, when the engine runs under one.
     governor: Option<ResourceGovernor>,
-    /// Simulation oracle short-circuiting provably infeasible subset
-    /// queries (attached only when sweeping is enabled).
-    sweep_oracle: Option<SweepOracle>,
     /// Test-equivalence-class layer inheriting both verdict kinds for
     /// subset queries, fed additionally by the minimization
-    /// recursion's real calls (attached under `--classes`).
+    /// recursion's real calls (attached for `SAT_prune` solves).
     classes: Option<EquivClasses>,
 }
 
@@ -303,22 +299,8 @@ impl SupportSolver {
             obs: ObserverHandle::default(),
             target_index: None,
             governor: None,
-            sweep_oracle: None,
             classes: None,
         }
-    }
-
-    /// Attaches (or clears) a sweep oracle. With one attached,
-    /// [`SupportSolver::subset_feasible`] answers simulation-provable
-    /// infeasibilities without a SAT call; the verdict stream — and
-    /// therefore every downstream artifact — is unchanged.
-    pub(crate) fn set_sweep_oracle(&mut self, oracle: Option<SweepOracle>) {
-        self.sweep_oracle = oracle;
-    }
-
-    /// Counters of the attached sweep oracle, if any.
-    pub(crate) fn sweep_stats(&self) -> Option<OracleStats> {
-        self.sweep_oracle.as_ref().map(SweepOracle::stats)
     }
 
     /// Attaches (or clears) a test-equivalence-class layer. With one
@@ -340,8 +322,9 @@ impl SupportSolver {
         self.classes.take()
     }
 
-    /// Counters of the attached class layer, if any.
-    pub(crate) fn classes_stats(&self) -> Option<ClassesCounters> {
+    /// Counters of the attached class layer, if any (see
+    /// [`EquivClasses::stats`]).
+    pub(crate) fn classes_stats(&self) -> Option<(u64, ClassesCounters)> {
         self.classes.as_ref().map(EquivClasses::stats)
     }
 
@@ -421,17 +404,11 @@ impl SupportSolver {
     ///
     /// [`EcoError::SolverBudgetExhausted`] on budget exhaustion.
     pub fn subset_feasible(&mut self, indices: &[usize]) -> Result<bool, EcoError> {
-        if let Some(oracle) = self.sweep_oracle.as_mut() {
-            if oracle.proves_infeasible(indices) {
+        if let Some(classes) = self.classes.as_mut() {
+            if classes.proves_infeasible(indices) {
                 // A stored pattern pair is a ready-made model of this
                 // instance, so a SAT call would return `Sat`. Count the
                 // avoided call to keep per-target tallies identical.
-                self.sat_calls += 1;
-                return Ok(false);
-            }
-        }
-        if let Some(classes) = self.classes.as_mut() {
-            if classes.proves_infeasible(indices) {
                 self.sat_calls += 1;
                 return Ok(false);
             }
@@ -446,7 +423,6 @@ impl SupportSolver {
         let mut assumptions = self.base.clone();
         assumptions.extend(indices.iter().map(|&i| self.aux[i]));
         let feasible = self.solve(&assumptions)?;
-        self.learn_from_model(feasible);
         self.learn_into_classes(indices, feasible);
         Ok(feasible)
     }
@@ -455,32 +431,18 @@ impl SupportSolver {
     /// any support minimization: if it fails, the candidate set cannot
     /// express the patch at all.
     ///
-    /// Always issues a real SAT call, bypassing any sweep oracle:
+    /// Always issues a real SAT call, bypassing the class layer:
     /// callers consume this call's model through
     /// [`SupportSolver::infeasibility_witness`] to refine an
-    /// approximate quantification, and a simulation short-circuit has
-    /// no model to offer.
+    /// approximate quantification, and an inherited answer has no
+    /// model to offer.
     pub fn all_feasible(&mut self) -> Result<bool, EcoError> {
         let mut assumptions = self.base.clone();
         assumptions.extend(self.aux.iter().copied());
         let feasible = self.solve(&assumptions)?;
-        self.learn_from_model(feasible);
         let all: Vec<usize> = (0..self.aux.len()).collect();
         self.learn_into_classes(&all, feasible);
         Ok(feasible)
-    }
-
-    /// After an infeasible (satisfiable) query, feeds the model's
-    /// witness pair into the sweep oracle so later subset queries can
-    /// be answered by simulation.
-    fn learn_from_model(&mut self, feasible: bool) {
-        if feasible || self.sweep_oracle.is_none() {
-            return;
-        }
-        let (x1, x2) = self.infeasibility_witness();
-        if let Some(oracle) = self.sweep_oracle.as_mut() {
-            oracle.learn(&x1, &x2);
-        }
     }
 
     /// Feeds the verdict (and, on infeasibility, the model's witness
@@ -495,7 +457,6 @@ impl SupportSolver {
             Some(self.infeasibility_witness())
         };
         let classes = self.classes.as_mut().expect("checked above");
-        classes.note_representative(indices);
         match witness {
             None => classes.learn_feasible(indices),
             Some((x1, x2)) => classes.learn_witness(&x1, &x2),

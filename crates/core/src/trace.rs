@@ -184,56 +184,16 @@ fn event_record(ts_us: u64, event: &EcoEvent) -> String {
                 layer.name()
             );
         }
-        EcoEvent::SweepStarted { target_index } => {
-            let _ = write!(
-                s,
-                "\"sweep_started\",\"target_index\":{}",
-                opt_usize(*target_index)
-            );
-        }
-        EcoEvent::SweepFinished {
-            target_index,
-            elapsed,
-        } => {
-            let _ = write!(
-                s,
-                "\"sweep_finished\",\"target_index\":{},\"elapsed_us\":{}",
-                opt_usize(*target_index),
-                duration_us(*elapsed)
-            );
-        }
-        EcoEvent::SweepReport {
-            target_index,
-            classes,
-            merges,
-            sat_calls,
-            refinement_rounds,
-            nodes_eliminated,
-            oracle_hits,
-            sim_discharged_outputs,
-        } => {
-            let _ = write!(
-                s,
-                "\"sweep_report\",\"target_index\":{},\"classes\":{classes},\
-                 \"merges\":{merges},\"sat_calls\":{sat_calls},\
-                 \"refinement_rounds\":{refinement_rounds},\
-                 \"nodes_eliminated\":{nodes_eliminated},\"oracle_hits\":{oracle_hits},\
-                 \"sim_discharged_outputs\":{sim_discharged_outputs}",
-                opt_usize(*target_index)
-            );
-        }
         EcoEvent::ClassesReport {
             target_index,
-            partitions,
-            representatives,
+            oracle_hits,
             inherited_answers,
             refinement_rounds,
             witness_replays,
         } => {
             let _ = write!(
                 s,
-                "\"classes_report\",\"target_index\":{},\"partitions\":{partitions},\
-                 \"representatives\":{representatives},\
+                "\"classes_report\",\"target_index\":{},\"oracle_hits\":{oracle_hits},\
                  \"inherited_answers\":{inherited_answers},\
                  \"refinement_rounds\":{refinement_rounds},\
                  \"witness_replays\":{witness_replays}",
@@ -441,20 +401,6 @@ impl<W: Write> EcoObserver for ChromeTraceObserver<W> {
                     opt_usize(*target_index)
                 ));
             }
-            EcoEvent::SweepStarted { target_index } => {
-                let name = match target_index {
-                    Some(t) => format!("sweep target {t}"),
-                    None => "sweep".to_string(),
-                };
-                self.span('B', ts, &name);
-            }
-            EcoEvent::SweepFinished { target_index, .. } => {
-                let name = match target_index {
-                    Some(t) => format!("sweep target {t}"),
-                    None => "sweep".to_string(),
-                };
-                self.span('E', ts, &name);
-            }
             EcoEvent::RunFinished { .. } => {
                 self.span('E', ts, "run");
                 if self.error.is_none() {
@@ -475,7 +421,6 @@ impl<W: Write> EcoObserver for ChromeTraceObserver<W> {
                     EcoEvent::CegarMinRound { .. } => "cegar_min_round",
                     EcoEvent::RequestTagged { .. } => "request_tagged",
                     EcoEvent::CacheQuery { .. } => "cache_query",
-                    EcoEvent::SweepReport { .. } => "sweep_report",
                     EcoEvent::ClassesReport { .. } => "classes_report",
                     _ => "event",
                 };

@@ -360,8 +360,6 @@ pub(crate) fn outcome_key(req: &crate::protocol::EcoRequest) -> u128 {
     opt_u64(opts.jobs.map(|j| j as u64));
     opt_u64(opts.hold_ms);
     opt_u64(opts.structural_fallback.map(u64::from));
-    opt_u64(opts.sweep.map(u64::from));
-    opt_u64(opts.classes.map(u64::from));
     match &opts.method {
         None => h.write(0),
         Some(m) => {

@@ -47,11 +47,6 @@ pub struct RequestOptions {
     pub jobs: Option<usize>,
     /// Whether the structural fallback ladder is enabled.
     pub structural_fallback: Option<bool>,
-    /// Whether the simulation-guided SAT sweeping layer is enabled.
-    pub sweep: Option<bool>,
-    /// Whether the test-equivalence-class layer (representative-only
-    /// SAT calls with inherited verdicts) is enabled.
-    pub classes: Option<bool>,
     /// Chaos hook (requires the daemon's `--chaos` flag): hold the
     /// request on its worker for this many milliseconds before
     /// solving, keeping the worker deterministically busy so tests can
@@ -234,8 +229,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         options.deadline_ms = uint("deadline_ms")?;
         options.jobs = uint("jobs")?.map(|j| j as usize);
         options.structural_fallback = opts.get("structural_fallback").and_then(JsonValue::as_bool);
-        options.sweep = opts.get("sweep").and_then(JsonValue::as_bool);
-        options.classes = opts.get("classes").and_then(JsonValue::as_bool);
         options.hold_ms = uint("hold_ms")?;
         options.inject_panic = opts
             .get("inject_panic")
@@ -393,8 +386,7 @@ mod tests {
         let line = r#"{"id":"r1","impl":"module a; endmodule","spec":"module b; endmodule",
             "targets":["t0","t1"],"weights":{"n1":4,"n2":0},"default_weight":2,
             "options":{"method":"prune","budget":100,"global_conflicts":50,
-                       "deadline_ms":1000,"jobs":2,"structural_fallback":false,
-                       "sweep":true,"classes":true}}"#
+                       "deadline_ms":1000,"jobs":2,"structural_fallback":false}}"#
             .replace('\n', " ");
         let Request::Eco(req) = parse_request(&line).expect("parses") else {
             panic!("expected an ECO request");
@@ -412,8 +404,6 @@ mod tests {
         assert_eq!(req.options.deadline_ms, Some(1000));
         assert_eq!(req.options.jobs, Some(2));
         assert_eq!(req.options.structural_fallback, Some(false));
-        assert_eq!(req.options.sweep, Some(true));
-        assert_eq!(req.options.classes, Some(true));
     }
 
     #[test]

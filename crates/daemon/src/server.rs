@@ -43,10 +43,10 @@ use crate::telemetry::{
 };
 use eco_core::json::escape_json;
 use eco_core::{
-    netlist_patches, CacheCounters, EcoEngine, EcoOptions, EcoProblem, FaultPlan, GovernorLimits,
-    ResourceGovernor, RunMetrics, SupportMethod, TargetDisposition, TripReason,
+    netlist_patches, patched_netlist, CacheCounters, EcoEngine, EcoOptions, EcoProblem, FaultPlan,
+    GovernorLimits, ResourceGovernor, RunMetrics, SupportMethod, TargetDisposition, TripReason,
 };
-use eco_netlist::{Netlist, WeightTable};
+use eco_netlist::WeightTable;
 use std::io::{self, BufRead, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -556,8 +556,6 @@ impl Daemon {
             .per_call_conflicts(req.options.budget.or(Some(2_000_000)))
             .structural_fallback(req.options.structural_fallback.unwrap_or(true))
             .jobs(jobs)
-            .sweep(req.options.sweep.unwrap_or(false))
-            .classes(req.options.classes.unwrap_or(false))
             .build()
             .map_err(|e| e.to_string())?;
         // Per-request QoS: the request's own deadline and fair-share
@@ -641,7 +639,8 @@ impl Daemon {
             .collect();
 
         // Prefer name-preserving splices; fall back to the rebuilt
-        // netlist when a patch feeds on patch-created logic.
+        // netlist when a patch feeds on patch-created logic or the
+        // splices would close a loop.
         let serializing = Instant::now();
         let named = netlist_patches(
             &outcome,
@@ -649,23 +648,8 @@ impl Daemon {
             impl_design.netlist(),
             &impl_design.conversion,
         );
-        let patched = if named.iter().all(Option::is_some) {
-            let mut current = impl_design.netlist().clone();
-            for (i, entry) in named.iter().enumerate() {
-                let Some(np) = entry.as_ref() else {
-                    return Err("named patch vanished between checks".to_string());
-                };
-                current = current
-                    .insert_patch(&np.target_net, &np.patch, &format!("eco{i}"))
-                    .map_err(|e| e.to_string())?;
-            }
-            current
-        } else {
-            Netlist::from_aig(
-                format!("{}_patched", impl_design.netlist().name()),
-                &outcome.patched_implementation,
-            )
-        };
+        let (patched, _) =
+            patched_netlist(&outcome, &named, impl_design.netlist()).map_err(|e| e.to_string())?;
         let patched_verilog = patched.to_verilog();
 
         let mut metrics = outcome

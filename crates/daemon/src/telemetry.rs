@@ -1491,16 +1491,6 @@ impl EcoObserver for LaneObserver {
                     &format!(",\"worker\":{worker}"),
                 );
             }
-            EcoEvent::SweepFinished {
-                target_index,
-                elapsed,
-            } => {
-                let name = match target_index {
-                    Some(t) => format!("sweep target {t}"),
-                    None => "sweep".to_string(),
-                };
-                self.complete(&name, "eco", duration_us(*elapsed), "");
-            }
             EcoEvent::SatCall {
                 kind,
                 result,

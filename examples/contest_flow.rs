@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example contest_flow`
 
 use eco_core::{EcoEngine, EcoOptions, EcoProblem, SupportMethod};
-use eco_netlist::{parse_verilog, Netlist, WeightTable};
+use eco_netlist::{parse_verilog, WeightTable};
 
 const IMPLEMENTATION: &str = "
 // Old implementation: a 2-bit comparator with a bug in the equality
@@ -97,25 +97,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let conversion = parsed_impl.netlist.to_aig()?;
     let named =
         eco_core::netlist_patches(&outcome, &target_names, &parsed_impl.netlist, &conversion);
-    let mut patched = parsed_impl.netlist.clone();
-    for (i, entry) in named.iter().enumerate() {
-        match entry {
-            Some(np) => {
-                println!(
-                    "patch {} drives net {:?} from {:?}",
-                    i, np.target_net, np.patch.support
-                );
-                patched = patched.insert_patch(&np.target_net, &np.patch, &format!("eco{i}"))?;
-            }
-            None => {
-                // Support includes patch-created logic: fall back to the
-                // AIG-level result for this design.
-                println!("patch {i} is not expressible over original nets; using AIG output");
-                patched = Netlist::from_aig("cmp2_patched", &outcome.patched_implementation);
-                break;
-            }
+    for (i, np) in named.iter().enumerate() {
+        match np {
+            Some(np) => println!(
+                "patch {} drives net {:?} from {:?}",
+                i, np.target_net, np.patch.support
+            ),
+            None => println!("patch {i} is not expressible over original nets"),
         }
     }
+    // Splices in place when every patch is nameable and the splices
+    // stay acyclic; otherwise rebuilds from the AIG-level result.
+    let (patched, _) = eco_core::patched_netlist(&outcome, &named, &parsed_impl.netlist)?;
     println!("--- patched implementation (structural Verilog, names preserved) ---");
     print!("{}", patched.to_verilog());
     Ok(())

@@ -7,8 +7,7 @@
 //!           [--out patched.v] [--budget N] [--default-weight N]
 //!           [--stats-json stats.json|-] [--progress] [--quiet]
 //!           [--no-fallback] [--timeout-ms MS] [--global-budget N]
-//!           [--jobs N] [--sweep] [--classes]
-//!           [--trace-out trace.json] [--trace-format jsonl|chrome]
+//!           [--jobs N] [--trace-out trace.json] [--trace-format jsonl|chrome]
 //! eco-patch report <trace.jsonl> [--top N]
 //! eco-patch report --journal <journal.jsonl>
 //! ```
@@ -46,10 +45,10 @@ use eco_patch::core::trace::{
     ChromeTraceObserver, JsonlTraceObserver,
 };
 use eco_patch::core::{
-    detect_targets, netlist_patches, DetectOptions, EcoEngine, EcoError, EcoEvent, EcoObserver,
-    EcoOptions, EcoProblem, SupportMethod, TargetDisposition, TripReason,
+    detect_targets, netlist_patches, patched_netlist, DetectOptions, EcoEngine, EcoError, EcoEvent,
+    EcoObserver, EcoOptions, EcoProblem, SupportMethod, TargetDisposition, TripReason,
 };
-use eco_patch::netlist::{parse_verilog, Netlist, WeightTable};
+use eco_patch::netlist::{parse_verilog, WeightTable};
 use std::fs::File;
 use std::io::BufWriter;
 use std::process::ExitCode;
@@ -124,8 +123,6 @@ struct Args {
     trace_out: Option<String>,
     trace_format: TraceFormat,
     jobs: usize,
-    sweep: bool,
-    classes: bool,
 }
 
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -140,7 +137,7 @@ fn usage() -> &'static str {
      [--targets n1,n2] [--detect] [--method baseline|minimize|prune] \
      [--out patched.v] [--budget CONFLICTS] [--default-weight N] \
      [--stats-json PATH|-] [--progress] [--quiet] [--no-fallback] \
-     [--timeout-ms MS] [--global-budget CONFLICTS] [--jobs N] [--sweep] [--classes] \
+     [--timeout-ms MS] [--global-budget CONFLICTS] [--jobs N] \
      [--trace-out PATH] [--trace-format jsonl|chrome]\n\
      \x20      eco-patch report TRACE.jsonl [--top N]\n\
      \x20      eco-patch report --journal JOURNAL.jsonl"
@@ -208,8 +205,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--jobs expects a value >= 1".to_string());
                 }
             }
-            "--sweep" => args.sweep = true,
-            "--classes" => args.classes = true,
             "--trace-out" => args.trace_out = Some(value("--trace-out")?),
             "--trace-format" => {
                 args.trace_format = match value("--trace-format")?.as_str() {
@@ -472,8 +467,6 @@ fn run(args: Args) -> Result<u8, CliError> {
         }))
         .global_conflicts(args.global_budget)
         .jobs(args.jobs)
-        .sweep(args.sweep)
-        .classes(args.classes)
         .build()
         .map_err(|e| CliError::usage(e.to_string()))?;
     let mut engine = EcoEngine::new(options);
@@ -556,24 +549,11 @@ fn run(args: Args) -> Result<u8, CliError> {
 
     // Prefer name-preserving splices; fall back to the rebuilt netlist.
     let named = netlist_patches(&outcome, &names, &parsed_impl.netlist, &conversion);
-    let patched = if named.iter().all(Option::is_some) {
-        let mut current = parsed_impl.netlist.clone();
-        for (i, entry) in named.iter().enumerate() {
-            let np = entry.as_ref().expect("checked");
-            current = current
-                .insert_patch(&np.target_net, &np.patch, &format!("eco{i}"))
-                .map_err(|e| CliError::general(e.to_string()))?;
-        }
-        current
-    } else {
-        if !args.quiet {
-            eprintln!("note: a patch uses patch-created logic; emitting rebuilt netlist");
-        }
-        Netlist::from_aig(
-            format!("{}_patched", parsed_impl.netlist.name()),
-            &outcome.patched_implementation,
-        )
-    };
+    let (patched, spliced) = patched_netlist(&outcome, &named, &parsed_impl.netlist)
+        .map_err(|e| CliError::general(e.to_string()))?;
+    if !spliced && !args.quiet {
+        eprintln!("note: patches cannot be spliced by name; emitting rebuilt netlist");
+    }
     let text = patched.to_verilog();
     match &args.out {
         Some(path) => std::fs::write(path, text)

@@ -48,14 +48,9 @@ fn problem(rev: usize) -> EcoProblem {
 }
 
 fn options() -> EcoOptions {
-    options_with_sweep(false)
-}
-
-fn options_with_sweep(sweep: bool) -> EcoOptions {
     EcoOptions::builder()
         .per_call_conflicts(Some(100_000))
         .jobs(1)
-        .sweep(sweep)
         .build()
         .expect("valid options")
 }
@@ -136,37 +131,6 @@ fn sequential_eco_stream_is_byte_identical_to_cold_cache() {
         replay.reports.iter().all(|r| r.sat_calls == 0),
         "cache-served targets spend no solver work"
     );
-}
-
-#[test]
-fn sweeping_shares_cache_entries_with_unswept_runs() {
-    // Sweeping is verdict-preserving, so swept windows hash to the
-    // same content keys: a cache warmed without sweeping must serve a
-    // swept replay entirely (and vice versa), with byte-identical
-    // output and zero solver work.
-    for (warm_sweep, replay_sweep) in [(false, true), (true, false)] {
-        let cache = EcoCache::new(64);
-        let snapshot = problem(0).snapshot();
-        let warm = EcoEngine::new(options_with_sweep(warm_sweep))
-            .with_cache(cache.clone())
-            .solve(&snapshot)
-            .expect("warm run solves");
-        let replay = EcoEngine::new(options_with_sweep(replay_sweep))
-            .with_metrics()
-            .with_cache(cache.clone())
-            .solve(&snapshot)
-            .expect("replay solves");
-        let label = format!("warm sweep={warm_sweep}, replay sweep={replay_sweep}");
-        assert_eq!(emitted(&warm), emitted(&replay), "{label}");
-        let counters = replay.metrics.as_ref().expect("with_metrics was set").cache;
-        assert_eq!(counters.window_hits, 1, "{label}: window must hit");
-        assert_eq!(counters.target_hits, 2, "{label}: both targets must hit");
-        assert_eq!(counters.target_misses, 0, "{label}: {counters:?}");
-        assert!(
-            replay.reports.iter().all(|r| r.sat_calls == 0),
-            "{label}: cache-served targets spend no solver work"
-        );
-    }
 }
 
 #[test]

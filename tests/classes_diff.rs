@@ -1,286 +1,162 @@
-//! Byte-identity suite for `--classes`: the test-equivalence-class
-//! layer may only *inherit* SAT verdicts it can prove from stored
-//! witnesses (Sat) or feasible-set monotonicity (Unsat) — it must
-//! never move a support, a patch, a cost, a disposition, or a byte of
-//! the emitted netlist. Classes on must never issue *more* SAT calls
-//! than classes off, and every avoided call must be accounted for in
-//! `classes.inherited_answers` (the PR 8 sweep audit pattern).
+//! Byte-identity suite for the `SAT_prune` class layer: it may only
+//! answer a probe whose verdict a stored witness pair (`Sat`) or a
+//! proven-feasible subset (`Unsat`) already forces, so it must never
+//! move a support, a patch, a cost, a disposition, or a byte of the
+//! patched netlist. The reference is a digest of every Table 1 unit at
+//! scale 0.02 under each support method with the bench harness options,
+//! recorded before the layer was switched on; it must be reproduced at
+//! `--jobs` 1 and 4. Every avoided call must show up in the two savings
+//! counters.
 
-use std::io::Write;
-use std::process::Command;
-
-use eco_patch::benchgen::{build_unit, table1_units};
+use eco_patch::benchgen::{build_unit, table1_units, UnitSpec};
 use eco_patch::core::{
-    AppliedPatch, EcoEngine, EcoOptions, EcoOutcome, EcoProblem, RunMetrics, SupportMethod,
+    EcoEngine, EcoOptions, EcoOutcome, RunMetrics, SatPruneOptions, SupportMethod,
 };
 use eco_patch::netlist::Netlist;
 
-const TEST_SCALE: f64 = 0.02;
+const SCALE: f64 = 0.02;
 
-fn run(problem: &EcoProblem, options: EcoOptions, name: &str) -> EcoOutcome {
-    EcoEngine::new(options)
+/// Per-call conflict budget of the bench harness (`perf_snapshot`).
+const BUDGET: u64 = 500_000;
+
+const METHODS: [SupportMethod; 3] = [
+    SupportMethod::AnalyzeFinal,
+    SupportMethod::MinimizeAssumptions,
+    SupportMethod::SatPrune,
+];
+
+/// Recorded digests, one row per unit, columns in [`METHODS`] order.
+#[rustfmt::skip]
+const GOLDEN: [(&str, [u64; 3]); 20] = [
+    ("unit1", [0xe6a616fba3161f7a, 0xe6a616fba3161f7a, 0xe6a616fba3161f7a]),
+    ("unit2", [0xf201f79cea946d46, 0x29dc97c718eed40d, 0x622b87c34340531d]),
+    ("unit3", [0xca7304e2b844319c, 0xfe060bb54a084209, 0x961a118cdd18aafc]),
+    ("unit4", [0x768434e601da6abe, 0x317b1d432d8d24f3, 0x2ef0af8baf5d7fac]),
+    ("unit5", [0x2f555fcbbab0f342, 0x2730ad4b39b9b520, 0x2730ad4b39b9b520]),
+    ("unit6", [0x7bd4f2c17cdfa80f, 0x6047f9adbb008ee6, 0xb6cc4ec39f6a0a1d]),
+    ("unit7", [0xeef7d3773b577902, 0xd135618e824eb22c, 0xd135618e824eb22c]),
+    ("unit8", [0x4658e28dd33e62e8, 0x4658e28dd33e62e8, 0x4658e28dd33e62e8]),
+    ("unit9", [0xdac5fa1bba729185, 0x689e75d01b97c1d, 0xd3f18106a9d06451]),
+    ("unit10", [0xbcad6cc6a6d96dcd, 0x27e8e58a7ed32fc, 0xecb4e85e61946bf2]),
+    ("unit11", [0x123c8dfe5b1ab117, 0xeb7da51943eac5d4, 0x5125b1d39412ef81]),
+    ("unit12", [0x9673514aca00f89c, 0x9673514aca00f89c, 0x9673514aca00f89c]),
+    ("unit13", [0x14547e9c5ca0d90, 0x3310fd16ca78290, 0x7bf782645d3b5728]),
+    ("unit14", [0x62d341f2aedc67d, 0x9ff569f2ef92c255, 0x194fcb69388e080]),
+    ("unit15", [0xf0f6cdb26ea22e52, 0x6dad8f3324651fb3, 0x52ee51c12e9c6d9f]),
+    ("unit16", [0x409c4be86ec8e605, 0xe918990d2a352e73, 0x39013d011b4c013f]),
+    ("unit17", [0x62607c645b01fcf, 0xb19cd5ca5c59f1ff, 0xebe0e94b9deba221]),
+    ("unit18", [0x873d835ef20721bc, 0xa1f30056503b70cb, 0xf64ab58891688f96]),
+    ("unit19", [0xb503abbfd572224a, 0x3eedcce580b457af, 0x5b4eb9924803bb68]),
+    ("unit20", [0xb71a365ae2b9c1c9, 0xa75276da98888f1b, 0x5e7ba0456aa07adb]),
+];
+
+/// The Table 1 harness options of one method column.
+fn harness_options(method: SupportMethod, jobs: usize) -> EcoOptions {
+    EcoOptions::builder()
+        .method(method)
+        .cegar_min(method == SupportMethod::SatPrune)
+        .per_call_conflicts(Some(BUDGET))
+        .sat_prune(SatPruneOptions {
+            max_iterations: 400,
+            per_call_conflicts: Some(BUDGET / 4),
+        })
+        .jobs(jobs)
+        .build()
+        .expect("valid options")
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Digest of everything a caller can observe of an outcome except
+/// timing and telemetry.
+fn digest(outcome: &EcoOutcome) -> u64 {
+    let mut text = format!(
+        "{:?}\ncost={} gates={} verified={}\n",
+        outcome.reports, outcome.total_cost, outcome.total_gates, outcome.verified
+    );
+    for p in &outcome.patches {
+        text.push_str(&format!(
+            "target={} support={:?} original={:?}\n{}",
+            p.target_index,
+            p.support,
+            p.original_support,
+            Netlist::from_aig("patch".to_string(), &p.aig).to_verilog()
+        ));
+    }
+    text.push_str(
+        &Netlist::from_aig("patched".to_string(), &outcome.patched_implementation).to_verilog(),
+    );
+    fnv1a(text.as_bytes())
+}
+
+fn solve(unit: &UnitSpec, method: SupportMethod, jobs: usize) -> EcoOutcome {
+    EcoEngine::new(harness_options(method, jobs))
         .with_metrics()
-        .solve(&problem.snapshot())
-        .unwrap_or_else(|e| panic!("{name} failed: {e}"))
+        .solve(&build_unit(unit).snapshot())
+        .unwrap_or_else(|e| panic!("{} {method:?}: {e}", unit.name))
 }
 
-fn patched_text(outcome: &EcoOutcome) -> String {
-    Netlist::from_aig("patched".to_string(), &outcome.patched_implementation).to_verilog()
-}
-
-fn patch_fingerprint(p: &AppliedPatch) -> String {
-    format!(
-        "target={} support={:?} original={:?} aig={}",
-        p.target_index,
-        p.support,
-        p.original_support,
-        Netlist::from_aig("patch".to_string(), &p.aig).to_verilog()
-    )
-}
-
-fn assert_outcomes_identical(off: &EcoOutcome, on: &EcoOutcome, name: &str) {
+/// Solves the whole suite at `jobs` and compares against [`GOLDEN`].
+fn check_suite(jobs: usize) {
+    let actual: Vec<(&str, [u64; 3])> = table1_units(SCALE)
+        .iter()
+        .map(|unit| {
+            (
+                unit.name,
+                METHODS.map(|method| digest(&solve(unit, method, jobs))),
+            )
+        })
+        .collect();
+    let table: String = actual
+        .iter()
+        .map(|(name, row)| {
+            format!(
+                "    (\"{name}\", [{:#x}, {:#x}, {:#x}]),\n",
+                row[0], row[1], row[2]
+            )
+        })
+        .collect();
     assert_eq!(
-        format!("{:?}", off.reports),
-        format!("{:?}", on.reports),
-        "{name}: per-target reports (dispositions, kinds, costs, sat_calls) must not move"
-    );
-    let fingerprints = |o: &EcoOutcome| o.patches.iter().map(patch_fingerprint).collect::<Vec<_>>();
-    assert_eq!(
-        fingerprints(off),
-        fingerprints(on),
-        "{name}: applied patches must not move"
-    );
-    assert_eq!(off.total_cost, on.total_cost, "{name}: total cost");
-    assert_eq!(off.total_gates, on.total_gates, "{name}: total gates");
-    assert_eq!(off.verified, on.verified, "{name}: verification verdict");
-    assert_eq!(
-        patched_text(off),
-        patched_text(on),
-        "{name}: patched netlist text must be byte-identical"
-    );
-}
-
-fn metrics<'a>(outcome: &'a EcoOutcome, name: &str) -> &'a RunMetrics {
-    outcome
-        .metrics
-        .as_ref()
-        .unwrap_or_else(|| panic!("{name}: metrics requested"))
-}
-
-/// Every SAT call the optimized run avoided is accounted for:
-/// `observed_off + hits_off + inherited_off == observed_on + hits_on +
-/// inherited_on`, i.e. the per-target `sat_calls` tallies (which count
-/// inherited answers as if spent) balance exactly.
-fn assert_savings_audited(off: &RunMetrics, on: &RunMetrics, name: &str) {
-    let spent =
-        |m: &RunMetrics| m.sat_calls.total + m.sweep.oracle_hits + m.classes.inherited_answers;
-    assert_eq!(
-        spent(off),
-        spent(on),
-        "{name}: observed + sweep hits + inherited answers must balance \
-         (off: {} + {} + {}, on: {} + {} + {})",
-        off.sat_calls.total,
-        off.sweep.oracle_hits,
-        off.classes.inherited_answers,
-        on.sat_calls.total,
-        on.sweep.oracle_hits,
-        on.classes.inherited_answers
+        actual.as_slice(),
+        GOLDEN.as_slice(),
+        "suite digests at jobs={jobs} moved; actual table:\n{table}"
     );
 }
 
 #[test]
 fn classes_on_matches_classes_off_byte_for_byte() {
-    for unit in table1_units(TEST_SCALE).iter() {
-        let problem = build_unit(unit);
-        let opts = |classes: bool| {
-            EcoOptions::builder()
-                .classes(classes)
-                .build()
-                .expect("valid options")
-        };
-        let off = run(&problem, opts(false), unit.name);
-        let on = run(&problem, opts(true), unit.name);
-        assert_outcomes_identical(&off, &on, unit.name);
-        let (off_m, on_m) = (metrics(&off, unit.name), metrics(&on, unit.name));
-        assert!(
-            on_m.sat_calls.total <= off_m.sat_calls.total,
-            "{}: classes must not add SAT calls",
-            unit.name
-        );
-        assert_savings_audited(off_m, on_m, unit.name);
-        assert_eq!(
-            off_m.classes.inherited_answers, 0,
-            "{}: classes-off emits no class events",
-            unit.name
-        );
-    }
-}
-
-#[test]
-fn classes_never_add_sat_calls_on_unit20() {
-    // SatPrune issues orders of magnitude more subset-feasibility
-    // calls than MinimizeAssumptions, so it runs at a smaller scale to
-    // keep the unoptimized test build quick.
-    for (method, scale) in [
-        (SupportMethod::MinimizeAssumptions, TEST_SCALE),
-        (SupportMethod::SatPrune, 0.008),
-    ] {
-        let unit = table1_units(scale)
-            .into_iter()
-            .find(|u| u.name == "unit20")
-            .expect("unit20 exists");
-        let problem = build_unit(&unit);
-        let opts = |classes: bool| {
-            EcoOptions::builder()
-                .method(method)
-                .classes(classes)
-                .build()
-                .expect("valid options")
-        };
-        let name = format!("unit20/{method:?}");
-        let off = run(&problem, opts(false), &name);
-        let on = run(&problem, opts(true), &name);
-        assert_outcomes_identical(&off, &on, &name);
-        let (off_m, on_m) = (metrics(&off, &name), metrics(&on, &name));
-        assert!(
-            on_m.sat_calls.total <= off_m.sat_calls.total,
-            "{name}: classes-on issued {} SAT calls, classes-off {}",
-            on_m.sat_calls.total,
-            off_m.sat_calls.total
-        );
-        assert_savings_audited(off_m, on_m, &name);
-        // The layer actually engaged: divisor partitions were built and
-        // the counters made it into RunMetrics.
-        assert!(
-            on_m.classes.partitions > 0,
-            "{name}: the class layer never partitioned"
-        );
-        if method == SupportMethod::SatPrune {
-            // Everything is seeded, so the measured reduction is
-            // deterministic: inheritance must discharge real calls.
-            assert!(
-                on_m.classes.inherited_answers > 0,
-                "{name}: no answer was inherited"
-            );
-            assert!(
-                on_m.sat_calls.total < off_m.sat_calls.total,
-                "{name}: classes must measurably reduce SAT calls here"
-            );
-        }
-    }
+    check_suite(1);
 }
 
 #[test]
 fn classed_runs_are_jobs_invariant() {
-    for unit in table1_units(TEST_SCALE).iter().take(6) {
-        let problem = build_unit(unit);
-        let opts = |jobs: usize| {
-            EcoOptions::builder()
-                .classes(true)
-                .jobs(jobs)
-                .build()
-                .expect("valid options")
-        };
-        let seq = run(&problem, opts(1), unit.name);
-        let par = run(&problem, opts(4), unit.name);
-        assert_outcomes_identical(&seq, &par, unit.name);
-        assert_eq!(
-            metrics(&seq, unit.name).classes,
-            metrics(&par, unit.name).classes,
-            "{}: class counters are jobs-invariant",
-            unit.name
-        );
-    }
+    check_suite(4);
 }
 
 #[test]
-fn classes_compose_with_sweep_byte_for_byte() {
-    // The two verdict-preserving layers stacked must still match a
-    // bare run, and the combined savings must balance the audit
-    // equation (sweep is consulted first, classes second, so the
-    // split between them is config-dependent — only the sum is
-    // pinned).
-    let unit = table1_units(0.008)
+fn classes_never_add_sat_calls_on_unit20() {
+    // The layer answers SAT_prune's subset probes: unit20 drops from
+    // 1733 observed calls to at most 933, and every avoided call is
+    // accounted for in the two savings counters.
+    let unit = table1_units(SCALE)
         .into_iter()
         .find(|u| u.name == "unit20")
         .expect("unit20 exists");
-    let problem = build_unit(&unit);
-    let opts = |sweep: bool, classes: bool| {
-        EcoOptions::builder()
-            .method(SupportMethod::SatPrune)
-            .sweep(sweep)
-            .classes(classes)
-            .build()
-            .expect("valid options")
-    };
-    let bare = run(&problem, opts(false, false), "bare");
-    let both = run(&problem, opts(true, true), "sweep+classes");
-    assert_outcomes_identical(&bare, &both, "unit20 sweep+classes");
-    let (bare_m, both_m) = (metrics(&bare, "bare"), metrics(&both, "sweep+classes"));
+    let outcome = solve(&unit, SupportMethod::SatPrune, 1);
+    let m: &RunMetrics = outcome.metrics.as_ref().expect("metrics requested");
+    let saved = m.sweep.oracle_hits + m.classes.inherited_answers;
+    assert!(saved > 0, "the class layer answered nothing");
     assert!(
-        both_m.sat_calls.total <= bare_m.sat_calls.total,
-        "stacked layers must not add SAT calls"
+        m.sat_calls.total <= 933,
+        "unit20 prune observed {} SAT calls",
+        m.sat_calls.total
     );
-    assert_savings_audited(bare_m, both_m, "unit20 sweep+classes");
-}
-
-const IMPLEMENTATION: &str = "
-module adder (a, b, cin, sum, cout);
-  input a, b, cin;
-  output sum, cout;
-  wire s1, c1, c2;
-  // eco_target c1
-  xor g1 (s1, a, b);
-  xor g2 (sum, s1, cin);
-  or  g3 (c1, a, b);
-  and g4 (c2, s1, cin);
-  or  g5 (cout, c1, c2);
-endmodule
-";
-
-const SPECIFICATION: &str = "
-module adder (a, b, cin, sum, cout);
-  input a, b, cin;
-  output sum, cout;
-  wire s1, c1, c2;
-  xor g1 (s1, a, b);
-  xor g2 (sum, s1, cin);
-  and g3 (c1, a, b);
-  and g4 (c2, s1, cin);
-  or  g5 (cout, c1, c2);
-endmodule
-";
-
-#[test]
-fn cli_classes_flag_keeps_exit_code_and_output_bytes() {
-    let dir = std::env::temp_dir().join(format!("eco_classes_cli_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let write = |name: &str, content: &str| {
-        let path = dir.join(name);
-        let mut f = std::fs::File::create(&path).expect("create");
-        f.write_all(content.as_bytes()).expect("write");
-        path.to_string_lossy().into_owned()
-    };
-    let f = write("F.v", IMPLEMENTATION);
-    let g = write("G.v", SPECIFICATION);
-    let mut variants = Vec::new();
-    for classes in [false, true] {
-        let out = dir
-            .join(if classes { "on.v" } else { "off.v" })
-            .to_string_lossy()
-            .into_owned();
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_eco_patch"));
-        cmd.args(["--impl", &f, "--spec", &g, "--out", &out]);
-        if classes {
-            cmd.arg("--classes");
-        }
-        let status = cmd.status().expect("binary runs");
-        variants.push((status.code(), std::fs::read(&out).expect("output written")));
-    }
-    assert_eq!(variants[0].0, variants[1].0, "exit codes must match");
-    assert_eq!(
-        variants[0].1, variants[1].1,
-        "patched netlists must be byte-identical with and without --classes"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    let reported: u64 = m.targets.iter().map(|t| t.sat_calls).sum();
+    let observed: u64 = m.targets.iter().map(|t| t.observed_sat_calls).sum();
+    assert_eq!(reported - observed, saved, "audit equation");
 }

@@ -236,88 +236,21 @@ fn smoke_session_repeat_hits_the_outcome_cache_with_identical_output() {
 }
 
 #[test]
-fn sweeping_requests_replay_as_zero_sat_call_outcome_hits() {
-    // Warm replay with `"sweep":true` must behave exactly like the
-    // unswept smoke session: the cold swept run does real (reduced)
-    // SAT work, the identical repeat is an outcome hit with zero SAT
-    // calls, and both patched netlists are byte-identical to an
-    // unswept run of the same request.
-    let session = format!(
-        "{}\n{}\n{}\n",
-        eco_line("plain", SPECIFICATION),
-        eco_line_with_options("cold", SPECIFICATION, "{\"sweep\":true}"),
-        eco_line_with_options("warm", SPECIFICATION, "{\"sweep\":true}"),
-    );
-    let responses = run_session(&session);
-    assert_eq!(responses.len(), 3);
-    let (plain, cold, warm) = (&responses[0], &responses[1], &responses[2]);
-    for (name, r) in [("plain", plain), ("cold", cold), ("warm", warm)] {
-        assert_eq!(
-            r.get("status").and_then(JsonValue::as_str),
-            Some("ok"),
-            "{name}"
-        );
-        assert_eq!(
-            r.get("verified").and_then(JsonValue::as_bool),
-            Some(true),
-            "{name}"
-        );
-    }
-    let sat_total = |r: &JsonValue| {
-        r.get("metrics")
-            .and_then(|m| m.get("sat_calls"))
-            .and_then(|s| s.get("total"))
-            .and_then(JsonValue::as_u64)
-    };
-    assert_eq!(cache_flag(cold, "outcome"), Some("miss"));
-    let plain_sat = sat_total(plain).expect("unswept SAT totals");
-    let cold_sat = sat_total(cold).expect("swept SAT totals");
-    assert!(cold_sat > 0, "the cold swept run must do solver work");
-    assert!(
-        cold_sat <= plain_sat,
-        "sweeping must not add SAT calls: {cold_sat} > {plain_sat}"
-    );
-    assert_eq!(cache_flag(warm, "outcome"), Some("hit"));
-    assert_eq!(
-        sat_total(warm),
-        Some(0),
-        "a swept outcome hit performs zero SAT calls"
-    );
-    let patched = |r: &JsonValue| {
-        r.get("patched_verilog")
-            .and_then(JsonValue::as_str)
-            .map(str::to_owned)
-    };
-    assert!(patched(plain).is_some_and(|v| v.contains("module")));
-    assert_eq!(
-        patched(plain),
-        patched(cold),
-        "sweeping must not move a byte of the patched netlist"
-    );
-    assert_eq!(patched(cold), patched(warm), "replay is byte-identical");
-}
-
-#[test]
 fn classed_requests_replay_as_zero_sat_call_outcome_hits() {
-    // Same contract as the swept replay test, for `"classes":true`:
-    // the cold classed run engages the equivalence-class layer (its
-    // counters reach the response metrics), the identical repeat is an
-    // outcome hit with zero SAT calls, and the patched netlist is
-    // byte-identical to a classless run of the same request. The
-    // classed request goes FIRST: `options_fingerprint` deliberately
-    // shares engine-cache entries across the verdict-preserving
-    // `classes` flag, so a preceding classless run would satisfy the
-    // per-target work from cache and the layer would never engage.
+    // `"method":"prune"` solves with the SAT_prune class layer: the
+    // cold run reports the layer's counters in its metrics, and the
+    // identical repeat is an outcome hit with zero SAT calls, nothing
+    // inherited, and a byte-identical patched netlist.
+    let prune = "{\"method\":\"prune\"}";
     let session = format!(
-        "{}\n{}\n{}\n",
-        eco_line_with_options("cold", SPECIFICATION, "{\"classes\":true}"),
-        eco_line_with_options("warm", SPECIFICATION, "{\"classes\":true}"),
-        eco_line("plain", SPECIFICATION),
+        "{}\n{}\n",
+        eco_line_with_options("cold", SPECIFICATION, prune),
+        eco_line_with_options("warm", SPECIFICATION, prune),
     );
     let responses = run_session(&session);
-    assert_eq!(responses.len(), 3);
-    let (cold, warm, plain) = (&responses[0], &responses[1], &responses[2]);
-    for (name, r) in [("cold", cold), ("warm", warm), ("plain", plain)] {
+    assert_eq!(responses.len(), 2);
+    let (cold, warm) = (&responses[0], &responses[1]);
+    for (name, r) in [("cold", cold), ("warm", warm)] {
         assert_eq!(
             r.get("status").and_then(JsonValue::as_str),
             Some("ok"),
@@ -339,8 +272,9 @@ fn classed_requests_replay_as_zero_sat_call_outcome_hits() {
     let cold_sat = metric(cold, ["sat_calls", "total"]).expect("classed SAT totals");
     assert!(cold_sat > 0, "the cold classed run must do solver work");
     assert!(
-        metric(cold, ["classes", "partitions"]).expect("v8 classes block") > 0,
-        "the cold run's class partitions must reach the daemon metrics"
+        metric(cold, ["sweep", "oracle_hits"]).is_some()
+            && metric(cold, ["classes", "inherited_answers"]).is_some(),
+        "the class layer's counters must reach the daemon metrics"
     );
     assert_eq!(cache_flag(warm, "outcome"), Some("hit"));
     assert_eq!(
@@ -353,22 +287,12 @@ fn classed_requests_replay_as_zero_sat_call_outcome_hits() {
         Some(0),
         "a replay inherits nothing — the stored outcome is returned as-is"
     );
-    assert_eq!(
-        metric(plain, ["classes", "partitions"]),
-        Some(0),
-        "a classless run reports empty class counters"
-    );
     let patched = |r: &JsonValue| {
         r.get("patched_verilog")
             .and_then(JsonValue::as_str)
             .map(str::to_owned)
     };
     assert!(patched(cold).is_some_and(|v| v.contains("module")));
-    assert_eq!(
-        patched(cold),
-        patched(plain),
-        "classes must not move a byte of the patched netlist"
-    );
     assert_eq!(patched(cold), patched(warm), "replay is byte-identical");
 }
 

@@ -127,16 +127,24 @@ fn phases_nest_and_cover_the_whole_run() {
     );
 }
 
-/// Sums the `SatCall` events attributed to each target.
+/// Sums the `SatCall` events attributed to each target, plus the calls
+/// the `SAT_prune` class layer answered for it (which its report counts
+/// as if spent).
 fn attributed_calls(events: &[EcoEvent]) -> HashMap<usize, u64> {
     let mut by_target: HashMap<usize, u64> = HashMap::new();
     for event in events {
-        if let EcoEvent::SatCall {
-            target_index: Some(ti),
-            ..
-        } = event
-        {
-            *by_target.entry(*ti).or_default() += 1;
+        match event {
+            EcoEvent::SatCall {
+                target_index: Some(ti),
+                ..
+            } => *by_target.entry(*ti).or_default() += 1,
+            EcoEvent::ClassesReport {
+                target_index: Some(ti),
+                oracle_hits,
+                inherited_answers,
+                ..
+            } => *by_target.entry(*ti).or_default() += oracle_hits + inherited_answers,
+            _ => {}
         }
     }
     by_target
@@ -338,7 +346,7 @@ fn run_metrics_totals_are_jobs_invariant() {
 }
 
 fn golden_metrics() -> RunMetrics {
-    let mut by_kind = [KindMetrics::default(); 10];
+    let mut by_kind = [KindMetrics::default(); 8];
     by_kind[SatCallKind::Support.index()] = KindMetrics {
         calls: 2,
         conflicts: 4,
@@ -425,24 +433,9 @@ fn golden_metrics() -> RunMetrics {
             cnf_misses: 4,
             ..CacheCounters::default()
         },
-        serving: ServingCounters {
-            shed: 8,
-            expired: 9,
-            retried: 10,
-            panicked: 11,
-        },
-        sweep: SweepCounters {
-            classes: 12,
-            merges: 13,
-            sweep_sat_calls: 14,
-            refinement_rounds: 15,
-            nodes_eliminated: 16,
-            oracle_hits: 17,
-            sim_discharged_outputs: 18,
-        },
+        serving: ServingCounters { retried: 10 },
+        sweep: SweepCounters { oracle_hits: 17 },
         classes: ClassesCounters {
-            partitions: 19,
-            representatives: 20,
             inherited_answers: 21,
             refinement_rounds: 22,
             witness_replays: 23,
@@ -457,7 +450,7 @@ fn run_metrics_golden_json() {
                              \"latency_histogram\":[0,0,0,0,0,0,0,0]}";
     let expected = format!(
         concat!(
-            "{{\"schema_version\":8,\"request_id\":\"req-7\",",
+            "{{\"schema_version\":9,\"request_id\":\"req-7\",",
             "\"num_targets\":1,\"per_call_conflicts\":1000,",
             "\"jobs\":2,\"elapsed_us\":1234,",
             "\"phases\":[{{\"phase\":\"sufficiency_check\",\"elapsed_us\":10}}],",
@@ -482,8 +475,7 @@ fn run_metrics_golden_json() {
             "\"refinement\":{z},",
             "\"cec\":{{\"calls\":1,\"conflicts\":2,\"time_us\":10,",
             "\"conflict_histogram\":[0,1,0,0,0,0,0,0],",
-            "\"latency_histogram\":[1,0,0,0,0,0,0,0]}},",
-            "\"sweep\":{z},\"classes\":{z}}},",
+            "\"latency_histogram\":[1,0,0,0,0,0,0,0]}}}},",
             "\"conflict_histogram\":[1,3,0,0,0,0,0,0],",
             "\"latency_histogram\":[1,3,0,0,0,0,0,0]}},",
             "\"budget\":{{\"per_call_conflicts\":1000,\"max_fraction\":0.500000,",
@@ -494,12 +486,8 @@ fn run_metrics_golden_json() {
             "\"cache\":{{\"netlist_hits\":0,\"netlist_misses\":0,\"window_hits\":1,",
             "\"window_misses\":2,\"cnf_hits\":3,\"cnf_misses\":4,\"target_hits\":0,",
             "\"target_misses\":0,\"outcome_hits\":0,\"outcome_misses\":0}},",
-            "\"serving\":{{\"shed\":8,\"expired\":9,\"retried\":10,\"panicked\":11}},",
-            "\"sweep\":{{\"classes\":12,\"merges\":13,\"sweep_sat_calls\":14,",
-            "\"refinement_rounds\":15,\"nodes_eliminated\":16,\"oracle_hits\":17,",
-            "\"sim_discharged_outputs\":18}},",
-            "\"classes\":{{\"partitions\":19,\"representatives\":20,",
-            "\"inherited_answers\":21,\"refinement_rounds\":22,",
+            "\"serving\":{{\"retried\":10}},\"sweep\":{{\"oracle_hits\":17}},",
+            "\"classes\":{{\"inherited_answers\":21,\"refinement_rounds\":22,",
             "\"witness_replays\":23}}}}"
         ),
         z = ZERO_KIND
@@ -508,27 +496,16 @@ fn run_metrics_golden_json() {
 }
 
 #[test]
-fn run_metrics_v8_round_trips_through_parser() {
+fn run_metrics_v9_round_trips_through_parser() {
     let metrics = golden_metrics();
-    let doc = parse_json(&metrics.to_json()).expect("schema v8 output is valid JSON");
+    let doc = parse_json(&metrics.to_json()).expect("schema v9 output is valid JSON");
     let u = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_u64);
-    assert_eq!(u(&doc, "schema_version"), Some(8));
+    assert_eq!(u(&doc, "schema_version"), Some(9));
     let serving = doc.get("serving").expect("serving counters object");
-    assert_eq!(u(serving, "shed"), Some(8));
-    assert_eq!(u(serving, "expired"), Some(9));
     assert_eq!(u(serving, "retried"), Some(10));
-    assert_eq!(u(serving, "panicked"), Some(11));
     let sweep = doc.get("sweep").expect("sweep counters object");
-    assert_eq!(u(sweep, "classes"), Some(12));
-    assert_eq!(u(sweep, "merges"), Some(13));
-    assert_eq!(u(sweep, "sweep_sat_calls"), Some(14));
-    assert_eq!(u(sweep, "refinement_rounds"), Some(15));
-    assert_eq!(u(sweep, "nodes_eliminated"), Some(16));
     assert_eq!(u(sweep, "oracle_hits"), Some(17));
-    assert_eq!(u(sweep, "sim_discharged_outputs"), Some(18));
     let classes = doc.get("classes").expect("classes counters object");
-    assert_eq!(u(classes, "partitions"), Some(19));
-    assert_eq!(u(classes, "representatives"), Some(20));
     assert_eq!(u(classes, "inherited_answers"), Some(21));
     assert_eq!(u(classes, "refinement_rounds"), Some(22));
     assert_eq!(u(classes, "witness_replays"), Some(23));
