@@ -14,7 +14,7 @@
 use eco_bench::run_method_jobs;
 use eco_benchgen::{build_unit, table1_units};
 use eco_core::json::escape_json;
-use eco_core::SupportMethod;
+use eco_core::{duration_us, SupportMethod};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -79,10 +79,6 @@ fn parse_config() -> Result<Config, String> {
         return Err("--jobs must be at least 1".to_string());
     }
     Ok(config)
-}
-
-fn duration_us(d: Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 fn main() {

@@ -38,6 +38,23 @@ pub enum CacheLayer {
 }
 
 impl CacheLayer {
+    /// All layers, in metric-exposition order.
+    pub const ALL: [CacheLayer; 5] = [
+        CacheLayer::Netlist,
+        CacheLayer::Outcome,
+        CacheLayer::Window,
+        CacheLayer::Cnf,
+        CacheLayer::Target,
+    ];
+
+    /// Position in [`CacheLayer::ALL`].
+    pub fn index(self) -> usize {
+        CacheLayer::ALL
+            .iter()
+            .position(|&l| l == self)
+            .expect("layer is listed")
+    }
+
     /// Stable lowercase name (used in traces and metrics JSON).
     pub fn name(self) -> &'static str {
         match self {

@@ -109,11 +109,10 @@ pub use interp::{
 };
 pub use miter::{EcoMiter, QuantifiedMiter};
 pub use observe::{
-    conflict_bucket, latency_bucket, BudgetMetrics, CacheCounters, ClassesCounters, EcoEvent,
-    EcoObserver, KindMetrics, LadderRung, MetricsObserver, NullObserver, Phase, PhaseMetrics,
-    RunMetrics, SatCallKind, SatCallMetrics, ServingCounters, SupportStep, SweepCounters,
-    TargetMetrics, TeeObserver, WorkerMetrics, CONFLICT_BUCKET_BOUNDS, LATENCY_BUCKET_BOUNDS_US,
-    NUM_CONFLICT_BUCKETS, NUM_LATENCY_BUCKETS,
+    duration_us, BudgetMetrics, CacheCounters, ClassesCounters, EcoEvent, EcoObserver, Histogram,
+    KindMetrics, LadderRung, MetricsObserver, NullObserver, Phase, PhaseMetrics, RunMetrics,
+    SatCallKind, SatCallMetrics, ServingCounters, SupportStep, SweepCounters, TargetMetrics,
+    WorkerMetrics, HISTOGRAM_BUCKETS,
 };
 pub use problem::EcoProblem;
 pub use qbf::{check_targets_sufficient, QbfOutcome};

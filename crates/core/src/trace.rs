@@ -5,9 +5,11 @@
 //! - [`JsonlTraceObserver`] streams one JSON object per event (JSON
 //!   Lines) — the lossless format replayed by [`summarize_trace`] and
 //!   the `eco_patch report` command;
-//! - [`ChromeTraceObserver`] writes the Chrome `trace_event` format
-//!   (run/phase/target spans as `B`/`E` pairs, SAT calls as `X`
-//!   complete events), loadable in Perfetto or `chrome://tracing`.
+//! - [`ChromeTrace`] writes the Chrome `trace_event` format, loadable
+//!   in Perfetto or `chrome://tracing`. It is a shared handle: the CLI
+//!   attaches one [`ChromeObserver`] to its run, and `eco_patchd`
+//!   records request lifecycles and one observer per request into a
+//!   single session document.
 //!
 //! Replay utilities build a [`TraceSummary`] (time/conflict breakdown
 //! by phase, target, and call kind plus the most expensive calls) and
@@ -15,11 +17,12 @@
 //! closed by its `*_finished` partner in LIFO order.
 
 use crate::json::{escape_json, parse_json, JsonValue};
-use crate::observe::{EcoEvent, EcoObserver};
+use crate::observe::{duration_us, EcoEvent, EcoObserver};
 use eco_sat::SolveResult;
 use std::fmt::Write as _;
 use std::io::Write;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Instant;
 
 fn result_name(result: SolveResult) -> &'static str {
     match result {
@@ -27,10 +30,6 @@ fn result_name(result: SolveResult) -> &'static str {
         SolveResult::Unsat => "unsat",
         SolveResult::Unknown => "unknown",
     }
-}
-
-fn duration_us(d: Duration) -> u64 {
-    d.as_micros().min(u64::MAX as u128) as u64
 }
 
 fn opt_usize(v: Option<usize>) -> String {
@@ -270,118 +269,236 @@ impl<W: Write> EcoObserver for JsonlTraceObserver<W> {
     }
 }
 
-/// Exports the run as a Chrome `trace_event` JSON document.
-///
-/// Run, phase, and target spans become `B`/`E` duration events; each
-/// SAT call becomes an `X` complete event placed at `receipt − elapsed`
-/// so call durations are visible on the timeline. The document is
-/// closed when [`EcoEvent::RunFinished`] arrives (or on
-/// [`ChromeTraceObserver::finish`] for aborted runs).
-#[derive(Debug)]
-pub struct ChromeTraceObserver<W: Write> {
-    writer: W,
-    start: Option<Instant>,
+/// The lane (`tid`) for records that belong to no run or request
+/// (`eco_patchd` control events such as shed and drain);
+/// [`ChromeTrace::open_lane`] hands out the lanes above it.
+pub const CONTROL_LANE: usize = 1;
+
+struct ChromeInner {
+    writer: Box<dyn Write + Send>,
     wrote_any: bool,
     closed: bool,
     error: Option<std::io::Error>,
+    next_lane: usize,
 }
 
-impl<W: Write> ChromeTraceObserver<W> {
+/// A Chrome `trace_event` JSON document on one monotonic clock,
+/// shared by every thread that records into it. Cheap to clone; all
+/// state is shared.
+///
+/// Records go to lanes (Chrome `tid`s): [`CONTROL_LANE`] plus one per
+/// [`ChromeTrace::open_lane`] call. Engine runs record through a
+/// [`ChromeObserver`]. Write errors are sticky: the first one is kept
+/// and reported by [`ChromeTrace::finish`], which also closes the
+/// document exactly once.
+#[derive(Clone)]
+pub struct ChromeTrace {
+    inner: Arc<Mutex<ChromeInner>>,
+    started: Instant,
+}
+
+impl std::fmt::Debug for ChromeTrace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let inner = self.lock();
+        f.debug_struct("ChromeTrace")
+            .field("next_lane", &inner.next_lane)
+            .field("closed", &inner.closed)
+            .finish()
+    }
+}
+
+impl ChromeTrace {
     /// Wraps a writer (typically a buffered file).
-    pub fn new(writer: W) -> ChromeTraceObserver<W> {
-        ChromeTraceObserver {
-            writer,
-            start: None,
-            wrote_any: false,
-            closed: false,
-            error: None,
+    pub fn new(writer: Box<dyn Write + Send>) -> ChromeTrace {
+        ChromeTrace {
+            inner: Arc::new(Mutex::new(ChromeInner {
+                writer,
+                wrote_any: false,
+                closed: false,
+                error: None,
+                next_lane: CONTROL_LANE + 1,
+            })),
+            started: Instant::now(),
         }
     }
 
-    /// Closes the JSON document (a no-op if [`EcoEvent::RunFinished`]
-    /// already closed it), flushes, and returns the writer; fails with
-    /// the first write error encountered while streaming, if any.
-    pub fn finish(mut self) -> std::io::Result<W> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.close()?;
-        self.writer.flush()?;
-        Ok(self.writer)
+    fn lock(&self) -> std::sync::MutexGuard<'_, ChromeInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn close(&mut self) -> std::io::Result<()> {
-        if self.closed {
-            return Ok(());
-        }
-        if !self.wrote_any {
-            self.writer.write_all(b"{\"traceEvents\":[")?;
-        }
-        self.closed = true;
-        self.writer.write_all(b"]}\n")
+    /// Microseconds since the document was created (the shared clock
+    /// of every record's `ts`).
+    pub fn ts_us(&self) -> u64 {
+        duration_us(self.started.elapsed())
     }
 
-    fn ts_us(&mut self) -> u64 {
-        let start = *self.start.get_or_insert_with(Instant::now);
-        duration_us(start.elapsed())
+    /// Allocates the next free lane.
+    pub fn open_lane(&self) -> usize {
+        let mut inner = self.lock();
+        let lane = inner.next_lane;
+        inner.next_lane += 1;
+        lane
     }
 
-    fn push(&mut self, record: String) {
-        if self.error.is_some() || self.closed {
+    /// Opens a `B` span on `lane` at `ts_us`.
+    pub fn begin(&self, lane: usize, name: &str, cat: &str, ts_us: u64, request_id: Option<&str>) {
+        self.record('B', name, cat, lane, ts_us, None, request_id, "");
+    }
+
+    /// Closes the innermost open span on `lane` at `ts_us`.
+    pub fn end(&self, lane: usize, cat: &str, ts_us: u64) {
+        self.record('E', "", cat, lane, ts_us, None, None, "");
+    }
+
+    /// An `X` block covering `[ts_us, ts_us + dur_us)` on `lane`.
+    pub fn complete(
+        &self,
+        lane: usize,
+        name: &str,
+        cat: &str,
+        ts_us: u64,
+        dur_us: u64,
+        request_id: Option<&str>,
+    ) {
+        self.record('X', name, cat, lane, ts_us, Some(dur_us), request_id, "");
+    }
+
+    /// An instant event on `lane`, stamped now.
+    pub fn instant(&self, lane: usize, name: &str, cat: &str, request_id: Option<&str>) {
+        self.record('i', name, cat, lane, self.ts_us(), None, request_id, "");
+    }
+
+    /// An engine observer recording one run onto `lane`, tagging every
+    /// record with `request_id` when given.
+    pub fn observer(&self, lane: usize, request_id: Option<String>) -> ChromeObserver {
+        ChromeObserver {
+            trace: self.clone(),
+            lane,
+            request_id,
+        }
+    }
+
+    /// Renders and writes one record; `extra` holds further `args`
+    /// members, already rendered as JSON.
+    #[allow(clippy::too_many_arguments)]
+    fn record(
+        &self,
+        ph: char,
+        name: &str,
+        cat: &str,
+        lane: usize,
+        ts_us: u64,
+        dur_us: Option<u64>,
+        request_id: Option<&str>,
+        extra: &str,
+    ) {
+        let mut r = String::with_capacity(128);
+        r.push('{');
+        if !name.is_empty() {
+            let _ = write!(r, "\"name\":\"{}\",", escape_json(name));
+        }
+        let _ = write!(r, "\"cat\":\"{cat}\",\"ph\":\"{ph}\",\"ts\":{ts_us}");
+        if let Some(dur) = dur_us {
+            let _ = write!(r, ",\"dur\":{dur}");
+        }
+        let _ = write!(r, ",\"pid\":1,\"tid\":{lane}");
+        if ph == 'i' {
+            r.push_str(",\"s\":\"t\"");
+        }
+        let mut args = String::new();
+        if let Some(id) = request_id {
+            let _ = write!(args, "\"request_id\":\"{}\"", escape_json(id));
+        }
+        if !extra.is_empty() {
+            if !args.is_empty() {
+                args.push(',');
+            }
+            args.push_str(extra);
+        }
+        if !args.is_empty() {
+            let _ = write!(r, ",\"args\":{{{args}}}");
+        }
+        r.push('}');
+        let mut inner = self.lock();
+        if inner.error.is_some() || inner.closed {
             return;
         }
-        let lead = if self.wrote_any {
+        let lead = if inner.wrote_any {
             ",\n"
         } else {
             "{\"traceEvents\":[\n"
         };
-        if let Err(e) = self
+        let written = inner
             .writer
             .write_all(lead.as_bytes())
-            .and_then(|()| self.writer.write_all(record.as_bytes()))
-        {
-            self.error = Some(e);
-            return;
+            .and_then(|()| inner.writer.write_all(r.as_bytes()));
+        match written {
+            Ok(()) => inner.wrote_any = true,
+            Err(e) => inner.error = Some(e),
         }
-        self.wrote_any = true;
     }
 
-    fn span(&mut self, ph: char, ts: u64, name: &str) {
-        self.span_on(ph, ts, name, 1);
-    }
-
-    /// A `B`/`E` record on an explicit Chrome track: target spans use
-    /// `tid = worker + 2` so concurrent workers render as separate
-    /// lanes (track 1 stays the coordinating thread's run/phase lane).
-    fn span_on(&mut self, ph: char, ts: u64, name: &str, tid: usize) {
-        self.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"eco\",\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":1,\
-             \"tid\":{tid}}}",
-            escape_json(name)
-        ));
+    /// Closes the JSON document and flushes; fails with the first
+    /// write error encountered while streaming, if any. Later records
+    /// are dropped; calling again is a cheap no-op.
+    pub fn finish(&self) -> std::io::Result<()> {
+        let mut inner = self.lock();
+        if let Some(e) = inner.error.take() {
+            inner.closed = true;
+            return Err(e);
+        }
+        if inner.closed {
+            return Ok(());
+        }
+        inner.closed = true;
+        if !inner.wrote_any {
+            inner.writer.write_all(b"{\"traceEvents\":[")?;
+        }
+        inner.writer.write_all(b"]}\n")?;
+        inner.writer.flush()
     }
 }
 
-impl<W: Write> EcoObserver for ChromeTraceObserver<W> {
+/// Records one engine run onto a [`ChromeTrace`] lane.
+///
+/// Run, phase, target, and SAT-call spans become `X` blocks ending at
+/// receipt of their finish event (which carries the duration), so
+/// concurrent engine workers can share one lane without `B`/`E`
+/// nesting; target blocks carry their `worker` in `args`. Start events
+/// are implied by the blocks; every other event becomes an instant.
+#[derive(Debug)]
+pub struct ChromeObserver {
+    trace: ChromeTrace,
+    lane: usize,
+    request_id: Option<String>,
+}
+
+impl EcoObserver for ChromeObserver {
     fn on_event(&mut self, event: &EcoEvent) {
-        let ts = self.ts_us();
-        match event {
-            EcoEvent::RunStarted { .. } => self.span('B', ts, "run"),
-            EcoEvent::PhaseStarted { phase } => self.span('B', ts, phase.name()),
-            EcoEvent::PhaseFinished { phase, .. } => self.span('E', ts, phase.name()),
-            EcoEvent::TargetStarted {
-                target_index,
-                worker,
-            } => {
-                self.span_on('B', ts, &format!("target {target_index}"), worker + 2);
+        let (name, cat, elapsed, extra) = match event {
+            EcoEvent::RunStarted { .. }
+            | EcoEvent::PhaseStarted { .. }
+            | EcoEvent::TargetStarted { .. } => return,
+            EcoEvent::RunFinished { elapsed } => {
+                ("run".to_string(), "eco", Some(elapsed), String::new())
             }
+            EcoEvent::PhaseFinished { phase, elapsed } => (
+                phase.name().to_string(),
+                "eco",
+                Some(elapsed),
+                String::new(),
+            ),
             EcoEvent::TargetFinished {
                 target_index,
                 worker,
+                elapsed,
                 ..
-            } => {
-                self.span_on('E', ts, &format!("target {target_index}"), worker + 2);
-            }
+            } => (
+                format!("target {target_index}"),
+                "eco",
+                Some(elapsed),
+                format!("\"worker\":{worker}"),
+            ),
             EcoEvent::SatCall {
                 kind,
                 target_index,
@@ -389,34 +506,28 @@ impl<W: Write> EcoObserver for ChromeTraceObserver<W> {
                 conflicts,
                 elapsed,
                 ..
-            } => {
-                let dur = duration_us(*elapsed);
-                let call_ts = ts.saturating_sub(dur);
-                self.push(format!(
-                    "{{\"name\":\"sat:{}\",\"cat\":\"sat\",\"ph\":\"X\",\"ts\":{call_ts},\
-                     \"dur\":{dur},\"pid\":1,\"tid\":1,\"args\":{{\"result\":\"{}\",\
-                     \"conflicts\":{conflicts},\"target_index\":{}}}}}",
-                    kind.name(),
+            } => (
+                format!("sat:{}", kind.name()),
+                "sat",
+                Some(elapsed),
+                format!(
+                    "\"result\":\"{}\",\"conflicts\":{conflicts},\"target_index\":{}",
                     result_name(*result),
                     opt_usize(*target_index)
-                ));
-            }
-            EcoEvent::RunFinished { .. } => {
-                self.span('E', ts, "run");
-                if self.error.is_none() {
-                    if let Err(e) = self.close() {
-                        self.error = Some(e);
-                    }
-                }
-            }
-            // Instant (non-span) telemetry becomes `i` events.
+                ),
+            ),
+            EcoEvent::GovernorTripped { reason } => (
+                "governor_tripped".to_string(),
+                "eco",
+                None,
+                format!("\"reason\":\"{}\"", escape_json(reason.name())),
+            ),
             other => {
                 let name = match other {
                     EcoEvent::QbfRefinement { .. } => "qbf_refinement",
                     EcoEvent::QuantificationRefinement { .. } => "quantification_refinement",
                     EcoEvent::SupportMinimizationStep { .. } => "support_minimization_step",
                     EcoEvent::StructuralFallback { .. } => "structural_fallback",
-                    EcoEvent::GovernorTripped { .. } => "governor_tripped",
                     EcoEvent::LadderStep { .. } => "ladder_step",
                     EcoEvent::CegarMinRound { .. } => "cegar_min_round",
                     EcoEvent::RequestTagged { .. } => "request_tagged",
@@ -424,12 +535,27 @@ impl<W: Write> EcoObserver for ChromeTraceObserver<W> {
                     EcoEvent::ClassesReport { .. } => "classes_report",
                     _ => "event",
                 };
-                self.push(format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"eco\",\"ph\":\"i\",\"ts\":{ts},\
-                     \"pid\":1,\"tid\":1,\"s\":\"t\"}}"
-                ));
+                (name.to_string(), "eco", None, String::new())
             }
-        }
+        };
+        let now = self.trace.ts_us();
+        let (ph, ts, dur) = match elapsed {
+            Some(elapsed) => {
+                let dur = duration_us(*elapsed);
+                ('X', now.saturating_sub(dur), Some(dur))
+            }
+            None => ('i', now, None),
+        };
+        self.trace.record(
+            ph,
+            &name,
+            cat,
+            self.lane,
+            ts,
+            dur,
+            self.request_id.as_deref(),
+            &extra,
+        );
     }
 }
 
@@ -798,258 +924,11 @@ pub fn check_span_integrity(jsonl: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Latency distribution of one command kind replayed from a daemon
-/// journal (`request_done` events), in microseconds.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct JournalLatency {
-    /// Command name (`cmd` field of the `request_done` events).
-    pub cmd: String,
-    /// Completed requests of this command.
-    pub count: u64,
-    /// Median total latency, µs (exact nearest-rank).
-    pub p50_us: u64,
-    /// 90th-percentile total latency, µs.
-    pub p90_us: u64,
-    /// 99th-percentile total latency, µs.
-    pub p99_us: u64,
-    /// Slowest request, µs.
-    pub max_us: u64,
-}
-
-/// One cache hit-rate observation along a journal: the cumulative
-/// daemon-wide cache totals as of one completed request.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CachePoint {
-    /// Journal timestamp of the observation, µs since daemon start.
-    pub ts_us: u64,
-    /// Cumulative cache hits across all layers.
-    pub hits: u64,
-    /// Cumulative cache misses across all layers.
-    pub misses: u64,
-}
-
-impl CachePoint {
-    /// Hit rate of this observation in percent (0 when nothing was
-    /// looked up yet).
-    pub fn hit_rate(&self) -> f64 {
-        percent(self.hits, self.hits + self.misses)
-    }
-}
-
-/// Aggregated view of an `eco_patchd` event journal (`--log-jsonl`),
-/// built by [`summarize_journal`].
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct JournalSummary {
-    /// Journal records replayed.
-    pub events: u64,
-    /// `admit` events (requests accepted for solving).
-    pub admitted: u64,
-    /// `shed` events (refused at capacity).
-    pub shed: u64,
-    /// `expired` events (deadline passed while queued).
-    pub expired: u64,
-    /// `panic` events (requests isolated behind the unwind boundary).
-    pub panicked: u64,
-    /// `poison_hit` events (known-poison fingerprints refused).
-    pub poison_hits: u64,
-    /// `retry` events (fair-share escalations).
-    pub retried: u64,
-    /// `drain_refused` events (requests refused while draining).
-    pub drain_refused: u64,
-    /// `parse_error` events (unparseable request lines).
-    pub parse_errors: u64,
-    /// Completed requests by `status`, in first-seen order.
-    pub statuses: Vec<(String, u64)>,
-    /// Per-command latency percentiles over `request_done` events.
-    pub latency: Vec<JournalLatency>,
-    /// Total queue wait across completed requests, µs.
-    pub queue_wait_us: u64,
-    /// Total parse time across completed requests, µs.
-    pub parse_us: u64,
-    /// Total solve time across completed requests, µs.
-    pub solve_us: u64,
-    /// Total serialization time across completed requests, µs.
-    pub serialize_us: u64,
-    /// Cache hit-rate trajectory: one cumulative observation per
-    /// completed request that carried cache totals, in journal order.
-    pub cache_trajectory: Vec<CachePoint>,
-}
-
-/// Exact nearest-rank percentile of an **ascending-sorted** slice:
-/// the smallest element with cumulative rank `>= ceil(q * n)`.
-fn nearest_rank(sorted_us: &[u64], q: f64) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    let rank = (q * sorted_us.len() as f64).ceil() as usize;
-    sorted_us[rank.clamp(1, sorted_us.len()) - 1]
-}
-
-/// Replays an `eco_patchd` event journal (one JSON object per line,
-/// as written by `--log-jsonl`) into a [`JournalSummary`]: serving
-/// counters reconstructed from lifecycle events, per-command latency
-/// percentiles, stage-time attribution, and the cache hit-rate
-/// trajectory.
-///
-/// # Errors
-///
-/// Returns a message naming the offending line when a line is not a
-/// JSON object or lacks the `event` tag.
-pub fn summarize_journal(jsonl: &str) -> Result<JournalSummary, String> {
-    let mut summary = JournalSummary::default();
-    let mut samples: Vec<(String, Vec<u64>)> = Vec::new();
-    for (lineno, line) in jsonl.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let record = parse_json(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let event = record
-            .get("event")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("line {}: missing \"event\" tag", lineno + 1))?;
-        summary.events += 1;
-        let u = |key: &str| record.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        match event {
-            "admit" => summary.admitted += 1,
-            "shed" => summary.shed += 1,
-            "expired" => summary.expired += 1,
-            "panic" => summary.panicked += 1,
-            "poison_hit" => summary.poison_hits += 1,
-            "retry" => summary.retried += 1,
-            "drain_refused" => summary.drain_refused += 1,
-            "parse_error" => summary.parse_errors += 1,
-            "request_done" => {
-                let status = record
-                    .get("status")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("?")
-                    .to_string();
-                match summary.statuses.iter_mut().find(|(s, _)| *s == status) {
-                    Some((_, n)) => *n += 1,
-                    None => summary.statuses.push((status, 1)),
-                }
-                let cmd = record
-                    .get("cmd")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("?")
-                    .to_string();
-                let total_us = u("total_us");
-                match samples.iter_mut().find(|(c, _)| *c == cmd) {
-                    Some((_, v)) => v.push(total_us),
-                    None => samples.push((cmd, vec![total_us])),
-                }
-                summary.queue_wait_us += u("queue_wait_us");
-                summary.parse_us += u("parse_us");
-                summary.solve_us += u("solve_us");
-                summary.serialize_us += u("serialize_us");
-                if record.get("cache_hits_total").is_some() {
-                    summary.cache_trajectory.push(CachePoint {
-                        ts_us: u("ts_us"),
-                        hits: u("cache_hits_total"),
-                        misses: u("cache_misses_total"),
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    for (cmd, mut v) in samples {
-        v.sort_unstable();
-        summary.latency.push(JournalLatency {
-            cmd,
-            count: v.len() as u64,
-            p50_us: nearest_rank(&v, 0.50),
-            p90_us: nearest_rank(&v, 0.90),
-            p99_us: nearest_rank(&v, 0.99),
-            max_us: *v.last().expect("samples are non-empty"),
-        });
-    }
-    Ok(summary)
-}
-
-/// Renders a [`JournalSummary`] as the human-readable report printed
-/// by `eco_patch report --journal`.
-pub fn render_journal_report(summary: &JournalSummary) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "journal: {} events", summary.events);
-    let _ = writeln!(
-        out,
-        "serving: admitted={} shed={} expired={} panicked={} poison_hits={} retried={} \
-         drain_refused={} parse_errors={}",
-        summary.admitted,
-        summary.shed,
-        summary.expired,
-        summary.panicked,
-        summary.poison_hits,
-        summary.retried,
-        summary.drain_refused,
-        summary.parse_errors
-    );
-    if !summary.statuses.is_empty() {
-        let done: u64 = summary.statuses.iter().map(|(_, n)| n).sum();
-        let mut line = format!("completed: total={done}");
-        for (status, n) in &summary.statuses {
-            let _ = write!(line, " {status}={n}");
-        }
-        let _ = writeln!(out, "{line}");
-    }
-    if !summary.latency.is_empty() {
-        let _ = writeln!(out, "\nlatency (total_us per request):");
-        let _ = writeln!(
-            out,
-            "  {:<10} {:>8} {:>10} {:>10} {:>10} {:>10}",
-            "cmd", "count", "p50", "p90", "p99", "max"
-        );
-        for l in &summary.latency {
-            let _ = writeln!(
-                out,
-                "  {:<10} {:>8} {:>10} {:>10} {:>10} {:>10}",
-                l.cmd, l.count, l.p50_us, l.p90_us, l.p99_us, l.max_us
-            );
-        }
-    }
-    let attributed =
-        summary.queue_wait_us + summary.parse_us + summary.solve_us + summary.serialize_us;
-    if attributed > 0 {
-        let _ = writeln!(out, "\nattribution (summed across requests):");
-        for (name, us) in [
-            ("queue_wait", summary.queue_wait_us),
-            ("parse", summary.parse_us),
-            ("solve", summary.solve_us),
-            ("serialize", summary.serialize_us),
-        ] {
-            let _ = writeln!(
-                out,
-                "  {:<12} {:>12} us {:>6.1}%",
-                name,
-                us,
-                percent(us, attributed)
-            );
-        }
-    }
-    if let (Some(first), Some(last)) = (
-        summary.cache_trajectory.first(),
-        summary.cache_trajectory.last(),
-    ) {
-        let _ = writeln!(
-            out,
-            "\ncache hit rate: {:.1}% -> {:.1}% over {} completed requests \
-             ({} hits / {} lookups at end)",
-            first.hit_rate(),
-            last.hit_rate(),
-            summary.cache_trajectory.len(),
-            last.hits,
-            last.hits + last.misses
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::observe::{Phase, SatCallKind};
+    use std::time::Duration;
 
     fn sample_events() -> Vec<EcoEvent> {
         vec![
@@ -1156,134 +1035,130 @@ mod tests {
         assert!(check_span_integrity(unopened).is_err());
     }
 
+    /// A `Write` sink the test keeps a handle to after the trace takes
+    /// ownership of its writer.
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl SharedBuf {
+        fn events(&self) -> Vec<JsonValue> {
+            let text = String::from_utf8(self.0.lock().unwrap().clone()).expect("utf8");
+            let doc = parse_json(&text).unwrap_or_else(|e| panic!("bad chrome JSON: {e}\n{text}"));
+            doc.get("traceEvents")
+                .and_then(JsonValue::as_array)
+                .expect("traceEvents array")
+                .to_vec()
+        }
+    }
+
     #[test]
-    fn chrome_trace_is_valid_json_with_balanced_spans() {
-        let mut obs = ChromeTraceObserver::new(Vec::new());
+    fn chrome_observer_writes_complete_blocks_for_every_span() {
+        let buf = SharedBuf::default();
+        let trace = ChromeTrace::new(Box::new(buf.clone()));
+        let mut obs = trace.observer(trace.open_lane(), Some("r1".to_string()));
         for event in sample_events() {
             obs.on_event(&event);
         }
-        let bytes = obs.finish().expect("no io errors");
-        let text = String::from_utf8(bytes).expect("utf8");
-        let doc = parse_json(&text).expect("valid JSON document");
-        let events = doc
-            .get("traceEvents")
-            .and_then(JsonValue::as_array)
-            .expect("traceEvents array");
-        let count = |ph: &str| {
-            events
-                .iter()
-                .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some(ph))
-                .count()
-        };
-        assert_eq!(count("B"), count("E"), "every span closes");
-        assert_eq!(count("X"), 2, "one complete event per SAT call");
-        for e in events {
-            assert!(e.get("ts").and_then(JsonValue::as_u64).is_some());
-        }
-    }
-
-    fn journal_line(ts_us: u64, event: &str, rest: &str) -> String {
-        let tail = if rest.is_empty() {
-            String::new()
-        } else {
-            format!(",{rest}")
-        };
-        format!(
-            "{{\"ts_us\":{ts_us},\"seq\":{ts_us},\"level\":\"info\",\"event\":\"{event}\"{tail}}}"
-        )
-    }
-
-    #[test]
-    fn journal_summary_reconstructs_serving_counters_and_percentiles() {
-        let mut lines = vec![
-            journal_line(0, "daemon_started", "\"workers\":2"),
-            journal_line(1, "admit", "\"request_id\":\"a\""),
-            journal_line(2, "shed", "\"request_id\":\"b\",\"retry_after_ms\":300"),
-            journal_line(3, "expired", "\"request_id\":\"c\",\"queued_ms\":5"),
-            journal_line(4, "retry", "\"request_id\":\"a\",\"escalated_pool\":400"),
-            journal_line(5, "panic", "\"request_id\":\"d\",\"error\":\"boom\""),
-            journal_line(6, "parse_error", "\"error\":\"bad line\""),
-            journal_line(7, "drain_refused", "\"request_id\":\"e\""),
-        ];
-        // 100 completed eco requests: 1..=100 µs, cache warming from
-        // all-miss to half-hit.
-        for i in 1..=100u64 {
-            lines.push(journal_line(
-                100 + i,
-                "request_done",
-                &format!(
-                    "\"request_id\":\"r{i}\",\"cmd\":\"eco\",\"status\":\"ok\",\
-                     \"queue_wait_us\":2,\"parse_us\":1,\"solve_us\":{i},\
-                     \"serialize_us\":1,\"total_us\":{i},\
-                     \"cache_hits_total\":{},\"cache_misses_total\":100",
-                    i - 1
-                ),
-            ));
-        }
-        lines.push(journal_line(
-            999,
-            "request_done",
-            "\"request_id\":\"d\",\"cmd\":\"eco\",\"status\":\"panic\",\"total_us\":7",
-        ));
-        let summary = summarize_journal(&lines.join("\n")).expect("journal parses");
-        assert_eq!(summary.events, 8 + 101);
-        assert_eq!(summary.admitted, 1);
-        assert_eq!(summary.shed, 1);
-        assert_eq!(summary.expired, 1);
-        assert_eq!(summary.panicked, 1);
-        assert_eq!(summary.retried, 1);
-        assert_eq!(summary.parse_errors, 1);
-        assert_eq!(summary.drain_refused, 1);
+        trace.finish().expect("no io errors");
+        let events = buf.events();
+        let str_of =
+            |e: &JsonValue, key: &str| e.get(key).and_then(JsonValue::as_str).map(str::to_owned);
+        let blocks: Vec<String> = events
+            .iter()
+            .filter(|e| str_of(e, "ph").as_deref() == Some("X"))
+            .filter_map(|e| str_of(e, "name"))
+            .collect();
         assert_eq!(
-            summary.statuses,
-            vec![("ok".to_string(), 100), ("panic".to_string(), 1)]
+            blocks,
+            [
+                "sat:support",
+                "sat:cec",
+                "target 0",
+                "patch_generation",
+                "run"
+            ],
+            "one X block per finished span, in finish order"
         );
-        assert_eq!(summary.latency.len(), 1, "one command kind");
-        let eco = &summary.latency[0];
-        assert_eq!(eco.cmd, "eco");
-        assert_eq!(eco.count, 101);
-        // 101 samples: 1..=100 plus the 7µs panic. Nearest-rank p50 is
-        // the 51st smallest = 50, p90 the 91st = 90, p99 the 100th = 99.
-        assert_eq!(eco.p50_us, 50);
-        assert_eq!(eco.p90_us, 90);
-        assert_eq!(eco.p99_us, 99);
-        assert_eq!(eco.max_us, 100);
-        assert_eq!(summary.queue_wait_us, 200);
-        assert_eq!(summary.solve_us, 5050);
-        assert_eq!(summary.cache_trajectory.len(), 100);
-        assert_eq!(summary.cache_trajectory[0].hit_rate(), 0.0);
-        let report = render_journal_report(&summary);
+        assert_eq!(events.len(), blocks.len(), "start events are implied");
+        for e in &events {
+            assert!(e.get("ts").and_then(JsonValue::as_u64).is_some());
+            assert_eq!(e.get("tid").and_then(JsonValue::as_u64), Some(2));
+            let args = e.get("args").expect("args");
+            assert_eq!(
+                args.get("request_id").and_then(JsonValue::as_str),
+                Some("r1")
+            );
+        }
+        let target = events
+            .iter()
+            .find(|e| str_of(e, "name").as_deref() == Some("target 0"))
+            .expect("target block");
+        assert_eq!(
+            target
+                .get("args")
+                .and_then(|a| a.get("worker"))
+                .and_then(JsonValue::as_u64),
+            Some(1)
+        );
+    }
+
+    #[test]
+    fn chrome_trace_records_lifecycles_and_closes_once() {
+        let buf = SharedBuf::default();
+        let trace = ChromeTrace::new(Box::new(buf.clone()));
+        let lane = trace.open_lane();
+        assert_eq!(lane, 2, "lanes start above the control lane");
+        trace.begin(lane, "request trace-a", "daemon", 0, Some("r1"));
+        trace.complete(lane, "queue_wait", "daemon", 0, 120, Some("r1"));
+        trace.instant(CONTROL_LANE, "shed", "daemon", Some("r2"));
+        trace
+            .observer(lane, None)
+            .on_event(&EcoEvent::QbfRefinement { copies: 2 });
+        trace.end(lane, "daemon", trace.ts_us().max(200));
+        trace.finish().expect("finish");
+        trace.finish().expect("idempotent");
+        trace.instant(CONTROL_LANE, "late", "daemon", None);
+        let events = buf.events();
+        assert_eq!(events.len(), 5, "records after finish are dropped");
+        let begin = &events[0];
+        assert_eq!(
+            begin.get("name").and_then(JsonValue::as_str),
+            Some("request trace-a")
+        );
+        assert_eq!(begin.get("ph").and_then(JsonValue::as_str), Some("B"));
+        assert_eq!(
+            begin
+                .get("args")
+                .and_then(|a| a.get("request_id"))
+                .and_then(JsonValue::as_str),
+            Some("r1")
+        );
+        assert_eq!(events[1].get("dur").and_then(JsonValue::as_u64), Some(120));
+        assert_eq!(events[2].get("tid").and_then(JsonValue::as_u64), Some(1));
+        assert_eq!(events[3].get("ph").and_then(JsonValue::as_str), Some("i"));
         assert!(
-            report.contains("admitted=1 shed=1 expired=1 panicked=1"),
-            "{report}"
+            events[3].get("args").is_none(),
+            "untagged lanes carry no args"
         );
-        assert!(report.contains("cache hit rate: 0.0% -> 49.7%"), "{report}");
-        assert!(report.contains("queue_wait"), "{report}");
-    }
+        assert_eq!(events[4].get("ph").and_then(JsonValue::as_str), Some("E"));
 
-    #[test]
-    fn journal_summary_rejects_malformed_lines() {
-        assert!(summarize_journal("not json").is_err());
-        let missing_tag = "{\"ts_us\":0,\"seq\":1,\"level\":\"info\"}";
-        let err = summarize_journal(missing_tag).unwrap_err();
-        assert!(err.contains("missing \"event\""), "{err}");
-        let empty = summarize_journal("").expect("empty journal is fine");
-        assert_eq!(empty.events, 0);
-        assert!(render_journal_report(&empty).contains("journal: 0 events"));
-    }
-
-    #[test]
-    fn chrome_trace_closes_even_without_run_finished() {
-        let mut obs = ChromeTraceObserver::new(Vec::new());
-        obs.on_event(&EcoEvent::RunStarted {
-            num_targets: 1,
-            per_call_conflicts: None,
-            jobs: 1,
-        });
-        let text = String::from_utf8(obs.finish().expect("io")).expect("utf8");
-        parse_json(&text).expect("document is closed");
-        let empty = ChromeTraceObserver::new(Vec::new());
-        let text = String::from_utf8(empty.finish().expect("io")).expect("utf8");
-        parse_json(&text).expect("empty document is closed");
+        let empty = SharedBuf::default();
+        ChromeTrace::new(Box::new(empty.clone()))
+            .finish()
+            .expect("io");
+        assert!(
+            empty.events().is_empty(),
+            "an empty document is still closed"
+        );
     }
 }

@@ -45,13 +45,15 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod journal;
 pub mod protocol;
 pub mod queue;
 pub mod server;
 pub mod telemetry;
 
 pub use cache::{DaemonCache, DaemonCacheStats};
+pub use journal::{Journal, Level};
 pub use protocol::{parse_request, EcoRequest, EcoResponse, Request, RequestOptions};
 pub use queue::{Admission, QueuedRequest, RequestQueue};
 pub use server::{run_cli, Daemon, DaemonConfig};
-pub use telemetry::{Journal, Level, Telemetry, TraceAggregator};
+pub use telemetry::Telemetry;

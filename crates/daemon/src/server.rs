@@ -33,25 +33,26 @@
 //!   reader thread so it works even while every worker is busy.
 
 use crate::cache::{outcome_key, CachedOutcome, DaemonCache};
+use crate::journal::{Field, Journal, Level};
 use crate::protocol::{
     draining_response, error_response, expired_response, overloaded_response, panic_response,
     parse_request, EcoRequest, EcoResponse, MetricsFormat, Request,
 };
 use crate::queue::{Admission, RequestQueue};
-use crate::telemetry::{
-    CacheLayer, CommandKind, Field, Journal, Level, ScrapeView, Stage, Telemetry, TraceAggregator,
-};
+use crate::telemetry::{CommandKind, ScrapeView, Stage, Telemetry};
 use eco_core::json::escape_json;
+use eco_core::trace::{ChromeTrace, CONTROL_LANE};
 use eco_core::{
-    netlist_patches, patched_netlist, CacheCounters, EcoEngine, EcoOptions, EcoProblem, FaultPlan,
-    GovernorLimits, ResourceGovernor, RunMetrics, SupportMethod, TargetDisposition, TripReason,
+    duration_us, netlist_patches, patched_netlist, CacheCounters, CacheLayer, EcoEngine,
+    EcoOptions, EcoProblem, FaultPlan, GovernorLimits, ResourceGovernor, RunMetrics, SupportMethod,
+    TargetDisposition, TripReason,
 };
 use eco_netlist::WeightTable;
 use std::io::{self, BufRead, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// `retry_after_ms` hint on `draining` responses: the client should
@@ -126,7 +127,7 @@ pub struct Daemon {
     started: Instant,
     telemetry: Telemetry,
     journal: Journal,
-    trace: Option<TraceAggregator>,
+    trace: Option<ChromeTrace>,
     /// `(daemon, engine)` eviction counts already reported to the
     /// journal, so each eviction is journaled exactly once.
     evictions_seen: Mutex<(u64, u64)>,
@@ -142,12 +143,12 @@ impl Daemon {
         Daemon::with_observability(config, journal, None)
     }
 
-    /// Creates a daemon with an explicit journal and optional trace
-    /// aggregator (the `--log-jsonl` / `--trace-out` path).
+    /// Creates a daemon with an explicit journal and optional session
+    /// trace (the `--log-jsonl` / `--trace-out` path).
     pub fn with_observability(
         config: DaemonConfig,
         journal: Journal,
-        trace: Option<TraceAggregator>,
+        trace: Option<ChromeTrace>,
     ) -> Daemon {
         let root = ResourceGovernor::new(config.limits.clone());
         let cache = DaemonCache::new(config.cache_capacity);
@@ -181,7 +182,7 @@ impl Daemon {
         &self.journal
     }
 
-    /// Closes the trace aggregation document, if one is attached.
+    /// Closes the session trace document, if one is attached.
     /// Call after serving ends; later calls are no-ops.
     pub fn finish_trace(&self) -> io::Result<()> {
         match &self.trace {
@@ -377,9 +378,22 @@ impl Daemon {
             let lane = t.open_lane();
             let trace_id = req.options.trace_id.as_deref().unwrap_or(&req.id);
             let start = t.ts_us().saturating_sub(queued_us);
-            t.begin_request(lane, trace_id, &req.id, start);
+            t.begin(
+                lane,
+                &format!("request {trace_id}"),
+                "daemon",
+                start,
+                Some(&req.id),
+            );
             if queued_us > 0 {
-                t.queue_wait(lane, &req.id, start, queued_us);
+                t.complete(
+                    lane,
+                    "queue_wait",
+                    "daemon",
+                    start,
+                    queued_us,
+                    Some(&req.id),
+                );
             }
             lane
         });
@@ -389,7 +403,6 @@ impl Daemon {
             if let Some(pill) = self.cache.poisoned(key) {
                 // Quarantined fingerprint: fast cached rejection, zero
                 // engine work, no second crash.
-                self.telemetry.record_cache(CacheLayer::Poison, 1, 0);
                 self.journal
                     .event(Level::Warn, "poison_hit", Some(&req.id), &[]);
                 break 'resp (panic_response(&req.id, &pill, true), "panic");
@@ -430,7 +443,7 @@ impl Daemon {
             }
         };
         if let (Some(t), Some(lane)) = (self.trace.as_ref(), lane) {
-            t.end_request(lane, t.ts_us());
+            t.end(lane, "daemon", t.ts_us());
         }
         let total_us = duration_us(begun.elapsed());
         self.telemetry
@@ -598,8 +611,7 @@ impl Daemon {
                 .with_request_id(req.id.clone())
                 .with_governor(governor);
             if let (Some(t), Some(lane)) = (self.trace.as_ref(), lane) {
-                engine = engine
-                    .with_shared_observer(Arc::new(Mutex::new(t.observer(lane, req.id.clone()))));
+                engine = engine.with_observer(t.observer(lane, Some(req.id.clone())));
             }
             let outcome = engine.solve(&snapshot).map_err(|e| e.to_string())?;
             // Daemon-side retry: the trip must come from the
@@ -789,7 +801,12 @@ impl Daemon {
                                     &[("queued_ms", Field::U(queued_ms))],
                                 );
                                 if let Some(t) = &self.trace {
-                                    t.instant("expired", &item.request.id);
+                                    t.instant(
+                                        CONTROL_LANE,
+                                        "expired",
+                                        "daemon",
+                                        Some(&item.request.id),
+                                    );
                                 }
                                 expired_response(&item.request.id, queued_ms)
                             }
@@ -861,7 +878,7 @@ impl Daemon {
                                 ],
                             );
                             if let Some(t) = &self.trace {
-                                t.instant("drain", &id);
+                                t.instant(CONTROL_LANE, "drain", "daemon", Some(&id));
                             }
                             write_line(&self.drain_ack(&id, queue.depth(), queue.in_flight()));
                         }
@@ -907,7 +924,7 @@ impl Daemon {
                                         &[("retry_after_ms", Field::U(retry_after_ms))],
                                     );
                                     if let Some(t) = &self.trace {
-                                        t.instant("shed", &id);
+                                        t.instant(CONTROL_LANE, "shed", "daemon", Some(&id));
                                     }
                                     write_line(&overloaded_response(&id, retry_after_ms));
                                 }
@@ -966,11 +983,6 @@ impl Daemon {
         let _ = std::fs::remove_file(path);
         Ok(())
     }
-}
-
-/// Microseconds of a `Duration`, saturating.
-fn duration_us(d: Duration) -> u64 {
-    d.as_micros().min(u64::MAX as u128) as u64
 }
 
 /// Per-request stage wall times filled by [`Daemon::handle_eco`] and
@@ -1093,7 +1105,7 @@ pub fn run_cli(args: &[String]) -> u8 {
     let mut socket: Option<String> = None;
     let mut log_jsonl: Option<String> = None;
     let mut log_level = Level::Info;
-    let mut log_rotate_bytes = crate::telemetry::DEFAULT_LOG_ROTATE_BYTES;
+    let mut log_rotate_bytes = crate::journal::DEFAULT_LOG_ROTATE_BYTES;
     let mut trace_out: Option<String> = None;
     let mut i = 0;
     let parse_num = |args: &[String], i: usize, flag: &str| -> Result<u64, String> {
@@ -1254,7 +1266,7 @@ pub fn run_cli(args: &[String]) -> u8 {
     let trace = match &trace_out {
         None => None,
         Some(path) => match std::fs::File::create(path) {
-            Ok(file) => Some(TraceAggregator::new(Box::new(io::BufWriter::new(file)))),
+            Ok(file) => Some(ChromeTrace::new(Box::new(io::BufWriter::new(file)))),
             Err(e) => {
                 eprintln!("eco_patchd: cannot open trace {path}: {e}");
                 return 1;

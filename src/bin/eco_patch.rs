@@ -41,13 +41,13 @@
 //! cancelled.
 
 use eco_patch::core::trace::{
-    check_span_integrity, render_journal_report, render_report, summarize_journal, summarize_trace,
-    ChromeTraceObserver, JsonlTraceObserver,
+    check_span_integrity, render_report, summarize_trace, ChromeTrace, JsonlTraceObserver,
 };
 use eco_patch::core::{
     detect_targets, netlist_patches, patched_netlist, DetectOptions, EcoEngine, EcoError, EcoEvent,
     EcoObserver, EcoOptions, EcoProblem, SupportMethod, TargetDisposition, TripReason,
 };
+use eco_patch::daemon::journal::{render_journal_report, summarize_journal};
 use eco_patch::netlist::{parse_verilog, WeightTable};
 use std::fs::File;
 use std::io::BufWriter;
@@ -274,31 +274,28 @@ impl EcoObserver for ProgressObserver {
     }
 }
 
-/// The trace observer attached to the engine for `--trace-out`, kept
-/// as a typed handle so the file can be finished after the run.
+/// The trace writer attached to the engine for `--trace-out`, kept as
+/// a typed handle so the file can be finished after the run.
 enum TraceSink {
     Jsonl(Arc<Mutex<JsonlTraceObserver<BufWriter<File>>>>),
-    Chrome(Arc<Mutex<ChromeTraceObserver<BufWriter<File>>>>),
+    Chrome(ChromeTrace),
 }
 
 impl TraceSink {
-    /// Recovers the observer from the engine-shared `Arc`, finishes the
-    /// trace document, and flushes the file.
+    /// Finishes the trace document and flushes the file.
     fn finish(self) -> std::io::Result<()> {
-        use std::io::Write;
-        let mut writer = match self {
-            TraceSink::Jsonl(obs) => Arc::try_unwrap(obs)
-                .unwrap_or_else(|_| panic!("engine dropped; trace observer no longer shared"))
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .finish()?,
-            TraceSink::Chrome(obs) => Arc::try_unwrap(obs)
-                .unwrap_or_else(|_| panic!("engine dropped; trace observer no longer shared"))
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .finish()?,
-        };
-        writer.flush()
+        match self {
+            TraceSink::Jsonl(obs) => {
+                use std::io::Write;
+                Arc::try_unwrap(obs)
+                    .unwrap_or_else(|_| panic!("engine dropped; trace observer no longer shared"))
+                    .into_inner()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .finish()?
+                    .flush()
+            }
+            TraceSink::Chrome(trace) => trace.finish(),
+        }
     }
 }
 
@@ -483,18 +480,14 @@ fn run(args: Args) -> Result<u8, CliError> {
         let writer = BufWriter::new(file);
         let sink = match args.trace_format {
             TraceFormat::Jsonl => {
-                TraceSink::Jsonl(Arc::new(Mutex::new(JsonlTraceObserver::new(writer))))
+                let obs = Arc::new(Mutex::new(JsonlTraceObserver::new(writer)));
+                engine = engine.with_shared_observer(obs.clone());
+                TraceSink::Jsonl(obs)
             }
             TraceFormat::Chrome => {
-                TraceSink::Chrome(Arc::new(Mutex::new(ChromeTraceObserver::new(writer))))
-            }
-        };
-        engine = match &sink {
-            TraceSink::Jsonl(obs) => {
-                engine.with_shared_observer(obs.clone() as Arc<Mutex<dyn EcoObserver + Send>>)
-            }
-            TraceSink::Chrome(obs) => {
-                engine.with_shared_observer(obs.clone() as Arc<Mutex<dyn EcoObserver + Send>>)
+                let trace = ChromeTrace::new(Box::new(writer));
+                engine = engine.with_observer(trace.observer(trace.open_lane(), None));
+                TraceSink::Chrome(trace)
             }
         };
         trace_sink = Some(sink);

@@ -722,8 +722,8 @@ fn observability_session_metrics_journal_and_trace_agree() {
 
     // The journal reconstructs the same counts, event by event.
     let journal_text = std::fs::read_to_string(&journal_path).expect("journal written");
-    let journal =
-        eco_patch::core::trace::summarize_journal(&journal_text).expect("journal is valid JSONL");
+    let journal = eco_patch::daemon::journal::summarize_journal(&journal_text)
+        .expect("journal is valid JSONL");
     assert_eq!(journal.shed, 1, "{journal_text}");
     assert_eq!(journal.expired, 1);
     assert_eq!(journal.panicked, 1);

@@ -6,8 +6,9 @@ use eco_patch::aig::Aig;
 use eco_patch::core::json::{parse_json, JsonValue};
 use eco_patch::core::{
     BudgetMetrics, CacheCounters, ClassesCounters, EcoEngine, EcoEvent, EcoObserver, EcoOptions,
-    EcoProblem, KindMetrics, PatchKind, Phase, PhaseMetrics, RunMetrics, SatCallKind,
+    EcoProblem, Histogram, KindMetrics, PatchKind, Phase, PhaseMetrics, RunMetrics, SatCallKind,
     SatCallMetrics, ServingCounters, SupportMethod, SweepCounters, TargetMetrics, WorkerMetrics,
+    HISTOGRAM_BUCKETS,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -230,10 +231,24 @@ fn metrics_observer_reconciles_with_reports() {
     }
     let total_by_kind: u64 = metrics.sat_calls.by_kind.iter().map(|k| k.calls).sum();
     assert_eq!(total_by_kind, metrics.sat_calls.total);
-    let histogram_total: u64 = metrics.sat_calls.conflict_histogram.iter().sum();
-    assert_eq!(histogram_total, metrics.sat_calls.total);
-    let latency_total: u64 = metrics.sat_calls.latency_histogram.iter().sum();
-    assert_eq!(latency_total, metrics.sat_calls.total);
+    assert_eq!(
+        metrics.sat_calls.conflict_histogram.count(),
+        metrics.sat_calls.total
+    );
+    assert_eq!(
+        metrics.sat_calls.latency_histogram.count(),
+        metrics.sat_calls.total
+    );
+    // The run-level histograms are the bucket-wise sums of the per-kind
+    // ones.
+    let mut conflicts = Histogram::default();
+    let mut latency = Histogram::default();
+    for k in &metrics.sat_calls.by_kind {
+        conflicts.merge(&k.conflict_histogram);
+        latency.merge(&k.latency_histogram);
+    }
+    assert_eq!(conflicts, metrics.sat_calls.conflict_histogram);
+    assert_eq!(latency, metrics.sat_calls.latency_histogram);
     let time_by_kind: Duration = metrics.sat_calls.by_kind.iter().map(|k| k.time).sum();
     assert_eq!(time_by_kind, metrics.sat_calls.time);
     assert_eq!(metrics.phases.len(), Phase::ALL.len());
@@ -345,28 +360,37 @@ fn run_metrics_totals_are_jobs_invariant() {
     }
 }
 
+/// A histogram holding `values`.
+fn histogram(values: &[u64]) -> Histogram {
+    let mut h = Histogram::default();
+    for &v in values {
+        h.record(v);
+    }
+    h
+}
+
 fn golden_metrics() -> RunMetrics {
     let mut by_kind = [KindMetrics::default(); 8];
     by_kind[SatCallKind::Support.index()] = KindMetrics {
         calls: 2,
         conflicts: 4,
         time: Duration::from_micros(50),
-        conflict_histogram: [1, 1, 0, 0, 0, 0, 0, 0],
-        latency_histogram: [0, 2, 0, 0, 0, 0, 0, 0],
+        conflict_histogram: histogram(&[0, 4]),
+        latency_histogram: histogram(&[20, 30]),
     };
     by_kind[SatCallKind::Minimize.index()] = KindMetrics {
         calls: 1,
         conflicts: 3,
         time: Duration::from_micros(30),
-        conflict_histogram: [0, 1, 0, 0, 0, 0, 0, 0],
-        latency_histogram: [0, 1, 0, 0, 0, 0, 0, 0],
+        conflict_histogram: histogram(&[3]),
+        latency_histogram: histogram(&[30]),
     };
     by_kind[SatCallKind::Cec.index()] = KindMetrics {
         calls: 1,
         conflicts: 2,
         time: Duration::from_micros(10),
-        conflict_histogram: [0, 1, 0, 0, 0, 0, 0, 0],
-        latency_histogram: [1, 0, 0, 0, 0, 0, 0, 0],
+        conflict_histogram: histogram(&[2]),
+        latency_histogram: histogram(&[10]),
     };
     RunMetrics {
         request_id: Some("req-7".to_string()),
@@ -401,8 +425,8 @@ fn golden_metrics() -> RunMetrics {
             conflicts: 7,
             elapsed: Duration::from_micros(100),
             sat_time: Duration::from_micros(80),
-            conflict_histogram: [1, 2, 0, 0, 0, 0, 0, 0],
-            latency_histogram: [0, 3, 0, 0, 0, 0, 0, 0],
+            conflict_histogram: histogram(&[0, 4, 3]),
+            latency_histogram: histogram(&[20, 30, 30]),
         }],
         sat_calls: SatCallMetrics {
             total: 4,
@@ -411,8 +435,8 @@ fn golden_metrics() -> RunMetrics {
             propagations: 6,
             time: Duration::from_micros(90),
             by_kind,
-            conflict_histogram: [1, 3, 0, 0, 0, 0, 0, 0],
-            latency_histogram: [1, 3, 0, 0, 0, 0, 0, 0],
+            conflict_histogram: histogram(&[0, 4, 3, 2]),
+            latency_histogram: histogram(&[20, 30, 30, 10]),
         },
         budget: Some(BudgetMetrics {
             per_call_conflicts: 1000,
@@ -446,18 +470,18 @@ fn golden_metrics() -> RunMetrics {
 #[test]
 fn run_metrics_golden_json() {
     const ZERO_KIND: &str = "{\"calls\":0,\"conflicts\":0,\"time_us\":0,\
-                             \"conflict_histogram\":[0,0,0,0,0,0,0,0],\
-                             \"latency_histogram\":[0,0,0,0,0,0,0,0]}";
+                             \"conflict_histogram\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],\
+                             \"latency_histogram\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}";
     let expected = format!(
         concat!(
-            "{{\"schema_version\":9,\"request_id\":\"req-7\",",
+            "{{\"schema_version\":10,\"request_id\":\"req-7\",",
             "\"num_targets\":1,\"per_call_conflicts\":1000,",
             "\"jobs\":2,\"elapsed_us\":1234,",
             "\"phases\":[{{\"phase\":\"sufficiency_check\",\"elapsed_us\":10}}],",
             "\"targets\":[{{\"target_index\":0,\"sat_calls\":3,\"observed_sat_calls\":3,",
             "\"conflicts\":7,\"elapsed_us\":100,\"sat_time_us\":80,",
-            "\"conflict_histogram\":[1,2,0,0,0,0,0,0],",
-            "\"latency_histogram\":[0,3,0,0,0,0,0,0]}}],",
+            "\"conflict_histogram\":[1,0,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],",
+            "\"latency_histogram\":[0,0,0,0,1,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}}],",
             "\"workers\":[{{\"worker\":0,\"targets\":0,\"sat_calls\":1,\"conflicts\":2,",
             "\"sat_time_us\":10}},",
             "{{\"worker\":1,\"targets\":1,\"sat_calls\":3,\"conflicts\":7,",
@@ -466,18 +490,18 @@ fn run_metrics_golden_json() {
             "\"time_us\":90,\"by_kind\":{{",
             "\"qbf\":{z},",
             "\"support\":{{\"calls\":2,\"conflicts\":4,\"time_us\":50,",
-            "\"conflict_histogram\":[1,1,0,0,0,0,0,0],",
-            "\"latency_histogram\":[0,2,0,0,0,0,0,0]}},",
+            "\"conflict_histogram\":[1,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],",
+            "\"latency_histogram\":[0,0,0,0,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}},",
             "\"minimize\":{{\"calls\":1,\"conflicts\":3,\"time_us\":30,",
-            "\"conflict_histogram\":[0,1,0,0,0,0,0,0],",
-            "\"latency_histogram\":[0,1,0,0,0,0,0,0]}},",
+            "\"conflict_histogram\":[0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],",
+            "\"latency_histogram\":[0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}},",
             "\"cube_enumeration\":{z},\"sat_prune_search\":{z},\"cegar_min\":{z},",
             "\"refinement\":{z},",
             "\"cec\":{{\"calls\":1,\"conflicts\":2,\"time_us\":10,",
-            "\"conflict_histogram\":[0,1,0,0,0,0,0,0],",
-            "\"latency_histogram\":[1,0,0,0,0,0,0,0]}}}},",
-            "\"conflict_histogram\":[1,3,0,0,0,0,0,0],",
-            "\"latency_histogram\":[1,3,0,0,0,0,0,0]}},",
+            "\"conflict_histogram\":[0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],",
+            "\"latency_histogram\":[0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}}}},",
+            "\"conflict_histogram\":[1,1,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],",
+            "\"latency_histogram\":[0,0,0,1,1,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}},",
             "\"budget\":{{\"per_call_conflicts\":1000,\"max_fraction\":0.500000,",
             "\"mean_fraction\":0.250000}},",
             "\"counters\":{{\"qbf_refinements\":1,\"quantification_refinements\":2,",
@@ -496,11 +520,11 @@ fn run_metrics_golden_json() {
 }
 
 #[test]
-fn run_metrics_v9_round_trips_through_parser() {
+fn run_metrics_v10_round_trips_through_parser() {
     let metrics = golden_metrics();
-    let doc = parse_json(&metrics.to_json()).expect("schema v9 output is valid JSON");
+    let doc = parse_json(&metrics.to_json()).expect("schema v10 output is valid JSON");
     let u = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_u64);
-    assert_eq!(u(&doc, "schema_version"), Some(9));
+    assert_eq!(u(&doc, "schema_version"), Some(10));
     let serving = doc.get("serving").expect("serving counters object");
     assert_eq!(u(serving, "retried"), Some(10));
     let sweep = doc.get("sweep").expect("sweep counters object");
@@ -541,13 +565,12 @@ fn run_metrics_v9_round_trips_through_parser() {
             "{}",
             kind.name()
         );
-        let lat: u64 = entry
+        let buckets = entry
             .get("latency_histogram")
             .and_then(JsonValue::as_array)
-            .expect("latency histogram")
-            .iter()
-            .filter_map(JsonValue::as_u64)
-            .sum();
+            .expect("latency histogram");
+        assert_eq!(buckets.len(), HISTOGRAM_BUCKETS);
+        let lat: u64 = buckets.iter().filter_map(JsonValue::as_u64).sum();
         assert_eq!(
             lat,
             calls,

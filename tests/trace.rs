@@ -5,9 +5,11 @@
 use eco_patch::aig::Aig;
 use eco_patch::core::json::parse_json;
 use eco_patch::core::trace::{
-    check_span_integrity, render_report, summarize_trace, ChromeTraceObserver, JsonlTraceObserver,
+    check_span_integrity, render_report, summarize_trace, ChromeTrace, JsonlTraceObserver,
 };
 use eco_patch::core::{EcoEngine, EcoObserver, EcoOptions, EcoProblem, RunMetrics};
+use std::collections::HashSet;
+use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 fn multi_target_problem() -> EcoProblem {
@@ -135,21 +137,35 @@ fn top_calls_are_sorted_and_bounded() {
     }
 }
 
+/// A `Write` sink the test reads back after the trace took ownership
+/// of it.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().expect("no poison").extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 #[test]
 fn chrome_trace_is_balanced_and_loadable() {
-    let sink = Arc::new(Mutex::new(ChromeTraceObserver::new(Vec::new())));
+    // The document the CLI writes for `--trace-format chrome`: one
+    // observer on one lane, no request id.
+    let buf = SharedBuf::default();
+    let trace = ChromeTrace::new(Box::new(buf.clone()));
     let engine = EcoEngine::new(EcoOptions::builder().build().expect("valid options"))
-        .with_shared_observer(sink.clone() as Arc<Mutex<dyn EcoObserver + Send>>);
-    engine
+        .with_metrics()
+        .with_observer(trace.observer(trace.open_lane(), None));
+    let outcome = engine
         .solve(&multi_target_problem().snapshot())
         .expect("engine run");
-    drop(engine);
-    let observer = Arc::try_unwrap(sink)
-        .unwrap_or_else(|_| panic!("engine dropped"))
-        .into_inner()
-        .expect("no poison");
-    let bytes = observer.finish().expect("no io error on Vec sink");
-    let text = String::from_utf8(bytes).expect("utf8 trace");
+    trace.finish().expect("no io error on Vec sink");
+    let text = String::from_utf8(buf.0.lock().expect("no poison").clone()).expect("utf8 trace");
 
     let value = parse_json(&text).expect("chrome trace is one JSON document");
     let events = value
@@ -173,4 +189,19 @@ fn chrome_trace_is_balanced_and_loadable() {
     }
     assert_eq!(depth, 0, "every B span must close");
     assert!(complete > 0, "SAT calls must appear as X events");
+    let blocks: HashSet<&str> = events
+        .iter()
+        .filter(|ev| ev.get("ph").and_then(|v| v.as_str()) == Some("X"))
+        .filter_map(|ev| ev.get("name").and_then(|v| v.as_str()))
+        .collect();
+    let metrics = outcome.metrics.expect("with_metrics was set");
+    assert!(!metrics.phases.is_empty());
+    for phase in &metrics.phases {
+        assert!(
+            blocks.contains(phase.phase.name()),
+            "finished phase {} must be an X block: {blocks:?}",
+            phase.phase.name()
+        );
+    }
+    assert!(blocks.contains("run"), "the run must be an X block");
 }
