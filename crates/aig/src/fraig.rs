@@ -27,9 +27,9 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// stored column-wise: 64 patterns per word, one word stream per input.
 ///
 /// The pool starts from seeded pseudo-random words (the same seed
-/// always produces the same pool, keeping swept runs reproducible at
-/// any `--jobs` count) and grows by appending concrete counterexample
-/// patterns from failed sweep proofs.
+/// always produces the same pool, keeping swept runs reproducible)
+/// and grows by appending concrete counterexample patterns from failed
+/// sweep proofs.
 #[derive(Clone, Debug)]
 pub struct PatternPool {
     num_inputs: usize,

@@ -4,14 +4,14 @@
 //!
 //! ```text
 //! perf_snapshot [--scale F] [--iters N] [--units N] [--unit NAME]
-//!               [--jobs N] [--out DIR]
+//!               [--out DIR]
 //! ```
 //!
 //! One record per (unit, method): mean/min wall time plus the key
 //! `RunMetrics` v3 counters (SAT calls, conflicts, solver µs), so perf
 //! regressions are attributable to solver work vs. engine overhead.
 
-use eco_bench::run_method_jobs;
+use eco_bench::run_method;
 use eco_benchgen::{build_unit, table1_units};
 use eco_core::json::escape_json;
 use eco_core::{duration_us, SupportMethod};
@@ -23,7 +23,6 @@ struct Config {
     iters: usize,
     units: usize,
     unit: Option<String>,
-    jobs: usize,
     out_dir: String,
 }
 
@@ -33,7 +32,6 @@ fn parse_config() -> Result<Config, String> {
         iters: 2,
         units: usize::MAX,
         unit: None,
-        jobs: 1,
         out_dir: ".".to_string(),
     };
     let mut it = std::env::args().skip(1);
@@ -58,25 +56,17 @@ fn parse_config() -> Result<Config, String> {
                     .map_err(|_| "--units expects an integer".to_string())?
             }
             "--unit" => config.unit = Some(value("--unit")?),
-            "--jobs" => {
-                config.jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|_| "--jobs expects an integer".to_string())?
-            }
             "--out" => config.out_dir = value("--out")?,
             other => {
                 return Err(format!(
                     "unknown flag {other:?}\nusage: perf_snapshot [--scale F] \
-                     [--iters N] [--units N] [--unit NAME] [--jobs N] [--out DIR]"
+                     [--iters N] [--units N] [--unit NAME] [--out DIR]"
                 ))
             }
         }
     }
     if config.iters == 0 {
         return Err("--iters must be at least 1".to_string());
-    }
-    if config.jobs == 0 {
-        return Err("--jobs must be at least 1".to_string());
     }
     Ok(config)
 }
@@ -106,7 +96,7 @@ fn main() {
             let mut min = Duration::MAX;
             let mut last = None;
             for _ in 0..config.iters {
-                let r = run_method_jobs(&problem, method, Some(500_000), config.jobs);
+                let r = run_method(&problem, method, Some(500_000));
                 total += r.time;
                 min = min.min(r.time);
                 last = Some(r);
@@ -152,8 +142,8 @@ fn main() {
     let mut json = String::new();
     let _ = write!(
         json,
-        "{{\"schema_version\":1,\"suite\":\"table1\",\"scale\":{},\"iters\":{},\"jobs\":{},\"cases\":[",
-        config.scale, config.iters, config.jobs
+        "{{\"schema_version\":1,\"suite\":\"table1\",\"scale\":{},\"iters\":{},\"cases\":[",
+        config.scale, config.iters
     );
     json.push_str(&cases.join(","));
     json.push_str("]}\n");

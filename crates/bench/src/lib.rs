@@ -50,16 +50,6 @@ pub struct Table1Row {
 
 /// Engine options for one of the paper's three method columns.
 pub fn options_for(method: SupportMethod, per_call_conflicts: Option<u64>) -> EcoOptions {
-    options_for_jobs(method, per_call_conflicts, 1)
-}
-
-/// [`options_for`] with a worker count for the engine's parallel
-/// backend (`jobs = 1` reproduces the sequential configuration).
-pub fn options_for_jobs(
-    method: SupportMethod,
-    per_call_conflicts: Option<u64>,
-    jobs: usize,
-) -> EcoOptions {
     EcoOptions::builder()
         .method(method)
         .cegar_min(method == SupportMethod::SatPrune)
@@ -68,7 +58,6 @@ pub fn options_for_jobs(
             max_iterations: 400,
             per_call_conflicts: per_call_conflicts.map(|c| (c / 4).max(1)),
         })
-        .jobs(jobs)
         .build()
         .expect("bench options are valid")
 }
@@ -80,18 +69,7 @@ pub fn run_method(
     method: SupportMethod,
     per_call_conflicts: Option<u64>,
 ) -> MethodResult {
-    run_method_jobs(problem, method, per_call_conflicts, 1)
-}
-
-/// [`run_method`] with a worker count; patches and metric totals are
-/// jobs-invariant, so only the wall-clock column should move.
-pub fn run_method_jobs(
-    problem: &EcoProblem,
-    method: SupportMethod,
-    per_call_conflicts: Option<u64>,
-    jobs: usize,
-) -> MethodResult {
-    let engine = EcoEngine::new(options_for_jobs(method, per_call_conflicts, jobs)).with_metrics();
+    let engine = EcoEngine::new(options_for(method, per_call_conflicts)).with_metrics();
     let t = std::time::Instant::now();
     match engine.solve(&problem.snapshot()) {
         Ok(out) => MethodResult {
@@ -118,23 +96,13 @@ pub fn run_method_jobs(
 
 /// Runs all three methods on one unit.
 pub fn run_unit(unit: &UnitSpec, problem: &EcoProblem, budget: Option<u64>) -> Table1Row {
-    run_unit_jobs(unit, problem, budget, 1)
-}
-
-/// [`run_unit`] with a worker count for all three method columns.
-pub fn run_unit_jobs(
-    unit: &UnitSpec,
-    problem: &EcoProblem,
-    budget: Option<u64>,
-    jobs: usize,
-) -> Table1Row {
     Table1Row {
         unit: unit.clone(),
         impl_gates: problem.implementation.num_ands(),
         spec_gates: problem.specification.num_ands(),
-        baseline: run_method_jobs(problem, SupportMethod::AnalyzeFinal, budget, jobs),
-        minimized: run_method_jobs(problem, SupportMethod::MinimizeAssumptions, budget, jobs),
-        pruned: run_method_jobs(problem, SupportMethod::SatPrune, budget, jobs),
+        baseline: run_method(problem, SupportMethod::AnalyzeFinal, budget),
+        minimized: run_method(problem, SupportMethod::MinimizeAssumptions, budget),
+        pruned: run_method(problem, SupportMethod::SatPrune, budget),
     }
 }
 

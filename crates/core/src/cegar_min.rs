@@ -57,33 +57,10 @@ pub fn cegar_min(
     bindings: &[AigLit],
     per_call_conflicts: Option<u64>,
 ) -> Result<CegarMinResult, EcoError> {
-    cegar_min_filtered(
-        implementation,
-        weight,
-        &|_| true,
-        patch,
-        bindings,
-        per_call_conflicts,
-    )
-}
-
-/// Like [`cegar_min`] but only implementation nodes passing `eligible`
-/// may become support signals. The multi-target engine uses this to
-/// exclude the transitive fanout of still-unpatched targets, whose
-/// functions are not yet final.
-#[allow(clippy::too_many_arguments)]
-pub fn cegar_min_filtered(
-    implementation: &Aig,
-    weight: &dyn Fn(NodeId) -> u64,
-    eligible: &dyn Fn(NodeId) -> bool,
-    patch: &Aig,
-    bindings: &[AigLit],
-    per_call_conflicts: Option<u64>,
-) -> Result<CegarMinResult, EcoError> {
     cegar_min_observed(
         implementation,
         weight,
-        eligible,
+        &|_| true,
         patch,
         bindings,
         per_call_conflicts,
@@ -94,7 +71,10 @@ pub fn cegar_min_filtered(
     )
 }
 
-/// [`cegar_min_filtered`] with event emission: equivalence queries
+/// [`cegar_min`] with event emission and an `eligible` filter: only
+/// implementation nodes passing it may become support signals (the
+/// engine excludes the transitive fanout of still-unpatched targets,
+/// whose functions are not yet final). Equivalence queries
 /// report as [`SatCallKind::CegarMin`] attributed to `target_index`,
 /// and the completed round as [`EcoEvent::CegarMinRound`].
 ///

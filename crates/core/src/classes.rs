@@ -90,7 +90,7 @@ pub(crate) struct EquivClasses {
 impl EquivClasses {
     /// Builds the class layer for one quantified miter and its divisor
     /// list, seeding the pattern pool deterministically (identical
-    /// inputs produce an identical layer at any `--jobs` count).
+    /// inputs produce an identical layer).
     pub(crate) fn build(qm: &QuantifiedMiter, divisors: &[NodeId], seed: u64) -> EquivClasses {
         let x_count = qm.x_inputs.len();
         let divisor_lits: Vec<AigLit> = divisors.iter().map(|d| qm.impl_map[d.index()]).collect();

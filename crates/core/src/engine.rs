@@ -112,14 +112,6 @@ pub struct EcoOptions {
     /// [`EcoOptions::per_call_conflicts`] (the historical behavior is
     /// the default factor of 8).
     pub verify_budget_factor: u64,
-    /// Worker threads for the parallel backend (`1` = fully
-    /// sequential; `0` is treated as `1`). The *algorithm* — which
-    /// targets are batched, which assignments each subproblem sees,
-    /// per-call budgets, verification sweep partitioning — is identical
-    /// at every value; only thread placement changes, so patches,
-    /// dispositions, and run-level metric totals are invariant across
-    /// `jobs` (worker attribution and wall-clock times are not).
-    pub jobs: usize,
 }
 
 impl Default for EcoOptions {
@@ -144,7 +136,6 @@ impl Default for EcoOptions {
             fault_plan: None,
             degraded_retry: true,
             verify_budget_factor: 8,
-            jobs: 1,
         }
     }
 }
@@ -298,25 +289,13 @@ impl EcoOptionsBuilder {
         self
     }
 
-    /// Sets the worker-thread count for the parallel backend.
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.options.jobs = jobs;
-        self
-    }
-
     /// Finalizes the options, validating cross-field invariants.
     ///
     /// # Errors
     ///
-    /// Returns [`EcoError::InvalidProblem`] when `jobs == 0` (the work
-    /// pool needs at least one worker) or when the deadline is zero
+    /// Returns [`EcoError::InvalidProblem`] when the deadline is zero
     /// (every run would trip it before doing any work).
     pub fn build(self) -> Result<EcoOptions, EcoError> {
-        if self.options.jobs == 0 {
-            return Err(EcoError::InvalidProblem {
-                message: "jobs must be at least 1 (0 workers cannot make progress)".to_string(),
-            });
-        }
         if self.options.timeout == Some(Duration::ZERO) {
             return Err(EcoError::InvalidProblem {
                 message: "timeout must be positive (a zero deadline trips before any work)"
@@ -520,11 +499,6 @@ impl EcoEngine {
     /// engines to share it across runs (the daemon does exactly this
     /// across requests). Cached artifacts are keyed by the full content
     /// of what they depend on, so hits return byte-identical results.
-    ///
-    /// Cache reuse across runs is deterministic at `jobs == 1`; at
-    /// higher job counts the racing ladder may populate the CNF layer
-    /// in a thread-dependent order, so byte-stable *event streams*
-    /// across warm runs are only guaranteed single-threaded.
     pub fn with_cache(mut self, cache: EcoCache) -> EcoEngine {
         self.cache = Some(cache);
         self
@@ -594,11 +568,70 @@ impl EcoEngine {
     pub fn solve(&self, snapshot: &ProblemSnapshot) -> Result<EcoOutcome, EcoError> {
         let t0 = Instant::now();
         let problem: &EcoProblem = snapshot.problem();
-        let opts = &self.options;
+        let governor = self.run_governor();
+        let gov = governor.as_ref();
+        let mut trips = TripLog::default();
+        let (obs, metrics_sink) = self.run_observers();
+        obs.emit(|| EcoEvent::RunStarted {
+            num_targets: problem.targets.len(),
+            per_call_conflicts: self.options.per_call_conflicts,
+        });
+        if let Some(request_id) = &self.request_id {
+            obs.emit(|| EcoEvent::RequestTagged {
+                request_id: request_id.clone(),
+            });
+        }
 
-        // An explicit governor wins; otherwise build one from the
-        // options, or run ungoverned when no limit is configured.
-        let governor: Option<ResourceGovernor> = self.governor.clone().or_else(|| {
+        let certificates = in_phase(&obs, Phase::SufficiencyCheck, || {
+            self.sufficiency_check(problem, gov, &mut trips, &obs)
+        })?;
+        let window = in_phase(&obs, Phase::Windowing, || Ok(self.windowed(snapshot, &obs)))?;
+        let generated = in_phase(&obs, Phase::PatchGeneration, || {
+            self.generate_patches(
+                problem,
+                &window,
+                certificates.as_deref(),
+                gov,
+                &mut trips,
+                &obs,
+            )
+        })?;
+        let verified = in_phase(&obs, Phase::Verification, || {
+            self.verify(&generated, &problem.specification, gov, &mut trips, &obs)
+        })?;
+
+        obs.emit(|| EcoEvent::RunFinished {
+            elapsed: t0.elapsed(),
+        });
+        let metrics =
+            metrics_sink.and_then(|sink| sink.lock().ok().map(|guard| guard.metrics().clone()));
+        let Generated {
+            work,
+            reports,
+            applied,
+            ..
+        } = generated;
+        Ok(EcoOutcome {
+            patched_implementation: work.implementation,
+            total_cost: reports.iter().map(|r| r.cost).sum(),
+            total_gates: reports.iter().map(|r| r.gates).sum(),
+            reports,
+            verified,
+            elapsed: t0.elapsed(),
+            qbf_certificates: certificates.as_ref().map_or(0, Vec::len),
+            patches: applied,
+            metrics,
+            governor_trip: gov.and_then(ResourceGovernor::trip),
+            fault_injections: gov.map_or(0, ResourceGovernor::fault_injections),
+        })
+    }
+
+    /// The run's governor: an explicit one wins; otherwise one is built
+    /// from the options, or the run is ungoverned when no limit is
+    /// configured.
+    fn run_governor(&self) -> Option<ResourceGovernor> {
+        let opts = &self.options;
+        self.governor.clone().or_else(|| {
             (opts.timeout.is_some()
                 || opts.global_conflicts.is_some()
                 || opts.global_propagations.is_some()
@@ -611,115 +644,92 @@ impl EcoEngine {
                     fault_plan: opts.fault_plan.clone(),
                 })
             })
-        });
-        let gov = governor.as_ref();
-        let mut trips = TripLog::default();
+        })
+    }
 
+    /// The run's observer handle, plus the internal metrics aggregator
+    /// when [`EcoEngine::with_metrics`] asked for one.
+    fn run_observers(&self) -> (ObserverHandle, Option<Arc<Mutex<MetricsObserver>>>) {
         let mut sinks = self.observers.clone();
-        let metrics_sink = if self.collect_metrics {
+        let metrics_sink = self.collect_metrics.then(|| {
             let sink = Arc::new(Mutex::new(MetricsObserver::new()));
             sinks.push(sink.clone() as Arc<Mutex<dyn EcoObserver + Send>>);
-            Some(sink)
-        } else {
-            None
-        };
-        let obs = ObserverHandle::new(sinks);
-        let jobs = opts.jobs.max(1);
-        obs.emit(|| EcoEvent::RunStarted {
-            num_targets: problem.targets.len(),
-            per_call_conflicts: opts.per_call_conflicts,
-            jobs,
+            sink
         });
-        if let Some(request_id) = &self.request_id {
-            obs.emit(|| EcoEvent::RequestTagged {
-                request_id: request_id.clone(),
-            });
-        }
+        (ObserverHandle::new(sinks), metrics_sink)
+    }
 
-        // Phase 1: verify the target set is sufficient (Sec. 3.2).
-        obs.emit(|| EcoEvent::PhaseStarted {
-            phase: Phase::SufficiencyCheck,
-        });
-        let phase_t = Instant::now();
-        let certificates: Option<Vec<Vec<bool>>> = match check_targets_sufficient_observed(
+    /// Phase 1: verifies the target set is sufficient (Sec. 3.2) and
+    /// returns the QBF certificates, or `None` when the check ran out
+    /// of resources and the structural fallback lets the run assume
+    /// solvability (final verification guards).
+    fn sufficiency_check(
+        &self,
+        problem: &EcoProblem,
+        gov: Option<&ResourceGovernor>,
+        trips: &mut TripLog,
+        obs: &ObserverHandle,
+    ) -> Result<Option<Vec<Vec<bool>>>, EcoError> {
+        let opts = &self.options;
+        match check_targets_sufficient_observed(
             problem,
             opts.qbf_max_iterations,
             opts.per_call_conflicts,
-            &obs,
+            obs,
             gov,
         ) {
-            QbfOutcome::Solvable { certificates, .. } => Some(certificates),
-            QbfOutcome::Unsolvable { witness } => {
-                return Err(EcoError::TargetsInsufficient { witness })
-            }
+            QbfOutcome::Solvable { certificates, .. } => Ok(Some(certificates)),
+            QbfOutcome::Unsolvable { witness } => Err(EcoError::TargetsInsufficient { witness }),
             QbfOutcome::Unknown => {
-                trips.note(&obs, gov);
+                trips.note(obs, gov);
                 if opts.structural_fallback {
-                    None // assume solvable; final verification guards
+                    Ok(None)
                 } else {
-                    return Err(classify_error(
+                    Err(classify_error(
                         EcoError::budget_exhausted("sufficiency check"),
                         gov,
-                    ));
+                    ))
                 }
             }
-        };
-        let qbf_certificates = certificates.as_ref().map_or(0, Vec::len);
-        obs.emit(|| EcoEvent::PhaseFinished {
-            phase: Phase::SufficiencyCheck,
-            elapsed: phase_t.elapsed(),
-        });
+        }
+    }
 
-        // Phase 2: structural pruning over the original target set
-        // (Sec. 3.3). The window is fixed for the whole run so the
-        // per-step Herbrand argument applies to one output set.
-        obs.emit(|| EcoEvent::PhaseStarted {
-            phase: Phase::Windowing,
-        });
-        let phase_t = Instant::now();
-        let window = self.windowed(snapshot, &obs);
-        obs.emit(|| EcoEvent::PhaseFinished {
-            phase: Phase::Windowing,
-            elapsed: phase_t.elapsed(),
-        });
-
-        // Incremental verification sweeps (wave 0): outputs outside the
-        // window are target-free from the start, so they can be checked
-        // against the original implementation — and, at `jobs > 1`,
-        // concurrently with the patch solves below.
-        let spec = Arc::new(problem.specification.clone());
+    /// Phase 3: patches every target (Sec. 3.1). Independent targets
+    /// are solved as a batch when their output cones are disjoint,
+    /// otherwise the head target is solved alone, in substitution
+    /// order. Outputs that no remaining target reaches are queued as
+    /// CEC chunks for [`EcoEngine::verify`].
+    fn generate_patches(
+        &self,
+        problem: &EcoProblem,
+        window: &Window,
+        certificates: Option<&[Vec<bool>]>,
+        gov: Option<&ResourceGovernor>,
+        trips: &mut TripLog,
+        obs: &ObserverHandle,
+    ) -> Result<Generated, EcoError> {
+        let opts = &self.options;
         let num_outputs = problem.implementation.num_outputs();
-        let mut sweeps = SweepQueue::default();
-        // Outputs not yet handed to a sweep wave.
+        let mut cec_chunks = Vec::new();
+        // Outputs not yet handed to a CEC chunk.
         let mut pending_outputs = vec![true; num_outputs];
-        // Enqueueing stops as soon as a target is skipped: the netlist
-        // is then inequivalent by construction and the run reports
-        // `verified == false` without spending sweep budget.
-        let mut sweeping = opts.verify;
-        if sweeping {
-            let wave0: Vec<usize> = (0..num_outputs)
+        // Queueing stops as soon as a target is skipped: the netlist is
+        // then inequivalent by construction and the run reports
+        // `verified == false` without spending CEC budget.
+        let mut checking = opts.verify;
+        if checking {
+            // Outputs outside the window are target-free from the
+            // start, so they are checked against the original
+            // implementation.
+            let free: Vec<usize> = (0..num_outputs)
                 .filter(|i| window.outputs.binary_search(i).is_err())
                 .collect();
-            for &o in &wave0 {
+            for &o in &free {
                 pending_outputs[o] = false;
             }
-            self.enqueue_sweep_wave(
-                &mut sweeps.execs,
-                problem.implementation.clone(),
-                wave0,
-                &spec,
-                opts,
-                gov,
-                &obs,
-            );
+            push_cec_chunks(&mut cec_chunks, problem.implementation.clone(), free);
         }
 
-        // Phase 3: independent targets as a batch when their output
-        // cones are disjoint, otherwise one target at a time (Sec. 3.1).
-        obs.emit(|| EcoEvent::PhaseStarted {
-            phase: Phase::PatchGeneration,
-        });
-        let phase_t = Instant::now();
         let mut work = problem.clone();
         let mut remaining_original: Vec<usize> = (0..work.targets.len()).collect();
         let mut reports: Vec<TargetPatchReport> = Vec::new();
@@ -732,13 +742,12 @@ impl EcoEngine {
         while !work.targets.is_empty() {
             // Disjoint-output targets form an independent batch: each is
             // a standalone single-target subproblem against the shared
-            // snapshot, solved concurrently at `jobs > 1` and committed
-            // in one substitution. The partition is purely structural,
-            // so it is identical at every job count.
+            // snapshot, and all are committed in one substitution.
             let batch = independent_targets(&work.implementation, &work.targets);
-            if batch.len() >= 2 {
+            let member_windows: Vec<Window>;
+            let plan: Vec<TargetPlan> = if batch.len() >= 2 {
                 let per_outputs = per_target_outputs(&work.implementation, &work.targets);
-                let member_windows: Vec<Window> = batch
+                member_windows = batch
                     .iter()
                     .map(|&pos| Window {
                         outputs: per_outputs[pos].clone(),
@@ -747,221 +756,48 @@ impl EcoEngine {
                     })
                     .collect();
                 // One arbitrary constant assignment for the other
-                // targets: none of them reaches a member's outputs, so
-                // the quantification is exact (see
-                // [`EcoEngine::solve_batch_member`]).
+                // targets. This is exact, not an approximation: none of
+                // them reaches a member's window outputs, so the
+                // quantified miter does not depend on their values.
+                // Candidate divisors exclude the union TFO of all
+                // remaining targets, so the members' patches are
+                // mutually independent.
                 let initial = vec![vec![false; work.targets.len() - 1]];
-                let mut member_results: Vec<MemberSolve> = Vec::with_capacity(batch.len());
-                if jobs > 1 {
-                    let mut sinks: Vec<Option<BufferSink>> = Vec::with_capacity(batch.len());
-                    let work_ref = &work;
-                    std::thread::scope(|s| {
-                        let mut handles = Vec::with_capacity(batch.len());
-                        for (slot, &pos) in batch.iter().enumerate() {
-                            let (member_obs, sink) = buffered_handle(obs.is_active());
-                            sinks.push(sink);
-                            let member_window = &member_windows[slot];
-                            let original_index = remaining_original[pos];
-                            let worker = slot % jobs;
-                            let member_gov = governor.clone();
-                            let initial = initial.clone();
-                            handles.push(s.spawn(move || {
-                                self.solve_batch_member(
-                                    work_ref,
-                                    member_window,
-                                    &initial,
-                                    pos,
-                                    original_index,
-                                    worker,
-                                    opts,
-                                    member_gov.as_ref(),
-                                    &member_obs,
-                                )
-                            }));
-                        }
-                        for handle in handles {
-                            member_results.push(join_worker(handle.join()));
-                        }
-                    });
-                    // Replay each member's events in slot order: one
-                    // total order, identical (up to worker ids and
-                    // timestamps) to a serial run of the same batch.
-                    for sink in sinks {
-                        replay_buffer(&obs, sink);
-                    }
-                } else {
-                    for (slot, &pos) in batch.iter().enumerate() {
-                        member_results.push(self.solve_batch_member(
-                            &work,
-                            &member_windows[slot],
-                            &initial,
-                            pos,
-                            remaining_original[pos],
-                            slot % jobs,
-                            opts,
-                            gov,
-                            &obs,
-                        ));
-                    }
-                }
-                let mut patches_by_pos: HashMap<usize, NodePatch> = HashMap::new();
-                let mut drop_positions: HashSet<usize> = HashSet::new();
-                let mut member_reports: Vec<TargetPatchReport> = Vec::new();
-                for (&pos, (ladder, spent)) in batch.iter().zip(member_results) {
-                    match ladder? {
-                        Ok((patch, report)) => {
-                            // Record the applied patch before metadata
-                            // remapping.
-                            applied.push(AppliedPatch {
-                                target_index: remaining_original[pos],
-                                aig: patch.aig.clone(),
-                                support: patch.support.clone(),
-                                original_support: patch
-                                    .support
-                                    .iter()
-                                    .map(|l| orig_of[l.node().index()])
-                                    .collect(),
-                            });
-                            patches_by_pos.insert(pos, patch);
-                            member_reports.push(report);
-                        }
-                        Err(reason) => {
-                            // Skipped: the member keeps its original
-                            // function; the failure stays isolated.
-                            reports.push(TargetPatchReport {
-                                target_index: remaining_original[pos],
-                                kind: PatchKind::Skipped,
-                                disposition: TargetDisposition::Skipped { reason },
-                                support_size: 0,
-                                cost: 0,
-                                gates: 0,
-                                cubes: None,
-                                sat_calls: spent,
-                            });
-                            drop_positions.insert(pos);
-                        }
-                    }
-                }
-                commit_patches(
-                    &mut work,
-                    &mut remaining_original,
-                    &mut orig_of,
-                    patches_by_pos,
-                    &drop_positions,
-                    &mut reports,
-                )?;
-                reports.extend(member_reports);
-                if !drop_positions.is_empty() {
-                    sweeping = false;
-                }
+                batch
+                    .iter()
+                    .zip(&member_windows)
+                    .map(|(&pos, member_window)| TargetPlan {
+                        pos,
+                        target_index: remaining_original[pos],
+                        window: member_window,
+                        assignments: initial.clone(),
+                        exact: true,
+                    })
+                    .collect()
             } else {
-                // Sequential step on the head target — the paper's
-                // substitution order, used whenever output cones
-                // overlap.
-                let original_index = remaining_original[0];
+                // The head target alone — the paper's substitution
+                // order, used whenever output cones overlap.
                 let r = work.targets.len() - 1;
                 let exact = r <= opts.exact_quantification_threshold;
-                let assignments: Vec<Vec<bool>> = if r == 0 {
-                    Vec::new()
-                } else if exact {
-                    all_assignments(r)
-                } else {
-                    let projected = project_certificates(
-                        certificates.as_deref().unwrap_or(&[]),
-                        &remaining_original[1..],
-                    );
-                    if projected.is_empty() {
-                        vec![vec![false; r]]
-                    } else {
-                        projected
-                    }
-                };
+                vec![TargetPlan {
+                    pos: 0,
+                    target_index: remaining_original[0],
+                    window,
+                    assignments: head_assignments(r, exact, certificates, &remaining_original[1..]),
+                    exact,
+                }]
+            };
 
-                let target_t = Instant::now();
-                obs.emit(|| EcoEvent::TargetStarted {
-                    target_index: original_index,
-                    worker: 0,
-                });
-                // SAT calls spent on this target so far, across failed
-                // attempts: carried into the fallback report so events
-                // and counters stay reconciled.
-                let mut spent = 0u64;
-                let solve_key = self
-                    .cache
-                    .as_ref()
-                    .map(|_| target_solve_key(&work, &window, &assignments, exact, 0, opts));
-                let cached = match (&self.cache, solve_key) {
-                    (Some(cache), Some(key)) => {
-                        let hit = cache.get_solve(key);
-                        let is_hit = hit.is_some();
-                        obs.emit(|| EcoEvent::CacheQuery {
-                            layer: CacheLayer::Target,
-                            hit: is_hit,
-                        });
-                        hit
-                    }
-                    _ => None,
-                };
-                let from_cache = cached.is_some();
-                let ladder = if let Some(cached) = cached {
-                    let mut report = cached.report;
-                    report.target_index = original_index;
-                    // Served from cache: this run spent no solver work.
-                    report.sat_calls = 0;
-                    Ok((cached.patch, report))
-                } else if jobs > 1 && opts.structural_fallback {
-                    self.patch_with_ladder_racing(
-                        &work,
-                        &window,
-                        &assignments,
-                        exact,
-                        original_index,
-                        &mut spent,
-                        opts,
-                        gov,
-                        &mut trips,
-                        &obs,
-                    )?
-                } else {
-                    self.patch_with_ladder(
-                        &work,
-                        &window,
-                        &assignments,
-                        exact,
-                        0,
-                        original_index,
-                        &mut spent,
-                        opts,
-                        gov,
-                        &mut trips,
-                        &obs,
-                    )?
-                };
-                match ladder {
+            let mut patches_by_pos: HashMap<usize, NodePatch> = HashMap::new();
+            let mut drop_positions: HashSet<usize> = HashSet::new();
+            let mut patched_reports: Vec<TargetPatchReport> = Vec::new();
+            for target in &plan {
+                match self.solve_target(&work, target, gov, trips, obs)? {
                     Ok((patch, report)) => {
-                        if !from_cache {
-                            if let (Some(cache), Some(key)) = (&self.cache, solve_key) {
-                                if solve_is_cacheable(&report, gov) {
-                                    cache.put_solve(
-                                        key,
-                                        CachedSolve {
-                                            patch: patch.clone(),
-                                            report: report.clone(),
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                        obs.emit(|| EcoEvent::TargetFinished {
-                            target_index: original_index,
-                            worker: 0,
-                            sat_calls: report.sat_calls,
-                            elapsed: target_t.elapsed(),
-                        });
                         // Record the applied patch before metadata
                         // remapping.
                         applied.push(AppliedPatch {
-                            target_index: original_index,
+                            target_index: target.target_index,
                             aig: patch.aig.clone(),
                             support: patch.support.clone(),
                             original_support: patch
@@ -970,56 +806,33 @@ impl EcoEngine {
                                 .map(|l| orig_of[l.node().index()])
                                 .collect(),
                         });
-                        let mut patches_by_pos = HashMap::new();
-                        patches_by_pos.insert(0usize, patch);
-                        commit_patches(
-                            &mut work,
-                            &mut remaining_original,
-                            &mut orig_of,
-                            patches_by_pos,
-                            &HashSet::new(),
-                            &mut reports,
-                        )?;
-                        reports.push(report);
+                        patches_by_pos.insert(target.pos, patch);
+                        patched_reports.push(report);
                     }
-                    Err(reason) => {
-                        // Skipped: leave the target's original function
-                        // in place (no substitution) and move on,
-                        // isolating the failure to this one target.
-                        reports.push(TargetPatchReport {
-                            target_index: original_index,
-                            kind: PatchKind::Skipped,
-                            disposition: TargetDisposition::Skipped { reason },
-                            support_size: 0,
-                            cost: 0,
-                            gates: 0,
-                            cubes: None,
-                            sat_calls: spent,
-                        });
-                        obs.emit(|| EcoEvent::TargetFinished {
-                            target_index: original_index,
-                            worker: 0,
-                            sat_calls: spent,
-                            elapsed: target_t.elapsed(),
-                        });
-                        let mut drop_head = HashSet::new();
-                        drop_head.insert(0usize);
-                        commit_patches(
-                            &mut work,
-                            &mut remaining_original,
-                            &mut orig_of,
-                            HashMap::new(),
-                            &drop_head,
-                            &mut reports,
-                        )?;
-                        sweeping = false;
+                    Err(skipped) => {
+                        // The target keeps its original function; the
+                        // failure stays isolated to it.
+                        reports.push(skipped);
+                        drop_positions.insert(target.pos);
                     }
                 }
             }
+            commit_patches(
+                &mut work,
+                &mut remaining_original,
+                &mut orig_of,
+                patches_by_pos,
+                &drop_positions,
+                &mut reports,
+            )?;
+            reports.extend(patched_reports);
+            if !drop_positions.is_empty() {
+                checking = false;
+            }
 
-            // Outputs no remaining target reaches are final: hand them
-            // to the verification sweeps against the current snapshot.
-            if sweeping && pending_outputs.iter().any(|&p| p) {
+            // Outputs no remaining target reaches are final: queue them
+            // against the current snapshot.
+            if checking && pending_outputs.iter().any(|&p| p) {
                 let fanouts = work.implementation.fanouts();
                 let reached = work
                     .implementation
@@ -1035,102 +848,179 @@ impl EcoEngine {
                 for &o in &freed {
                     pending_outputs[o] = false;
                 }
-                self.enqueue_sweep_wave(
-                    &mut sweeps.execs,
-                    work.implementation.clone(),
-                    freed,
-                    &spec,
-                    opts,
-                    gov,
-                    &obs,
-                );
+                push_cec_chunks(&mut cec_chunks, work.implementation.clone(), freed);
             }
         }
-
-        obs.emit(|| EcoEvent::PhaseFinished {
-            phase: Phase::PatchGeneration,
-            elapsed: phase_t.elapsed(),
-        });
-
-        // Phase 4: verification.
-        obs.emit(|| EcoEvent::PhaseStarted {
-            phase: Phase::Verification,
-        });
-        let phase_t = Instant::now();
-        // A skipped target leaves the implementation inequivalent by
-        // construction, and a hard-tripped governor has no time left:
-        // in both cases skip the check so the run still returns an
-        // anytime outcome (with `verified == false`).
-        let any_skipped = reports.iter().any(|r| !r.disposition.is_patched());
-        let hard_tripped = gov.is_some_and(|g| g.hard_trip().is_some());
-        let verified = if opts.verify && !any_skipped && !hard_tripped {
-            self.drain_sweeps(sweeps.take(), &spec, opts, gov, &obs)?
-        } else {
-            // The sweeps' verdicts can no longer matter; cancel any
-            // still running and drop their buffered events, so a run
-            // that skips verification has the same event stream at
-            // every job count.
-            discard_sweeps(sweeps.take());
-            false
-        };
-        trips.note(&obs, gov);
-        obs.emit(|| EcoEvent::PhaseFinished {
-            phase: Phase::Verification,
-            elapsed: phase_t.elapsed(),
-        });
-
-        obs.emit(|| EcoEvent::RunFinished {
-            elapsed: t0.elapsed(),
-        });
-        let metrics =
-            metrics_sink.and_then(|sink| sink.lock().ok().map(|guard| guard.metrics().clone()));
-
-        let total_cost = reports.iter().map(|r| r.cost).sum();
-        let total_gates = reports.iter().map(|r| r.gates).sum();
-        Ok(EcoOutcome {
-            patched_implementation: work.implementation,
+        Ok(Generated {
+            work,
             reports,
-            total_cost,
-            total_gates,
-            verified,
-            elapsed: t0.elapsed(),
-            qbf_certificates,
-            patches: applied,
-            metrics,
-            governor_trip: gov.and_then(ResourceGovernor::trip),
-            fault_injections: gov.map_or(0, ResourceGovernor::fault_injections),
+            applied,
+            cec_chunks,
         })
     }
 
-    /// Runs the per-target degradation ladder for `work.targets[pos]`:
-    /// full-effort SAT attempt, then (on resource exhaustion) a
-    /// reduced-effort retry, then the structural patch, then skipping
-    /// the target.
+    /// Phase 4: checks the queued CEC chunks in order. The first
+    /// counterexample aborts the run, any `Unknown` demotes it to
+    /// unverified, all-equivalent verifies it. A skipped target leaves
+    /// the implementation inequivalent by construction, and a
+    /// hard-tripped governor has no time left: in both cases the check
+    /// is skipped so the run still returns an anytime outcome (with
+    /// `verified == false`).
+    fn verify(
+        &self,
+        generated: &Generated,
+        spec: &Aig,
+        gov: Option<&ResourceGovernor>,
+        trips: &mut TripLog,
+        obs: &ObserverHandle,
+    ) -> Result<bool, EcoError> {
+        let opts = &self.options;
+        let any_skipped = generated
+            .reports
+            .iter()
+            .any(|r| !r.disposition.is_patched());
+        let hard_tripped = gov.is_some_and(|g| g.hard_trip().is_some());
+        let mut verified = opts.verify && !any_skipped && !hard_tripped;
+        if verified {
+            let budget = opts
+                .per_call_conflicts
+                .map(|c| c.saturating_mul(opts.verify_budget_factor));
+            for chunk in &generated.cec_chunks {
+                match check_outputs_equivalence_observed(
+                    &chunk.snapshot,
+                    spec,
+                    Some(&chunk.outputs),
+                    budget,
+                    obs,
+                    gov,
+                ) {
+                    CecResult::Equivalent => {}
+                    CecResult::Unknown => verified = false,
+                    CecResult::Counterexample(cex) => {
+                        return Err(EcoError::VerificationFailed {
+                            counterexample: cex,
+                        })
+                    }
+                }
+            }
+        }
+        trips.note(obs, gov);
+        Ok(verified)
+    }
+
+    /// Solves one target end to end: target-cache lookup, degradation
+    /// ladder, cache store, the `TargetStarted`/`TargetFinished` span,
+    /// and the [`TargetDisposition::Skipped`] report when every rung
+    /// failed (`Ok(Err(report))`). The outer `Err` aborts the run; no
+    /// `TargetFinished` is emitted then.
+    fn solve_target(
+        &self,
+        work: &EcoProblem,
+        target: &TargetPlan,
+        governor: Option<&ResourceGovernor>,
+        trips: &mut TripLog,
+        obs: &ObserverHandle,
+    ) -> Result<Result<(NodePatch, TargetPatchReport), TargetPatchReport>, EcoError> {
+        let target_index = target.target_index;
+        let target_t = Instant::now();
+        obs.emit(|| EcoEvent::TargetStarted { target_index });
+        let solve_key = self.cache.as_ref().map(|cache| {
+            let key = target_solve_key(
+                work,
+                target.window,
+                &target.assignments,
+                target.exact,
+                target.pos,
+                &self.options,
+            );
+            (cache, key)
+        });
+        let cached = solve_key.and_then(|(cache, key)| {
+            let hit = cache.get_solve(key);
+            obs.emit(|| EcoEvent::CacheQuery {
+                layer: CacheLayer::Target,
+                hit: hit.is_some(),
+            });
+            hit
+        });
+        // SAT calls spent on this target across failed attempts: carried
+        // into the skip report so events and counters stay reconciled.
+        let mut spent = 0u64;
+        let ladder = match cached {
+            Some(cached) => {
+                let mut report = cached.report;
+                report.target_index = target_index;
+                // Served from cache: this run spent no solver work.
+                report.sat_calls = 0;
+                Ok((cached.patch, report))
+            }
+            None => {
+                let ladder =
+                    self.patch_with_ladder(work, target, &mut spent, governor, trips, obs)?;
+                if let (Some((cache, key)), Ok((patch, report))) = (solve_key, &ladder) {
+                    if solve_is_cacheable(report, governor) {
+                        cache.put_solve(
+                            key,
+                            CachedSolve {
+                                patch: patch.clone(),
+                                report: report.clone(),
+                            },
+                        );
+                    }
+                }
+                ladder
+            }
+        };
+        let sat_calls = match &ladder {
+            Ok((_, report)) => report.sat_calls,
+            Err(_) => spent,
+        };
+        obs.emit(|| EcoEvent::TargetFinished {
+            target_index,
+            sat_calls,
+            elapsed: target_t.elapsed(),
+        });
+        Ok(ladder.map_err(|reason| TargetPatchReport {
+            target_index,
+            kind: PatchKind::Skipped,
+            disposition: TargetDisposition::Skipped { reason },
+            support_size: 0,
+            cost: 0,
+            gates: 0,
+            cubes: None,
+            sat_calls: spent,
+        }))
+    }
+
+    /// Runs the per-target degradation ladder: full-effort SAT attempt,
+    /// then (on resource exhaustion) a reduced-effort retry, then the
+    /// structural patch, then skipping the target.
     ///
-    /// Each rung starts from a private clone of the *initial*
-    /// `assignments` (rung 1's quantification refinements never leak
-    /// into rung 2), which keeps this ladder's results identical to the
-    /// racing variant's.
+    /// Each rung starts from a private clone of the plan's initial
+    /// assignments, so rung 1's quantification refinements never leak
+    /// into rung 2.
     ///
     /// The outer `Err` aborts the whole run: non-resource errors
     /// always, resource errors only when
     /// [`EcoOptions::structural_fallback`] is off. The inner
     /// `Err(reason)` means every rung failed and the target is skipped.
-    #[allow(clippy::too_many_arguments)]
     fn patch_with_ladder(
         &self,
         work: &EcoProblem,
-        window: &Window,
-        assignments: &[Vec<bool>],
-        exact: bool,
-        pos: usize,
-        original_index: usize,
+        target: &TargetPlan,
         spent: &mut u64,
-        opts: &EcoOptions,
         governor: Option<&ResourceGovernor>,
         trips: &mut TripLog,
         obs: &ObserverHandle,
     ) -> Result<Result<(NodePatch, TargetPatchReport), String>, EcoError> {
+        let opts = &self.options;
+        let TargetPlan {
+            pos,
+            target_index: original_index,
+            window,
+            ref assignments,
+            exact,
+        } = *target;
         // Rung 0: a deadline/cancellation trip means no further work of
         // any kind can help; skip every rung.
         if let Some(reason) = governor.and_then(ResourceGovernor::hard_trip) {
@@ -1253,21 +1143,9 @@ impl EcoEngine {
         Ok(Err(skip_reason_for(&first_err, governor)))
     }
 
-    /// SAT path for `work.targets[pos]`: feasibility (with CEGAR
-    /// quantification refinement when approximate), support
-    /// computation, cube enumeration, factoring.
-    ///
-    /// `spent` accumulates every SAT call made on behalf of this
-    /// target — including calls from refinement iterations whose
-    /// support solver is discarded, and calls made before an error —
-    /// so the final report (or the structural-fallback report built
-    /// from `spent` after an `Err`) matches the emitted
-    /// [`EcoEvent::SatCall`] stream exactly.
-    /// `opts` is passed explicitly (not read from `self`) so the
-    /// degradation ladder can re-run the attempt with reduced-effort
-    /// settings.
-    #[allow(clippy::too_many_arguments)]
-    /// Computes (or cache-loads) the run-wide window. The key covers
+    /// Phase 2: computes (or cache-loads) the run-wide window
+    /// (Sec. 3.3), fixed for the whole run so the per-step Herbrand
+    /// argument applies to one output set. The key covers
     /// everything [`compute_window`] reads: the implementation
     /// representation, the target list, and the canonical spec cones
     /// over the impl-side window outputs — so a hit is exactly the
@@ -1371,6 +1249,19 @@ impl EcoEngine {
         cache.put_witnesses(key, Arc::new(witnesses.to_vec()));
     }
 
+    /// SAT path for `work.targets[pos]`: feasibility (with CEGAR
+    /// quantification refinement when approximate), support
+    /// computation, cube enumeration, factoring.
+    ///
+    /// `spent` accumulates every SAT call made on behalf of this
+    /// target — including calls from refinement iterations whose
+    /// support solver is discarded, and calls made before an error —
+    /// so the final report (or the structural-fallback report built
+    /// from `spent` after an `Err`) matches the emitted
+    /// [`EcoEvent::SatCall`] stream exactly.
+    /// `opts` is passed explicitly (not read from `self`) so the
+    /// degradation ladder can re-run the attempt with reduced-effort
+    /// settings.
     #[allow(clippy::too_many_arguments)]
     fn sat_patch_for_target(
         &self,
@@ -1724,564 +1615,73 @@ impl EcoEngine {
             ))
         }
     }
-
-    /// Racing variant of [`EcoEngine::patch_with_ladder`] for the head
-    /// target (`jobs > 1` with the structural fallback on): the three
-    /// rungs start concurrently, each on a private clone of the initial
-    /// `assignments`, and the coordinator joins them *in ladder order*,
-    /// keeping the first rung that the sequential ladder would have
-    /// kept. Losing rungs are cancelled through child governors and
-    /// their buffered events dropped, so the winning patch, the
-    /// disposition, the event stream, and the metric totals all match
-    /// the sequential ladder's (worker placement and wall-clock aside).
-    ///
-    /// Under a [`ResourceGovernor`] with shared pools or a
-    /// [`FaultPlan`], speculative rungs draw calls the sequential
-    /// ladder would not make; runs remain total and anytime, but the
-    /// chosen rung may differ — the documented determinism guarantee
-    /// covers per-call budgets.
-    #[allow(clippy::too_many_arguments)]
-    fn patch_with_ladder_racing(
-        &self,
-        work: &EcoProblem,
-        window: &Window,
-        assignments: &[Vec<bool>],
-        exact: bool,
-        original_index: usize,
-        spent: &mut u64,
-        opts: &EcoOptions,
-        governor: Option<&ResourceGovernor>,
-        trips: &mut TripLog,
-        obs: &ObserverHandle,
-    ) -> Result<Result<(NodePatch, TargetPatchReport), String>, EcoError> {
-        // Rung 0, exactly as in the sequential ladder: nothing can help
-        // after a deadline/cancellation trip.
-        if let Some(reason) = governor.and_then(ResourceGovernor::hard_trip) {
-            trips.note(obs, governor);
-            obs.emit(|| EcoEvent::LadderStep {
-                target_index: original_index,
-                rung: LadderRung::Skipped,
-            });
-            return Ok(Err(reason.name().to_string()));
-        }
-
-        // Rung 1 always runs to completion (it is joined first), so it
-        // keeps the run governor; the speculative rungs get child
-        // governors the coordinator can cancel.
-        let run_gov = governor.cloned();
-        let r2_cancel = speculative_governor(governor);
-        let r3_cancel = speculative_governor(governor);
-        std::thread::scope(|s| {
-            let (r1_obs, r1_sink) = buffered_handle(obs.is_active());
-            let r1 = s.spawn(move || {
-                let mut rung_spent = 0u64;
-                let mut rung_assignments = assignments.to_vec();
-                let result = self.sat_patch_for_target(
-                    work,
-                    window,
-                    &mut rung_assignments,
-                    exact,
-                    0,
-                    original_index,
-                    &mut rung_spent,
-                    opts,
-                    run_gov.as_ref(),
-                    &r1_obs,
-                );
-                (result, rung_spent)
-            });
-            let r2 = opts.degraded_retry.then(|| {
-                let (r2_obs, r2_sink) = buffered_handle(obs.is_active());
-                let rung_gov = r2_cancel.clone();
-                let reduced = reduced_options(opts);
-                let handle = s.spawn(move || {
-                    let mut rung_spent = 0u64;
-                    let mut rung_assignments = assignments.to_vec();
-                    let result = self.sat_patch_for_target(
-                        work,
-                        window,
-                        &mut rung_assignments,
-                        exact,
-                        0,
-                        original_index,
-                        &mut rung_spent,
-                        &reduced,
-                        Some(&rung_gov),
-                        &r2_obs,
-                    );
-                    (result, rung_spent)
-                });
-                (handle, r2_sink)
-            });
-            let (r3_obs, r3_sink) = buffered_handle(obs.is_active());
-            let rung_gov = r3_cancel.clone();
-            let r3 = s.spawn(move || {
-                self.structural_patch_for_target(
-                    work,
-                    window,
-                    assignments,
-                    0,
-                    original_index,
-                    0,
-                    opts,
-                    Some(&rung_gov),
-                    &r3_obs,
-                )
-                .or_else(|e| {
-                    // Mirror the sequential ladder's internal retry:
-                    // when CEGAR_min runs out of resources, fall back
-                    // to the plain (SAT-free) cofactor patch.
-                    if e.is_resource_exhausted() && opts.cegar_min && rung_gov.hard_trip().is_none()
-                    {
-                        let mut plain = opts.clone();
-                        plain.cegar_min = false;
-                        self.structural_patch_for_target(
-                            work,
-                            window,
-                            assignments,
-                            0,
-                            original_index,
-                            0,
-                            &plain,
-                            Some(&rung_gov),
-                            &r3_obs,
-                        )
-                    } else {
-                        Err(e)
-                    }
-                })
-            });
-
-            let discard =
-                |r2: Option<(std::thread::ScopedJoinHandle<'_, _>, _)>,
-                 r3: Option<std::thread::ScopedJoinHandle<'_, _>>| {
-                    r2_cancel.cancel();
-                    r3_cancel.cancel();
-                    if let Some((handle, _sink)) = r2 {
-                        let _ = join_worker(handle.join());
-                    }
-                    if let Some(handle) = r3 {
-                        let _ = join_worker(handle.join());
-                    }
-                };
-
-            // Rung 1 decision.
-            let (result1, spent1) = join_worker(r1.join());
-            *spent += spent1;
-            replay_buffer(obs, r1_sink);
-            let first_err = match result1 {
-                Ok(ok) => {
-                    discard(r2, Some(r3));
-                    return Ok(Ok(ok));
-                }
-                Err(e) if e.is_resource_exhausted() => {
-                    trips.note(obs, governor);
-                    e
-                }
-                Err(e) => {
-                    discard(r2, Some(r3));
-                    return Err(classify_error(e, governor));
-                }
-            };
-
-            // Rung 2 decision.
-            if let Some((handle, sink)) = r2 {
-                if governor.and_then(ResourceGovernor::hard_trip).is_none() {
-                    obs.emit(|| EcoEvent::LadderStep {
-                        target_index: original_index,
-                        rung: LadderRung::DegradedRetry,
-                    });
-                    let (result2, spent2) = join_worker(handle.join());
-                    *spent += spent2;
-                    replay_buffer(obs, sink);
-                    match result2 {
-                        Ok((patch, mut report)) => {
-                            discard(None, Some(r3));
-                            report.disposition = TargetDisposition::Degraded;
-                            report.sat_calls = *spent;
-                            return Ok(Ok((patch, report)));
-                        }
-                        Err(e) if e.is_resource_exhausted() => trips.note(obs, governor),
-                        Err(e) => {
-                            discard(None, Some(r3));
-                            return Err(classify_error(e, governor));
-                        }
-                    }
-                } else {
-                    discard(Some((handle, sink)), None);
-                }
-            }
-
-            // Rung 3 decision.
-            if governor.and_then(ResourceGovernor::hard_trip).is_none() {
-                obs.emit(|| EcoEvent::StructuralFallback {
-                    target_index: original_index,
-                });
-                obs.emit(|| EcoEvent::LadderStep {
-                    target_index: original_index,
-                    rung: LadderRung::Structural,
-                });
-                let result3 = join_worker(r3.join());
-                replay_buffer(obs, r3_sink);
-                match result3 {
-                    Ok((patch, mut report)) => {
-                        report.sat_calls += *spent;
-                        return Ok(Ok((patch, report)));
-                    }
-                    Err(e) if e.is_resource_exhausted() => trips.note(obs, governor),
-                    Err(e) => return Err(classify_error(e, governor)),
-                }
-            } else {
-                discard(None, Some(r3));
-            }
-
-            // Rung 4: give up on this target only.
-            trips.note(obs, governor);
-            obs.emit(|| EcoEvent::LadderStep {
-                target_index: original_index,
-                rung: LadderRung::Skipped,
-            });
-            Ok(Err(skip_reason_for(&first_err, governor)))
-        })
-    }
-
-    /// Solves one member of an independent batch as a standalone
-    /// single-target subproblem against the shared implementation
-    /// snapshot, running the sequential degradation ladder with a
-    /// thread-local trip log.
-    ///
-    /// The other targets are bound to one arbitrary constant
-    /// assignment. This is *exact*, not an approximation: none of them
-    /// reaches this member's window outputs, so the quantified miter
-    /// does not depend on their values — a patch valid under one
-    /// assignment is valid under all, and an infeasibility is genuine
-    /// at every job count. Candidate divisors exclude the union TFO of
-    /// all remaining targets, so the members' patches are mutually
-    /// independent and can be committed together.
-    ///
-    /// Returns the ladder verdict plus the SAT calls spent, emitting
-    /// the member's `TargetStarted`/`TargetFinished` span (the latter
-    /// only when the ladder reached a verdict rather than aborting the
-    /// run).
-    #[allow(clippy::too_many_arguments)]
-    fn solve_batch_member(
-        &self,
-        work: &EcoProblem,
-        member_window: &Window,
-        initial: &[Vec<bool>],
-        pos: usize,
-        original_index: usize,
-        worker: usize,
-        opts: &EcoOptions,
-        governor: Option<&ResourceGovernor>,
-        obs: &ObserverHandle,
-    ) -> MemberSolve {
-        let target_t = Instant::now();
-        obs.emit(|| EcoEvent::TargetStarted {
-            target_index: original_index,
-            worker,
-        });
-        let mut spent = 0u64;
-        let mut trips = TripLog::default();
-        let solve_key = self
-            .cache
-            .as_ref()
-            .map(|_| target_solve_key(work, member_window, initial, true, pos, opts));
-        let cached = match (&self.cache, solve_key) {
-            (Some(cache), Some(key)) => {
-                let hit = cache.get_solve(key);
-                let is_hit = hit.is_some();
-                obs.emit(|| EcoEvent::CacheQuery {
-                    layer: CacheLayer::Target,
-                    hit: is_hit,
-                });
-                hit
-            }
-            _ => None,
-        };
-        let from_cache = cached.is_some();
-        let ladder = if let Some(cached) = cached {
-            let mut report = cached.report;
-            report.target_index = original_index;
-            // Served from cache: this run spent no solver work.
-            report.sat_calls = 0;
-            Ok(Ok((cached.patch, report)))
-        } else {
-            self.patch_with_ladder(
-                work,
-                member_window,
-                initial,
-                true,
-                pos,
-                original_index,
-                &mut spent,
-                opts,
-                governor,
-                &mut trips,
-                obs,
-            )
-        };
-        if !from_cache {
-            if let (Some(cache), Some(key), Ok(Ok((patch, report)))) =
-                (&self.cache, solve_key, &ladder)
-            {
-                if solve_is_cacheable(report, governor) {
-                    cache.put_solve(
-                        key,
-                        CachedSolve {
-                            patch: patch.clone(),
-                            report: report.clone(),
-                        },
-                    );
-                }
-            }
-        }
-        if let Ok(verdict) = &ladder {
-            let sat_calls = match verdict {
-                Ok((_, report)) => report.sat_calls,
-                Err(_) => spent,
-            };
-            obs.emit(|| EcoEvent::TargetFinished {
-                target_index: original_index,
-                worker,
-                sat_calls,
-                elapsed: target_t.elapsed(),
-            });
-        }
-        (ladder, spent)
-    }
-
-    /// Queues one wave of incremental verification sweeps for
-    /// `outputs`, chunked so large output spaces become many bounded
-    /// SAT queries. At `jobs == 1` the chunks are deferred and run
-    /// during the verification phase; at `jobs > 1` each chunk starts
-    /// immediately on its own thread, racing the remaining patch
-    /// solves. The chunking — and therefore the set of CEC queries —
-    /// depends only on the wave, never on the job count.
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue_sweep_wave(
-        &self,
-        sweeps: &mut Vec<SweepExec>,
-        snapshot: Aig,
-        outputs: Vec<usize>,
-        spec: &Arc<Aig>,
-        opts: &EcoOptions,
-        governor: Option<&ResourceGovernor>,
-        obs: &ObserverHandle,
-    ) {
-        if outputs.is_empty() {
-            return;
-        }
-        let jobs = opts.jobs.max(1);
-        let snapshot = Arc::new(snapshot);
-        let budget = opts
-            .per_call_conflicts
-            .map(|c| c.saturating_mul(opts.verify_budget_factor));
-        for chunk in outputs.chunks(SWEEP_CHUNK) {
-            let task = SweepTask {
-                snapshot: snapshot.clone(),
-                outputs: chunk.to_vec(),
-            };
-            if jobs > 1 {
-                let cancel = speculative_governor(governor);
-                let worker_gov = cancel.clone();
-                let (sweep_obs, sink) = buffered_handle(obs.is_active());
-                let spec = spec.clone();
-                let handle = std::thread::spawn(move || {
-                    check_outputs_equivalence_observed(
-                        &task.snapshot,
-                        &spec,
-                        Some(&task.outputs),
-                        budget,
-                        &sweep_obs,
-                        Some(&worker_gov),
-                    )
-                });
-                sweeps.push(SweepExec::Running {
-                    handle,
-                    sink,
-                    cancel,
-                });
-            } else {
-                sweeps.push(SweepExec::Deferred(task));
-            }
-        }
-    }
-
-    /// Runs (or joins) the queued verification sweeps in task order and
-    /// folds their verdicts: the first counterexample aborts the run,
-    /// any `Unknown` demotes it to unverified, all-equivalent verifies
-    /// it. Task order makes the fold independent of thread completion
-    /// order.
-    fn drain_sweeps(
-        &self,
-        sweeps: Vec<SweepExec>,
-        spec: &Arc<Aig>,
-        opts: &EcoOptions,
-        governor: Option<&ResourceGovernor>,
-        obs: &ObserverHandle,
-    ) -> Result<bool, EcoError> {
-        let budget = opts
-            .per_call_conflicts
-            .map(|c| c.saturating_mul(opts.verify_budget_factor));
-        let mut verified = true;
-        let mut iter = sweeps.into_iter();
-        while let Some(exec) = iter.next() {
-            let verdict = match exec {
-                SweepExec::Deferred(task) => check_outputs_equivalence_observed(
-                    &task.snapshot,
-                    spec,
-                    Some(&task.outputs),
-                    budget,
-                    obs,
-                    governor,
-                ),
-                SweepExec::Running { handle, sink, .. } => {
-                    let verdict = join_worker(handle.join());
-                    replay_buffer(obs, sink);
-                    verdict
-                }
-            };
-            match verdict {
-                CecResult::Equivalent => {}
-                CecResult::Unknown => verified = false,
-                CecResult::Counterexample(cex) => {
-                    // Later sweeps cannot change the verdict; cancel
-                    // and drop them so the abort is prompt at any job
-                    // count.
-                    discard_sweeps(iter.collect());
-                    return Err(EcoError::VerificationFailed {
-                        counterexample: cex,
-                    });
-                }
-            }
-        }
-        Ok(verified)
-    }
 }
 
-/// Collects the events a worker thread emits so the coordinating
-/// thread can replay them in a deterministic order after the join.
-/// Replay preserves each worker's internal event order, so nesting
-/// invariants (target spans containing their SAT calls) survive the
-/// round trip.
-#[derive(Default)]
-struct BufferObserver {
-    events: Vec<EcoEvent>,
+/// Runs one phase between its [`EcoEvent::PhaseStarted`] and
+/// [`EcoEvent::PhaseFinished`]. An error aborts the run inside the
+/// phase, so no `PhaseFinished` follows it.
+fn in_phase<T>(
+    obs: &ObserverHandle,
+    phase: Phase,
+    body: impl FnOnce() -> Result<T, EcoError>,
+) -> Result<T, EcoError> {
+    obs.emit(|| EcoEvent::PhaseStarted { phase });
+    let phase_t = Instant::now();
+    let out = body()?;
+    obs.emit(|| EcoEvent::PhaseFinished {
+        phase,
+        elapsed: phase_t.elapsed(),
+    });
+    Ok(out)
 }
 
-impl EcoObserver for BufferObserver {
-    fn on_event(&mut self, event: &EcoEvent) {
-        self.events.push(event.clone());
-    }
+/// One target's subproblem in a patch-generation step.
+struct TargetPlan<'w> {
+    /// Position in the working target list.
+    pos: usize,
+    /// Index into the original problem's target list.
+    target_index: usize,
+    /// The window whose outputs the patch must rectify.
+    window: &'w Window,
+    /// Initial quantification assignments of the other targets.
+    assignments: Vec<Vec<bool>>,
+    /// `assignments` covers every assignment, so an infeasibility is
+    /// genuine and needs no refinement.
+    exact: bool,
 }
 
-type BufferSink = Arc<Mutex<BufferObserver>>;
-
-/// What one batch-member solve hands back to the coordinator: the
-/// ladder verdict (`Err` in the outer layer aborts the whole run, the
-/// inner `Err` is a skip reason) plus the SAT calls spent.
-type MemberSolve = (
-    Result<Result<(NodePatch, TargetPatchReport), String>, EcoError>,
-    u64,
-);
-
-/// A worker-local observer handle plus the buffer it feeds. When the
-/// run has no observers the handle is inert and no buffer is allocated.
-fn buffered_handle(active: bool) -> (ObserverHandle, Option<BufferSink>) {
-    if active {
-        let sink: BufferSink = Arc::new(Mutex::new(BufferObserver::default()));
-        let handle = ObserverHandle::new(vec![sink.clone() as Arc<Mutex<dyn EcoObserver + Send>>]);
-        (handle, Some(sink))
-    } else {
-        (ObserverHandle::default(), None)
-    }
+/// What patch generation hands to verification and to the outcome.
+struct Generated {
+    /// The implementation with every patch substituted.
+    work: EcoProblem,
+    reports: Vec<TargetPatchReport>,
+    applied: Vec<AppliedPatch>,
+    cec_chunks: Vec<CecChunk>,
 }
 
-/// Re-emits a worker's buffered events through the run's observers.
-fn replay_buffer(obs: &ObserverHandle, sink: Option<BufferSink>) {
-    let Some(sink) = sink else { return };
-    let events = match sink.lock() {
-        Ok(mut guard) => std::mem::take(&mut guard.events),
-        Err(_) => Vec::new(),
-    };
-    for event in events {
-        obs.emit(|| event);
-    }
-}
+/// Outputs per CEC chunk, so large output spaces become many bounded
+/// SAT queries.
+const CEC_CHUNK: usize = 1024;
 
-/// Propagates a worker panic onto the coordinating thread.
-fn join_worker<T>(joined: std::thread::Result<T>) -> T {
-    joined.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-}
-
-/// A cancellation handle for one unit of speculative work: a child of
-/// the run governor when one exists (so deadline/pool trips still
-/// reach the worker), otherwise a standalone unlimited governor that
-/// only ever trips via [`ResourceGovernor::cancel`].
-fn speculative_governor(governor: Option<&ResourceGovernor>) -> ResourceGovernor {
-    match governor {
-        Some(g) => g.child(),
-        None => ResourceGovernor::unlimited(),
-    }
-}
-
-/// Outputs per verification sweep chunk. The partition depends only on
-/// the wave's output list, never on the job count, so the SAT queries —
-/// and therefore the metric totals — are identical at every `jobs`.
-const SWEEP_CHUNK: usize = 1024;
-
-/// One incremental verification sweep: a chunk of primary outputs that
-/// no remaining target can reach, checked against the implementation
-/// snapshot taken when they became target-free (later patches cannot
-/// change them, so the verdict equals a check against the final
-/// netlist).
-struct SweepTask {
+/// A chunk of primary outputs that no remaining target can reach,
+/// checked against the implementation snapshot taken when they became
+/// target-free (later patches cannot change them, so the verdict
+/// equals a check against the final netlist).
+struct CecChunk {
     snapshot: Arc<Aig>,
     outputs: Vec<usize>,
 }
 
-/// A sweep either deferred to the verification phase (`jobs == 1`) or
-/// already running on its own thread (`jobs > 1`, concurrent with the
-/// remaining patch solves).
-enum SweepExec {
-    Deferred(SweepTask),
-    Running {
-        handle: std::thread::JoinHandle<CecResult>,
-        sink: Option<BufferSink>,
-        cancel: ResourceGovernor,
-    },
-}
-
-/// The pending sweeps, with abort safety: dropping the queue (e.g. on
-/// an early `return Err`) cancels and joins any still-running sweep
-/// threads instead of leaking them.
-#[derive(Default)]
-struct SweepQueue {
-    execs: Vec<SweepExec>,
-}
-
-impl SweepQueue {
-    fn take(&mut self) -> Vec<SweepExec> {
-        std::mem::take(&mut self.execs)
+/// Queues `outputs` of `snapshot` as CEC chunks.
+fn push_cec_chunks(chunks: &mut Vec<CecChunk>, snapshot: Aig, outputs: Vec<usize>) {
+    if outputs.is_empty() {
+        return;
     }
-}
-
-impl Drop for SweepQueue {
-    fn drop(&mut self) {
-        discard_sweeps(self.take());
-    }
-}
-
-/// Cancels and joins still-running sweeps, dropping their buffered
-/// events.
-fn discard_sweeps(sweeps: Vec<SweepExec>) {
-    for exec in sweeps {
-        if let SweepExec::Running { handle, cancel, .. } = exec {
-            cancel.cancel();
-            let _ = handle.join();
-        }
-    }
+    let snapshot = Arc::new(snapshot);
+    chunks.extend(outputs.chunks(CEC_CHUNK).map(|chunk| CecChunk {
+        snapshot: snapshot.clone(),
+        outputs: chunk.to_vec(),
+    }));
 }
 
 /// Applies `patches` (keyed by position into `work.targets`) in one
@@ -2471,6 +1871,31 @@ fn all_assignments(r: usize) -> Vec<Vec<bool>> {
         .collect()
 }
 
+/// Initial quantification assignments for the head target with `r`
+/// other targets remaining: none for the last target, all `2^r` when
+/// `exact`, otherwise the QBF certificates projected onto the
+/// `remaining` original targets (one all-false assignment when there
+/// are none; refinement supplies the rest).
+fn head_assignments(
+    r: usize,
+    exact: bool,
+    certificates: Option<&[Vec<bool>]>,
+    remaining: &[usize],
+) -> Vec<Vec<bool>> {
+    if r == 0 {
+        return Vec::new();
+    }
+    if exact {
+        return all_assignments(r);
+    }
+    let projected = project_certificates(certificates.unwrap_or(&[]), remaining);
+    if projected.is_empty() {
+        vec![vec![false; r]]
+    } else {
+        projected
+    }
+}
+
 /// Projects full-target certificate assignments onto the remaining
 /// original target indices, deduplicated.
 fn project_certificates(certificates: &[Vec<bool>], remaining: &[usize]) -> Vec<Vec<bool>> {
@@ -2590,7 +2015,7 @@ fn target_solve_key(
 }
 
 /// Fingerprint of the options that shape a per-target solve. Run-scoped
-/// resource fields (deadline, global pools, fault plan, job count) are
+/// resource fields (deadline, global pools, fault plan) are
 /// normalized away: they do not change what a *completed, untripped*
 /// solve produces, and [`solve_is_cacheable`] refuses to store anything
 /// the governor interfered with.
@@ -2600,7 +2025,6 @@ fn options_fingerprint(opts: &EcoOptions) -> u64 {
     normalized.global_conflicts = None;
     normalized.global_propagations = None;
     normalized.fault_plan = None;
-    normalized.jobs = 1;
     hash_bytes(TAG_OPTS, format!("{normalized:?}").as_bytes())
 }
 
@@ -2613,9 +2037,8 @@ fn class_layer_on(opts: &EcoOptions) -> bool {
     opts.method == SupportMethod::SatPrune && opts.fault_plan.is_none()
 }
 
-/// Deterministic seed for a target's class layer. Depends only on
-/// jobs-invariant quantities (target index and refinement iteration),
-/// so classed runs are reproducible at any `--jobs` count.
+/// Deterministic seed for a target's class layer, from the target index
+/// and the refinement iteration, so classed runs are reproducible.
 fn classes_seed(target_index: usize, refinement: usize) -> u64 {
     (target_index as u64)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -2673,18 +2096,6 @@ mod tests {
         EcoEngine::new(options)
             .solve(&p.snapshot())
             .expect("engine run")
-    }
-
-    #[test]
-    fn builder_rejects_zero_jobs() {
-        let err = EcoOptions::builder()
-            .jobs(0)
-            .build()
-            .expect_err("0 workers");
-        assert!(
-            matches!(err, EcoError::InvalidProblem { ref message } if message.contains("jobs")),
-            "got {err}"
-        );
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::cnf::CnfEncoder;
 use crate::error::EcoError;
 use crate::miter::QuantifiedMiter;
 use eco_aig::{Aig, AigLit, NodeId};
-use eco_sat::{ClauseRef, ResourceGovernor, SolveResult, Solver, Var};
+use eco_sat::{ClauseRef, SolveResult, Solver, Var};
 use std::collections::HashMap;
 
 /// Partition tags used in the proof log.
@@ -49,21 +49,7 @@ pub fn interpolation_patch(
     target_index: usize,
     conflict_budget: Option<u64>,
 ) -> Result<InterpolantPatch, EcoError> {
-    interpolation_patch_governed(qm, support, target_index, conflict_budget, None)
-}
-
-/// [`interpolation_patch`] running under a shared [`ResourceGovernor`]:
-/// the refutation draws from the governor's global pools and aborts
-/// (with [`EcoError::SolverBudgetExhausted`]) when it trips.
-pub fn interpolation_patch_governed(
-    qm: &QuantifiedMiter,
-    support: &[NodeId],
-    target_index: usize,
-    conflict_budget: Option<u64>,
-    governor: Option<&ResourceGovernor>,
-) -> Result<InterpolantPatch, EcoError> {
     let mut solver = Solver::new();
-    solver.set_search_control(governor.map(ResourceGovernor::control));
     solver.enable_proof();
 
     // Shared divisor variables.

@@ -92,7 +92,7 @@ mod window;
 
 pub use cache::{CacheLayer, CacheStats, EcoCache};
 pub use cec::{check_equivalence, CecResult};
-pub use cegar_min::{cegar_min, cegar_min_filtered, CegarMinResult};
+pub use cegar_min::{cegar_min, CegarMinResult};
 pub use cnf::CnfEncoder;
 pub use cost::{generate_weights, WeightDistribution};
 pub use cubes::{enumerate_patch_sop, PatchSop};
@@ -104,28 +104,24 @@ pub use engine::{
 };
 pub use error::{BudgetExhausted, EcoError};
 pub use exact::{sat_prune_support, SatPruneOptions, SatPruneResult};
-pub use interp::{
-    craig_interpolant, interpolation_patch, interpolation_patch_governed, InterpolantPatch,
-};
+pub use interp::{craig_interpolant, interpolation_patch, InterpolantPatch};
 pub use miter::{EcoMiter, QuantifiedMiter};
 pub use observe::{
     duration_us, BudgetMetrics, CacheCounters, ClassesCounters, EcoEvent, EcoObserver, Histogram,
     KindMetrics, LadderRung, MetricsObserver, NullObserver, Phase, PhaseMetrics, RunMetrics,
     SatCallKind, SatCallMetrics, ServingCounters, SupportStep, SweepCounters, TargetMetrics,
-    WorkerMetrics, HISTOGRAM_BUCKETS,
+    HISTOGRAM_BUCKETS,
 };
 pub use problem::EcoProblem;
 pub use qbf::{check_targets_sufficient, QbfOutcome};
-pub use snapshot::{
-    cone_hash, hash_aig, hash_bytes, ContentHasher, ProblemSnapshot, SnapshotHashes,
-};
+pub use snapshot::{hash_aig, ContentHasher, ProblemSnapshot, SnapshotHashes};
 pub use structural::{structural_patch, StructuralPatch};
 pub use support::{
     minimize_assumptions, naive_minimize_assumptions, support_solver_for, SupportResult,
     SupportSolver,
 };
 pub use sweep::{fraig_reduce, FraigOptions, FraigOutcome, FraigStats};
-pub use window::{compute_divisors, compute_window, Window};
+pub use window::{compute_window, Window};
 
 // Resource-governance types, re-exported so engine callers need not
 // depend on `eco_sat` directly.

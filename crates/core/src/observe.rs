@@ -167,8 +167,6 @@ pub enum EcoEvent {
         num_targets: usize,
         /// The configured per-call conflict budget.
         per_call_conflicts: Option<u64>,
-        /// The configured worker count ([`crate::EcoOptions::jobs`]).
-        jobs: usize,
     },
     /// A phase began.
     PhaseStarted {
@@ -186,17 +184,11 @@ pub enum EcoEvent {
     TargetStarted {
         /// Index into the original problem's target list.
         target_index: usize,
-        /// Worker that solved the target (`0` on the sequential path;
-        /// batch members are assigned round-robin over the job count).
-        worker: usize,
     },
     /// Patch computation for one target completed.
     TargetFinished {
         /// Index into the original problem's target list.
         target_index: usize,
-        /// Worker that solved the target (matches the
-        /// [`EcoEvent::TargetStarted`] of the same target).
-        worker: usize,
         /// SAT calls attributed to the target (equals the
         /// [`crate::TargetPatchReport::sat_calls`] of its report).
         sat_calls: u64,
@@ -572,28 +564,6 @@ pub struct BudgetMetrics {
     pub mean_fraction: f64,
 }
 
-/// Aggregated telemetry for one parallel worker (schema v4).
-///
-/// Worker `0` is the coordinating thread: it runs every sequential
-/// target and receives the unattributed shared calls (QBF sufficiency,
-/// verification sweeps). Batch-solved targets are attributed to the
-/// worker slot that ran them. Worker attribution is the one part of
-/// [`RunMetrics`] that legitimately varies with
-/// [`crate::EcoOptions::jobs`]; the run-level totals do not.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WorkerMetrics {
-    /// Worker id (`0` = the coordinating thread).
-    pub worker: usize,
-    /// Targets whose patch computation ran on this worker.
-    pub targets: u64,
-    /// SAT calls attributed to this worker.
-    pub sat_calls: u64,
-    /// Total conflicts across those calls.
-    pub conflicts: u64,
-    /// Total solver wall-clock time across those calls.
-    pub sat_time: Duration,
-}
-
 /// Per-run cache hit/miss counters (schema v5), aggregated from
 /// [`EcoEvent::CacheQuery`] events. The engine fills the window / CNF
 /// / target layers; the daemon fills the netlist and outcome layers
@@ -713,11 +683,6 @@ pub struct RunMetrics {
     pub num_targets: usize,
     /// The configured per-call conflict budget.
     pub per_call_conflicts: Option<u64>,
-    /// The configured worker count ([`crate::EcoOptions::jobs`]; `0`
-    /// only for metrics predating schema v4).
-    pub jobs: usize,
-    /// Per-worker attribution, ordered by worker id (schema v4).
-    pub workers: Vec<WorkerMetrics>,
     /// Total wall-clock time.
     pub elapsed: Duration,
     /// Per-phase durations, in completion order.
@@ -776,7 +741,7 @@ fn push_json_string(out: &mut String, text: &str) {
 
 impl RunMetrics {
     /// Serializes to the stable JSON schema documented in
-    /// `EXPERIMENTS.md` (schema_version 10, whose histogram arrays
+    /// `EXPERIMENTS.md` (schema_version 11, whose histogram arrays
     /// carry the [`HISTOGRAM_BUCKETS`] buckets of [`Histogram`]). Key order is fixed; durations
     /// are integer microseconds; fractions carry six decimal places.
     pub fn to_json(&self) -> String {
@@ -785,7 +750,7 @@ impl RunMetrics {
             None => "null".to_string(),
         };
         let mut s = String::new();
-        s.push_str("{\"schema_version\":10");
+        s.push_str("{\"schema_version\":11");
         match &self.request_id {
             Some(id) => {
                 s.push_str(",\"request_id\":");
@@ -798,7 +763,6 @@ impl RunMetrics {
             ",\"per_call_conflicts\":{}",
             opt_u64(self.per_call_conflicts)
         ));
-        s.push_str(&format!(",\"jobs\":{}", self.jobs));
         s.push_str(&format!(",\"elapsed_us\":{}", duration_us(self.elapsed)));
         s.push_str(",\"phases\":[");
         for (i, p) in self.phases.iter().enumerate() {
@@ -828,21 +792,6 @@ impl RunMetrics {
             s.push_str(",\"latency_histogram\":");
             push_histogram(&mut s, &t.latency_histogram);
             s.push('}');
-        }
-        s.push_str("],\"workers\":[");
-        for (i, w) in self.workers.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"worker\":{},\"targets\":{},\"sat_calls\":{},\"conflicts\":{},\
-                 \"sat_time_us\":{}}}",
-                w.worker,
-                w.targets,
-                w.sat_calls,
-                w.conflicts,
-                duration_us(w.sat_time)
-            ));
         }
         s.push_str("],\"sat_calls\":{");
         s.push_str(&format!(
@@ -935,9 +884,6 @@ pub struct MetricsObserver {
     metrics: RunMetrics,
     fraction_sum: f64,
     budgeted_calls: u64,
-    /// `target_index → worker`, learned from [`EcoEvent::TargetStarted`]
-    /// and used to attribute that target's SAT calls.
-    target_workers: std::collections::HashMap<usize, usize>,
 }
 
 impl MetricsObserver {
@@ -967,26 +913,6 @@ impl MetricsObserver {
         });
         self.metrics.targets.last_mut().expect("just pushed")
     }
-
-    fn worker_entry(&mut self, worker: usize) -> &mut WorkerMetrics {
-        if let Some(pos) = self.metrics.workers.iter().position(|w| w.worker == worker) {
-            return &mut self.metrics.workers[pos];
-        }
-        let at = self
-            .metrics
-            .workers
-            .iter()
-            .position(|w| w.worker > worker)
-            .unwrap_or(self.metrics.workers.len());
-        self.metrics.workers.insert(
-            at,
-            WorkerMetrics {
-                worker,
-                ..WorkerMetrics::default()
-            },
-        );
-        &mut self.metrics.workers[at]
-    }
 }
 
 impl EcoObserver for MetricsObserver {
@@ -995,23 +921,15 @@ impl EcoObserver for MetricsObserver {
             EcoEvent::RunStarted {
                 num_targets,
                 per_call_conflicts,
-                jobs,
             } => {
                 self.metrics.num_targets = num_targets;
                 self.metrics.per_call_conflicts = per_call_conflicts;
-                self.metrics.jobs = jobs;
-                self.worker_entry(0);
             }
             EcoEvent::PhaseFinished { phase, elapsed } => {
                 self.metrics.phases.push(PhaseMetrics { phase, elapsed });
             }
-            EcoEvent::TargetStarted {
-                target_index,
-                worker,
-            } => {
+            EcoEvent::TargetStarted { target_index } => {
                 self.target_entry(target_index);
-                self.target_workers.insert(target_index, worker);
-                self.worker_entry(worker).targets += 1;
             }
             EcoEvent::TargetFinished {
                 target_index,
@@ -1070,13 +988,6 @@ impl EcoObserver for MetricsObserver {
                     entry.conflict_histogram.record(conflicts);
                     entry.latency_histogram.record(us);
                 }
-                let worker = target_index
-                    .and_then(|ti| self.target_workers.get(&ti).copied())
-                    .unwrap_or(0);
-                let w = self.worker_entry(worker);
-                w.sat_calls += 1;
-                w.conflicts += conflicts;
-                w.sat_time += elapsed;
             }
             EcoEvent::QbfRefinement { .. } => self.metrics.qbf_refinements += 1,
             EcoEvent::QuantificationRefinement { .. } => {
@@ -1182,12 +1093,8 @@ mod tests {
         m.on_event(&EcoEvent::RunStarted {
             num_targets: 1,
             per_call_conflicts: Some(100),
-            jobs: 2,
         });
-        m.on_event(&EcoEvent::TargetStarted {
-            target_index: 0,
-            worker: 1,
-        });
+        m.on_event(&EcoEvent::TargetStarted { target_index: 0 });
         m.on_event(&EcoEvent::SatCall {
             kind: SatCallKind::Support,
             target_index: Some(0),
@@ -1208,7 +1115,6 @@ mod tests {
         });
         m.on_event(&EcoEvent::TargetFinished {
             target_index: 0,
-            worker: 1,
             sat_calls: 1,
             elapsed: Duration::from_micros(5),
         });
@@ -1235,19 +1141,6 @@ mod tests {
         assert_eq!(r.targets[0].sat_calls, 1);
         assert_eq!(r.targets[0].conflicts, 50);
         assert_eq!(r.targets[0].sat_time, Duration::from_micros(30));
-        assert_eq!(r.jobs, 2);
-        // Worker 0 gets the unattributed CEC call; worker 1 gets the
-        // target-attributed support call.
-        assert_eq!(r.workers.len(), 2);
-        assert_eq!(r.workers[0].worker, 0);
-        assert_eq!(r.workers[0].targets, 0);
-        assert_eq!(r.workers[0].sat_calls, 1);
-        assert_eq!(r.workers[0].conflicts, 100);
-        assert_eq!(r.workers[1].worker, 1);
-        assert_eq!(r.workers[1].targets, 1);
-        assert_eq!(r.workers[1].sat_calls, 1);
-        assert_eq!(r.workers[1].conflicts, 50);
-        assert_eq!(r.workers[1].sat_time, Duration::from_micros(30));
         let b = r.budget.expect("budget configured");
         assert!((b.max_fraction - 1.0).abs() < 1e-12);
         assert!((b.mean_fraction - 0.75).abs() < 1e-12);
@@ -1258,12 +1151,11 @@ mod tests {
         let m = RunMetrics {
             num_targets: 2,
             per_call_conflicts: None,
-            jobs: 4,
             elapsed: Duration::from_micros(42),
             ..RunMetrics::default()
         };
         let json = m.to_json();
-        assert!(json.starts_with("{\"schema_version\":10"));
+        assert!(json.starts_with("{\"schema_version\":11"));
         assert!(json.contains("\"request_id\":null"));
         assert!(json.contains("\"cache\":{\"netlist_hits\":0"));
         assert!(json.contains(
@@ -1272,8 +1164,7 @@ mod tests {
              \"witness_replays\":0}"
         ));
         assert!(json.contains("\"per_call_conflicts\":null"));
-        assert!(json.contains("\"jobs\":4"));
-        assert!(json.contains("\"workers\":[]"));
+        assert!(!json.contains("\"jobs\"") && !json.contains("\"workers\""));
         assert!(json.contains("\"elapsed_us\":42"));
         assert!(json.contains("\"time_us\":0"));
         assert!(json.contains(&format!(

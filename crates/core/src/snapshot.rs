@@ -92,7 +92,7 @@ fn mix64(mut z: u64) -> u64 {
 
 /// Hashes a length-prefixed byte string (netlist sources, option
 /// fingerprints) into one 64-bit digest.
-pub fn hash_bytes(tag: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn hash_bytes(tag: u64, bytes: &[u8]) -> u64 {
     let mut h = ContentHasher::new(tag);
     h.write_bytes(bytes);
     h.finish()
@@ -138,7 +138,7 @@ fn lit_word(l: eco_aig::AigLit) -> u64 {
 /// sharing*. Two AIGs with equal cone hashes drive any deterministic
 /// cone consumer (miter construction, CNF encoding) to identical
 /// results.
-pub fn cone_hash(aig: &Aig, outputs: &[usize]) -> u64 {
+pub(crate) fn cone_hash(aig: &Aig, outputs: &[usize]) -> u64 {
     let mut local: Vec<u32> = vec![u32::MAX; aig.num_nodes()];
     let mut order: Vec<NodeId> = Vec::new();
     let mut stack: Vec<NodeId> = Vec::new();

@@ -49,7 +49,6 @@ fn event_record(ts_us: u64, event: &EcoEvent) -> String {
         EcoEvent::RunStarted {
             num_targets,
             per_call_conflicts,
-            jobs,
         } => {
             let budget = match per_call_conflicts {
                 Some(b) => b.to_string(),
@@ -57,8 +56,7 @@ fn event_record(ts_us: u64, event: &EcoEvent) -> String {
             };
             let _ = write!(
                 s,
-                "\"run_started\",\"num_targets\":{num_targets},\"per_call_conflicts\":{budget},\
-                 \"jobs\":{jobs}"
+                "\"run_started\",\"num_targets\":{num_targets},\"per_call_conflicts\":{budget}"
             );
         }
         EcoEvent::PhaseStarted { phase } => {
@@ -72,24 +70,17 @@ fn event_record(ts_us: u64, event: &EcoEvent) -> String {
                 duration_us(*elapsed)
             );
         }
-        EcoEvent::TargetStarted {
-            target_index,
-            worker,
-        } => {
-            let _ = write!(
-                s,
-                "\"target_started\",\"target_index\":{target_index},\"worker\":{worker}"
-            );
+        EcoEvent::TargetStarted { target_index } => {
+            let _ = write!(s, "\"target_started\",\"target_index\":{target_index}");
         }
         EcoEvent::TargetFinished {
             target_index,
-            worker,
             sat_calls,
             elapsed,
         } => {
             let _ = write!(
                 s,
-                "\"target_finished\",\"target_index\":{target_index},\"worker\":{worker},\
+                "\"target_finished\",\"target_index\":{target_index},\
                  \"sat_calls\":{sat_calls},\"elapsed_us\":{}",
                 duration_us(*elapsed)
             );
@@ -462,10 +453,9 @@ impl ChromeTrace {
 /// Records one engine run onto a [`ChromeTrace`] lane.
 ///
 /// Run, phase, target, and SAT-call spans become `X` blocks ending at
-/// receipt of their finish event (which carries the duration), so
-/// concurrent engine workers can share one lane without `B`/`E`
-/// nesting; target blocks carry their `worker` in `args`. Start events
-/// are implied by the blocks; every other event becomes an instant.
+/// receipt of their finish event (which carries the duration), so no
+/// `B`/`E` pairing is needed. Start events are implied by the blocks;
+/// every other event becomes an instant.
 #[derive(Debug)]
 pub struct ChromeObserver {
     trace: ChromeTrace,
@@ -490,14 +480,13 @@ impl EcoObserver for ChromeObserver {
             ),
             EcoEvent::TargetFinished {
                 target_index,
-                worker,
                 elapsed,
                 ..
             } => (
                 format!("target {target_index}"),
                 "eco",
                 Some(elapsed),
-                format!("\"worker\":{worker}"),
+                String::new(),
             ),
             EcoEvent::SatCall {
                 kind,
@@ -935,15 +924,11 @@ mod tests {
             EcoEvent::RunStarted {
                 num_targets: 1,
                 per_call_conflicts: None,
-                jobs: 2,
             },
             EcoEvent::PhaseStarted {
                 phase: Phase::PatchGeneration,
             },
-            EcoEvent::TargetStarted {
-                target_index: 0,
-                worker: 1,
-            },
+            EcoEvent::TargetStarted { target_index: 0 },
             EcoEvent::SatCall {
                 kind: SatCallKind::Support,
                 target_index: Some(0),
@@ -964,7 +949,6 @@ mod tests {
             },
             EcoEvent::TargetFinished {
                 target_index: 0,
-                worker: 1,
                 sat_calls: 1,
                 elapsed: Duration::from_micros(400),
             },
@@ -1103,13 +1087,7 @@ mod tests {
             .iter()
             .find(|e| str_of(e, "name").as_deref() == Some("target 0"))
             .expect("target block");
-        assert_eq!(
-            target
-                .get("args")
-                .and_then(|a| a.get("worker"))
-                .and_then(JsonValue::as_u64),
-            Some(1)
-        );
+        assert_eq!(target.get("dur").and_then(JsonValue::as_u64), Some(400));
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub fn compute_window(problem: &EcoProblem) -> Window {
 /// Used at each step of the multi-target iteration, where previously
 /// inserted patch logic becomes eligible divisor material while the
 /// window PI/PO sets stay fixed.
-pub fn compute_divisors(
+pub(crate) fn compute_divisors(
     implementation: &eco_aig::Aig,
     targets: &[NodeId],
     window_inputs: &[usize],
@@ -141,8 +141,7 @@ pub fn per_target_outputs(implementation: &eco_aig::Aig, targets: &[NodeId]) -> 
 /// can be patched as a standalone single-target subproblem (with the
 /// other targets fixed to an arbitrary constant assignment), and the
 /// resulting patches can all be committed in one substitution. This is
-/// a purely structural property of the current implementation, so the
-/// partition is identical at every `--jobs` setting.
+/// a purely structural property of the current implementation.
 pub fn independent_targets(implementation: &eco_aig::Aig, targets: &[NodeId]) -> Vec<usize> {
     let outputs = per_target_outputs(implementation, targets);
     let num_outputs = implementation.num_outputs();

@@ -11,11 +11,16 @@
 //! engine: zero SAT calls, visible in the per-request
 //! [`RunMetrics`](eco_core::RunMetrics) as `sat_calls.total == 0` with
 //! `cache.outcome_hits == 1`.
+//!
+//! Netlist fills are single-flight: when several requests miss the
+//! same cold text at once, the first parses it and the others wait for
+//! that result, so one text costs one parse (and one miss).
 
 use eco_core::{CacheStats, ContentHasher, EcoCache};
 use eco_netlist::{AigConversion, Netlist, ParsedModule};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Domain tag for parsed-netlist keys.
 const TAG_NETLIST: u64 = 0x4e_45_54; // "NET"
@@ -37,6 +42,33 @@ impl ParsedDesign {
     }
 }
 
+/// What a netlist fill produces: the shared design or the parse error.
+type ParseResult = Result<Arc<ParsedDesign>, String>;
+
+/// One in-flight netlist parse. The first caller for a key parses and
+/// publishes the result; later callers for the same key wait on it.
+#[derive(Default)]
+struct Fill {
+    result: Mutex<Option<ParseResult>>,
+    done: Condvar,
+}
+
+impl Fill {
+    fn publish(&self, result: ParseResult) {
+        *self.result.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+        self.done.notify_all();
+    }
+
+    fn wait(&self) -> ParseResult {
+        let guard = self.result.lock().unwrap_or_else(PoisonError::into_inner);
+        let guard = self
+            .done
+            .wait_while(guard, |result| result.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        guard.clone().expect("published before notify")
+    }
+}
+
 /// A stored clean outcome: everything needed to answer an identical
 /// request again without running the engine.
 #[derive(Clone, Debug)]
@@ -47,7 +79,6 @@ pub(crate) struct CachedOutcome {
     pub dispositions: Vec<String>,
     pub patched_verilog: String,
     pub num_targets: usize,
-    pub jobs: usize,
 }
 
 /// One tick-stamped LRU map (same discipline as the engine-side
@@ -163,6 +194,8 @@ impl DaemonCacheStats {
 #[derive(Clone)]
 pub struct DaemonCache {
     netlist: Arc<Mutex<Lru<Arc<ParsedDesign>>>>,
+    /// Netlist parses in progress, keyed like `netlist`.
+    filling: Arc<Mutex<HashMap<u128, Arc<Fill>>>>,
     outcome: Arc<Mutex<Lru<Arc<CachedOutcome>>>>,
     /// Quarantined request fingerprints → panic message. An entry
     /// means "this exact request crashed a worker"; retries are
@@ -189,6 +222,7 @@ impl DaemonCache {
         let capacity = capacity.max(1);
         DaemonCache {
             netlist: Arc::new(Mutex::new(Lru::new())),
+            filling: Arc::new(Mutex::new(HashMap::new())),
             outcome: Arc::new(Mutex::new(Lru::new())),
             poison: Arc::new(Mutex::new(Lru::new())),
             counters: Arc::new(Mutex::new(Counters::default())),
@@ -263,38 +297,74 @@ impl DaemonCache {
     }
 
     /// Parses `text` through the netlist layer; the returned flag is
-    /// `true` on a hit. A parse or conversion failure is reported (and
-    /// never cached), so a later corrected request re-parses.
+    /// `true` on a hit. A caller that finds the same text already being
+    /// parsed waits for that parse and counts a hit. A parse or
+    /// conversion failure reaches every waiter and is never cached, so
+    /// a later corrected request re-parses.
     pub(crate) fn parsed(&self, text: &str) -> Result<(Arc<ParsedDesign>, bool), String> {
         let key = {
             let mut h = ContentHasher::new(TAG_NETLIST);
             h.write_bytes(text.as_bytes());
             h.finish128()
         };
-        if let Some(design) = self
-            .netlist
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-        {
-            self.counters
+        // The netlist lock is held across the in-flight lookup, so a
+        // finishing parse is seen either as an entry or as a fill.
+        let (fill, first) = {
+            let mut netlist = self.netlist.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Some(design) = netlist.get(key) {
+                drop(netlist);
+                self.count_netlist(true);
+                return Ok((design, true));
+            }
+            let mut filling = self.filling.lock().unwrap_or_else(PoisonError::into_inner);
+            match filling.get(&key) {
+                Some(fill) => (fill.clone(), false),
+                None => {
+                    let fill = Arc::new(Fill::default());
+                    filling.insert(key, fill.clone());
+                    (fill, true)
+                }
+            }
+        };
+        self.count_netlist(!first);
+        if !first {
+            return fill.wait().map(|design| (design, true));
+        }
+        let parse = catch_unwind(AssertUnwindSafe(|| {
+            let module = eco_netlist::parse_verilog(text).map_err(|e| e.to_string())?;
+            let conversion = module.netlist.to_aig().map_err(|e| e.to_string())?;
+            Ok(Arc::new(ParsedDesign { module, conversion }))
+        }));
+        // Waiters must never block on an abandoned fill: a panicking
+        // parse publishes an error to them and then keeps unwinding.
+        let result: ParseResult = match &parse {
+            Ok(result) => result.clone(),
+            Err(_) => Err("netlist parse panicked".to_string()),
+        };
+        if let Ok(design) = &result {
+            self.netlist
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .netlist_hits += 1;
-            return Ok((design, true));
+                .put(key, design.clone(), self.capacity);
         }
-        self.counters
+        self.filling
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .netlist_misses += 1;
-        let module = eco_netlist::parse_verilog(text).map_err(|e| e.to_string())?;
-        let conversion = module.netlist.to_aig().map_err(|e| e.to_string())?;
-        let design = Arc::new(ParsedDesign { module, conversion });
-        self.netlist
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .put(key, design.clone(), self.capacity);
-        Ok((design, false))
+            .remove(&key);
+        fill.publish(result);
+        match parse {
+            Ok(result) => result.map(|design| (design, false)),
+            Err(payload) => resume_unwind(payload),
+        }
+    }
+
+    fn count_netlist(&self, hit: bool) {
+        let mut c = self.counters.lock().unwrap_or_else(PoisonError::into_inner);
+        if hit {
+            c.netlist_hits += 1;
+        } else {
+            c.netlist_misses += 1;
+        }
     }
 
     pub(crate) fn lookup_outcome(&self, key: u128) -> Option<Arc<CachedOutcome>> {
@@ -357,7 +427,6 @@ pub(crate) fn outcome_key(req: &crate::protocol::EcoRequest) -> u128 {
     opt_u64(opts.budget);
     opt_u64(opts.global_conflicts);
     opt_u64(opts.deadline_ms);
-    opt_u64(opts.jobs.map(|j| j as u64));
     opt_u64(opts.hold_ms);
     opt_u64(opts.structural_fallback.map(u64::from));
     match &opts.method {
@@ -438,6 +507,67 @@ mod tests {
         assert_eq!(stats.netlist_misses, 3);
     }
 
+    /// A netlist large enough that concurrent callers overlap its parse.
+    fn chain_netlist(gates: usize) -> String {
+        let mut src = String::from("module m(a, y);\ninput a;\noutput y;\n");
+        for i in 0..gates {
+            src.push_str(&format!("wire w{i};\n"));
+        }
+        src.push_str("not g0(w0, a);\n");
+        for i in 1..gates {
+            src.push_str(&format!("not g{i}(w{i}, w{});\n", i - 1));
+        }
+        src.push_str(&format!("buf gy(y, w{});\nendmodule\n", gates - 1));
+        src
+    }
+
+    #[test]
+    fn concurrent_cold_parses_of_one_text_fill_once() {
+        const CALLERS: usize = 8;
+        let cache = DaemonCache::new(4);
+        let src = chain_netlist(20_000);
+        let barrier = std::sync::Barrier::new(CALLERS);
+        let designs: Vec<Arc<ParsedDesign>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..CALLERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        cache.parsed(&src).expect("parses").0
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("no panic"))
+                .collect()
+        });
+        assert!(designs.iter().all(|d| Arc::ptr_eq(d, &designs[0])));
+        let stats = cache.stats();
+        assert_eq!(stats.netlist_misses, 1, "one text, one parse");
+        assert_eq!(stats.netlist_hits, CALLERS as u64 - 1);
+    }
+
+    #[test]
+    fn concurrent_failing_parses_share_the_error_and_cache_nothing() {
+        const CALLERS: usize = 4;
+        let cache = DaemonCache::new(4);
+        // Valid up to its last line, so every caller pays the full parse.
+        let src = chain_netlist(20_000).replace("endmodule", "frob gz(y, a);\nendmodule");
+        let barrier = std::sync::Barrier::new(CALLERS);
+        std::thread::scope(|s| {
+            for _ in 0..CALLERS {
+                s.spawn(|| {
+                    barrier.wait();
+                    assert!(cache.parsed(&src).is_err());
+                });
+            }
+        });
+        // Nothing was cached: the next call parses (and fails) again.
+        let before = cache.stats().netlist_misses;
+        assert!(cache.parsed(&src).is_err());
+        assert_eq!(cache.stats().netlist_misses, before + 1);
+    }
+
     #[test]
     fn poison_pills_quarantine_fingerprints_and_count_hits() {
         let cache = DaemonCache::new(4);
@@ -461,7 +591,6 @@ mod tests {
             dispositions: vec!["patched".to_string()],
             patched_verilog: tag.to_string(),
             num_targets: 1,
-            jobs: 1,
         };
         cache.store_outcome(1, entry("one"));
         cache.store_outcome(2, entry("two"));

@@ -12,7 +12,7 @@
 //!  "targets":["t0"],"weights":{"n3":4},"default_weight":1,
 //!  "options":{"method":"minimize","budget":2000000,
 //!             "global_conflicts":100000,"deadline_ms":5000,
-//!             "jobs":1,"structural_fallback":true}}
+//!             "structural_fallback":true}}
 //! ```
 //!
 //! Control requests use `cmd` instead: `{"id":"s","cmd":"stats"}`
@@ -43,8 +43,6 @@ pub struct RequestOptions {
     pub global_conflicts: Option<u64>,
     /// Per-request wall-clock deadline in milliseconds.
     pub deadline_ms: Option<u64>,
-    /// Worker count for the engine's parallel backend.
-    pub jobs: Option<usize>,
     /// Whether the structural fallback ladder is enabled.
     pub structural_fallback: Option<bool>,
     /// Chaos hook (requires the daemon's `--chaos` flag): hold the
@@ -227,7 +225,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         options.budget = uint("budget")?;
         options.global_conflicts = uint("global_conflicts")?;
         options.deadline_ms = uint("deadline_ms")?;
-        options.jobs = uint("jobs")?.map(|j| j as usize);
         options.structural_fallback = opts.get("structural_fallback").and_then(JsonValue::as_bool);
         options.hold_ms = uint("hold_ms")?;
         options.inject_panic = opts
@@ -383,6 +380,7 @@ mod tests {
 
     #[test]
     fn parses_a_full_eco_request() {
+        // `jobs` is not an option: like every unknown key it is ignored.
         let line = r#"{"id":"r1","impl":"module a; endmodule","spec":"module b; endmodule",
             "targets":["t0","t1"],"weights":{"n1":4,"n2":0},"default_weight":2,
             "options":{"method":"prune","budget":100,"global_conflicts":50,
@@ -402,7 +400,6 @@ mod tests {
         assert_eq!(req.options.budget, Some(100));
         assert_eq!(req.options.global_conflicts, Some(50));
         assert_eq!(req.options.deadline_ms, Some(1000));
-        assert_eq!(req.options.jobs, Some(2));
         assert_eq!(req.options.structural_fallback, Some(false));
     }
 

@@ -507,7 +507,6 @@ impl Daemon {
             let metrics = RunMetrics {
                 request_id: Some(req.id.clone()),
                 num_targets: stored.num_targets,
-                jobs: stored.jobs,
                 cache: CacheCounters {
                     outcome_hits: 1,
                     ..CacheCounters::default()
@@ -563,12 +562,10 @@ impl Daemon {
                 ))
             }
         };
-        let jobs = req.options.jobs.unwrap_or(1);
         let options = EcoOptions::builder()
             .method(method)
             .per_call_conflicts(req.options.budget.or(Some(2_000_000)))
             .structural_fallback(req.options.structural_fallback.unwrap_or(true))
-            .jobs(jobs)
             .build()
             .map_err(|e| e.to_string())?;
         // Per-request QoS: the request's own deadline and fair-share
@@ -708,7 +705,6 @@ impl Daemon {
                     dispositions: dispositions.clone(),
                     patched_verilog: patched_verilog.clone(),
                     num_targets: req.targets.len(),
-                    jobs,
                 },
             );
         }

@@ -279,17 +279,6 @@ impl ResourceGovernor {
         ResourceGovernor::new(GovernorLimits::default())
     }
 
-    /// A child handle for one unit of speculative work: it shares the
-    /// parent's deadline, global pools, fault plan and call counter, but
-    /// carries its own cancellation flag. [`ResourceGovernor::cancel`]
-    /// on the child stops only solvers attached to the child, while a
-    /// parent cancellation (or deadline/budget trip) is still observed
-    /// through the chain — exactly what a racing worker needs so losers
-    /// can be cancelled without touching the winner or the run.
-    pub fn child(&self) -> ResourceGovernor {
-        self.child_with_limits(GovernorLimits::default())
-    }
-
     /// A child handle with its *own* limits layered under the parent's:
     /// its deadline clock starts now, its pools are private, and its
     /// fault plan is evaluated against the chain-wide call counter.
@@ -642,13 +631,13 @@ mod tests {
             global_conflicts: Some(50),
             ..GovernorLimits::default()
         });
-        let child = governor.child();
+        let child = governor.child_with_limits(GovernorLimits::default());
         // Cancelling the child does not affect the parent...
         child.cancel();
         assert_eq!(child.trip(), Some(TripReason::Cancelled));
         assert_eq!(governor.trip(), None);
         // ...but the child draws from the parent's shared pool.
-        let sibling = governor.child();
+        let sibling = governor.child_with_limits(GovernorLimits::default());
         let mut solver = Solver::new();
         pigeonhole(&mut solver, 7);
         solver.set_search_control(Some(sibling.control()));

@@ -7,7 +7,7 @@
 //!           [--out patched.v] [--budget N] [--default-weight N]
 //!           [--stats-json stats.json|-] [--progress] [--quiet]
 //!           [--no-fallback] [--timeout-ms MS] [--global-budget N]
-//!           [--jobs N] [--trace-out trace.json] [--trace-format jsonl|chrome]
+//!           [--trace-out trace.json] [--trace-format jsonl|chrome]
 //! eco-patch report <trace.jsonl> [--top N]
 //! eco-patch report --journal <journal.jsonl>
 //! ```
@@ -122,7 +122,6 @@ struct Args {
     global_budget: Option<u64>,
     trace_out: Option<String>,
     trace_format: TraceFormat,
-    jobs: usize,
 }
 
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -137,7 +136,7 @@ fn usage() -> &'static str {
      [--targets n1,n2] [--detect] [--method baseline|minimize|prune] \
      [--out patched.v] [--budget CONFLICTS] [--default-weight N] \
      [--stats-json PATH|-] [--progress] [--quiet] [--no-fallback] \
-     [--timeout-ms MS] [--global-budget CONFLICTS] [--jobs N] \
+     [--timeout-ms MS] [--global-budget CONFLICTS] \
      [--trace-out PATH] [--trace-format jsonl|chrome]\n\
      \x20      eco-patch report TRACE.jsonl [--top N]\n\
      \x20      eco-patch report --journal JOURNAL.jsonl"
@@ -146,7 +145,6 @@ fn usage() -> &'static str {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         default_weight: 100,
-        jobs: 1,
         ..Args::default()
     };
     let mut it = std::env::args().skip(1);
@@ -196,14 +194,6 @@ fn parse_args() -> Result<Args, String> {
                         .parse()
                         .map_err(|_| "--global-budget expects an integer".to_string())?,
                 )
-            }
-            "--jobs" => {
-                args.jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|_| "--jobs expects an integer".to_string())?;
-                if args.jobs == 0 {
-                    return Err("--jobs expects a value >= 1".to_string());
-                }
             }
             "--trace-out" => args.trace_out = Some(value("--trace-out")?),
             "--trace-format" => {
@@ -463,7 +453,6 @@ fn run(args: Args) -> Result<u8, CliError> {
             }
         }))
         .global_conflicts(args.global_budget)
-        .jobs(args.jobs)
         .build()
         .map_err(|e| CliError::usage(e.to_string()))?;
     let mut engine = EcoEngine::new(options);

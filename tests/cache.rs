@@ -50,7 +50,6 @@ fn problem(rev: usize) -> EcoProblem {
 fn options() -> EcoOptions {
     EcoOptions::builder()
         .per_call_conflicts(Some(100_000))
-        .jobs(1)
         .build()
         .expect("valid options")
 }

