@@ -8,29 +8,8 @@ use eco_sat::{Lit, Solver, Var};
 ///
 /// Multiple encoders over the same solver give independent variable
 /// copies of the circuit (the `x1`/`x2` copies of expression (2)).
-///
-/// # Examples
-///
-/// ```
-/// use eco_aig::Aig;
-/// use eco_core::CnfEncoder;
-/// use eco_sat::{Solver, SolveResult};
-///
-/// let mut aig = Aig::new();
-/// let a = aig.add_input();
-/// let b = aig.add_input();
-/// let f = aig.and(a, b);
-/// aig.add_output(f);
-///
-/// let mut solver = Solver::new();
-/// let mut enc = CnfEncoder::new(&aig);
-/// let f_lit = enc.lit(&aig, &mut solver, f);
-/// let a_lit = enc.lit(&aig, &mut solver, a);
-/// assert_eq!(solver.solve(&[f_lit, !a_lit]), SolveResult::Unsat);
-/// assert_eq!(solver.solve(&[f_lit]), SolveResult::Sat);
-/// ```
 #[derive(Clone, Debug)]
-pub struct CnfEncoder {
+pub(crate) struct CnfEncoder {
     var_of: Vec<Option<Var>>,
     tag: u8,
 }
@@ -165,6 +144,22 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn an_and_output_forces_its_inputs() {
+        let mut aig = Aig::new();
+        let a = aig.add_input();
+        let b = aig.add_input();
+        let f = aig.and(a, b);
+        aig.add_output(f);
+
+        let mut solver = Solver::new();
+        let mut enc = CnfEncoder::new(&aig);
+        let f_lit = enc.lit(&aig, &mut solver, f);
+        let a_lit = enc.lit(&aig, &mut solver, a);
+        assert_eq!(solver.solve(&[f_lit, !a_lit]), SolveResult::Unsat);
+        assert_eq!(solver.solve(&[f_lit]), SolveResult::Sat);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! windowing, per-target quantification, support computation, cube
 //! enumeration, structural fallback, substitution, and verification.
 
-use crate::cache::{CacheLayer, CachedSolve, EcoCache};
+use crate::cache::{CacheLayer, CacheTable, CachedSolve, EcoCache, Lookup};
 use crate::cec::{check_outputs_equivalence_observed, CecResult};
 use crate::cegar_min::cegar_min_observed;
 use crate::classes::EquivClasses;
@@ -62,24 +62,9 @@ pub struct EcoOptions {
     /// Conflict budget per SAT call (`None` = unlimited). Exhaustion
     /// triggers the structural fallback when enabled.
     pub per_call_conflicts: Option<u64>,
-    /// Iteration cap for the 2QBF sufficiency check.
-    pub qbf_max_iterations: usize,
     /// Up to this many *remaining* targets, quantification expands all
     /// `2^r` assignments; above it, QBF certificates are used.
     pub exact_quantification_threshold: usize,
-    /// Cap on candidate divisors per target (cheapest kept).
-    pub max_divisors: usize,
-    /// Cap on last-gasp replacement attempts.
-    pub last_gasp_tries: usize,
-    /// Cap on enumerated SOP cubes per patch.
-    pub max_cubes: usize,
-    /// Cap on quantification-refinement assignments before falling back.
-    pub max_refinements: usize,
-    /// Conflict budget for `CEGAR_min` equivalence queries. Separate
-    /// from `per_call_conflicts`: the paper's structural path arises
-    /// when the *main* ECO SAT times out, while the (much simpler)
-    /// resubstitution queries still run.
-    pub cegar_min_conflicts: Option<u64>,
     /// Derive a structural patch when SAT budgets run out. This also
     /// enables the full per-target degradation ladder: failures are
     /// isolated per target (`Degraded`/`Skipped` dispositions) instead
@@ -108,10 +93,6 @@ pub struct EcoOptions {
     /// last-gasp, tighter caps). Only relevant with
     /// [`EcoOptions::structural_fallback`].
     pub degraded_retry: bool,
-    /// The final verification SAT call may spend this many times
-    /// [`EcoOptions::per_call_conflicts`] (the historical behavior is
-    /// the default factor of 8).
-    pub verify_budget_factor: u64,
 }
 
 impl Default for EcoOptions {
@@ -120,13 +101,7 @@ impl Default for EcoOptions {
             method: SupportMethod::MinimizeAssumptions,
             cegar_min: true,
             per_call_conflicts: Some(2_000_000),
-            qbf_max_iterations: 512,
             exact_quantification_threshold: 6,
-            max_divisors: 3_000,
-            last_gasp_tries: 24,
-            max_cubes: 1 << 14,
-            max_refinements: 128,
-            cegar_min_conflicts: Some(100_000),
             structural_fallback: true,
             sat_prune: SatPruneOptions::default(),
             verify: true,
@@ -135,10 +110,51 @@ impl Default for EcoOptions {
             global_propagations: None,
             fault_plan: None,
             degraded_retry: true,
-            verify_budget_factor: 8,
         }
     }
 }
+
+/// Iteration cap for the 2QBF sufficiency check.
+const QBF_MAX_ITERATIONS: usize = 512;
+
+/// Cap on candidate divisors per target (cheapest kept).
+const MAX_DIVISORS: usize = 3_000;
+
+/// Conflict budget for `CEGAR_min` equivalence queries. Separate from
+/// [`EcoOptions::per_call_conflicts`]: the paper's structural path
+/// arises when the *main* ECO SAT times out, while the (much simpler)
+/// resubstitution queries still run.
+const CEGAR_MIN_CONFLICTS: Option<u64> = Some(100_000);
+
+/// The final verification SAT call may spend this many times
+/// [`EcoOptions::per_call_conflicts`].
+const VERIFY_BUDGET_FACTOR: u64 = 8;
+
+/// Search caps of one SAT-path attempt.
+#[derive(Clone, Copy, Debug)]
+struct Effort {
+    /// Cap on last-gasp replacement attempts (0 disables).
+    last_gasp_tries: usize,
+    /// Cap on quantification-refinement assignments before falling back.
+    max_refinements: usize,
+    /// Cap on enumerated SOP cubes per patch.
+    max_cubes: usize,
+}
+
+/// The full-effort attempt (rung 1 of the degradation ladder).
+const FULL_EFFORT: Effort = Effort {
+    last_gasp_tries: 24,
+    max_refinements: 128,
+    max_cubes: 1 << 14,
+};
+
+/// The reduced-effort retry (rung 2): no last-gasp, tight refinement
+/// and cube caps.
+const REDUCED_EFFORT: Effort = Effort {
+    last_gasp_tries: 0,
+    max_refinements: 8,
+    max_cubes: 1024,
+};
 
 impl EcoOptions {
     /// Starts a builder seeded with [`EcoOptions::default`].
@@ -190,46 +206,10 @@ impl EcoOptionsBuilder {
         self
     }
 
-    /// Sets the iteration cap for the 2QBF sufficiency check.
-    pub fn qbf_max_iterations(mut self, cap: usize) -> Self {
-        self.options.qbf_max_iterations = cap;
-        self
-    }
-
     /// Sets the remaining-target count up to which quantification
     /// expands all `2^r` assignments.
     pub fn exact_quantification_threshold(mut self, threshold: usize) -> Self {
         self.options.exact_quantification_threshold = threshold;
-        self
-    }
-
-    /// Sets the cap on candidate divisors per target.
-    pub fn max_divisors(mut self, cap: usize) -> Self {
-        self.options.max_divisors = cap;
-        self
-    }
-
-    /// Sets the cap on last-gasp replacement attempts.
-    pub fn last_gasp_tries(mut self, tries: usize) -> Self {
-        self.options.last_gasp_tries = tries;
-        self
-    }
-
-    /// Sets the cap on enumerated SOP cubes per patch.
-    pub fn max_cubes(mut self, cap: usize) -> Self {
-        self.options.max_cubes = cap;
-        self
-    }
-
-    /// Sets the cap on quantification-refinement assignments.
-    pub fn max_refinements(mut self, cap: usize) -> Self {
-        self.options.max_refinements = cap;
-        self
-    }
-
-    /// Sets the conflict budget for `CEGAR_min` equivalence queries.
-    pub fn cegar_min_conflicts(mut self, budget: Option<u64>) -> Self {
-        self.options.cegar_min_conflicts = budget;
         self
     }
 
@@ -280,12 +260,6 @@ impl EcoOptionsBuilder {
     /// degradation ladder.
     pub fn degraded_retry(mut self, enabled: bool) -> Self {
         self.options.degraded_retry = enabled;
-        self
-    }
-
-    /// Sets the verification budget escalation factor.
-    pub fn verify_budget_factor(mut self, factor: u64) -> Self {
-        self.options.verify_budget_factor = factor;
         self
     }
 
@@ -673,7 +647,7 @@ impl EcoEngine {
         let opts = &self.options;
         match check_targets_sufficient_observed(
             problem,
-            opts.qbf_max_iterations,
+            QBF_MAX_ITERATIONS,
             opts.per_call_conflicts,
             obs,
             gov,
@@ -884,7 +858,7 @@ impl EcoEngine {
         if verified {
             let budget = opts
                 .per_call_conflicts
-                .map(|c| c.saturating_mul(opts.verify_budget_factor));
+                .map(|c| c.saturating_mul(VERIFY_BUDGET_FACTOR));
             for chunk in &generated.cec_chunks {
                 match check_outputs_equivalence_observed(
                     &chunk.snapshot,
@@ -924,51 +898,50 @@ impl EcoEngine {
         let target_index = target.target_index;
         let target_t = Instant::now();
         obs.emit(|| EcoEvent::TargetStarted { target_index });
-        let solve_key = self.cache.as_ref().map(|cache| {
-            let key = target_solve_key(
-                work,
-                target.window,
-                &target.assignments,
-                target.exact,
-                target.pos,
-                &self.options,
-            );
-            (cache, key)
-        });
-        let cached = solve_key.and_then(|(cache, key)| {
-            let hit = cache.get_solve(key);
-            obs.emit(|| EcoEvent::CacheQuery {
-                layer: CacheLayer::Target,
-                hit: hit.is_some(),
-            });
-            hit
-        });
         // SAT calls spent on this target across failed attempts: carried
         // into the skip report so events and counters stay reconciled.
         let mut spent = 0u64;
-        let ladder = match cached {
-            Some(cached) => {
-                let mut report = cached.report;
-                report.target_index = target_index;
-                // Served from cache: this run spent no solver work.
-                report.sat_calls = 0;
-                Ok((cached.patch, report))
-            }
-            None => {
-                let ladder =
-                    self.patch_with_ladder(work, target, &mut spent, governor, trips, obs)?;
-                if let (Some((cache, key)), Ok((patch, report))) = (solve_key, &ladder) {
-                    if solve_is_cacheable(report, governor) {
-                        cache.put_solve(
-                            key,
-                            CachedSolve {
+        let mut ladder = || self.patch_with_ladder(work, target, &mut spent, governor, trips, obs);
+        let ladder = match &self.cache {
+            None => ladder()?,
+            Some(cache) => {
+                let key = target_solve_key(
+                    work,
+                    target.window,
+                    &target.assignments,
+                    target.exact,
+                    target.pos,
+                    &self.options,
+                );
+                // Another run's fill of this key is awaited only until
+                // this run's own deadline, so a tight deadline still
+                // trips on time instead of waiting out a longer solve.
+                let deadline = governor
+                    .and_then(ResourceGovernor::remaining_time)
+                    .map(|left| Instant::now() + left);
+                let fill = || {
+                    let ladder = ladder();
+                    let stored = match &ladder {
+                        Ok(Ok((patch, report))) if solve_is_cacheable(report, governor) => {
+                            Some(CachedSolve {
                                 patch: patch.clone(),
                                 report: report.clone(),
-                            },
-                        );
+                            })
+                        }
+                        _ => None,
+                    };
+                    (ladder, stored)
+                };
+                match observed_fill(&cache.solves, CacheLayer::Target, key, deadline, obs, fill) {
+                    Lookup::Hit(cached) => {
+                        let mut report = cached.report;
+                        report.target_index = target_index;
+                        // Served from cache: this run spent no solver work.
+                        report.sat_calls = 0;
+                        Ok((cached.patch, report))
                     }
+                    Lookup::Miss(ladder) => ladder?,
                 }
-                ladder
             }
         };
         let sat_calls = match &ladder {
@@ -1043,6 +1016,7 @@ impl EcoEngine {
             original_index,
             spent,
             opts,
+            FULL_EFFORT,
             governor,
             obs,
         ) {
@@ -1054,15 +1028,20 @@ impl EcoEngine {
             Err(e) => return Err(classify_error(e, governor)),
         };
 
-        // Rung 2: reduced-effort retry (analyze_final support, no
-        // last-gasp, tight caps) — cheap enough to often succeed where
-        // the minimization loop blew the budget.
+        // Rung 2: reduced-effort retry (one `analyze_final` UNSAT call
+        // instead of the minimization loop, no last-gasp, tight caps)
+        // — cheap enough to often succeed where the minimization loop
+        // blew the budget. The per-call budget is kept: the point is
+        // fewer and cheaper calls, not a bigger allowance.
         if opts.degraded_retry && governor.and_then(ResourceGovernor::hard_trip).is_none() {
             obs.emit(|| EcoEvent::LadderStep {
                 target_index: original_index,
                 rung: LadderRung::DegradedRetry,
             });
-            let reduced = reduced_options(opts);
+            let reduced = EcoOptions {
+                method: SupportMethod::AnalyzeFinal,
+                ..opts.clone()
+            };
             let mut rung_assignments = assignments.to_vec();
             match self.sat_patch_for_target(
                 work,
@@ -1073,6 +1052,7 @@ impl EcoEngine {
                 original_index,
                 spent,
                 &reduced,
+                REDUCED_EFFORT,
                 governor,
                 obs,
             ) {
@@ -1157,20 +1137,12 @@ impl EcoEngine {
             return compute_window(problem);
         };
         let key = window_cache_key(snapshot);
-        if let Some(window) = cache.get_window(key) {
-            obs.emit(|| EcoEvent::CacheQuery {
-                layer: CacheLayer::Window,
-                hit: true,
-            });
-            return window;
+        match observed_fill(&cache.windows, CacheLayer::Window, key, None, obs, || {
+            let window = compute_window(problem);
+            (window.clone(), Some(window))
+        }) {
+            Lookup::Hit(window) | Lookup::Miss(window) => window,
         }
-        obs.emit(|| EcoEvent::CacheQuery {
-            layer: CacheLayer::Window,
-            hit: false,
-        });
-        let window = compute_window(problem);
-        cache.put_window(key, window.clone());
-        window
     }
 
     /// Builds (or cache-loads) the quantified miter for
@@ -1190,34 +1162,24 @@ impl EcoEngine {
         window: &Window,
         obs: &ObserverHandle,
     ) -> Arc<QuantifiedMiter> {
-        let Some(cache) = &self.cache else {
-            return Arc::new(QuantifiedMiter::build(
+        let build = || {
+            Arc::new(QuantifiedMiter::build(
                 work,
                 pos,
                 assignments,
                 Some(&window.outputs),
-            ));
+            ))
+        };
+        let Some(cache) = &self.cache else {
+            return build();
         };
         let key = miter_cache_key(work, pos, assignments, &window.outputs);
-        if let Some(miter) = cache.get_miter(key) {
-            obs.emit(|| EcoEvent::CacheQuery {
-                layer: CacheLayer::Cnf,
-                hit: true,
-            });
-            return miter;
+        match observed_fill(&cache.miters, CacheLayer::Cnf, key, None, obs, || {
+            let miter = build();
+            (miter.clone(), Some(miter))
+        }) {
+            Lookup::Hit(miter) | Lookup::Miss(miter) => miter,
         }
-        obs.emit(|| EcoEvent::CacheQuery {
-            layer: CacheLayer::Cnf,
-            hit: false,
-        });
-        let miter = Arc::new(QuantifiedMiter::build(
-            work,
-            pos,
-            assignments,
-            Some(&window.outputs),
-        ));
-        cache.put_miter(key, miter.clone());
-        miter
     }
 
     /// Persists a class layer's accumulated counterexample witnesses
@@ -1246,7 +1208,7 @@ impl EcoEngine {
             return;
         }
         let key = miter_cache_key(work, pos, assignments, &window.outputs);
-        cache.put_witnesses(key, Arc::new(witnesses.to_vec()));
+        cache.witnesses.put(key, Arc::new(witnesses.to_vec()));
     }
 
     /// SAT path for `work.targets[pos]`: feasibility (with CEGAR
@@ -1259,9 +1221,9 @@ impl EcoEngine {
     /// so the final report (or the structural-fallback report built
     /// from `spent` after an `Err`) matches the emitted
     /// [`EcoEvent::SatCall`] stream exactly.
-    /// `opts` is passed explicitly (not read from `self`) so the
-    /// degradation ladder can re-run the attempt with reduced-effort
-    /// settings.
+    /// `opts` and `effort` are passed explicitly (not read from
+    /// `self`) so the degradation ladder can re-run the attempt with
+    /// reduced-effort settings.
     #[allow(clippy::too_many_arguments)]
     fn sat_patch_for_target(
         &self,
@@ -1273,6 +1235,7 @@ impl EcoEngine {
         original_index: usize,
         spent: &mut u64,
         opts: &EcoOptions,
+        effort: Effort,
         governor: Option<&ResourceGovernor>,
         obs: &ObserverHandle,
     ) -> Result<(NodePatch, TargetPatchReport), EcoError> {
@@ -1289,7 +1252,7 @@ impl EcoEngine {
             let mut divisors =
                 compute_divisors(&work.implementation, &work.targets, &window.inputs);
             divisors.sort_by_key(|d| (work.weight(*d), d.index()));
-            divisors.truncate(opts.max_divisors);
+            divisors.truncate(MAX_DIVISORS);
             let mut ss = support_solver_for(work, qm, &divisors, opts.per_call_conflicts);
             ss.set_observer(obs.clone(), Some(original_index));
             ss.set_governor(governor.cloned());
@@ -1311,7 +1274,7 @@ impl EcoEngine {
                         // subproblem state.
                         if let Some(cache) = &self.cache {
                             let key = miter_cache_key(work, pos, assignments, &window.outputs);
-                            if let Some(ws) = cache.get_witnesses(key) {
+                            if let Some(ws) = cache.witnesses.get(key) {
                                 for (x1, x2) in ws.iter() {
                                     classes.replay_witness(x1, x2);
                                 }
@@ -1337,7 +1300,7 @@ impl EcoEngine {
                         target_index: original_index,
                     });
                 }
-                if assignments.len() >= opts.max_refinements {
+                if assignments.len() >= effort.max_refinements {
                     *spent += ss.sat_calls;
                     emit_classes_report(obs, &ss, original_index);
                     return Err(EcoError::budget_exhausted("quantification refinement"));
@@ -1377,9 +1340,9 @@ impl EcoEngine {
             }
             let computed = match opts.method {
                 SupportMethod::AnalyzeFinal => ss.analyze_final_support(),
-                SupportMethod::MinimizeAssumptions => ss.minimized_support(opts.last_gasp_tries),
+                SupportMethod::MinimizeAssumptions => ss.minimized_support(effort.last_gasp_tries),
                 SupportMethod::SatPrune => ss
-                    .minimized_support(opts.last_gasp_tries)
+                    .minimized_support(effort.last_gasp_tries)
                     .and_then(|seed| sat_prune_support(&mut ss, Some(seed), opts.sat_prune))
                     .map(|r| r.support),
             };
@@ -1408,7 +1371,7 @@ impl EcoEngine {
                 &support_nodes,
                 original_index,
                 opts.per_call_conflicts,
-                opts.max_cubes,
+                effort.max_cubes,
                 obs,
                 spent,
                 governor,
@@ -1554,7 +1517,7 @@ impl EcoEngine {
                 &eligible,
                 &sp.aig,
                 &bindings,
-                opts.cegar_min_conflicts,
+                CEGAR_MIN_CONFLICTS,
                 obs,
                 Some(original_index),
                 governor,
@@ -1851,19 +1814,6 @@ fn skip_reason_for(e: &EcoError, governor: Option<&ResourceGovernor>) -> String 
     }
 }
 
-/// Rung-2 settings: one `analyze_final` UNSAT call instead of the
-/// minimization loop, no last-gasp, tight refinement and cube caps.
-/// The per-call budget is kept — the point is fewer and cheaper calls,
-/// not a bigger allowance.
-fn reduced_options(opts: &EcoOptions) -> EcoOptions {
-    let mut reduced = opts.clone();
-    reduced.method = SupportMethod::AnalyzeFinal;
-    reduced.last_gasp_tries = 0;
-    reduced.max_refinements = reduced.max_refinements.min(8);
-    reduced.max_cubes = reduced.max_cubes.min(1024);
-    reduced
-}
-
 /// All `2^r` boolean assignments of length `r`, lexicographic.
 fn all_assignments(r: usize) -> Vec<Vec<bool>> {
     (0..1usize << r)
@@ -1908,6 +1858,28 @@ fn project_certificates(certificates: &[Vec<bool>], remaining: &[usize]) -> Vec<
         }
     }
     out
+}
+
+/// [`CacheTable::get_or_fill`] with one [`EcoEvent::CacheQuery`] per
+/// lookup: a miss is reported before `fill` runs (so the fill's own
+/// events follow it), a hit — including a waiter that took a
+/// concurrent fill's value — when the value comes back.
+fn observed_fill<V: Clone, R>(
+    table: &CacheTable<V>,
+    layer: CacheLayer,
+    key: u128,
+    deadline: Option<Instant>,
+    obs: &ObserverHandle,
+    fill: impl FnOnce() -> (R, Option<V>),
+) -> Lookup<V, R> {
+    let lookup = table.get_or_fill(key, deadline, || {
+        obs.emit(|| EcoEvent::CacheQuery { layer, hit: false });
+        fill()
+    });
+    if let Lookup::Hit(_) = lookup {
+        obs.emit(|| EcoEvent::CacheQuery { layer, hit: true });
+    }
+    lookup
 }
 
 /// Domain-separation tags for the cache-key spaces.

@@ -90,10 +90,9 @@ mod sweep;
 pub mod trace;
 mod window;
 
-pub use cache::{CacheLayer, CacheStats, EcoCache};
+pub use cache::{CacheLayer, CacheStats, CacheTable, EcoCache, Lookup, TableStats};
 pub use cec::{check_equivalence, CecResult};
 pub use cegar_min::{cegar_min, CegarMinResult};
-pub use cnf::CnfEncoder;
 pub use cost::{generate_weights, WeightDistribution};
 pub use cubes::{enumerate_patch_sop, PatchSop};
 pub use detect::{detect_targets, DetectOptions, DetectedTargets};
@@ -105,7 +104,7 @@ pub use engine::{
 pub use error::{BudgetExhausted, EcoError};
 pub use exact::{sat_prune_support, SatPruneOptions, SatPruneResult};
 pub use interp::{craig_interpolant, interpolation_patch, InterpolantPatch};
-pub use miter::{EcoMiter, QuantifiedMiter};
+pub use miter::QuantifiedMiter;
 pub use observe::{
     duration_us, BudgetMetrics, CacheCounters, ClassesCounters, EcoEvent, EcoObserver, Histogram,
     KindMetrics, LadderRung, MetricsObserver, NullObserver, Phase, PhaseMetrics, RunMetrics,
@@ -114,8 +113,7 @@ pub use observe::{
 };
 pub use problem::EcoProblem;
 pub use qbf::{check_targets_sufficient, QbfOutcome};
-pub use snapshot::{hash_aig, ContentHasher, ProblemSnapshot, SnapshotHashes};
-pub use structural::{structural_patch, StructuralPatch};
+pub use snapshot::{ContentHasher, ProblemSnapshot, SnapshotHashes};
 pub use support::{
     minimize_assumptions, naive_minimize_assumptions, support_solver_for, SupportResult,
     SupportSolver,

@@ -40,7 +40,7 @@ fn map_implementation(
 /// Input order of [`EcoMiter::aig`]: the `x` inputs first, then one
 /// input per target (in the problem's target order).
 #[derive(Clone, Debug)]
-pub struct EcoMiter {
+pub(crate) struct EcoMiter {
     /// The miter circuit.
     pub aig: Aig,
     /// `1` iff the (free-target) implementation differs from the
@@ -50,9 +50,6 @@ pub struct EcoMiter {
     pub x_inputs: Vec<AigLit>,
     /// Literals of the free target inputs, in target order.
     pub target_inputs: Vec<AigLit>,
-    /// Miter literal computed by each implementation node (targets map
-    /// to their free inputs).
-    pub impl_map: Vec<AigLit>,
 }
 
 impl EcoMiter {
@@ -88,7 +85,6 @@ impl EcoMiter {
             output,
             x_inputs,
             target_inputs,
-            impl_map,
         }
     }
 }
@@ -346,9 +342,9 @@ mod tests {
     #[test]
     fn impl_map_exposes_divisor_functions() {
         let p = and_vs_or();
-        let m = EcoMiter::build(&p, None);
+        let qm = QuantifiedMiter::build(&p, 0, &[], None);
         // Input a of the implementation maps to the first x input.
         let a_node = p.implementation.inputs()[0];
-        assert_eq!(m.impl_map[a_node.index()], m.x_inputs[0]);
+        assert_eq!(qm.impl_map[a_node.index()], qm.x_inputs[0]);
     }
 }

@@ -102,7 +102,7 @@ pub(crate) fn hash_bytes(tag: u64, bytes: &[u8]) -> u64 {
 /// order, the input list, and the output literals. Equal hashes mean
 /// the two AIGs are the same stored structure — same node ids, same
 /// everything — so artifacts holding [`NodeId`]s transfer soundly.
-pub fn hash_aig(aig: &Aig) -> u64 {
+pub(crate) fn hash_aig(aig: &Aig) -> u64 {
     let mut h = ContentHasher::new(0x41_49_47);
     h.write(aig.num_nodes() as u64);
     for id in aig.iter_nodes() {

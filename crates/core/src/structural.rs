@@ -7,7 +7,7 @@ use eco_aig::Aig;
 
 /// A patch expressed over primary inputs.
 #[derive(Clone, Debug)]
-pub struct StructuralPatch {
+pub(crate) struct StructuralPatch {
     /// Single-output patch circuit; input `i` corresponds to primary
     /// input `support_inputs[i]` of the problem.
     pub aig: Aig,
@@ -23,7 +23,7 @@ pub struct StructuralPatch {
 /// `M_i(0, x)` is an interpolant of the unsatisfiable
 /// `M_i(0, x) ∧ M_i(1, x)`, hence a correct patch whenever the ECO is
 /// feasible at this step. Unused inputs are trimmed from the support.
-pub fn structural_patch(qm: &QuantifiedMiter) -> StructuralPatch {
+pub(crate) fn structural_patch(qm: &QuantifiedMiter) -> StructuralPatch {
     let cofactor = qm.cofactor(false);
     // Trim to the cone of the output.
     let roots = [cofactor.outputs()[0]];

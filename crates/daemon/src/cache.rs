@@ -4,23 +4,23 @@
 //! live in [`eco_core::EcoCache`]; the daemon shares one instance of
 //! that across every request it serves.
 //!
-//! Outcome entries are stored only for clean runs — no governor trip —
-//! so a result degraded by resource pressure is never replayed as if
-//! it were the answer. An outcome hit returns the stored response
-//! fields (byte-identical patched Verilog) without touching the
-//! engine: zero SAT calls, visible in the per-request
+//! Every table is an [`eco_core::CacheTable`], so fills follow its
+//! single-flight contract: N identical concurrent requests do exactly
+//! one solve, and a fill that stores nothing (a parse error, a
+//! governor-tripped or fault-injected outcome, a panic) sends its
+//! waiters to compute for themselves.
+//!
+//! Outcome entries are stored only for clean runs — no governor trip,
+//! no injected fault — so a result degraded by resource pressure is
+//! never replayed as if it were the answer. An outcome hit returns the
+//! stored response fields (byte-identical patched Verilog) without
+//! touching the engine: zero SAT calls, visible in the per-request
 //! [`RunMetrics`](eco_core::RunMetrics) as `sat_calls.total == 0` with
 //! `cache.outcome_hits == 1`.
-//!
-//! Netlist fills are single-flight: when several requests miss the
-//! same cold text at once, the first parses it and the others wait for
-//! that result, so one text costs one parse (and one miss).
 
-use eco_core::{CacheStats, ContentHasher, EcoCache};
+use eco_core::{CacheStats, CacheTable, ContentHasher, EcoCache, Lookup};
 use eco_netlist::{AigConversion, Netlist, ParsedModule};
-use std::collections::HashMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// Domain tag for parsed-netlist keys.
 const TAG_NETLIST: u64 = 0x4e_45_54; // "NET"
@@ -42,33 +42,6 @@ impl ParsedDesign {
     }
 }
 
-/// What a netlist fill produces: the shared design or the parse error.
-type ParseResult = Result<Arc<ParsedDesign>, String>;
-
-/// One in-flight netlist parse. The first caller for a key parses and
-/// publishes the result; later callers for the same key wait on it.
-#[derive(Default)]
-struct Fill {
-    result: Mutex<Option<ParseResult>>,
-    done: Condvar,
-}
-
-impl Fill {
-    fn publish(&self, result: ParseResult) {
-        *self.result.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-        self.done.notify_all();
-    }
-
-    fn wait(&self) -> ParseResult {
-        let guard = self.result.lock().unwrap_or_else(PoisonError::into_inner);
-        let guard = self
-            .done
-            .wait_while(guard, |result| result.is_none())
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.clone().expect("published before notify")
-    }
-}
-
 /// A stored clean outcome: everything needed to answer an identical
 /// request again without running the engine.
 #[derive(Clone, Debug)]
@@ -79,62 +52,6 @@ pub(crate) struct CachedOutcome {
     pub dispositions: Vec<String>,
     pub patched_verilog: String,
     pub num_targets: usize,
-}
-
-/// One tick-stamped LRU map (same discipline as the engine-side
-/// cache: a shared tick, eviction scans for the stalest entry).
-struct Lru<T> {
-    entries: HashMap<u128, (u64, T)>,
-    tick: u64,
-    evictions: u64,
-}
-
-impl<T: Clone> Lru<T> {
-    fn new() -> Lru<T> {
-        Lru {
-            entries: HashMap::new(),
-            tick: 0,
-            evictions: 0,
-        }
-    }
-
-    fn get(&mut self, key: u128) -> Option<T> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(&key).map(|(stamp, value)| {
-            *stamp = tick;
-            value.clone()
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn put(&mut self, key: u128, value: T, capacity: usize) {
-        self.tick += 1;
-        if self.entries.len() >= capacity && !self.entries.contains_key(&key) {
-            if let Some(&stale) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (stamp, _))| *stamp)
-                .map(|(k, _)| k)
-            {
-                self.entries.remove(&stale);
-                self.evictions += 1;
-            }
-        }
-        self.entries.insert(key, (self.tick, value));
-    }
-}
-
-#[derive(Clone, Copy, Debug, Default)]
-struct Counters {
-    netlist_hits: u64,
-    netlist_misses: u64,
-    outcome_hits: u64,
-    outcome_misses: u64,
-    poison_hits: u64,
 }
 
 /// Aggregated daemon cache statistics: the daemon-side layers plus
@@ -189,27 +106,23 @@ impl DaemonCacheStats {
     }
 }
 
-/// The daemon's cache: netlist and outcome layers plus the shared
-/// engine-side [`EcoCache`]. Cheap to clone (all state is shared).
+/// The daemon's cache: netlist, outcome, and poison-pill tables plus
+/// the shared engine-side [`EcoCache`]. Cheap to clone (all state is
+/// shared).
 #[derive(Clone)]
 pub struct DaemonCache {
-    netlist: Arc<Mutex<Lru<Arc<ParsedDesign>>>>,
-    /// Netlist parses in progress, keyed like `netlist`.
-    filling: Arc<Mutex<HashMap<u128, Arc<Fill>>>>,
-    outcome: Arc<Mutex<Lru<Arc<CachedOutcome>>>>,
+    netlist: Arc<CacheTable<Arc<ParsedDesign>>>,
+    pub(crate) outcome: Arc<CacheTable<Arc<CachedOutcome>>>,
     /// Quarantined request fingerprints → panic message. An entry
     /// means "this exact request crashed a worker"; retries are
     /// answered from here without touching the engine.
-    poison: Arc<Mutex<Lru<Arc<String>>>>,
-    counters: Arc<Mutex<Counters>>,
+    poison: Arc<CacheTable<Arc<String>>>,
     engine: EcoCache,
-    capacity: usize,
 }
 
 impl std::fmt::Debug for DaemonCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DaemonCache")
-            .field("capacity", &self.capacity)
             .field("stats", &self.stats())
             .finish()
     }
@@ -219,15 +132,11 @@ impl DaemonCache {
     /// Creates a cache holding at most `capacity` entries per layer
     /// (clamped to at least one).
     pub fn new(capacity: usize) -> DaemonCache {
-        let capacity = capacity.max(1);
         DaemonCache {
-            netlist: Arc::new(Mutex::new(Lru::new())),
-            filling: Arc::new(Mutex::new(HashMap::new())),
-            outcome: Arc::new(Mutex::new(Lru::new())),
-            poison: Arc::new(Mutex::new(Lru::new())),
-            counters: Arc::new(Mutex::new(Counters::default())),
+            netlist: Arc::new(CacheTable::new(capacity)),
+            outcome: Arc::new(CacheTable::new(capacity)),
+            poison: Arc::new(CacheTable::new(capacity)),
             engine: EcoCache::new(capacity),
-            capacity,
         }
     }
 
@@ -239,32 +148,15 @@ impl DaemonCache {
 
     /// Current statistics across all layers.
     pub fn stats(&self) -> DaemonCacheStats {
-        let c = *self.counters.lock().unwrap_or_else(PoisonError::into_inner);
-        let evictions = {
-            let n = self
-                .netlist
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .evictions;
-            let o = self
-                .outcome
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .evictions;
-            n + o
-        };
+        let (netlist, outcome) = (self.netlist.stats(), self.outcome.stats());
         DaemonCacheStats {
-            netlist_hits: c.netlist_hits,
-            netlist_misses: c.netlist_misses,
-            outcome_hits: c.outcome_hits,
-            outcome_misses: c.outcome_misses,
-            poison_pills: self
-                .poison
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len() as u64,
-            poison_hits: c.poison_hits,
-            evictions,
+            netlist_hits: netlist.hits,
+            netlist_misses: netlist.misses,
+            outcome_hits: outcome.hits,
+            outcome_misses: outcome.misses,
+            poison_pills: self.poison.len() as u64,
+            poison_hits: self.poison.stats().hits,
+            evictions: netlist.evictions + outcome.evictions,
             engine: self.engine.stats(),
         }
     }
@@ -273,124 +165,42 @@ impl DaemonCache {
     /// later request with the same fingerprint is answered by
     /// [`DaemonCache::poisoned`] without touching the engine.
     pub(crate) fn poison(&self, key: u128, message: &str) {
-        self.poison
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .put(key, Arc::new(message.to_string()), self.capacity);
+        self.poison.put(key, Arc::new(message.to_string()));
     }
 
     /// The stored panic message when `key` is quarantined; counts a
     /// poison hit on match.
     pub(crate) fn poisoned(&self, key: u128) -> Option<Arc<String>> {
-        let hit = self
-            .poison
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key);
-        if hit.is_some() {
-            self.counters
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .poison_hits += 1;
-        }
-        hit
+        self.poison.get(key)
     }
 
     /// Parses `text` through the netlist layer; the returned flag is
-    /// `true` on a hit. A caller that finds the same text already being
-    /// parsed waits for that parse and counts a hit. A parse or
-    /// conversion failure reaches every waiter and is never cached, so
-    /// a later corrected request re-parses.
+    /// `true` on a hit. A parse or conversion failure is never cached,
+    /// so every caller of a failing text (concurrent ones included)
+    /// parses it and gets the error, and a later corrected request
+    /// re-parses.
     pub(crate) fn parsed(&self, text: &str) -> Result<(Arc<ParsedDesign>, bool), String> {
         let key = {
             let mut h = ContentHasher::new(TAG_NETLIST);
             h.write_bytes(text.as_bytes());
             h.finish128()
         };
-        // The netlist lock is held across the in-flight lookup, so a
-        // finishing parse is seen either as an entry or as a fill.
-        let (fill, first) = {
-            let mut netlist = self.netlist.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(design) = netlist.get(key) {
-                drop(netlist);
-                self.count_netlist(true);
-                return Ok((design, true));
-            }
-            let mut filling = self.filling.lock().unwrap_or_else(PoisonError::into_inner);
-            match filling.get(&key) {
-                Some(fill) => (fill.clone(), false),
-                None => {
-                    let fill = Arc::new(Fill::default());
-                    filling.insert(key, fill.clone());
-                    (fill, true)
-                }
-            }
-        };
-        self.count_netlist(!first);
-        if !first {
-            return fill.wait().map(|design| (design, true));
-        }
-        let parse = catch_unwind(AssertUnwindSafe(|| {
+        let parse = || -> Result<Arc<ParsedDesign>, String> {
             let module = eco_netlist::parse_verilog(text).map_err(|e| e.to_string())?;
             let conversion = module.netlist.to_aig().map_err(|e| e.to_string())?;
             Ok(Arc::new(ParsedDesign { module, conversion }))
-        }));
-        // Waiters must never block on an abandoned fill: a panicking
-        // parse publishes an error to them and then keeps unwinding.
-        let result: ParseResult = match &parse {
-            Ok(result) => result.clone(),
-            Err(_) => Err("netlist parse panicked".to_string()),
         };
-        if let Ok(design) = &result {
-            self.netlist
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .put(key, design.clone(), self.capacity);
+        // Parsing is ungoverned, so waiting for a concurrent parse of
+        // the same text never takes longer than parsing it here.
+        let lookup = self.netlist.get_or_fill(key, None, || {
+            let parsed = parse();
+            let stored = parsed.as_ref().ok().cloned();
+            (parsed, stored)
+        });
+        match lookup {
+            Lookup::Hit(design) => Ok((design, true)),
+            Lookup::Miss(parsed) => parsed.map(|design| (design, false)),
         }
-        self.filling
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&key);
-        fill.publish(result);
-        match parse {
-            Ok(result) => result.map(|design| (design, false)),
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-
-    fn count_netlist(&self, hit: bool) {
-        let mut c = self.counters.lock().unwrap_or_else(PoisonError::into_inner);
-        if hit {
-            c.netlist_hits += 1;
-        } else {
-            c.netlist_misses += 1;
-        }
-    }
-
-    pub(crate) fn lookup_outcome(&self, key: u128) -> Option<Arc<CachedOutcome>> {
-        let hit = self
-            .outcome
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key);
-        let mut c = self.counters.lock().unwrap_or_else(PoisonError::into_inner);
-        match hit {
-            Some(outcome) => {
-                c.outcome_hits += 1;
-                Some(outcome)
-            }
-            None => {
-                c.outcome_misses += 1;
-                None
-            }
-        }
-    }
-
-    pub(crate) fn store_outcome(&self, key: u128, outcome: CachedOutcome) {
-        self.outcome
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .put(key, Arc::new(outcome), self.capacity);
     }
 }
 
@@ -548,7 +358,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_failing_parses_share_the_error_and_cache_nothing() {
+    fn concurrent_failing_parses_each_parse_and_cache_nothing() {
         const CALLERS: usize = 4;
         let cache = DaemonCache::new(4);
         // Valid up to its last line, so every caller pays the full parse.
@@ -592,13 +402,13 @@ mod tests {
             patched_verilog: tag.to_string(),
             num_targets: 1,
         };
-        cache.store_outcome(1, entry("one"));
-        cache.store_outcome(2, entry("two"));
-        assert!(cache.lookup_outcome(1).is_some()); // refresh key 1
-        cache.store_outcome(3, entry("three")); // evicts key 2
-        assert!(cache.lookup_outcome(2).is_none());
-        assert!(cache.lookup_outcome(1).is_some());
-        assert!(cache.lookup_outcome(3).is_some());
+        cache.outcome.put(1, Arc::new(entry("one")));
+        cache.outcome.put(2, Arc::new(entry("two")));
+        assert!(cache.outcome.get(1).is_some()); // refresh key 1
+        cache.outcome.put(3, Arc::new(entry("three"))); // evicts key 2
+        assert!(cache.outcome.get(2).is_none());
+        assert!(cache.outcome.get(1).is_some());
+        assert!(cache.outcome.get(3).is_some());
         assert_eq!(cache.stats().evictions, 1);
     }
 }

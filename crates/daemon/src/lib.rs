@@ -22,12 +22,25 @@
 //! the serving-side realization of the paper's observation that ECO
 //! effort should scale with the size of the *change*, not the design.
 //!
+//! Every layer is an [`eco_core::CacheTable`], whose fills are
+//! single-flight: concurrent callers that miss the same key wait for
+//! one fill and take its stored value as a hit, so N identical
+//! concurrent requests do exactly one solve. A fill that stores
+//! nothing (an error, a governor trip, an injected fault, a panic)
+//! sends its waiters to compute for themselves; no request is handed
+//! an answer degraded for another. A request waits only until its own
+//! deadline, so sharing a fill never delays its anytime answer. Fills
+//! nest only as outcome →
+//! {netlist, window, target → CNF}, so they cannot deadlock. The full
+//! contract is on [`eco_core::CacheTable`].
+//!
 //! Per-request quality of service rides on the governor chain: the
 //! daemon holds one root [`eco_core::ResourceGovernor`] with the
 //! process-wide pools, and each request runs under a
 //! [`eco_core::ResourceGovernor::child_with_limits`] governor carrying
-//! its own deadline and fair-share conflict pool. A request that trips
-//! its own limits degrades alone; the rest of the stream is unharmed.
+//! its own deadline (counted from when the daemon starts answering it)
+//! and fair-share conflict pool. A request that trips its own limits
+//! degrades alone; the rest of the stream is unharmed.
 //!
 //! The daemon is also built to *stay up*: every request's solve path
 //! runs behind an unwind boundary (a panicking request answers

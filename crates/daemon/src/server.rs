@@ -36,7 +36,7 @@ use crate::cache::{outcome_key, CachedOutcome, DaemonCache};
 use crate::journal::{Field, Journal, Level};
 use crate::protocol::{
     draining_response, error_response, expired_response, overloaded_response, panic_response,
-    parse_request, EcoRequest, EcoResponse, MetricsFormat, Request,
+    parse_request, EcoRequest, EcoResponse, MetricsFormat, Request, RequestOptions,
 };
 use crate::queue::{Admission, RequestQueue};
 use crate::telemetry::{CommandKind, ScrapeView, Stage, Telemetry};
@@ -44,15 +44,15 @@ use eco_core::json::escape_json;
 use eco_core::trace::{ChromeTrace, CONTROL_LANE};
 use eco_core::{
     duration_us, netlist_patches, patched_netlist, CacheCounters, CacheLayer, EcoEngine,
-    EcoOptions, EcoProblem, FaultPlan, GovernorLimits, ResourceGovernor, RunMetrics, SupportMethod,
-    TargetDisposition, TripReason,
+    EcoOptions, EcoProblem, FaultPlan, GovernorLimits, Lookup, ResourceGovernor, RunMetrics,
+    SupportMethod, TargetDisposition, TripReason,
 };
 use eco_netlist::WeightTable;
 use std::io::{self, BufRead, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// `retry_after_ms` hint on `draining` responses: the client should
@@ -283,10 +283,23 @@ impl Daemon {
     /// occupancy gauges as the structural zeros they are, instead of
     /// posing as idle pooled readings.
     pub fn handle_line(&self, line: &str) -> (String, bool) {
+        let (response, stop) = self.dispatch(line, None);
+        (response.expect("inline requests are always answered"), stop)
+    }
+
+    /// Handles one request line in either serving mode: `queue` is the
+    /// pooled mode's admission queue, `None` serves inline. Returns the
+    /// response line — `None` when an ECO request was queued, since a
+    /// pool worker answers it later — and whether serving should stop.
+    /// Only the ECO arm differs by mode; control commands report the
+    /// queue's occupancy, or zeros inline.
+    fn dispatch(&self, line: &str, queue: Option<&RequestQueue>) -> (Option<String>, bool) {
         let received = Instant::now();
         let parsed = parse_request(line);
         self.telemetry.record_request(command_kind(&parsed));
-        match parsed {
+        let mode = if queue.is_some() { "pooled" } else { "direct" };
+        let occupancy = || queue.map_or((0, 0), |q| (q.depth(), q.in_flight()));
+        let response = match parsed {
             Err(e) => {
                 self.journal.event(
                     Level::Warn,
@@ -294,60 +307,128 @@ impl Daemon {
                     None,
                     &[("error", Field::S(e.clone()))],
                 );
-                (error_response("", &e), false)
+                error_response("", &e)
             }
-            Ok(Request::Stats { id }) => (
-                format!(
-                    "{{\"id\":\"{}\",\"status\":\"ok\",\"stats\":{}}}",
-                    escape_json(&id),
-                    self.cache.stats().to_json()
-                ),
-                false,
+            Ok(Request::Stats { id }) => format!(
+                "{{\"id\":\"{}\",\"status\":\"ok\",\"stats\":{}}}",
+                escape_json(&id),
+                self.cache.stats().to_json()
             ),
-            Ok(Request::Health { id }) => (self.health_json(&id, 0, 0, "direct"), false),
+            Ok(Request::Health { id }) => {
+                let (depth, in_flight) = occupancy();
+                self.health_json(&id, depth, in_flight, mode)
+            }
             Ok(Request::Metrics { id, format }) => {
                 let stats = self.cache.stats();
+                let (depth, in_flight) = occupancy();
                 let view = ScrapeView {
                     cache: &stats,
-                    queue_depth: 0,
-                    in_flight: 0,
-                    queue_peak: 0,
+                    queue_depth: depth as u64,
+                    in_flight: in_flight as u64,
+                    queue_peak: queue.map_or(0, RequestQueue::peak_depth) as u64,
                     draining: self.draining(),
-                    mode: "direct",
+                    mode,
                 };
-                (self.metrics_response(&id, format, &view), false)
+                self.metrics_response(&id, format, &view)
             }
             Ok(Request::Drain { id }) => {
                 self.draining.store(true, Ordering::SeqCst);
-                self.journal.event(Level::Info, "drain", Some(&id), &[]);
-                (self.drain_ack(&id, 0, 0), false)
+                match queue {
+                    None => self.journal.event(Level::Info, "drain", Some(&id), &[]),
+                    Some(queue) => {
+                        queue.close();
+                        self.journal.event(
+                            Level::Info,
+                            "drain",
+                            Some(&id),
+                            &[
+                                ("queue_depth", Field::U(queue.depth() as u64)),
+                                ("in_flight", Field::U(queue.in_flight() as u64)),
+                            ],
+                        );
+                        if let Some(t) = &self.trace {
+                            t.instant(CONTROL_LANE, "drain", "daemon", Some(&id));
+                        }
+                    }
+                }
+                let (depth, in_flight) = occupancy();
+                self.drain_ack(&id, depth, in_flight)
             }
             Ok(Request::Shutdown { id }) => {
                 self.shutdown.store(true, Ordering::SeqCst);
                 self.journal.event(Level::Info, "shutdown", Some(&id), &[]);
-                (
-                    format!(
-                        "{{\"id\":\"{}\",\"status\":\"ok\",\"shutdown\":true}}",
-                        escape_json(&id)
-                    ),
-                    true,
-                )
+                let bye = format!(
+                    "{{\"id\":\"{}\",\"status\":\"ok\",\"shutdown\":true}}",
+                    escape_json(&id)
+                );
+                return (Some(bye), true);
             }
-            Ok(Request::Eco(req)) => {
-                if self.draining() {
-                    self.journal
-                        .event(Level::Warn, "drain_refused", Some(&req.id), &[]);
-                    return (draining_response(&req.id, DRAIN_RETRY_HINT_MS), false);
+            Ok(Request::Eco(req)) if self.draining() => {
+                self.journal
+                    .event(Level::Warn, "drain_refused", Some(&req.id), &[]);
+                draining_response(&req.id, DRAIN_RETRY_HINT_MS)
+            }
+            Ok(Request::Eco(req)) => match queue {
+                None => {
+                    self.telemetry
+                        .record_stage(Stage::Admission, duration_us(received.elapsed()));
+                    self.journal.event(
+                        Level::Info,
+                        "admit",
+                        Some(&req.id),
+                        &[("mode", Field::S("direct".to_string()))],
+                    );
+                    self.answer_eco(&req, None, None)
                 }
-                self.telemetry
-                    .record_stage(Stage::Admission, duration_us(received.elapsed()));
+                Some(queue) => match self.offer(queue, req, received) {
+                    Some(refusal) => refusal,
+                    None => return (None, false),
+                },
+            },
+        };
+        (Some(response), false)
+    }
+
+    /// Offers an ECO request to the pool's admission queue; returns the
+    /// refusal line when it was shed or the queue is draining, `None`
+    /// when it was queued.
+    fn offer(
+        &self,
+        queue: &RequestQueue,
+        req: Box<EcoRequest>,
+        received: Instant,
+    ) -> Option<String> {
+        let id = req.id.clone();
+        let admission = queue.offer(req);
+        self.telemetry
+            .record_stage(Stage::Admission, duration_us(received.elapsed()));
+        match admission {
+            Admission::Queued => {
                 self.journal.event(
                     Level::Info,
                     "admit",
-                    Some(&req.id),
-                    &[("mode", Field::S("direct".to_string()))],
+                    Some(&id),
+                    &[("queue_depth", Field::U(queue.depth() as u64))],
                 );
-                (self.answer_eco(&req, None, None), false)
+                None
+            }
+            Admission::Shed { retry_after_ms } => {
+                self.telemetry.shed.inc();
+                self.journal.event(
+                    Level::Warn,
+                    "shed",
+                    Some(&id),
+                    &[("retry_after_ms", Field::U(retry_after_ms))],
+                );
+                if let Some(t) = &self.trace {
+                    t.instant(CONTROL_LANE, "shed", "daemon", Some(&id));
+                }
+                Some(overloaded_response(&id, retry_after_ms))
+            }
+            Admission::Draining => {
+                self.journal
+                    .event(Level::Warn, "drain_refused", Some(&id), &[]);
+                Some(draining_response(&id, DRAIN_RETRY_HINT_MS))
             }
         }
     }
@@ -398,6 +479,12 @@ impl Daemon {
             lane
         });
         let key = outcome_key(req);
+        // The request's own deadline runs from here, so time spent
+        // waiting on a concurrent identical request counts against it.
+        let deadline = req
+            .options
+            .deadline_ms
+            .map(|ms| begun + Duration::from_millis(ms));
         let mut stage = StageTimes::default();
         let (line, status) = 'resp: {
             if let Some(pill) = self.cache.poisoned(key) {
@@ -419,7 +506,9 @@ impl Daemon {
             if let Some(ms) = req.options.hold_ms {
                 std::thread::sleep(Duration::from_millis(ms.min(MAX_HOLD_MS)));
             }
-            match catch_unwind(AssertUnwindSafe(|| self.handle_eco(req, lane, &mut stage))) {
+            match catch_unwind(AssertUnwindSafe(|| {
+                self.handle_eco(req, key, deadline, lane, &mut stage)
+            })) {
                 Ok(Ok(response)) => {
                     let serializing = Instant::now();
                     let line = response.to_json();
@@ -489,46 +578,81 @@ impl Daemon {
         line
     }
 
-    /// Solves one ECO request through the cache hierarchy. `lane` is
-    /// the request's trace lane (engine spans are forwarded onto it),
-    /// and `stage` receives the parse/solve/serialize wall times.
+    /// Answers one ECO request through the outcome layer. A stored
+    /// clean outcome — found, or published by a concurrent identical
+    /// request this one waited for — replays without touching the
+    /// engine (or even the parser): zero SAT calls, byte-identical
+    /// patched netlist. Otherwise this request solves, and its answer
+    /// is stored when clean. The wait for a concurrent request ends at
+    /// this request's `deadline`, after which it solves (and trips)
+    /// on its own. `lane` is the request's trace lane (engine spans
+    /// are forwarded onto it), and `stage` receives the
+    /// parse/solve/serialize wall times.
     fn handle_eco(
         &self,
         req: &EcoRequest,
+        key: u128,
+        deadline: Option<Instant>,
         lane: Option<usize>,
         stage: &mut StageTimes,
     ) -> Result<EcoResponse, String> {
-        let key = outcome_key(req);
-        if let Some(stored) = self.cache.lookup_outcome(key) {
-            self.telemetry.record_cache(CacheLayer::Outcome, 1, 0);
-            // Outcome hit: replay the stored answer without touching
-            // the engine (or even the parser) — zero SAT calls,
-            // byte-identical patched netlist.
-            let metrics = RunMetrics {
-                request_id: Some(req.id.clone()),
-                num_targets: stored.num_targets,
-                cache: CacheCounters {
-                    outcome_hits: 1,
-                    ..CacheCounters::default()
-                },
-                ..RunMetrics::default()
+        let lookup = self.cache.outcome.get_or_fill(key, deadline, || {
+            self.telemetry.record_cache(CacheLayer::Outcome, 0, 1);
+            let solved = self.solve_eco(req, deadline, lane, stage);
+            // Only clean runs are replayable: a governor trip or
+            // injected fault marks a resource-shaped answer that must
+            // not be served as if it were the real one.
+            let stored = match &solved {
+                Ok((response, true)) => Some(Arc::new(CachedOutcome {
+                    verified: response.verified,
+                    cost: response.cost,
+                    gates: response.gates,
+                    dispositions: response.dispositions.clone(),
+                    patched_verilog: response.patched_verilog.clone(),
+                    num_targets: req.targets.len(),
+                })),
+                _ => None,
             };
-            return Ok(EcoResponse {
-                id: req.id.clone(),
-                verified: stored.verified,
-                cost: stored.cost,
-                gates: stored.gates,
-                dispositions: stored.dispositions.clone(),
-                governor_trip: None,
-                netlist_cache_hit: false,
-                outcome_cache_hit: true,
-                patched_verilog: stored.patched_verilog.clone(),
-                metrics_json: metrics.to_json(),
-            });
-        }
+            (solved.map(|(response, _)| response), stored)
+        });
+        let stored = match lookup {
+            Lookup::Hit(stored) => stored,
+            Lookup::Miss(solved) => return solved,
+        };
+        self.telemetry.record_cache(CacheLayer::Outcome, 1, 0);
+        let metrics = RunMetrics {
+            request_id: Some(req.id.clone()),
+            num_targets: stored.num_targets,
+            cache: CacheCounters {
+                outcome_hits: 1,
+                ..CacheCounters::default()
+            },
+            ..RunMetrics::default()
+        };
+        Ok(EcoResponse {
+            id: req.id.clone(),
+            verified: stored.verified,
+            cost: stored.cost,
+            gates: stored.gates,
+            dispositions: stored.dispositions.clone(),
+            governor_trip: None,
+            netlist_cache_hit: false,
+            outcome_cache_hit: true,
+            patched_verilog: stored.patched_verilog.clone(),
+            metrics_json: metrics.to_json(),
+        })
+    }
 
-        self.telemetry.record_cache(CacheLayer::Outcome, 0, 1);
-
+    /// The outcome fill: parse, solve, emit. The flag is `true` when
+    /// the run was clean (no governor trip, no injected fault), so its
+    /// answer may be replayed.
+    fn solve_eco(
+        &self,
+        req: &EcoRequest,
+        deadline: Option<Instant>,
+        lane: Option<usize>,
+        stage: &mut StageTimes,
+    ) -> Result<(EcoResponse, bool), String> {
         let parsing = Instant::now();
         let (impl_design, impl_hit) = self.cache.parsed(&req.impl_verilog)?;
         let (spec_design, spec_hit) = self.cache.parsed(&req.spec_verilog)?;
@@ -552,34 +676,7 @@ impl Daemon {
         .map_err(|e| e.to_string())?;
         stage.parse_us = Some(duration_us(parsing.elapsed()));
 
-        let method = match req.options.method.as_deref() {
-            None | Some("minimize") => SupportMethod::MinimizeAssumptions,
-            Some("baseline") => SupportMethod::AnalyzeFinal,
-            Some("prune") => SupportMethod::SatPrune,
-            Some(other) => {
-                return Err(format!(
-                    "unknown method {other:?} (expected baseline, minimize, or prune)"
-                ))
-            }
-        };
-        let options = EcoOptions::builder()
-            .method(method)
-            .per_call_conflicts(req.options.budget.or(Some(2_000_000)))
-            .structural_fallback(req.options.structural_fallback.unwrap_or(true))
-            .build()
-            .map_err(|e| e.to_string())?;
-        // Per-request QoS: the request's own deadline and fair-share
-        // conflict pool layer under the daemon-wide root limits. A
-        // zero deadline means "already expired" (anytime answer), so
-        // map it to the smallest representable one — the builder-style
-        // rejection of a literal zero applies to options, not here.
-        let timeout = req.options.deadline_ms.map(|ms| {
-            if ms == 0 {
-                Duration::from_nanos(1)
-            } else {
-                Duration::from_millis(ms)
-            }
-        });
+        let options = engine_options(&req.options)?;
         // The fair-share pool: the caller's own budget wins when
         // present; otherwise the daemon's default applies, and trips
         // of that daemon-imposed pool are eligible for escalation.
@@ -589,6 +686,16 @@ impl Daemon {
         let snapshot = problem.snapshot();
         let solving = Instant::now();
         let outcome = loop {
+            // Per-request QoS: the time left before the request's own
+            // deadline and its fair-share conflict pool layer under the
+            // daemon-wide root limits. A passed deadline means "already
+            // expired" (anytime answer), so map it to the smallest
+            // representable timeout — the builder-style rejection of a
+            // literal zero applies to options, not here.
+            let timeout = deadline.map(|d| {
+                d.saturating_duration_since(Instant::now())
+                    .max(Duration::from_nanos(1))
+            });
             let limits = GovernorLimits {
                 timeout,
                 global_conflicts: pool,
@@ -692,27 +799,10 @@ impl Daemon {
             self.telemetry.record_cache(layer, hits, misses);
         }
 
-        // Only clean runs are replayable: a governor trip or injected
-        // fault marks a resource-shaped answer that must not be
-        // served as if it were the real one.
-        if outcome.governor_trip.is_none() && outcome.fault_injections == 0 {
-            self.cache.store_outcome(
-                key,
-                CachedOutcome {
-                    verified: outcome.verified,
-                    cost: outcome.total_cost,
-                    gates: outcome.total_gates as u64,
-                    dispositions: dispositions.clone(),
-                    patched_verilog: patched_verilog.clone(),
-                    num_targets: req.targets.len(),
-                },
-            );
-        }
-
         let metrics_json = metrics.to_json();
         stage.serialize_us = Some(duration_us(serializing.elapsed()));
 
-        Ok(EcoResponse {
+        let response = EcoResponse {
             id: req.id.clone(),
             verified: outcome.verified,
             cost: outcome.total_cost,
@@ -723,7 +813,9 @@ impl Daemon {
             outcome_cache_hit: false,
             patched_verilog,
             metrics_json,
-        })
+        };
+        let clean = outcome.governor_trip.is_none() && outcome.fault_injections == 0;
+        Ok((response, clean))
     }
 
     /// Serves one JSONL stream until EOF, a `shutdown`, or a `drain`
@@ -823,118 +915,12 @@ impl Daemon {
                     if line.trim().is_empty() {
                         continue;
                     }
-                    let received = Instant::now();
-                    let parsed = parse_request(&line);
-                    self.telemetry.record_request(command_kind(&parsed));
-                    match parsed {
-                        Err(e) => {
-                            self.journal.event(
-                                Level::Warn,
-                                "parse_error",
-                                None,
-                                &[("error", Field::S(e.clone()))],
-                            );
-                            write_line(&error_response("", &e));
-                        }
-                        Ok(Request::Stats { id }) => write_line(&format!(
-                            "{{\"id\":\"{}\",\"status\":\"ok\",\"stats\":{}}}",
-                            escape_json(&id),
-                            self.cache.stats().to_json()
-                        )),
-                        Ok(Request::Health { id }) => {
-                            write_line(&self.health_json(
-                                &id,
-                                queue.depth(),
-                                queue.in_flight(),
-                                "pooled",
-                            ));
-                        }
-                        Ok(Request::Metrics { id, format }) => {
-                            let stats = self.cache.stats();
-                            let view = ScrapeView {
-                                cache: &stats,
-                                queue_depth: queue.depth() as u64,
-                                in_flight: queue.in_flight() as u64,
-                                queue_peak: queue.peak_depth() as u64,
-                                draining: self.draining(),
-                                mode: "pooled",
-                            };
-                            write_line(&self.metrics_response(&id, format, &view));
-                        }
-                        Ok(Request::Drain { id }) => {
-                            self.draining.store(true, Ordering::SeqCst);
-                            queue.close();
-                            self.journal.event(
-                                Level::Info,
-                                "drain",
-                                Some(&id),
-                                &[
-                                    ("queue_depth", Field::U(queue.depth() as u64)),
-                                    ("in_flight", Field::U(queue.in_flight() as u64)),
-                                ],
-                            );
-                            if let Some(t) = &self.trace {
-                                t.instant(CONTROL_LANE, "drain", "daemon", Some(&id));
-                            }
-                            write_line(&self.drain_ack(&id, queue.depth(), queue.in_flight()));
-                        }
-                        Ok(Request::Shutdown { id }) => {
-                            self.shutdown.store(true, Ordering::SeqCst);
-                            self.journal.event(Level::Info, "shutdown", Some(&id), &[]);
-                            write_line(&format!(
-                                "{{\"id\":\"{}\",\"status\":\"ok\",\"shutdown\":true}}",
-                                escape_json(&id)
-                            ));
-                            break;
-                        }
-                        Ok(Request::Eco(req)) => {
-                            if self.draining() {
-                                self.journal.event(
-                                    Level::Warn,
-                                    "drain_refused",
-                                    Some(&req.id),
-                                    &[],
-                                );
-                                write_line(&draining_response(&req.id, DRAIN_RETRY_HINT_MS));
-                                continue;
-                            }
-                            let id = req.id.clone();
-                            let admission = queue.offer(req);
-                            self.telemetry
-                                .record_stage(Stage::Admission, duration_us(received.elapsed()));
-                            match admission {
-                                Admission::Queued => {
-                                    self.journal.event(
-                                        Level::Info,
-                                        "admit",
-                                        Some(&id),
-                                        &[("queue_depth", Field::U(queue.depth() as u64))],
-                                    );
-                                }
-                                Admission::Shed { retry_after_ms } => {
-                                    self.telemetry.shed.inc();
-                                    self.journal.event(
-                                        Level::Warn,
-                                        "shed",
-                                        Some(&id),
-                                        &[("retry_after_ms", Field::U(retry_after_ms))],
-                                    );
-                                    if let Some(t) = &self.trace {
-                                        t.instant(CONTROL_LANE, "shed", "daemon", Some(&id));
-                                    }
-                                    write_line(&overloaded_response(&id, retry_after_ms));
-                                }
-                                Admission::Draining => {
-                                    self.journal.event(
-                                        Level::Warn,
-                                        "drain_refused",
-                                        Some(&id),
-                                        &[],
-                                    );
-                                    write_line(&draining_response(&id, DRAIN_RETRY_HINT_MS));
-                                }
-                            }
-                        }
+                    let (response, stop) = self.dispatch(&line, Some(&queue));
+                    if let Some(response) = response {
+                        write_line(&response);
+                    }
+                    if stop {
+                        break;
                     }
                 }
                 Ok(())
@@ -990,6 +976,26 @@ struct StageTimes {
     parse_us: Option<u64>,
     solve_us: Option<u64>,
     serialize_us: Option<u64>,
+}
+
+/// The engine options of one ECO request.
+fn engine_options(options: &RequestOptions) -> Result<EcoOptions, String> {
+    let method = match options.method.as_deref() {
+        None | Some("minimize") => SupportMethod::MinimizeAssumptions,
+        Some("baseline") => SupportMethod::AnalyzeFinal,
+        Some("prune") => SupportMethod::SatPrune,
+        Some(other) => {
+            return Err(format!(
+                "unknown method {other:?} (expected baseline, minimize, or prune)"
+            ))
+        }
+    };
+    EcoOptions::builder()
+        .method(method)
+        .per_call_conflicts(options.budget.or(Some(2_000_000)))
+        .structural_fallback(options.structural_fallback.unwrap_or(true))
+        .build()
+        .map_err(|e| e.to_string())
 }
 
 /// The [`CommandKind`] of a parse result, for per-command request
@@ -1383,6 +1389,185 @@ mod tests {
                 .and_then(|m| m.get("request_id"))
                 .and_then(JsonValue::as_str),
             Some("r2")
+        );
+    }
+
+    #[test]
+    fn concurrent_identical_requests_solve_once() {
+        const CALLERS: usize = 8;
+        // A long inverter chain in front of the target keeps the cold
+        // parse and solve slow enough for the callers to overlap.
+        let mut chain = String::from("wire w0;\nnot n0(w0, a);\n");
+        for i in 1..5_000 {
+            chain.push_str(&format!("wire w{i};\nnot n{i}(w{i}, w{});\n", i - 1));
+        }
+        let design = |gate: &str| {
+            format!(
+                "module top(a, b, y);\ninput a, b;\noutput y;\nwire t;\n{chain}\
+                 {gate} g0(t, w4999, b);\nbuf g1(y, t);\nendmodule\n"
+            )
+        };
+        let line = |id: &str| {
+            format!(
+                "{{\"id\":\"{id}\",\"impl\":\"{}\",\"spec\":\"{}\",\"targets\":[\"t\"]}}",
+                escape_json(&design("and")),
+                escape_json(&design("or"))
+            )
+        };
+        let daemon = Daemon::new(DaemonConfig::default());
+        let barrier = std::sync::Barrier::new(CALLERS);
+        let responses: Vec<JsonValue> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..CALLERS)
+                .map(|i| {
+                    let (daemon, barrier) = (&daemon, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        let (line, _) = daemon.handle_line(&line(&format!("r{i}")));
+                        parse_json(&line).expect("valid JSON")
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("no panic"))
+                .collect()
+        });
+        let stats = daemon.cache().stats();
+        assert_eq!(stats.outcome_misses, 1, "one answer, one solve: {stats:?}");
+        assert_eq!(stats.outcome_hits, CALLERS as u64 - 1);
+        let outcome = |v: &JsonValue| {
+            v.get("cache")
+                .and_then(|c| c.get("outcome"))
+                .and_then(JsonValue::as_str)
+                .map(str::to_string)
+        };
+        let hits = responses
+            .iter()
+            .filter(|v| outcome(v).as_deref() == Some("hit"))
+            .count();
+        assert_eq!(hits, CALLERS - 1, "every waiter answers as an outcome hit");
+        let verilog = |v: &JsonValue| {
+            v.get("patched_verilog")
+                .and_then(JsonValue::as_str)
+                .map(str::to_string)
+        };
+        for (i, v) in responses.iter().enumerate() {
+            assert_eq!(status(v), Some("ok"));
+            assert_eq!(
+                v.get("metrics")
+                    .and_then(|m| m.get("request_id"))
+                    .and_then(JsonValue::as_str),
+                Some(format!("r{i}").as_str())
+            );
+            assert!(verilog(v).is_some());
+            assert_eq!(verilog(v), verilog(&responses[0]));
+            if outcome(v).as_deref() == Some("hit") {
+                let sat_total = v
+                    .get("metrics")
+                    .and_then(|m| m.get("sat_calls"))
+                    .and_then(|s| s.get("total"))
+                    .and_then(JsonValue::as_u64);
+                assert_eq!(sat_total, Some(0), "a hit spends no SAT calls");
+            }
+        }
+    }
+
+    /// Holds a run's target-layer fill open: signals on entering it,
+    /// then blocks until released.
+    struct HoldTargetFill {
+        entered: std::sync::mpsc::Sender<()>,
+        release: std::sync::mpsc::Receiver<()>,
+    }
+
+    impl eco_core::EcoObserver for HoldTargetFill {
+        fn on_event(&mut self, event: &eco_core::EcoEvent) {
+            if let eco_core::EcoEvent::CacheQuery {
+                layer: CacheLayer::Target,
+                hit: false,
+            } = event
+            {
+                let _ = self.entered.send(());
+                let _ = self.release.recv_timeout(Duration::from_secs(30));
+            }
+        }
+    }
+
+    #[test]
+    fn requests_waiting_on_a_longer_solve_answer_within_their_own_deadline() {
+        const DEADLINE_MS: u64 = 600;
+        let daemon = Daemon::new(DaemonConfig::default());
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        let barrier = std::sync::Barrier::new(2);
+        let line = eco_line_with("d", SPEC, &format!("{{\"deadline_ms\":{DEADLINE_MS}}}"));
+        std::thread::scope(|s| {
+            // A run with no deadline on the daemon's shared engine
+            // cache, with the request's engine options, so it owns the
+            // same target key as the requests below; it stands in for a
+            // request whose solve outlasts their deadline.
+            let held = s.spawn(|| {
+                let (impl_design, _) = daemon.cache().parsed(IMPL).expect("parses");
+                let (spec_design, _) = daemon.cache().parsed(SPEC).expect("parses");
+                let problem = EcoProblem::from_netlists(
+                    impl_design.netlist(),
+                    spec_design.netlist(),
+                    &["t"],
+                    &WeightTable::new(),
+                    1,
+                )
+                .expect("valid problem");
+                let options = engine_options(&RequestOptions::default()).expect("valid options");
+                EcoEngine::new(options)
+                    .with_cache(daemon.cache().engine())
+                    .with_observer(HoldTargetFill {
+                        entered: entered_tx,
+                        release: release_rx,
+                    })
+                    .solve(&problem.snapshot())
+            });
+            entered
+                .recv_timeout(Duration::from_secs(30))
+                .expect("the held run enters its target fill");
+            // Two identical requests with a deadline: one owns the
+            // outcome fill and waits on the held target fill, the
+            // other waits on that outcome fill. Each must answer at
+            // about its own deadline, not the held run's finish and not
+            // after a second, fresh deadline.
+            let answers: Vec<(Duration, JsonValue)> = (0..2)
+                .map(|_| {
+                    let (daemon, barrier, line) = (&daemon, &barrier, &line);
+                    s.spawn(move || {
+                        barrier.wait();
+                        let begun = Instant::now();
+                        let (response, _) = daemon.handle_line(line);
+                        (begun.elapsed(), parse_json(&response).expect("valid JSON"))
+                    })
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|h| h.join().expect("no panic"))
+                .collect();
+            let _ = release.send(());
+            let outcome = held.join().expect("no panic").expect("held run solves");
+            assert!(outcome.verified);
+            for (elapsed, v) in &answers {
+                assert_eq!(status(v), Some("ok"));
+                assert_eq!(
+                    v.get("governor_trip").and_then(JsonValue::as_str),
+                    Some("deadline"),
+                    "the request tripped its own deadline: {v:?}"
+                );
+                assert!(
+                    *elapsed < Duration::from_millis(DEADLINE_MS * 3 / 2),
+                    "answered within about its deadline: {elapsed:?}"
+                );
+            }
+        });
+        let stats = daemon.cache().stats();
+        assert_eq!(
+            (stats.outcome_hits, stats.outcome_misses),
+            (0, 2),
+            "a tripped answer is never stored or shared: {stats:?}"
         );
     }
 

@@ -202,3 +202,41 @@ fn tiny_capacity_evicts_without_corrupting_answers() {
         cache.stats()
     );
 }
+
+#[test]
+fn concurrent_solves_sharing_a_cache_fill_each_layer_once() {
+    // Eight engines solve the same problem at once through one cache:
+    // single-flight fills mean one window computation, one solve per
+    // target, and one CNF build per target; every other lookup waits
+    // for those fills and hits.
+    const SOLVERS: usize = 8;
+    let cache = EcoCache::new(64);
+    let snapshot = problem(0).snapshot();
+    let cold = EcoEngine::new(options())
+        .solve(&snapshot)
+        .expect("cold run solves");
+    let barrier = std::sync::Barrier::new(SOLVERS);
+    let warm: Vec<String> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..SOLVERS)
+            .map(|_| {
+                s.spawn(|| {
+                    let engine = EcoEngine::new(options()).with_cache(cache.clone());
+                    barrier.wait();
+                    emitted(&engine.solve(&snapshot).expect("warm run solves"))
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("no panic"))
+            .collect()
+    });
+    assert!(
+        warm.iter().all(|w| *w == emitted(&cold)),
+        "every concurrent answer is byte-identical to the cold run"
+    );
+    let stats = cache.stats();
+    assert_eq!(stats.window_misses, 1, "{stats:?}");
+    assert_eq!(stats.target_misses, 2, "{stats:?}");
+    assert_eq!(stats.cnf_misses, 2, "{stats:?}");
+}
