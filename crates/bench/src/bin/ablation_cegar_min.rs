@@ -36,8 +36,7 @@ fn main() {
                 .per_call_conflicts(Some(0)) // force the structural path
                 .cegar_min(cegar)
                 .verify(false)
-                .build()
-                .expect("valid options");
+                .build();
             let engine = EcoEngine::new(options);
             let out = engine.solve(&problem.snapshot()).expect("structural run");
             let cec = check_equivalence(&out.patched_implementation, &problem.specification, None);

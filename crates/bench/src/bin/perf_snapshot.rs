@@ -79,11 +79,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let methods = [
-        ("baseline", SupportMethod::AnalyzeFinal),
-        ("minimize", SupportMethod::MinimizeAssumptions),
-        ("prune", SupportMethod::SatPrune),
-    ];
     let mut cases = Vec::new();
     for unit in table1_units(config.scale)
         .iter()
@@ -91,7 +86,8 @@ fn main() {
         .take(config.units)
     {
         let problem = build_unit(unit);
-        for (method_name, method) in methods {
+        for method in SupportMethod::ALL {
+            let method_name = method.name();
             let mut total = Duration::ZERO;
             let mut min = Duration::MAX;
             let mut last = None;

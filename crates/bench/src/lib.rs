@@ -59,7 +59,6 @@ pub fn options_for(method: SupportMethod, per_call_conflicts: Option<u64>) -> Ec
             per_call_conflicts: per_call_conflicts.map(|c| (c / 4).max(1)),
         })
         .build()
-        .expect("bench options are valid")
 }
 
 /// Runs one method on one problem and reports the Table 1 columns,

@@ -15,32 +15,17 @@ use crate::problem::EcoProblem;
 use crate::qbf::{check_targets_sufficient, QbfOutcome};
 use eco_aig::{Aig, AigNode, NodeId};
 
-/// Configuration for [`detect_targets`].
-#[derive(Clone, Copy, Debug)]
-pub struct DetectOptions {
-    /// Largest target set to try.
-    pub max_targets: usize,
-    /// Candidate nodes kept after simulation ranking.
-    pub max_candidates: usize,
-    /// Distinguishing pattern words (64 patterns each) to collect.
-    pub pattern_words: usize,
-    /// Conflict budget per SAT call.
-    pub per_call_conflicts: Option<u64>,
-    /// Iteration cap for each sufficiency check.
-    pub qbf_max_iterations: usize,
-}
+/// Largest target set to try.
+const MAX_TARGETS: usize = 8;
 
-impl Default for DetectOptions {
-    fn default() -> DetectOptions {
-        DetectOptions {
-            max_targets: 8,
-            max_candidates: 64,
-            pattern_words: 16,
-            per_call_conflicts: Some(2_000_000),
-            qbf_max_iterations: 512,
-        }
-    }
-}
+/// Candidate nodes kept after simulation ranking.
+const MAX_CANDIDATES: usize = 64;
+
+/// Distinguishing pattern words (64 patterns each) to collect.
+const PATTERN_WORDS: usize = 16;
+
+/// Iteration cap for each sufficiency check.
+const QBF_MAX_ITERATIONS: usize = 512;
 
 /// Result of target detection.
 #[derive(Clone, Debug)]
@@ -53,7 +38,8 @@ pub struct DetectedTargets {
 }
 
 /// Detects a target set in `implementation` sufficient to rectify it
-/// against `specification`.
+/// against `specification`, spending at most `per_call_conflicts`
+/// conflicts on each CEC and sufficiency SAT call (`None` = unlimited).
 ///
 /// # Errors
 ///
@@ -65,7 +51,7 @@ pub struct DetectedTargets {
 ///
 /// ```
 /// use eco_aig::Aig;
-/// use eco_core::{detect_targets, DetectOptions};
+/// use eco_core::detect_targets;
 ///
 /// // implementation: y = a & b; specification: y = a | b.
 /// let mut im = Aig::new();
@@ -79,7 +65,7 @@ pub struct DetectedTargets {
 /// let y = sp.or(a, b);
 /// sp.add_output(y);
 ///
-/// let found = detect_targets(&im, &sp, &DetectOptions::default())?;
+/// let found = detect_targets(&im, &sp, None)?;
 /// assert!(found.sufficient);
 /// assert_eq!(found.targets, vec![t.node()]);
 /// # Ok::<(), eco_core::EcoError>(())
@@ -87,7 +73,7 @@ pub struct DetectedTargets {
 pub fn detect_targets(
     implementation: &Aig,
     specification: &Aig,
-    options: &DetectOptions,
+    per_call_conflicts: Option<u64>,
 ) -> Result<DetectedTargets, EcoError> {
     if implementation.num_inputs() != specification.num_inputs()
         || implementation.num_outputs() != specification.num_outputs()
@@ -97,7 +83,7 @@ pub fn detect_targets(
         });
     }
     // Phase 0: already equivalent?
-    match check_equivalence(implementation, specification, options.per_call_conflicts) {
+    match check_equivalence(implementation, specification, per_call_conflicts) {
         CecResult::Equivalent => {
             return Ok(DetectedTargets {
                 targets: Vec::new(),
@@ -119,7 +105,7 @@ pub fn detect_targets(
         z ^ (z >> 31)
     };
     let mut pattern_sets: Vec<Vec<u64>> = Vec::new();
-    for _ in 0..options.pattern_words {
+    for _ in 0..PATTERN_WORDS {
         let words: Vec<u64> = (0..implementation.num_inputs()).map(|_| next()).collect();
         let impl_out = implementation.simulate_outputs(&words);
         let spec_out = specification.simulate_outputs(&words);
@@ -148,7 +134,7 @@ pub fn detect_targets(
         }
     }
     scored.sort_by_key(|&(score, id)| (std::cmp::Reverse(score), id));
-    scored.truncate(options.max_candidates);
+    scored.truncate(MAX_CANDIDATES);
     if scored.is_empty() {
         // Nothing repairable by a single flip: seed with the highest
         // fanout-cone nodes feeding differing outputs.
@@ -157,13 +143,13 @@ pub fn detect_targets(
                 scored.push((0, id));
             }
         }
-        scored.truncate(options.max_candidates);
+        scored.truncate(MAX_CANDIDATES);
     }
 
     // Phase 3: greedy growth with the QBF oracle.
     let mut targets: Vec<NodeId> = Vec::new();
     for &(_, candidate) in &scored {
-        if targets.len() >= options.max_targets {
+        if targets.len() >= MAX_TARGETS {
             break;
         }
         targets.push(candidate);
@@ -172,11 +158,7 @@ pub fn detect_targets(
             specification.clone(),
             targets.clone(),
         )?;
-        match check_targets_sufficient(
-            &problem,
-            options.qbf_max_iterations,
-            options.per_call_conflicts,
-        ) {
+        match check_targets_sufficient(&problem, QBF_MAX_ITERATIONS, per_call_conflicts) {
             QbfOutcome::Solvable { .. } => {
                 return Ok(DetectedTargets {
                     targets,
@@ -245,7 +227,7 @@ mod tests {
         let t = im.and(a, b);
         im.add_output(t);
         let sp = im.clone();
-        let found = detect_targets(&im, &sp, &DetectOptions::default()).expect("detect");
+        let found = detect_targets(&im, &sp, None).expect("detect");
         assert!(found.sufficient);
         assert!(found.targets.is_empty());
     }
@@ -254,7 +236,7 @@ mod tests {
     fn detects_single_injected_bug() {
         use eco_benchgen_shim::*;
         let (im, sp, injected) = injected_instance(40, 1, 77);
-        let found = detect_targets(&im, &sp, &DetectOptions::default()).expect("detect");
+        let found = detect_targets(&im, &sp, None).expect("detect");
         assert!(found.sufficient, "detected set must be sufficient");
         // The detected set need not equal the injected one, but the full
         // flow must produce a verified patch.
@@ -270,7 +252,7 @@ mod tests {
     fn detects_multi_bug_set() {
         use eco_benchgen_shim::*;
         let (im, sp, _) = injected_instance(80, 2, 5);
-        let found = detect_targets(&im, &sp, &DetectOptions::default()).expect("detect");
+        let found = detect_targets(&im, &sp, None).expect("detect");
         assert!(found.sufficient);
         assert!(!found.targets.is_empty());
         let problem = EcoProblem::with_unit_weights(im, sp, found.targets).expect("valid");
@@ -286,7 +268,7 @@ mod tests {
         im.add_input();
         let sp = Aig::new();
         assert!(matches!(
-            detect_targets(&im, &sp, &DetectOptions::default()),
+            detect_targets(&im, &sp, None),
             Err(EcoError::InterfaceMismatch { .. })
         ));
     }

@@ -24,7 +24,7 @@ use crate::window::{
     compute_divisors, compute_window, independent_targets, per_target_outputs, Window,
 };
 use eco_aig::{factor_sop, Aig, AigLit, NodeId, NodePatch};
-use eco_sat::{FaultPlan, GovernorLimits, ResourceGovernor, SolveResult, Solver, TripReason};
+use eco_sat::{ResourceGovernor, SolveResult, Solver, TripReason};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -43,6 +43,39 @@ pub enum SupportMethod {
     /// `SAT_prune` exact minimum-cost search seeded by
     /// `minimize_assumptions` (Sec. 3.4.2).
     SatPrune,
+}
+
+impl SupportMethod {
+    /// Every method, in Table 1 column order.
+    pub const ALL: [SupportMethod; 3] = [
+        SupportMethod::AnalyzeFinal,
+        SupportMethod::MinimizeAssumptions,
+        SupportMethod::SatPrune,
+    ];
+
+    /// The method's CLI and wire name: `baseline`, `minimize` or
+    /// `prune`.
+    pub fn name(self) -> &'static str {
+        match self {
+            SupportMethod::AnalyzeFinal => "baseline",
+            SupportMethod::MinimizeAssumptions => "minimize",
+            SupportMethod::SatPrune => "prune",
+        }
+    }
+
+    /// Parses a [`SupportMethod::name`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the accepted names for anything else.
+    pub fn from_name(name: &str) -> Result<SupportMethod, String> {
+        SupportMethod::ALL
+            .into_iter()
+            .find(|m| m.name() == name)
+            .ok_or_else(|| {
+                format!("unknown method {name:?} (expected baseline, minimize, or prune)")
+            })
+    }
 }
 
 /// Engine configuration.
@@ -74,25 +107,6 @@ pub struct EcoOptions {
     pub sat_prune: SatPruneOptions,
     /// Run the final equivalence check.
     pub verify: bool,
-    /// Wall-clock deadline for one [`EcoEngine::solve`] call, enforced
-    /// cooperatively from inside every SAT call (`None` = no deadline).
-    pub timeout: Option<Duration>,
-    /// Global conflict pool drawn down by every SAT call of the run,
-    /// across all phases (`None` = unlimited). Complements the
-    /// *per-call* budget [`EcoOptions::per_call_conflicts`].
-    pub global_conflicts: Option<u64>,
-    /// Global propagation pool, analogous to
-    /// [`EcoOptions::global_conflicts`].
-    pub global_propagations: Option<u64>,
-    /// Deterministic fault-injection schedule for robustness testing:
-    /// forces chosen SAT calls to answer `Unknown` (or trips the
-    /// governor), seeded and reproducible.
-    pub fault_plan: Option<FaultPlan>,
-    /// Between the full SAT attempt and the structural patch, retry the
-    /// target once with cheaper settings (`analyze_final` support, no
-    /// last-gasp, tighter caps). Only relevant with
-    /// [`EcoOptions::structural_fallback`].
-    pub degraded_retry: bool,
 }
 
 impl Default for EcoOptions {
@@ -105,11 +119,6 @@ impl Default for EcoOptions {
             structural_fallback: true,
             sat_prune: SatPruneOptions::default(),
             verify: true,
-            timeout: None,
-            global_conflicts: None,
-            global_propagations: None,
-            fault_plan: None,
-            degraded_retry: true,
         }
     }
 }
@@ -177,9 +186,8 @@ impl EcoOptions {
 ///     .method(SupportMethod::SatPrune)
 ///     .per_call_conflicts(Some(500_000))
 ///     .verify(false)
-///     .build()?;
+///     .build();
 /// assert_eq!(opts.method, SupportMethod::SatPrune);
-/// # Ok::<(), eco_core::EcoError>(())
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct EcoOptionsBuilder {
@@ -232,51 +240,9 @@ impl EcoOptionsBuilder {
         self
     }
 
-    /// Sets a wall-clock deadline for each [`EcoEngine::solve`] call.
-    pub fn timeout(mut self, deadline: Option<Duration>) -> Self {
-        self.options.timeout = deadline;
-        self
-    }
-
-    /// Sets the global conflict pool shared across all phases.
-    pub fn global_conflicts(mut self, pool: Option<u64>) -> Self {
-        self.options.global_conflicts = pool;
-        self
-    }
-
-    /// Sets the global propagation pool shared across all phases.
-    pub fn global_propagations(mut self, pool: Option<u64>) -> Self {
-        self.options.global_propagations = pool;
-        self
-    }
-
-    /// Installs a deterministic fault-injection schedule.
-    pub fn fault_plan(mut self, plan: Option<FaultPlan>) -> Self {
-        self.options.fault_plan = plan;
-        self
-    }
-
-    /// Enables or disables the reduced-effort retry rung of the
-    /// degradation ladder.
-    pub fn degraded_retry(mut self, enabled: bool) -> Self {
-        self.options.degraded_retry = enabled;
-        self
-    }
-
-    /// Finalizes the options, validating cross-field invariants.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EcoError::InvalidProblem`] when the deadline is zero
-    /// (every run would trip it before doing any work).
-    pub fn build(self) -> Result<EcoOptions, EcoError> {
-        if self.options.timeout == Some(Duration::ZERO) {
-            return Err(EcoError::InvalidProblem {
-                message: "timeout must be positive (a zero deadline trips before any work)"
-                    .to_string(),
-            });
-        }
-        Ok(self.options)
+    /// Finalizes the options.
+    pub fn build(self) -> EcoOptions {
+        self.options
     }
 }
 
@@ -394,7 +360,8 @@ pub struct EcoOutcome {
     /// marks an *anytime* outcome: inspect the per-target
     /// [`TargetPatchReport::disposition`]s for what completed.
     pub governor_trip: Option<TripReason>,
-    /// Faults injected by the configured [`FaultPlan`] during the run.
+    /// Faults injected by the governor's
+    /// [`FaultPlan`](eco_sat::FaultPlan) during the run.
     pub fault_injections: u64,
 }
 
@@ -420,7 +387,7 @@ pub struct EcoOutcome {
 /// sp.add_output(o);
 ///
 /// let problem = EcoProblem::with_unit_weights(im, sp, vec![target])?;
-/// let options = EcoOptions::builder().build()?;
+/// let options = EcoOptions::builder().build();
 /// let outcome = EcoEngine::new(options).solve(&problem.snapshot())?;
 /// assert!(outcome.verified);
 /// # Ok::<(), eco_core::EcoError>(())
@@ -488,12 +455,12 @@ impl EcoEngine {
         self
     }
 
-    /// Installs an externally-owned [`ResourceGovernor`], overriding
-    /// the one [`EcoEngine::solve`] would build from
-    /// [`EcoOptions::timeout`]/[`EcoOptions::global_conflicts`]. Keep a
-    /// clone of the handle to [`ResourceGovernor::cancel`] a running
-    /// engine from another thread or to share one pool across several
-    /// runs.
+    /// Installs a [`ResourceGovernor`] that bounds every
+    /// [`EcoEngine::solve`] call of this engine (runs are ungoverned
+    /// without one). Its deadline clock starts when it is built, so
+    /// build one per solve for a per-run deadline. Keep a clone of the
+    /// handle to [`ResourceGovernor::cancel`] a running engine from
+    /// another thread or to share one pool across several runs.
     pub fn with_governor(mut self, governor: ResourceGovernor) -> EcoEngine {
         self.governor = Some(governor);
         self
@@ -542,8 +509,7 @@ impl EcoEngine {
     pub fn solve(&self, snapshot: &ProblemSnapshot) -> Result<EcoOutcome, EcoError> {
         let t0 = Instant::now();
         let problem: &EcoProblem = snapshot.problem();
-        let governor = self.run_governor();
-        let gov = governor.as_ref();
+        let gov = self.governor.as_ref();
         let mut trips = TripLog::default();
         let (obs, metrics_sink) = self.run_observers();
         obs.emit(|| EcoEvent::RunStarted {
@@ -597,27 +563,6 @@ impl EcoEngine {
             metrics,
             governor_trip: gov.and_then(ResourceGovernor::trip),
             fault_injections: gov.map_or(0, ResourceGovernor::fault_injections),
-        })
-    }
-
-    /// The run's governor: an explicit one wins; otherwise one is built
-    /// from the options, or the run is ungoverned when no limit is
-    /// configured.
-    fn run_governor(&self) -> Option<ResourceGovernor> {
-        let opts = &self.options;
-        self.governor.clone().or_else(|| {
-            (opts.timeout.is_some()
-                || opts.global_conflicts.is_some()
-                || opts.global_propagations.is_some()
-                || opts.fault_plan.is_some())
-            .then(|| {
-                ResourceGovernor::new(GovernorLimits {
-                    timeout: opts.timeout,
-                    global_conflicts: opts.global_conflicts,
-                    global_propagations: opts.global_propagations,
-                    fault_plan: opts.fault_plan.clone(),
-                })
-            })
         })
     }
 
@@ -1033,7 +978,7 @@ impl EcoEngine {
         // — cheap enough to often succeed where the minimization loop
         // blew the budget. The per-call budget is kept: the point is
         // fewer and cheaper calls, not a bigger allowance.
-        if opts.degraded_retry && governor.and_then(ResourceGovernor::hard_trip).is_none() {
+        if governor.and_then(ResourceGovernor::hard_trip).is_none() {
             obs.emit(|| EcoEvent::LadderStep {
                 target_index: original_index,
                 rung: LadderRung::DegradedRetry,
@@ -1986,27 +1931,19 @@ fn target_solve_key(
     h.finish128()
 }
 
-/// Fingerprint of the options that shape a per-target solve. Run-scoped
-/// resource fields (deadline, global pools, fault plan) are
-/// normalized away: they do not change what a *completed, untripped*
-/// solve produces, and [`solve_is_cacheable`] refuses to store anything
-/// the governor interfered with.
+/// Fingerprint of the options that shape a per-target solve. Run
+/// limits live in the governor, not the options, and
+/// [`solve_is_cacheable`] refuses to store anything the governor
+/// interfered with.
 fn options_fingerprint(opts: &EcoOptions) -> u64 {
-    let mut normalized = opts.clone();
-    normalized.timeout = None;
-    normalized.global_conflicts = None;
-    normalized.global_propagations = None;
-    normalized.fault_plan = None;
-    hash_bytes(TAG_OPTS, format!("{normalized:?}").as_bytes())
+    hash_bytes(TAG_OPTS, format!("{opts:?}").as_bytes())
 }
 
 /// Whether the test-equivalence-class layer answers this solve's
 /// subset-feasibility and `CEGAR_min` probes: only under `SAT_prune`,
-/// whose exact subset search issues the probes it can answer, and
-/// never under a fault plan, whose call-indexed schedule inherited
-/// answers would shift.
+/// whose exact subset search issues the probes it can answer.
 fn class_layer_on(opts: &EcoOptions) -> bool {
-    opts.method == SupportMethod::SatPrune && opts.fault_plan.is_none()
+    opts.method == SupportMethod::SatPrune
 }
 
 /// Deterministic seed for a target's class layer, from the target index
@@ -2061,31 +1998,10 @@ mod tests {
     }
 
     fn run_with(method: SupportMethod, p: &EcoProblem) -> EcoOutcome {
-        let options = EcoOptions::builder()
-            .method(method)
-            .build()
-            .expect("valid options");
+        let options = EcoOptions::builder().method(method).build();
         EcoEngine::new(options)
             .solve(&p.snapshot())
             .expect("engine run")
-    }
-
-    #[test]
-    fn builder_rejects_a_zero_deadline() {
-        let err = EcoOptions::builder()
-            .timeout(Some(Duration::ZERO))
-            .build()
-            .expect_err("zero deadline");
-        assert!(
-            matches!(err, EcoError::InvalidProblem { ref message } if message.contains("timeout")),
-            "got {err}"
-        );
-        // The smallest representable deadline is fine (the CLI maps
-        // `--timeout-ms 0` to it to keep the anytime contract).
-        EcoOptions::builder()
-            .timeout(Some(Duration::from_nanos(1)))
-            .build()
-            .expect("1ns deadline is accepted");
     }
 
     #[test]
@@ -2154,8 +2070,7 @@ mod tests {
             .per_call_conflicts(Some(0))
             .cegar_min(false)
             .verify(false)
-            .build()
-            .expect("valid options");
+            .build();
         let out = EcoEngine::new(options)
             .solve(&p.snapshot())
             .expect("fallback run");
@@ -2174,8 +2089,7 @@ mod tests {
             .per_call_conflicts(Some(0))
             .cegar_min(true)
             .verify(false)
-            .build()
-            .expect("valid options");
+            .build();
         let out = EcoEngine::new(options)
             .solve(&p.snapshot())
             .expect("fallback run");
@@ -2247,8 +2161,7 @@ mod tests {
             .expect("valid");
         let options = EcoOptions::builder()
             .exact_quantification_threshold(0)
-            .build()
-            .expect("valid options");
+            .build();
         match EcoEngine::new(options).solve(&p.snapshot()) {
             Ok(out) => assert!(out.verified, "refined quantification must verify"),
             Err(EcoError::TargetsInsufficient { .. }) => {

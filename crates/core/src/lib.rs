@@ -51,7 +51,7 @@
 //! let problem = EcoProblem::with_unit_weights(im, sp, vec![t.node()])?;
 //! let options = EcoOptions::builder()
 //!     .method(SupportMethod::MinimizeAssumptions)
-//!     .build()?;
+//!     .build();
 //! let outcome = EcoEngine::new(options).solve(&problem.snapshot())?;
 //! assert!(outcome.verified);
 //! # Ok::<(), eco_core::EcoError>(())
@@ -95,7 +95,7 @@ pub use cec::{check_equivalence, CecResult};
 pub use cegar_min::{cegar_min, CegarMinResult};
 pub use cost::{generate_weights, WeightDistribution};
 pub use cubes::{enumerate_patch_sop, PatchSop};
-pub use detect::{detect_targets, DetectOptions, DetectedTargets};
+pub use detect::{detect_targets, DetectedTargets};
 pub use emit::{netlist_patches, patched_netlist, NamedPatch};
 pub use engine::{
     AppliedPatch, EcoEngine, EcoOptions, EcoOptionsBuilder, EcoOutcome, PatchKind, SupportMethod,

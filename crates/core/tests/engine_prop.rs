@@ -113,14 +113,9 @@ fn minimized_cost_beats_baseline_on_geomean() {
             continue;
         }
         let run = |method| {
-            EcoEngine::new(
-                EcoOptions::builder()
-                    .method(method)
-                    .build()
-                    .expect("valid options"),
-            )
-            .solve(&p.snapshot())
-            .expect("engine run")
+            EcoEngine::new(EcoOptions::builder().method(method).build())
+                .solve(&p.snapshot())
+                .expect("engine run")
         };
         let baseline = run(SupportMethod::AnalyzeFinal);
         let minimized = run(SupportMethod::MinimizeAssumptions);

@@ -688,16 +688,10 @@ impl Daemon {
         let outcome = loop {
             // Per-request QoS: the time left before the request's own
             // deadline and its fair-share conflict pool layer under the
-            // daemon-wide root limits. A passed deadline means "already
-            // expired" (anytime answer), so map it to the smallest
-            // representable timeout — the builder-style rejection of a
-            // literal zero applies to options, not here.
-            let timeout = deadline.map(|d| {
-                d.saturating_duration_since(Instant::now())
-                    .max(Duration::from_nanos(1))
-            });
+            // daemon-wide root limits. A passed deadline leaves a zero
+            // timeout: "already expired" (anytime answer).
             let limits = GovernorLimits {
-                timeout,
+                timeout: deadline.map(|d| d.saturating_duration_since(Instant::now())),
                 global_conflicts: pool,
                 global_propagations: None,
                 // Chaos hook: panic on this request's first SAT call
@@ -978,24 +972,17 @@ struct StageTimes {
     serialize_us: Option<u64>,
 }
 
-/// The engine options of one ECO request.
+/// The engine options of one ECO request. Without a `budget` the
+/// engine's default per-call budget applies.
 fn engine_options(options: &RequestOptions) -> Result<EcoOptions, String> {
-    let method = match options.method.as_deref() {
-        None | Some("minimize") => SupportMethod::MinimizeAssumptions,
-        Some("baseline") => SupportMethod::AnalyzeFinal,
-        Some("prune") => SupportMethod::SatPrune,
-        Some(other) => {
-            return Err(format!(
-                "unknown method {other:?} (expected baseline, minimize, or prune)"
-            ))
-        }
-    };
-    EcoOptions::builder()
+    let method = SupportMethod::from_name(options.method.as_deref().unwrap_or("minimize"))?;
+    let mut builder = EcoOptions::builder()
         .method(method)
-        .per_call_conflicts(options.budget.or(Some(2_000_000)))
-        .structural_fallback(options.structural_fallback.unwrap_or(true))
-        .build()
-        .map_err(|e| e.to_string())
+        .structural_fallback(options.structural_fallback.unwrap_or(true));
+    if options.budget.is_some() {
+        builder = builder.per_call_conflicts(options.budget);
+    }
+    Ok(builder.build())
 }
 
 /// The [`CommandKind`] of a parse result, for per-command request
@@ -1188,13 +1175,7 @@ pub fn run_cli(args: &[String]) -> u8 {
             "--timeout-ms" => {
                 i += 1;
                 match parse_num(args, i, "--timeout-ms") {
-                    Ok(n) => {
-                        config.limits.timeout = Some(if n == 0 {
-                            Duration::from_nanos(1)
-                        } else {
-                            Duration::from_millis(n)
-                        })
-                    }
+                    Ok(n) => config.limits.timeout = Some(Duration::from_millis(n)),
                     Err(e) => {
                         eprintln!("eco_patchd: {e}");
                         return 2;

@@ -12,32 +12,6 @@
 //! For deterministic robustness testing the governor can also carry a
 //! [`FaultPlan`] that forces `Unknown` answers (or a cancellation) at
 //! chosen call indices, seeded and reproducible.
-//!
-//! # Examples
-//!
-//! ```
-//! use eco_sat::{FaultPlan, GovernorLimits, ResourceGovernor, SolveResult, Solver, TripReason};
-//!
-//! // Fault-inject the very first solve: it must come back Unknown.
-//! let governor = ResourceGovernor::new(GovernorLimits {
-//!     fault_plan: Some(FaultPlan::AtCalls(vec![1])),
-//!     ..GovernorLimits::default()
-//! });
-//! let mut solver = Solver::new();
-//! let v = solver.new_var();
-//! solver.add_clause(&[v.positive()]);
-//! solver.set_search_control(Some(governor.control()));
-//! assert_eq!(solver.solve(&[]), SolveResult::Unknown);
-//! assert_eq!(governor.fault_injections(), 1);
-//! // Fault trips are per-call, not sticky: the next call succeeds.
-//! assert_eq!(solver.solve(&[]), SolveResult::Sat);
-//! assert_eq!(governor.trip(), None);
-//!
-//! // Cancellation is sticky and shared across every attached solver.
-//! governor.cancel();
-//! assert_eq!(governor.trip(), Some(TripReason::Cancelled));
-//! assert_eq!(solver.solve(&[]), SolveResult::Unknown);
-//! ```
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -249,7 +223,33 @@ impl GovernorState {
 /// Cloning is cheap (an `Arc` bump) and every clone observes and
 /// affects the same state, so the handle can be kept by the caller for
 /// [`ResourceGovernor::cancel`] / inspection while clones ride inside
-/// solvers. See the [module docs](self) for an example.
+/// solvers.
+///
+/// # Examples
+///
+/// ```
+/// use eco_sat::{FaultPlan, GovernorLimits, ResourceGovernor, SolveResult, Solver, TripReason};
+///
+/// // Fault-inject the very first solve: it must come back Unknown.
+/// let governor = ResourceGovernor::new(GovernorLimits {
+///     fault_plan: Some(FaultPlan::AtCalls(vec![1])),
+///     ..GovernorLimits::default()
+/// });
+/// let mut solver = Solver::new();
+/// let v = solver.new_var();
+/// solver.add_clause(&[v.positive()]);
+/// solver.set_search_control(Some(governor.control()));
+/// assert_eq!(solver.solve(&[]), SolveResult::Unknown);
+/// assert_eq!(governor.fault_injections(), 1);
+/// // Fault trips are per-call, not sticky: the next call succeeds.
+/// assert_eq!(solver.solve(&[]), SolveResult::Sat);
+/// assert_eq!(governor.trip(), None);
+///
+/// // Cancellation is sticky and shared across every attached solver.
+/// governor.cancel();
+/// assert_eq!(governor.trip(), Some(TripReason::Cancelled));
+/// assert_eq!(solver.solve(&[]), SolveResult::Unknown);
+/// ```
 #[derive(Clone, Debug)]
 pub struct ResourceGovernor {
     state: Arc<GovernorState>,
@@ -258,20 +258,7 @@ pub struct ResourceGovernor {
 impl ResourceGovernor {
     /// Creates a governor; the deadline clock starts now.
     pub fn new(limits: GovernorLimits) -> ResourceGovernor {
-        ResourceGovernor {
-            state: Arc::new(GovernorState {
-                deadline: limits.timeout.map(|t| Instant::now() + t),
-                conflict_pool: limits.global_conflicts.map(AtomicU64::new),
-                propagation_pool: limits.global_propagations.map(AtomicU64::new),
-                cancelled: AtomicBool::new(false),
-                deadline_tripped: AtomicBool::new(false),
-                budget_tripped: AtomicBool::new(false),
-                calls: AtomicU64::new(0),
-                fault_injections: AtomicU64::new(0),
-                fault_plan: limits.fault_plan,
-                parent: None,
-            }),
-        }
+        ResourceGovernor::with_state(limits, None)
     }
 
     /// An unlimited governor (useful as a cancellation-only handle).
@@ -289,6 +276,13 @@ impl ResourceGovernor {
     /// request (deadline + fair-share conflict pool), cancelling or
     /// expiring requests individually without touching its neighbours.
     pub fn child_with_limits(&self, limits: GovernorLimits) -> ResourceGovernor {
+        ResourceGovernor::with_state(limits, Some(self.state.clone()))
+    }
+
+    /// A fresh handle under `parent` (a root when `None`); the deadline
+    /// clock starts now, so a zero timeout is expired at the first
+    /// check.
+    fn with_state(limits: GovernorLimits, parent: Option<Arc<GovernorState>>) -> ResourceGovernor {
         ResourceGovernor {
             state: Arc::new(GovernorState {
                 deadline: limits.timeout.map(|t| Instant::now() + t),
@@ -300,7 +294,7 @@ impl ResourceGovernor {
                 calls: AtomicU64::new(0),
                 fault_injections: AtomicU64::new(0),
                 fault_plan: limits.fault_plan,
-                parent: Some(self.state.clone()),
+                parent,
             }),
         }
     }
@@ -679,6 +673,17 @@ mod tests {
         assert!(left > 0, "a 50-conflict request cannot drain the root");
         // Calls still count on the shared chain-wide counter.
         assert_eq!(root.sat_calls(), request.sat_calls());
+    }
+
+    #[test]
+    fn zero_deadline_root_is_expired_at_the_first_check() {
+        let root = ResourceGovernor::new(GovernorLimits {
+            timeout: Some(Duration::ZERO),
+            ..GovernorLimits::default()
+        });
+        assert_eq!(root.hard_trip(), Some(TripReason::Deadline));
+        assert_eq!(root.trip(), Some(TripReason::Deadline));
+        assert_eq!(root.remaining_time(), Some(Duration::ZERO));
     }
 
     #[test]

@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = EcoEngine::new(
         EcoOptions::builder()
             .method(SupportMethod::SatPrune)
-            .build()?,
+            .build(),
     );
     let outcome = engine.solve(&problem.snapshot())?;
     println!("verified: {}", outcome.verified);

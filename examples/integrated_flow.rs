@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example integrated_flow`
 
 use eco_benchgen::{inject_eco, random_aig, CircuitSpec, InjectSpec};
-use eco_core::{detect_targets, DetectOptions, EcoEngine, EcoOptions, EcoProblem};
+use eco_core::{detect_targets, EcoEngine, EcoOptions, EcoProblem};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // An engineer changed the spec; we only have the two netlists.
@@ -31,8 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         injected.targets
     );
 
-    // Phase 1: find where to patch.
-    let detected = detect_targets(&implementation, &specification, &DetectOptions::default())?;
+    // Phase 1: find where to patch, under the engine's per-call budget.
+    let budget = EcoOptions::default().per_call_conflicts;
+    let detected = detect_targets(&implementation, &specification, budget)?;
     println!(
         "detected {} target(s): {:?} (certified sufficient: {})",
         detected.targets.len(),

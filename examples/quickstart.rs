@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = EcoEngine::new(
         EcoOptions::builder()
             .method(SupportMethod::MinimizeAssumptions)
-            .build()?,
+            .build(),
     );
     let outcome = engine.solve(&problem.snapshot())?;
 

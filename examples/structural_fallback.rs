@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .per_call_conflicts(Some(0))
             .cegar_min(cegar_min)
             .verify(false) // no budget to verify in-run; we check below
-            .build()?;
+            .build();
         let engine = EcoEngine::new(options);
         let outcome = engine.solve(&problem.snapshot())?;
         // Out-of-band verification with a real budget.

@@ -44,8 +44,9 @@ use eco_patch::core::trace::{
     check_span_integrity, render_report, summarize_trace, ChromeTrace, JsonlTraceObserver,
 };
 use eco_patch::core::{
-    detect_targets, netlist_patches, patched_netlist, DetectOptions, EcoEngine, EcoError, EcoEvent,
-    EcoObserver, EcoOptions, EcoProblem, SupportMethod, TargetDisposition, TripReason,
+    detect_targets, netlist_patches, patched_netlist, EcoEngine, EcoError, EcoEvent, EcoObserver,
+    EcoOptions, EcoProblem, GovernorLimits, ResourceGovernor, SupportMethod, TargetDisposition,
+    TripReason,
 };
 use eco_patch::daemon::journal::{render_journal_report, summarize_journal};
 use eco_patch::netlist::{parse_verilog, WeightTable};
@@ -381,10 +382,7 @@ fn run(args: Args) -> Result<u8, CliError> {
         let detected = detect_targets(
             &conversion.aig,
             &spec_conv.aig,
-            &DetectOptions {
-                per_call_conflicts: args.budget.or(Some(2_000_000)),
-                ..DetectOptions::default()
-            },
+            args.budget.or(EcoOptions::default().per_call_conflicts),
         )
         .map_err(CliError::engine)?;
         if !detected.sufficient {
@@ -419,16 +417,8 @@ fn run(args: Args) -> Result<u8, CliError> {
         }
     }
 
-    let method = match args.method.as_deref() {
-        None | Some("minimize") => SupportMethod::MinimizeAssumptions,
-        Some("baseline") => SupportMethod::AnalyzeFinal,
-        Some("prune") => SupportMethod::SatPrune,
-        Some(other) => {
-            return Err(CliError::usage(format!(
-                "unknown method {other:?} (expected baseline, minimize, or prune)"
-            )))
-        }
-    };
+    let method = SupportMethod::from_name(args.method.as_deref().unwrap_or("minimize"))
+        .map_err(CliError::usage)?;
     let names: Vec<&str> = target_names.iter().map(String::as_str).collect();
     let problem = EcoProblem::from_netlists(
         &parsed_impl.netlist,
@@ -438,24 +428,14 @@ fn run(args: Args) -> Result<u8, CliError> {
         args.default_weight,
     )
     .map_err(CliError::engine)?;
-    let options = EcoOptions::builder()
+    // Without `--budget` the engine's default per-call budget applies.
+    let mut options = EcoOptions::builder()
         .method(method)
-        .per_call_conflicts(args.budget.or(Some(2_000_000)))
-        .structural_fallback(!args.no_fallback)
-        // `--timeout-ms 0` means "already expired" (anytime outcome,
-        // exit code 5); the builder rejects a literal zero deadline, so
-        // map it to the smallest representable one.
-        .timeout(args.timeout_ms.map(|ms| {
-            if ms == 0 {
-                Duration::from_nanos(1)
-            } else {
-                Duration::from_millis(ms)
-            }
-        }))
-        .global_conflicts(args.global_budget)
-        .build()
-        .map_err(|e| CliError::usage(e.to_string()))?;
-    let mut engine = EcoEngine::new(options);
+        .structural_fallback(!args.no_fallback);
+    if args.budget.is_some() {
+        options = options.per_call_conflicts(args.budget);
+    }
+    let mut engine = EcoEngine::new(options.build());
     if args.progress {
         engine = engine.with_observer(ProgressObserver);
     }
@@ -480,6 +460,15 @@ fn run(args: Args) -> Result<u8, CliError> {
             }
         };
         trace_sink = Some(sink);
+    }
+    // The run's limits; the deadline clock starts here. `--timeout-ms 0`
+    // means "already expired": an anytime outcome and exit code 5.
+    if args.timeout_ms.is_some() || args.global_budget.is_some() {
+        engine = engine.with_governor(ResourceGovernor::new(GovernorLimits {
+            timeout: args.timeout_ms.map(Duration::from_millis),
+            global_conflicts: args.global_budget,
+            ..GovernorLimits::default()
+        }));
     }
     let run_result = engine.solve(&problem.snapshot());
     // The trace file is finished even when the run errors, so aborted

@@ -51,7 +51,6 @@ fn options() -> EcoOptions {
     EcoOptions::builder()
         .per_call_conflicts(Some(100_000))
         .build()
-        .expect("valid options")
 }
 
 /// The byte-level deliverable of an outcome: the patched netlist as

@@ -60,7 +60,6 @@ fn harness_options(method: SupportMethod) -> EcoOptions {
             per_call_conflicts: Some(BUDGET / 4),
         })
         .build()
-        .expect("valid options")
 }
 
 /// 64-bit FNV-1a.

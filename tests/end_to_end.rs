@@ -85,12 +85,7 @@ fn every_method_produces_an_equivalent_netlist() {
         SupportMethod::MinimizeAssumptions,
         SupportMethod::SatPrune,
     ] {
-        let engine = EcoEngine::new(
-            EcoOptions::builder()
-                .method(method)
-                .build()
-                .expect("valid options"),
-        );
+        let engine = EcoEngine::new(EcoOptions::builder().method(method).build());
         let outcome = engine.solve(&problem.snapshot()).expect("engine runs");
         assert!(outcome.verified, "{method:?}");
         // And the result survives a netlist round trip.
@@ -114,15 +109,10 @@ fn method_cost_ordering_holds() {
     // minimize_assumptions (single target = exact).
     let (problem, _) = problem_from_sources();
     let run = |method| {
-        EcoEngine::new(
-            EcoOptions::builder()
-                .method(method)
-                .build()
-                .expect("valid options"),
-        )
-        .solve(&problem.snapshot())
-        .expect("engine runs")
-        .total_cost
+        EcoEngine::new(EcoOptions::builder().method(method).build())
+            .solve(&problem.snapshot())
+            .expect("engine runs")
+            .total_cost
     };
     let baseline = run(SupportMethod::AnalyzeFinal);
     let minimized = run(SupportMethod::MinimizeAssumptions);

@@ -62,12 +62,22 @@ fn ladder_rungs(events: &[EcoEvent]) -> Vec<(usize, LadderRung)> {
         .collect()
 }
 
+/// A governor that only injects faults on the given schedule.
+fn faulted(plan: FaultPlan) -> ResourceGovernor {
+    ResourceGovernor::new(GovernorLimits {
+        fault_plan: Some(plan),
+        ..GovernorLimits::default()
+    })
+}
+
+/// Runs the default engine under `governor`, recording every event.
 fn run_recorded(
-    options: EcoOptions,
+    governor: ResourceGovernor,
     problem: &EcoProblem,
 ) -> (eco_patch::core::EcoOutcome, Vec<EcoEvent>) {
     let recorder = Arc::new(Mutex::new(Recorder::default()));
-    let engine = EcoEngine::new(options)
+    let engine = EcoEngine::new(EcoOptions::default())
+        .with_governor(governor)
         .with_shared_observer(recorder.clone() as Arc<Mutex<dyn EcoObserver + Send>>);
     let outcome = engine.solve(&problem.snapshot()).expect("anytime outcome");
     let events = std::mem::take(&mut recorder.lock().expect("no poison").events);
@@ -83,17 +93,13 @@ fn fault_on_full_attempt_degrades_to_retry() {
     let p = and_vs_or_problem();
     // Locate the first patch-phase call: it follows the sufficiency
     // check's QBF calls, whose count a fault-free metered run reveals.
-    let baseline = EcoEngine::new(EcoOptions::builder().build().expect("valid options"))
+    let baseline = EcoEngine::new(EcoOptions::builder().build())
         .with_metrics()
         .solve(&p.snapshot())
         .expect("baseline");
     let qbf_calls =
         baseline.metrics.expect("metrics").sat_calls.by_kind[SatCallKind::Qbf.index()].calls;
-    let options = EcoOptions::builder()
-        .fault_plan(Some(FaultPlan::AtCalls(vec![qbf_calls + 1])))
-        .build()
-        .expect("valid options");
-    let (outcome, events) = run_recorded(options, &p);
+    let (outcome, events) = run_recorded(faulted(FaultPlan::AtCalls(vec![qbf_calls + 1])), &p);
     assert_eq!(outcome.fault_injections, 1);
     assert_eq!(outcome.reports.len(), 1);
     assert_eq!(outcome.reports[0].kind, PatchKind::Sat);
@@ -117,11 +123,7 @@ fn fault_on_full_attempt_degrades_to_retry() {
 #[test]
 fn all_faults_degrade_to_structural() {
     let p = and_vs_or_problem();
-    let options = EcoOptions::builder()
-        .fault_plan(Some(FaultPlan::EveryNth(1)))
-        .build()
-        .expect("valid options");
-    let (outcome, events) = run_recorded(options, &p);
+    let (outcome, events) = run_recorded(faulted(FaultPlan::EveryNth(1)), &p);
     assert_eq!(outcome.reports.len(), 1);
     // CEGAR_min may shrug off faulted (Unknown) equivalence queries and
     // still improve the patch; either structural kind is acceptable.
@@ -157,11 +159,7 @@ fn all_faults_degrade_to_structural() {
 #[test]
 fn cancellation_skips_every_target() {
     let p = multi_target_problem();
-    let options = EcoOptions::builder()
-        .fault_plan(Some(FaultPlan::CancelAt(1)))
-        .build()
-        .expect("valid options");
-    let (outcome, events) = run_recorded(options, &p);
+    let (outcome, events) = run_recorded(faulted(FaultPlan::CancelAt(1)), &p);
     assert_eq!(outcome.governor_trip, Some(TripReason::Cancelled));
     assert_eq!(outcome.reports.len(), 2);
     for r in &outcome.reports {
@@ -193,12 +191,12 @@ fn cancellation_skips_every_target() {
 #[test]
 fn expired_deadline_returns_anytime_outcome() {
     let p = multi_target_problem();
-    let options = EcoOptions::builder()
-        .timeout(Some(Duration::from_nanos(1)))
-        .build()
-        .expect("valid options");
     let t0 = Instant::now();
-    let outcome = EcoEngine::new(options)
+    let outcome = EcoEngine::new(EcoOptions::default())
+        .with_governor(ResourceGovernor::new(GovernorLimits {
+            timeout: Some(Duration::ZERO),
+            ..GovernorLimits::default()
+        }))
         .solve(&p.snapshot())
         .expect("anytime outcome");
     let elapsed = t0.elapsed();
@@ -224,12 +222,12 @@ fn expired_deadline_returns_anytime_outcome() {
 #[test]
 fn exhausted_global_pool_degrades_but_patches() {
     let p = multi_target_problem();
-    let options = EcoOptions::builder()
-        .global_conflicts(Some(0))
-        .cegar_min(false)
-        .build()
-        .expect("valid options");
+    let options = EcoOptions::builder().cegar_min(false).build();
     let outcome = EcoEngine::new(options)
+        .with_governor(ResourceGovernor::new(GovernorLimits {
+            global_conflicts: Some(0),
+            ..GovernorLimits::default()
+        }))
         .solve(&p.snapshot())
         .expect("anytime outcome");
     assert_eq!(outcome.governor_trip, Some(TripReason::GlobalBudget));
@@ -243,14 +241,14 @@ fn exhausted_global_pool_degrades_but_patches() {
     );
 }
 
-/// An externally-owned governor can be cancelled before the run; the
-/// engine honors it over options-derived limits.
+/// An externally-owned governor can be cancelled before the run, and
+/// the engine honors it.
 #[test]
 fn external_governor_cancellation_is_honored() {
     let p = and_vs_or_problem();
     let governor = ResourceGovernor::new(GovernorLimits::default());
     governor.cancel();
-    let outcome = EcoEngine::new(EcoOptions::builder().build().expect("valid options"))
+    let outcome = EcoEngine::new(EcoOptions::builder().build())
         .with_governor(governor.clone())
         .solve(&p.snapshot())
         .expect("anytime outcome");
@@ -269,12 +267,14 @@ fn external_governor_cancellation_is_honored() {
 #[test]
 fn no_fallback_mode_reports_deadline_error() {
     let p = and_vs_or_problem();
-    let options = EcoOptions::builder()
-        .timeout(Some(Duration::from_nanos(1)))
-        .structural_fallback(false)
-        .build()
-        .expect("valid options");
-    let err = EcoEngine::new(options).solve(&p.snapshot()).unwrap_err();
+    let options = EcoOptions::builder().structural_fallback(false).build();
+    let err = EcoEngine::new(options)
+        .with_governor(ResourceGovernor::new(GovernorLimits {
+            timeout: Some(Duration::ZERO),
+            ..GovernorLimits::default()
+        }))
+        .solve(&p.snapshot())
+        .unwrap_err();
     assert!(
         matches!(err, eco_patch::core::EcoError::DeadlineExceeded { .. }),
         "got {err:?}"
@@ -288,11 +288,8 @@ fn no_fallback_mode_reports_deadline_error() {
 fn seeded_fault_schedule_is_reproducible() {
     let p = multi_target_problem();
     let run = |seed: u64| {
-        let options = EcoOptions::builder()
-            .fault_plan(Some(FaultPlan::Seeded { seed, one_in: 3 }))
-            .build()
-            .expect("valid options");
-        let out = EcoEngine::new(options)
+        let out = EcoEngine::new(EcoOptions::default())
+            .with_governor(faulted(FaultPlan::Seeded { seed, one_in: 3 }))
             .solve(&p.snapshot())
             .expect("anytime outcome");
         (

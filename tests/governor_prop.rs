@@ -6,7 +6,8 @@
 use eco_patch::benchgen::{inject_eco, random_aig, CircuitSpec, InjectSpec};
 use eco_patch::core::trace::{check_span_integrity, JsonlTraceObserver};
 use eco_patch::core::{
-    EcoEngine, EcoObserver, EcoOptions, EcoProblem, FaultPlan, SupportMethod, TargetDisposition,
+    EcoEngine, EcoObserver, EcoOptions, EcoProblem, FaultPlan, GovernorLimits, ResourceGovernor,
+    SupportMethod, TargetDisposition,
 };
 use eco_testutil::{cases, Rng};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -26,44 +27,46 @@ fn random_fault_plan(rng: &mut Rng) -> Option<FaultPlan> {
     })
 }
 
-fn random_options(rng: &mut Rng) -> EcoOptions {
+/// Random engine options plus random run limits for one case.
+fn random_run(rng: &mut Rng) -> (EcoOptions, GovernorLimits) {
     let method = match rng.below(3) {
         0 => SupportMethod::AnalyzeFinal,
         1 => SupportMethod::MinimizeAssumptions,
         _ => SupportMethod::SatPrune,
     };
-    EcoOptions::builder()
-        .method(method)
-        .per_call_conflicts(if rng.bool() {
-            Some(rng.below(50))
-        } else {
-            None
-        })
-        .global_conflicts(if rng.bool() {
+    let per_call_conflicts = if rng.bool() {
+        Some(rng.below(50))
+    } else {
+        None
+    };
+    let limits = GovernorLimits {
+        global_conflicts: if rng.bool() {
             Some(rng.below(200))
         } else {
             None
-        })
-        .global_propagations(if rng.below(4) == 0 {
+        },
+        global_propagations: if rng.below(4) == 0 {
             Some(rng.below(2000))
         } else {
             None
-        })
-        .timeout(if rng.below(4) == 0 {
-            // Near-expired or expiring mid-run (the builder rejects a
-            // literal zero). Wall-clock dependent, so assertions below
-            // stay timing-agnostic.
-            Some(Duration::from_millis(rng.below(3)).max(Duration::from_nanos(1)))
+        },
+        // Already expired or expiring mid-run. Wall-clock dependent,
+        // so assertions below stay timing-agnostic.
+        timeout: if rng.below(4) == 0 {
+            Some(Duration::from_millis(rng.below(3)))
         } else {
             None
-        })
-        .fault_plan(random_fault_plan(rng))
+        },
+        fault_plan: random_fault_plan(rng),
+    };
+    let options = EcoOptions::builder()
+        .method(method)
+        .per_call_conflicts(per_call_conflicts)
         .cegar_min(rng.bool())
         .structural_fallback(rng.bool())
-        .degraded_retry(rng.bool())
         .verify(rng.bool())
-        .build()
-        .expect("valid options")
+        .build();
+    (options, limits)
 }
 
 /// Builds a random small multi-target problem, or `None` when the
@@ -97,11 +100,12 @@ fn engine_is_total_under_chaos() {
         let Some((problem, expected_targets)) = random_problem(rng) else {
             return; // circuit too small for that many targets
         };
-        let options = random_options(rng);
+        let (options, limits) = random_run(rng);
         // The property: `run` is total. No panic, and the result is
         // either an anytime outcome covering every target or a typed
         // error that renders.
-        match EcoEngine::new(options).solve(&problem.snapshot()) {
+        let engine = EcoEngine::new(options).with_governor(ResourceGovernor::new(limits));
+        match engine.solve(&problem.snapshot()) {
             Ok(outcome) => {
                 assert_eq!(
                     outcome.reports.len(),
@@ -144,9 +148,10 @@ fn chaos_keeps_trace_span_discipline() {
         let Some((problem, expected_targets)) = random_problem(rng) else {
             return;
         };
-        let options = random_options(rng);
+        let (options, limits) = random_run(rng);
         let trace = Arc::new(Mutex::new(JsonlTraceObserver::new(Vec::new())));
         let engine = EcoEngine::new(options)
+            .with_governor(ResourceGovernor::new(limits))
             .with_shared_observer(trace.clone() as Arc<Mutex<dyn EcoObserver + Send>>);
         let result = engine.solve(&problem.snapshot());
         drop(engine);

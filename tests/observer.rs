@@ -96,10 +96,7 @@ fn record_run(
 
 #[test]
 fn phases_nest_and_cover_the_whole_run() {
-    let (_, events) = record_run(
-        EcoOptions::builder().build().expect("valid options"),
-        &multi_target_problem(),
-    );
+    let (_, events) = record_run(EcoOptions::builder().build(), &multi_target_problem());
     assert!(
         matches!(
             events.first(),
@@ -191,13 +188,8 @@ fn attributed_sat_calls_match_reports_for_every_method() {
             multi_target_problem(),
             disjoint_targets_problem(),
         ] {
-            let (outcome, events) = record_run(
-                EcoOptions::builder()
-                    .method(method)
-                    .build()
-                    .expect("valid options"),
-                &problem,
-            );
+            let (outcome, events) =
+                record_run(EcoOptions::builder().method(method).build(), &problem);
             let by_target = attributed_calls(&events);
             for report in &outcome.reports {
                 if report.kind == PatchKind::TrivialDead {
@@ -220,8 +212,7 @@ fn attributed_sat_calls_match_reports_on_structural_fallback() {
         .per_call_conflicts(Some(0)) // force the fallback
         .cegar_min(true)
         .verify(false)
-        .build()
-        .expect("valid options");
+        .build();
     let (outcome, events) = record_run(options, &and_vs_or_problem());
     assert_eq!(outcome.reports[0].kind, PatchKind::StructuralCegarMin);
     assert!(
@@ -240,8 +231,7 @@ fn attributed_sat_calls_match_reports_on_structural_fallback() {
 
 #[test]
 fn metrics_observer_reconciles_with_reports() {
-    let engine =
-        EcoEngine::new(EcoOptions::builder().build().expect("valid options")).with_metrics();
+    let engine = EcoEngine::new(EcoOptions::builder().build()).with_metrics();
     let outcome = engine
         .solve(&multi_target_problem().snapshot())
         .expect("engine run");

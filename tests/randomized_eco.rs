@@ -57,8 +57,7 @@ fn injected_instances_always_solve_and_verify() {
         let outcome = EcoEngine::new(
             EcoOptions::builder()
                 .method(SupportMethod::MinimizeAssumptions)
-                .build()
-                .expect("valid options"),
+                .build(),
         )
         .solve(&problem.snapshot())
         .expect("engine solves injected instances");

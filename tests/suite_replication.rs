@@ -15,8 +15,7 @@ fn all_units_solve_and_verify_with_minimize_assumptions() {
         let engine = EcoEngine::new(
             EcoOptions::builder()
                 .method(SupportMethod::MinimizeAssumptions)
-                .build()
-                .expect("valid options"),
+                .build(),
         );
         let outcome = engine
             .solve(&problem.snapshot())
@@ -41,8 +40,7 @@ fn single_target_units_solve_with_analyze_final_baseline() {
         let engine = EcoEngine::new(
             EcoOptions::builder()
                 .method(SupportMethod::AnalyzeFinal)
-                .build()
-                .expect("valid options"),
+                .build(),
         );
         let outcome = engine
             .solve(&problem.snapshot())
@@ -58,15 +56,10 @@ fn minimize_assumptions_beats_baseline_on_geomean_cost() {
     for unit in table1_units(TEST_SCALE).iter().take(12) {
         let problem = build_unit(unit);
         let run = |method| {
-            EcoEngine::new(
-                EcoOptions::builder()
-                    .method(method)
-                    .build()
-                    .expect("valid options"),
-            )
-            .solve(&problem.snapshot())
-            .map(|o| o.total_cost)
-            .unwrap_or(u64::MAX)
+            EcoEngine::new(EcoOptions::builder().method(method).build())
+                .solve(&problem.snapshot())
+                .map(|o| o.total_cost)
+                .unwrap_or(u64::MAX)
         };
         let baseline = run(SupportMethod::AnalyzeFinal);
         let minimized = run(SupportMethod::MinimizeAssumptions);
@@ -96,8 +89,7 @@ fn multi_target_units_solve_with_sat_prune() {
         let engine = EcoEngine::new(
             EcoOptions::builder()
                 .method(SupportMethod::SatPrune)
-                .build()
-                .expect("valid options"),
+                .build(),
         );
         let outcome = engine
             .solve(&problem.snapshot())
@@ -115,8 +107,7 @@ fn structural_path_verifies_on_every_unit() {
             .per_call_conflicts(Some(0)) // force structural
             .cegar_min(true)
             .verify(false)
-            .build()
-            .expect("valid options");
+            .build();
         let engine = EcoEngine::new(options);
         let outcome = engine
             .solve(&problem.snapshot())

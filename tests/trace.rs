@@ -47,10 +47,7 @@ fn traced_run(options: EcoOptions, problem: &EcoProblem) -> (String, RunMetrics)
 
 #[test]
 fn jsonl_trace_round_trips_and_passes_integrity() {
-    let (text, _) = traced_run(
-        EcoOptions::builder().build().expect("valid options"),
-        &multi_target_problem(),
-    );
+    let (text, _) = traced_run(EcoOptions::builder().build(), &multi_target_problem());
     assert!(text.lines().count() > 8, "trace too short:\n{text}");
     let mut last_ts = 0u64;
     for line in text.lines() {
@@ -71,10 +68,7 @@ fn jsonl_trace_round_trips_and_passes_integrity() {
 
 #[test]
 fn report_phase_totals_agree_with_run_metrics_v3() {
-    let (text, metrics) = traced_run(
-        EcoOptions::builder().build().expect("valid options"),
-        &multi_target_problem(),
-    );
+    let (text, metrics) = traced_run(EcoOptions::builder().build(), &multi_target_problem());
     let summary = summarize_trace(&text, 5).expect("summarize");
 
     // Phase totals: both paths truncate the same Duration to µs, so
@@ -123,10 +117,7 @@ fn report_phase_totals_agree_with_run_metrics_v3() {
 
 #[test]
 fn top_calls_are_sorted_and_bounded() {
-    let (text, _) = traced_run(
-        EcoOptions::builder().build().expect("valid options"),
-        &multi_target_problem(),
-    );
+    let (text, _) = traced_run(EcoOptions::builder().build(), &multi_target_problem());
     let summary = summarize_trace(&text, 3).expect("summarize");
     assert!(summary.top_calls.len() <= 3);
     for pair in summary.top_calls.windows(2) {
@@ -158,7 +149,7 @@ fn chrome_trace_is_balanced_and_loadable() {
     // observer on one lane, no request id.
     let buf = SharedBuf::default();
     let trace = ChromeTrace::new(Box::new(buf.clone()));
-    let engine = EcoEngine::new(EcoOptions::builder().build().expect("valid options"))
+    let engine = EcoEngine::new(EcoOptions::builder().build())
         .with_metrics()
         .with_observer(trace.observer(trace.open_lane(), None));
     let outcome = engine

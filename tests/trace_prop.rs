@@ -4,7 +4,10 @@
 
 use eco_patch::benchgen::{inject_eco, random_aig, CircuitSpec, InjectSpec};
 use eco_patch::core::trace::{check_span_integrity, summarize_trace, JsonlTraceObserver};
-use eco_patch::core::{EcoEngine, EcoObserver, EcoOptions, EcoProblem, FaultPlan, SupportMethod};
+use eco_patch::core::{
+    EcoEngine, EcoObserver, EcoOptions, EcoProblem, FaultPlan, GovernorLimits, ResourceGovernor,
+    SupportMethod,
+};
 use eco_testutil::{cases, Rng};
 use std::sync::{Arc, Mutex};
 
@@ -22,34 +25,38 @@ fn random_fault_plan(rng: &mut Rng) -> Option<FaultPlan> {
     })
 }
 
-fn random_options(rng: &mut Rng) -> EcoOptions {
+/// Random engine options plus random run limits for one case.
+fn random_run(rng: &mut Rng) -> (EcoOptions, GovernorLimits) {
     let method = match rng.below(3) {
         0 => SupportMethod::AnalyzeFinal,
         1 => SupportMethod::MinimizeAssumptions,
         _ => SupportMethod::SatPrune,
     };
-    // Structural fallback stays on so most runs complete and exercise
-    // the full span tree; budgets/faults still trip mid-phase. No
-    // timeout: wall-clock chaos is governor_prop's job.
-    EcoOptions::builder()
-        .method(method)
-        .per_call_conflicts(if rng.bool() {
-            Some(rng.below(50))
-        } else {
-            None
-        })
-        .global_conflicts(if rng.bool() {
+    let per_call_conflicts = if rng.bool() {
+        Some(rng.below(50))
+    } else {
+        None
+    };
+    // No timeout: wall-clock chaos is governor_prop's job.
+    let limits = GovernorLimits {
+        global_conflicts: if rng.bool() {
             Some(rng.below(200))
         } else {
             None
-        })
-        .fault_plan(random_fault_plan(rng))
+        },
+        fault_plan: random_fault_plan(rng),
+        ..GovernorLimits::default()
+    };
+    // Structural fallback stays on so most runs complete and exercise
+    // the full span tree; budgets/faults still trip mid-phase.
+    let options = EcoOptions::builder()
+        .method(method)
+        .per_call_conflicts(per_call_conflicts)
         .cegar_min(rng.bool())
         .structural_fallback(true)
-        .degraded_retry(rng.bool())
         .verify(rng.bool())
-        .build()
-        .expect("valid options")
+        .build();
+    (options, limits)
 }
 
 #[test]
@@ -75,9 +82,10 @@ fn spans_stay_lifo_under_faults_and_trips() {
         let problem =
             EcoProblem::with_unit_weights(implementation, injected.specification, injected.targets)
                 .expect("valid problem");
-        let options = random_options(rng);
+        let (options, limits) = random_run(rng);
         let sink = Arc::new(Mutex::new(JsonlTraceObserver::new(Vec::new())));
         let engine = EcoEngine::new(options)
+            .with_governor(ResourceGovernor::new(limits))
             .with_shared_observer(sink.clone() as Arc<Mutex<dyn EcoObserver + Send>>);
         let result = engine.solve(&problem.snapshot());
         drop(engine);
