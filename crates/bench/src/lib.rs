@@ -56,7 +56,6 @@ pub fn options_for(method: SupportMethod, per_call_conflicts: Option<u64>) -> Ec
         .per_call_conflicts(per_call_conflicts)
         .sat_prune(SatPruneOptions {
             max_iterations: 400,
-            per_call_conflicts: per_call_conflicts.map(|c| (c / 4).max(1)),
         })
         .build()
 }

@@ -13,15 +13,12 @@ use eco_sat::{Lit, PbSum, SolveResult, Solver};
 pub struct SatPruneOptions {
     /// Cap on candidate subsets examined before giving up on exactness.
     pub max_iterations: usize,
-    /// Conflict budget per feasibility query (`None` = unlimited).
-    pub per_call_conflicts: Option<u64>,
 }
 
 impl Default for SatPruneOptions {
     fn default() -> SatPruneOptions {
         SatPruneOptions {
             max_iterations: 2_000,
-            per_call_conflicts: Some(200_000),
         }
     }
 }
@@ -259,15 +256,8 @@ mod tests {
             cost: 6,
             sat_calls: 0,
         };
-        let r = sat_prune_support(
-            &mut ss,
-            Some(seed),
-            SatPruneOptions {
-                max_iterations: 0,
-                per_call_conflicts: None,
-            },
-        )
-        .expect("prune returns seed");
+        let r = sat_prune_support(&mut ss, Some(seed), SatPruneOptions { max_iterations: 0 })
+            .expect("prune returns seed");
         assert!(!r.exact);
         assert_eq!(r.support.cost, 6);
     }

@@ -130,12 +130,19 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses a complete JSON document; trailing non-whitespace is an
-/// error.
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so without a bound a hostile line of
+/// `[[[[…` overflows the stack of the thread parsing it; the documents
+/// this project reads nest a handful of levels.
+const MAX_DEPTH: usize = 256;
+
+/// Parses a complete JSON document; trailing non-whitespace, and
+/// nesting deeper than 256 levels, are errors.
 pub fn parse_json(text: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -149,6 +156,8 @@ pub fn parse_json(text: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -189,8 +198,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting deeper than 256 levels"));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -415,6 +435,15 @@ mod tests {
         ] {
             assert!(parse_json(bad).is_err(), "must reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&ok).is_ok());
+        let err = parse_json(&"[{\"a\":".repeat(100_000)).unwrap_err();
+        assert_eq!(err.offset, 6 * MAX_DEPTH / 2, "{err}");
+        assert!(err.message.contains("nesting"), "{err}");
     }
 
     #[test]

@@ -100,7 +100,6 @@ fn sat_prune_finds_the_true_minimum() {
             None,
             SatPruneOptions {
                 max_iterations: 10_000,
-                per_call_conflicts: None,
             },
         )
         .expect("prune");

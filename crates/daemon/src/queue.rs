@@ -1,8 +1,9 @@
 //! Admission control: a capacity-bounded request queue with explicit
 //! load-shedding and deadline-aware dequeue.
 //!
-//! The daemon's reader thread parses each line and *offers* ECO
-//! requests to the queue. When the queue is full the offer is refused
+//! The daemon's reader threads parse each line and *offer* ECO
+//! requests to the queue, each tagged with where its answer goes (the
+//! connection it came in on). When the queue is full the offer is refused
 //! on the spot — the caller answers `"status":"overloaded"` with a
 //! `retry_after_ms` hint instead of letting work pile up without
 //! bound. Workers *take* requests in FIFO order; a request whose
@@ -28,14 +29,17 @@ const RETRY_HINT_BASE_MS: u64 = 100;
 /// An admitted ECO request, stamped with its admission time so the
 /// dequeue side can detect deadlines that expired while queued.
 #[derive(Debug)]
-pub struct QueuedRequest {
+pub struct QueuedRequest<R = ()> {
     /// The parsed request.
     pub request: Box<EcoRequest>,
+    /// Where the answer goes: the write half of the request's
+    /// connection.
+    pub reply: R,
     /// When the request was admitted to the queue.
     pub enqueued_at: Instant,
 }
 
-impl QueuedRequest {
+impl<R> QueuedRequest<R> {
     /// Milliseconds this request has waited since admission.
     pub fn queued_ms(&self) -> u64 {
         self.enqueued_at.elapsed().as_millis().min(u64::MAX as u128) as u64
@@ -74,42 +78,49 @@ pub enum Admission {
     Draining,
 }
 
-#[derive(Debug, Default)]
-struct QueueState {
-    queue: VecDeque<QueuedRequest>,
+#[derive(Debug)]
+struct QueueState<R> {
+    queue: VecDeque<QueuedRequest<R>>,
     in_flight: usize,
     peak_depth: usize,
     closed: bool,
 }
 
 /// A capacity-bounded FIFO of admitted ECO requests shared between the
-/// reader (producer) and the worker pool (consumers).
+/// readers (producers) and the worker pool (consumers). Each request
+/// carries a reply handle of type `R`.
 #[derive(Debug)]
-pub struct RequestQueue {
-    state: Mutex<QueueState>,
+pub struct RequestQueue<R = ()> {
+    state: Mutex<QueueState<R>>,
     ready: Condvar,
     capacity: usize,
 }
 
-impl RequestQueue {
+impl<R> RequestQueue<R> {
     /// Creates a queue admitting at most `capacity` waiting requests
     /// (clamped to at least one); requests being worked on do not
     /// count against the capacity.
-    pub fn new(capacity: usize) -> RequestQueue {
+    pub fn new(capacity: usize) -> RequestQueue<R> {
         RequestQueue {
-            state: Mutex::new(QueueState::default()),
+            state: Mutex::new(QueueState {
+                queue: VecDeque::new(),
+                in_flight: 0,
+                peak_depth: 0,
+                closed: false,
+            }),
             ready: Condvar::new(),
             capacity: capacity.max(1),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState<R>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Offers a request for admission. Never blocks: a full queue
-    /// sheds immediately and a closed queue reports draining.
-    pub fn offer(&self, request: Box<EcoRequest>) -> Admission {
+    /// Offers a request, answered through `reply`, for admission. Never
+    /// blocks: a full queue sheds immediately and a closed queue
+    /// reports draining.
+    pub fn offer(&self, request: Box<EcoRequest>, reply: R) -> Admission {
         let mut state = self.lock();
         if state.closed {
             return Admission::Draining;
@@ -125,6 +136,7 @@ impl RequestQueue {
         }
         state.queue.push_back(QueuedRequest {
             request,
+            reply,
             enqueued_at: Instant::now(),
         });
         state.peak_depth = state.peak_depth.max(state.queue.len());
@@ -136,7 +148,7 @@ impl RequestQueue {
     /// Takes the next request in FIFO order, blocking while the queue
     /// is empty and open. Returns `None` once the queue is closed
     /// *and* empty — workers drain accepted work, then stop.
-    pub fn take(&self) -> Option<QueuedRequest> {
+    pub fn take(&self) -> Option<QueuedRequest<R>> {
         let mut state = self.lock();
         loop {
             if let Some(item) = state.queue.pop_front() {
@@ -209,10 +221,10 @@ mod tests {
 
     #[test]
     fn sheds_at_capacity_with_a_growing_retry_hint() {
-        let queue = RequestQueue::new(2);
-        assert_eq!(queue.offer(request("a", None)), Admission::Queued);
-        assert_eq!(queue.offer(request("b", None)), Admission::Queued);
-        let Admission::Shed { retry_after_ms } = queue.offer(request("c", None)) else {
+        let queue: RequestQueue = RequestQueue::new(2);
+        assert_eq!(queue.offer(request("a", None), ()), Admission::Queued);
+        assert_eq!(queue.offer(request("b", None), ()), Admission::Queued);
+        let Admission::Shed { retry_after_ms } = queue.offer(request("c", None), ()) else {
             panic!("third offer must shed at capacity 2");
         };
         assert_eq!(retry_after_ms, RETRY_HINT_BASE_MS * 3);
@@ -222,8 +234,8 @@ mod tests {
         let taken = queue.take().expect("fifo head");
         assert_eq!(taken.request.id, "a");
         assert_eq!(queue.in_flight(), 1);
-        assert_eq!(queue.offer(request("c", None)), Admission::Queued);
-        let Admission::Shed { retry_after_ms } = queue.offer(request("d", None)) else {
+        assert_eq!(queue.offer(request("c", None), ()), Admission::Queued);
+        let Admission::Shed { retry_after_ms } = queue.offer(request("d", None), ()) else {
             panic!("queue is full again");
         };
         assert_eq!(retry_after_ms, RETRY_HINT_BASE_MS * 4, "in-flight counts");
@@ -238,12 +250,12 @@ mod tests {
 
     #[test]
     fn take_drains_fifo_and_stops_after_close() {
-        let queue = RequestQueue::new(8);
+        let queue: RequestQueue = RequestQueue::new(8);
         for id in ["a", "b", "c"] {
-            assert_eq!(queue.offer(request(id, None)), Admission::Queued);
+            assert_eq!(queue.offer(request(id, None), ()), Admission::Queued);
         }
         queue.close();
-        assert_eq!(queue.offer(request("late", None)), Admission::Draining);
+        assert_eq!(queue.offer(request("late", None), ()), Admission::Draining);
         let order: Vec<String> = std::iter::from_fn(|| queue.take())
             .map(|q| q.request.id.clone())
             .collect();
@@ -253,9 +265,9 @@ mod tests {
 
     #[test]
     fn expired_in_queue_detects_deadlines_spent_waiting() {
-        let queue = RequestQueue::new(2);
-        queue.offer(request("instant", Some(0)));
-        queue.offer(request("patient", Some(60_000)));
+        let queue: RequestQueue = RequestQueue::new(2);
+        queue.offer(request("instant", Some(0)), ());
+        queue.offer(request("patient", Some(60_000)), ());
         let instant = queue.take().expect("queued");
         assert!(
             instant.expired_in_queue().is_some(),
@@ -264,14 +276,14 @@ mod tests {
         let patient = queue.take().expect("queued");
         assert_eq!(patient.expired_in_queue(), None);
         // No deadline: never expires in queue.
-        queue.offer(request("unbounded", None));
+        queue.offer(request("unbounded", None), ());
         let unbounded = queue.take().expect("queued");
         assert_eq!(unbounded.expired_in_queue(), None);
     }
 
     #[test]
     fn blocked_take_wakes_on_offer_and_on_close() {
-        let queue = std::sync::Arc::new(RequestQueue::new(2));
+        let queue = std::sync::Arc::new(RequestQueue::<()>::new(2));
         let taker = {
             let queue = queue.clone();
             std::thread::spawn(move || {
@@ -281,7 +293,7 @@ mod tests {
             })
         };
         std::thread::sleep(Duration::from_millis(20));
-        queue.offer(request("wake", None));
+        queue.offer(request("wake", None), ());
         std::thread::sleep(Duration::from_millis(20));
         queue.close();
         let (first, second) = taker.join().expect("taker joins");

@@ -1,7 +1,10 @@
 //! The serving loop: reads JSONL requests from stdin or a unix
 //! socket, schedules them on a daemon-level worker pool, and answers
 //! each on its own line. Responses may interleave out of order when
-//! the pool has more than one worker; clients correlate by `id`.
+//! the pool has more than one worker; clients correlate by `id`. With
+//! more than one worker, socket connections are served concurrently
+//! into that one pool, and each answer goes back on the connection
+//! its request came in on.
 //!
 //! # Resilience
 //!
@@ -14,8 +17,10 @@
 //!   retries get a fast cached rejection instead of re-crashing a
 //!   worker.
 //! - **Admission control** — in pooled mode (`--workers` > 1) a
-//!   capacity-bounded queue fronts the pool. A full queue sheds new
-//!   requests with `"status":"overloaded"` and a `retry_after_ms`
+//!   capacity-bounded queue fronts the pool; on a socket it is
+//!   daemon-wide, shared by every connection, and at most `workers +
+//!   queue_capacity` connections are open at once. A full queue sheds
+//!   new requests with `"status":"overloaded"` and a `retry_after_ms`
 //!   hint; a request whose own `deadline_ms` expires while queued is
 //!   rejected with `"status":"expired"` before any solver work.
 //! - **Retry with backoff** — a request that tripped the daemon's
@@ -30,7 +35,8 @@
 //! - **Health** — the `health` command reports queue depth, in-flight
 //!   count, uptime, poison-pill count, shed/expired/retried/panicked
 //!   counters, and per-layer cache statistics, and is answered by the
-//!   reader thread so it works even while every worker is busy.
+//!   connection's reader thread so it works even while every worker
+//!   is busy.
 
 use crate::cache::{outcome_key, CachedOutcome, DaemonCache};
 use crate::journal::{Field, Journal, Level};
@@ -49,10 +55,12 @@ use eco_core::{
 };
 use eco_netlist::WeightTable;
 use std::io::{self, BufRead, BufReader, Write};
+use std::net::Shutdown;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// `retry_after_ms` hint on `draining` responses: the client should
@@ -83,7 +91,9 @@ pub struct DaemonConfig {
     pub cache_capacity: usize,
     /// Waiting requests admitted before the daemon load-sheds
     /// (pooled mode only; inline mode handles each line
-    /// synchronously, so a queue never builds).
+    /// synchronously, so a queue never builds). On a socket the queue
+    /// is shared by every connection, and at most `workers +
+    /// queue_capacity` connections are open at once.
     pub queue_capacity: usize,
     /// Default per-request conflict pool applied when a request does
     /// not bring its own `global_conflicts`. A request that trips
@@ -283,20 +293,26 @@ impl Daemon {
     /// occupancy gauges as the structural zeros they are, instead of
     /// posing as idle pooled readings.
     pub fn handle_line(&self, line: &str) -> (String, bool) {
-        let (response, stop) = self.dispatch(line, None);
+        let (response, stop) = self.dispatch::<()>(line, None);
         (response.expect("inline requests are always answered"), stop)
     }
 
-    /// Handles one request line in either serving mode: `queue` is the
-    /// pooled mode's admission queue, `None` serves inline. Returns the
-    /// response line — `None` when an ECO request was queued, since a
-    /// pool worker answers it later — and whether serving should stop.
+    /// Handles one request line in either serving mode: `pool` is the
+    /// pooled mode's admission queue with the reply handle of the
+    /// line's connection, `None` serves inline. Returns the response
+    /// line — `None` when an ECO request was queued, since a pool
+    /// worker answers it later — and whether serving should stop.
     /// Only the ECO arm differs by mode; control commands report the
     /// queue's occupancy, or zeros inline.
-    fn dispatch(&self, line: &str, queue: Option<&RequestQueue>) -> (Option<String>, bool) {
+    fn dispatch<R: Clone>(
+        &self,
+        line: &str,
+        pool: Option<(&RequestQueue<R>, &R)>,
+    ) -> (Option<String>, bool) {
         let received = Instant::now();
         let parsed = parse_request(line);
         self.telemetry.record_request(command_kind(&parsed));
+        let queue = pool.map(|(queue, _)| queue);
         let mode = if queue.is_some() { "pooled" } else { "direct" };
         let occupancy = || queue.map_or((0, 0), |q| (q.depth(), q.in_flight()));
         let response = match parsed {
@@ -325,7 +341,7 @@ impl Daemon {
                     cache: &stats,
                     queue_depth: depth as u64,
                     in_flight: in_flight as u64,
-                    queue_peak: queue.map_or(0, RequestQueue::peak_depth) as u64,
+                    queue_peak: queue.map_or(0, |q| q.peak_depth()) as u64,
                     draining: self.draining(),
                     mode,
                 };
@@ -368,7 +384,7 @@ impl Daemon {
                     .event(Level::Warn, "drain_refused", Some(&req.id), &[]);
                 draining_response(&req.id, DRAIN_RETRY_HINT_MS)
             }
-            Ok(Request::Eco(req)) => match queue {
+            Ok(Request::Eco(req)) => match pool {
                 None => {
                     self.telemetry
                         .record_stage(Stage::Admission, duration_us(received.elapsed()));
@@ -380,7 +396,7 @@ impl Daemon {
                     );
                     self.answer_eco(&req, None, None)
                 }
-                Some(queue) => match self.offer(queue, req, received) {
+                Some((queue, reply)) => match self.offer(queue, req, reply.clone(), received) {
                     Some(refusal) => refusal,
                     None => return (None, false),
                 },
@@ -392,14 +408,15 @@ impl Daemon {
     /// Offers an ECO request to the pool's admission queue; returns the
     /// refusal line when it was shed or the queue is draining, `None`
     /// when it was queued.
-    fn offer(
+    fn offer<R>(
         &self,
-        queue: &RequestQueue,
+        queue: &RequestQueue<R>,
         req: Box<EcoRequest>,
+        reply: R,
         received: Instant,
     ) -> Option<String> {
         let id = req.id.clone();
-        let admission = queue.offer(req);
+        let admission = queue.offer(req, reply);
         self.telemetry
             .record_stage(Stage::Admission, duration_us(received.elapsed()));
         match admission {
@@ -818,10 +835,10 @@ impl Daemon {
     /// With `workers == 1`, requests are handled inline in arrival
     /// order. With more workers, ECO requests flow through the
     /// bounded admission queue to a pool and responses interleave;
-    /// control requests (`stats`, `health`, `drain`, `shutdown`) are
-    /// answered immediately by the reader, so they work even while
-    /// every worker is busy. Each response line is written atomically.
-    /// Accepted work always drains before this returns.
+    /// control requests (`stats`, `health`, `metrics`, `drain`,
+    /// `shutdown`) are answered immediately by the reader, so they work
+    /// even while every worker is busy. Each response line is written
+    /// atomically. Accepted work always drains before this returns.
     pub fn serve<R: BufRead, W: Write + Send>(&self, reader: R, writer: W) -> io::Result<()> {
         if self.config.workers <= 1 {
             let mut writer = writer;
@@ -842,122 +859,290 @@ impl Daemon {
             }
             return Ok(());
         }
-        self.serve_pooled(reader, writer)
+        let reply = Arc::new(Mutex::new(writer));
+        self.pooled(|queue| self.read_requests(reader, queue, &reply, |_| {}))
     }
 
-    /// The pooled serving loop: a reader thread doing admission
-    /// control, `workers` solver threads draining the bounded queue.
-    fn serve_pooled<R: BufRead, W: Write + Send>(&self, reader: R, writer: W) -> io::Result<()> {
+    /// Runs `serve` — the readers of a pooled server — against one
+    /// admission queue drained by `workers` threads. Whatever ends
+    /// `serve` (EOF, `shutdown`, or a reader I/O error), accepted work
+    /// drains before this returns.
+    fn pooled<W: Write + Send, T>(&self, serve: impl FnOnce(&RequestQueue<Reply<W>>) -> T) -> T {
         let queue = RequestQueue::new(self.config.queue_capacity);
-        let writer = Mutex::new(writer);
-        // Worker- and reader-side write errors cannot unwind across
-        // the pool; a broken pipe simply ends the stream.
-        let write_line = |response: &str| {
-            let writing = Instant::now();
-            let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-            let _ = writeln!(w, "{response}");
-            let _ = w.flush();
-            self.telemetry
-                .record_stage(Stage::WriteBack, duration_us(writing.elapsed()));
-        };
-        std::thread::scope(|scope| -> io::Result<()> {
+        std::thread::scope(|scope| {
             for worker in 0..self.config.workers {
                 let queue = &queue;
-                let write_line = &write_line;
-                scope.spawn(move || {
-                    while let Some(item) = queue.take() {
-                        let response = match item.expired_in_queue() {
-                            Some(queued_ms) => {
-                                // The caller's deadline passed while
-                                // the request sat in the queue: shed
-                                // it before any solver work.
-                                self.telemetry.expired.inc();
-                                self.telemetry.record_stage(
-                                    Stage::QueueWait,
-                                    duration_us(item.queued_duration()),
-                                );
-                                self.journal.event(
-                                    Level::Warn,
-                                    "expired",
-                                    Some(&item.request.id),
-                                    &[("queued_ms", Field::U(queued_ms))],
-                                );
-                                if let Some(t) = &self.trace {
-                                    t.instant(
-                                        CONTROL_LANE,
-                                        "expired",
-                                        "daemon",
-                                        Some(&item.request.id),
-                                    );
-                                }
-                                expired_response(&item.request.id, queued_ms)
-                            }
-                            None => self.answer_eco(
-                                &item.request,
-                                Some(item.queued_duration()),
-                                Some(worker),
-                            ),
-                        };
-                        write_line(&response);
-                        queue.finish();
-                    }
-                });
+                scope.spawn(move || self.work(queue, worker));
             }
-            let read_result = (|| -> io::Result<()> {
-                for line in reader.lines() {
-                    let line = line?;
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    let (response, stop) = self.dispatch(&line, Some(&queue));
-                    if let Some(response) = response {
-                        write_line(&response);
-                    }
-                    if stop {
-                        break;
-                    }
-                }
-                Ok(())
-            })();
-            // Whatever ended the stream — EOF, shutdown, or a reader
-            // I/O error — accepted work drains before the pool exits.
+            let served = serve(&queue);
             queue.close();
-            read_result
+            served
         })
     }
 
+    /// One pool worker: takes admitted requests until the queue is
+    /// closed and empty, answers each — or sheds it, when its deadline
+    /// passed while it was queued — and writes the answer to the
+    /// request's connection.
+    fn work<W: Write>(&self, queue: &RequestQueue<Reply<W>>, worker: usize) {
+        while let Some(item) = queue.take() {
+            let response = match item.expired_in_queue() {
+                Some(queued_ms) => {
+                    self.telemetry.expired.inc();
+                    self.telemetry
+                        .record_stage(Stage::QueueWait, duration_us(item.queued_duration()));
+                    self.journal.event(
+                        Level::Warn,
+                        "expired",
+                        Some(&item.request.id),
+                        &[("queued_ms", Field::U(queued_ms))],
+                    );
+                    if let Some(t) = &self.trace {
+                        t.instant(CONTROL_LANE, "expired", "daemon", Some(&item.request.id));
+                    }
+                    expired_response(&item.request.id, queued_ms)
+                }
+                None => self.answer_eco(&item.request, Some(item.queued_duration()), Some(worker)),
+            };
+            self.write_line(&item.reply, &response);
+            queue.finish();
+        }
+    }
+
+    /// Reads one connection's request lines into the pool: control
+    /// commands are answered here, ECO requests are offered to `queue`
+    /// tagged with the connection's `reply` handle. Ends at EOF or
+    /// after a `shutdown`. `stop_accepting` runs after a `shutdown`
+    /// (with `true`) and after every line once the daemon is draining
+    /// (with `false`).
+    fn read_requests<W: Write + Send>(
+        &self,
+        reader: impl BufRead,
+        queue: &RequestQueue<Reply<W>>,
+        reply: &Reply<W>,
+        mut stop_accepting: impl FnMut(bool),
+    ) -> io::Result<()> {
+        for line in reader.lines() {
+            let line = line?;
+            if line.trim().is_empty() {
+                continue;
+            }
+            let (response, stop) = self.dispatch(&line, Some((queue, reply)));
+            if let Some(response) = response {
+                self.write_line(reply, &response);
+            }
+            if stop || self.draining() {
+                stop_accepting(stop);
+            }
+            if stop {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes one response line to a connection. Write errors cannot
+    /// unwind across the pool; a broken pipe simply ends the stream.
+    fn write_line<W: Write>(&self, writer: &Mutex<W>, line: &str) {
+        let writing = Instant::now();
+        let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = writeln!(w, "{line}");
+        let _ = w.flush();
+        self.telemetry
+            .record_stage(Stage::WriteBack, duration_us(writing.elapsed()));
+    }
+
     /// Serves connections on a unix domain socket at `path`.
-    /// Connections are accepted one at a time; a `shutdown` or
-    /// `drain` request ends the accept loop after its connection
-    /// closes. Connection-level I/O faults (mid-request disconnects,
-    /// reset streams) are logged and the next connection is accepted
-    /// — they never kill the daemon.
     ///
-    /// A leftover socket file from an unclean shutdown is detected by
-    /// probing it: a dead socket is removed and the address rebound,
-    /// while a path owned by a live daemon (or occupied by a
-    /// non-socket file) is refused.
+    /// With `workers == 1`, connections are accepted one at a time and
+    /// served inline; a `shutdown` or `drain` request ends the accept
+    /// loop after its connection closes. With more workers, each
+    /// connection gets its own reader thread, and all of them feed one
+    /// daemon-wide admission queue and worker pool: `queue_capacity`
+    /// bounds the requests waiting across every connection, and at
+    /// most `workers + queue_capacity` connections are open at once
+    /// (later ones wait in the kernel backlog). There, a `shutdown`
+    /// stops accepting and half-closes the read side of every open
+    /// connection, and accepted work is still answered before this
+    /// returns; a `drain` stops accepting, and this returns once the
+    /// open connections have closed.
+    ///
+    /// Connection-level I/O faults (mid-request disconnects, reset
+    /// streams) are logged and never kill the daemon. A leftover
+    /// socket file from an unclean shutdown is detected by probing it:
+    /// a dead socket is removed and the address rebound, while a path
+    /// owned by a live daemon (or occupied by a non-socket file) is
+    /// refused.
     pub fn serve_unix(&self, path: &Path) -> io::Result<()> {
         let listener = bind_unix_listener(path)?;
-        for connection in listener.incoming() {
-            let served = connection.and_then(|stream| {
-                let reader = BufReader::new(stream.try_clone()?);
-                self.serve(reader, stream)
-            });
-            if let Err(e) = served {
-                self.journal.event(
-                    Level::Error,
-                    "connection_error",
-                    None,
-                    &[("error", Field::S(e.to_string()))],
-                );
-            }
-            if self.shutdown.load(Ordering::SeqCst) || self.draining() {
-                break;
+        if self.config.workers > 1 {
+            self.serve_connections(listener, path);
+        } else {
+            for connection in listener.incoming() {
+                let served = connection.and_then(|stream| {
+                    let reader = BufReader::new(stream.try_clone()?);
+                    self.serve(reader, stream)
+                });
+                if let Err(e) = served {
+                    self.connection_error(&e);
+                }
+                if self.shutdown.load(Ordering::SeqCst) || self.draining() {
+                    break;
+                }
             }
         }
         let _ = std::fs::remove_file(path);
         Ok(())
+    }
+
+    /// The pooled socket server: an accept loop that hands each
+    /// connection to a scoped reader thread, all feeding one pool.
+    fn serve_connections(&self, listener: UnixListener, path: &Path) {
+        let connections = Connections::new(self.config.workers + self.config.queue_capacity);
+        self.pooled(|queue| {
+            std::thread::scope(|readers| {
+                while connections.wait_for_slot() {
+                    let accepted = listener.accept().and_then(|(stream, _)| {
+                        Ok(connections.open(&stream)?.map(|n| (stream, n)))
+                    });
+                    let (stream, number) = match accepted {
+                        Ok(Some(open)) => open,
+                        // Accepting stopped while this one connected.
+                        Ok(None) => break,
+                        Err(e) => {
+                            self.connection_error(&e);
+                            continue;
+                        }
+                    };
+                    let connections = &connections;
+                    let reader = move || {
+                        if let Err(e) = self.serve_connection(stream, queue, connections, path) {
+                            self.connection_error(&e);
+                        }
+                        connections.close(number);
+                    };
+                    if let Err(e) = std::thread::Builder::new().spawn_scoped(readers, reader) {
+                        self.connection_error(&e);
+                        connections.close(number);
+                    }
+                }
+                // Refuse, rather than queue, connections made while the
+                // open ones finish.
+                drop(listener);
+            });
+        });
+    }
+
+    /// Serves one connection of the pooled socket server until EOF or
+    /// a `shutdown`.
+    fn serve_connection(
+        &self,
+        stream: UnixStream,
+        queue: &RequestQueue<Reply<UnixStream>>,
+        connections: &Connections,
+        path: &Path,
+    ) -> io::Result<()> {
+        let reader = BufReader::new(stream.try_clone()?);
+        self.read_requests(reader, queue, &Arc::new(Mutex::new(stream)), |hang_up| {
+            if connections.stop(hang_up) {
+                // Wake the accept loop, so it sees that accepting stopped.
+                let _ = UnixStream::connect(path);
+            }
+        })
+    }
+
+    /// Journals a connection-level I/O fault.
+    fn connection_error(&self, e: &io::Error) {
+        self.journal.event(
+            Level::Error,
+            "connection_error",
+            None,
+            &[("error", Field::S(e.to_string()))],
+        );
+    }
+}
+
+/// The write half of one connection, shared by its reader and the pool
+/// workers that answer its requests. Every line is written under the
+/// lock, so lines never interleave.
+type Reply<W> = Arc<Mutex<W>>;
+
+/// The open connections of a pooled socket server. The accept loop
+/// holds their number under a cap, and a `shutdown` half-closes the
+/// read side of each, so an idle client cannot keep the daemon alive.
+struct Connections {
+    state: Mutex<OpenConnections>,
+    changed: Condvar,
+    cap: usize,
+}
+
+struct OpenConnections {
+    /// A clone of each open stream, by connection number.
+    streams: Vec<(u64, UnixStream)>,
+    next: u64,
+    accepting: bool,
+}
+
+impl Connections {
+    fn new(cap: usize) -> Connections {
+        Connections {
+            state: Mutex::new(OpenConnections {
+                streams: Vec::new(),
+                next: 0,
+                accepting: true,
+            }),
+            changed: Condvar::new(),
+            cap,
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, OpenConnections> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks while every slot is taken; `false` once accepting has
+    /// stopped.
+    fn wait_for_slot(&self) -> bool {
+        let state = self
+            .changed
+            .wait_while(self.lock(), |s| s.accepting && s.streams.len() >= self.cap)
+            .unwrap_or_else(PoisonError::into_inner);
+        state.accepting
+    }
+
+    /// Registers an accepted stream and returns its connection number,
+    /// or `None` when accepting has stopped.
+    fn open(&self, stream: &UnixStream) -> io::Result<Option<u64>> {
+        let clone = stream.try_clone()?;
+        let mut state = self.lock();
+        if !state.accepting {
+            return Ok(None);
+        }
+        let number = state.next;
+        state.next += 1;
+        state.streams.push((number, clone));
+        Ok(Some(number))
+    }
+
+    /// Frees a connection's slot once its reader has ended.
+    fn close(&self, number: u64) {
+        self.lock().streams.retain(|(n, _)| *n != number);
+        self.changed.notify_all();
+    }
+
+    /// Stops accepting; with `hang_up`, also half-closes the read side
+    /// of every open connection. Returns whether accepting was still on.
+    fn stop(&self, hang_up: bool) -> bool {
+        let mut state = self.lock();
+        let was_accepting = std::mem::replace(&mut state.accepting, false);
+        if hang_up {
+            for (_, stream) in &state.streams {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+        }
+        drop(state);
+        self.changed.notify_all();
+        was_accepting
     }
 }
 
@@ -1014,9 +1199,9 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// Binds `path`, detecting and replacing a stale socket file left by
 /// an unclean shutdown. A live socket (something accepts connections)
 /// or a non-socket file at `path` is an error.
-fn bind_unix_listener(path: &Path) -> io::Result<std::os::unix::net::UnixListener> {
+fn bind_unix_listener(path: &Path) -> io::Result<UnixListener> {
     use std::os::unix::fs::FileTypeExt;
-    match std::os::unix::net::UnixListener::bind(path) {
+    match UnixListener::bind(path) {
         Ok(listener) => Ok(listener),
         Err(e) if e.kind() == io::ErrorKind::AddrInUse => {
             let is_socket = std::fs::metadata(path)
@@ -1028,7 +1213,7 @@ fn bind_unix_listener(path: &Path) -> io::Result<std::os::unix::net::UnixListene
                     format!("{} exists and is not a socket", path.display()),
                 ));
             }
-            match std::os::unix::net::UnixStream::connect(path) {
+            match UnixStream::connect(path) {
                 // Someone answered: a live daemon owns this path.
                 Ok(_) => Err(io::Error::new(
                     io::ErrorKind::AddrInUse,
@@ -1038,7 +1223,7 @@ fn bind_unix_listener(path: &Path) -> io::Result<std::os::unix::net::UnixListene
                 // and rebind.
                 Err(_) => {
                     std::fs::remove_file(path)?;
-                    std::os::unix::net::UnixListener::bind(path)
+                    UnixListener::bind(path)
                 }
             }
         }
@@ -1061,11 +1246,14 @@ OPTIONS:
                       (a stale socket file from an unclean shutdown is
                       detected and replaced; a live one is refused)
   --workers N         daemon-level request concurrency (default 1;
-                      responses interleave when N > 1)
+                      responses interleave when N > 1, and socket
+                      connections are served concurrently)
   --cache-capacity N  entries per cache layer (default 256)
   --queue-capacity N  waiting requests admitted before load-shedding
                       with status \"overloaded\" (default 64; applies
-                      when --workers > 1)
+                      when --workers > 1; daemon-wide on a socket,
+                      which then holds at most workers + N
+                      connections open)
   --fair-share N      default per-request conflict pool; requests that
                       trip it are retried once with an escalated budget
   --chaos             enable the hold_ms / inject_panic chaos request
@@ -1949,5 +2137,210 @@ mod tests {
             server.join().expect("no panic").expect("serve_unix ok");
         });
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `serve_unix` run on a fresh socket path. Its thread is joined
+    /// only once it has reported its result, so a failing test cannot
+    /// hang on it.
+    struct SocketServer {
+        path: std::path::PathBuf,
+        done: std::sync::mpsc::Receiver<io::Result<()>>,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    impl SocketServer {
+        fn start(config: DaemonConfig, name: &str) -> SocketServer {
+            let dir =
+                std::env::temp_dir().join(format!("eco_patchd_{name}_{}", std::process::id()));
+            std::fs::create_dir_all(&dir).expect("temp dir");
+            let path = dir.join("sock");
+            let (report, done) = std::sync::mpsc::channel();
+            let daemon = Daemon::new(config);
+            let serving = path.clone();
+            let thread = std::thread::spawn(move || {
+                let _ = report.send(daemon.serve_unix(&serving));
+            });
+            SocketServer { path, done, thread }
+        }
+
+        fn connect(&self) -> UnixStream {
+            for _ in 0..500 {
+                if let Ok(s) = UnixStream::connect(&self.path) {
+                    return s;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            panic!("daemon never bound {}", self.path.display());
+        }
+
+        fn health(&self, timeout: Duration) -> io::Result<JsonValue> {
+            let v = ask(
+                &self.connect(),
+                "{\"id\":\"h\",\"cmd\":\"health\"}",
+                timeout,
+            )?;
+            Ok(v.get("health").expect("health payload").clone())
+        }
+
+        /// Waits until the daemon reports `n` requests in flight.
+        fn wait_for_in_flight(&self, n: u64) {
+            for _ in 0..200 {
+                let h = self.health(Duration::from_secs(2)).expect("health answers");
+                if h.get("in_flight").and_then(JsonValue::as_u64) == Some(n) {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            panic!("never saw {n} requests in flight");
+        }
+
+        /// Sends `shutdown`, then checks that `serve_unix` returned
+        /// cleanly within a few seconds and removed its socket file.
+        fn shut_down(self) {
+            let bye = ask(
+                &self.connect(),
+                "{\"id\":\"q\",\"cmd\":\"shutdown\"}",
+                Duration::from_secs(5),
+            )
+            .expect("shutdown answers");
+            assert_eq!(bye.get("shutdown").and_then(JsonValue::as_bool), Some(true));
+            self.done
+                .recv_timeout(Duration::from_secs(5))
+                .expect("serve_unix returns after shutdown")
+                .expect("serve_unix ok");
+            self.thread.join().expect("no panic");
+            assert!(!self.path.exists(), "the socket file is removed");
+            let _ = std::fs::remove_dir_all(self.path.parent().expect("socket dir"));
+        }
+    }
+
+    /// Sends `line` on `stream` and reads one answer line, waiting at
+    /// most `timeout`.
+    fn ask(stream: &UnixStream, line: &str, timeout: Duration) -> io::Result<JsonValue> {
+        (&*stream).write_all(format!("{line}\n").as_bytes())?;
+        read_answer(stream, timeout)
+    }
+
+    fn read_answer(stream: &UnixStream, timeout: Duration) -> io::Result<JsonValue> {
+        stream.set_read_timeout(Some(timeout))?;
+        let mut reply = String::new();
+        BufReader::new(stream).read_line(&mut reply)?;
+        parse_json(&reply).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    }
+
+    fn hold_line(id: &str) -> String {
+        format!("{}\n", eco_line_with(id, SPEC, "{\"hold_ms\":400}"))
+    }
+
+    #[test]
+    fn socket_connections_are_served_concurrently_into_one_pool() {
+        let server = SocketServer::start(
+            DaemonConfig {
+                workers: 2,
+                chaos: true,
+                ..DaemonConfig::default()
+            },
+            "concurrent",
+        );
+        let held = server.connect();
+        (&held).write_all(hold_line("a").as_bytes()).expect("write");
+        let held_at = Instant::now();
+        server.wait_for_in_flight(1);
+        let asked = Instant::now();
+        let health = server
+            .health(Duration::from_secs(2))
+            .expect("health answers while another connection's request is held");
+        let health_took = asked.elapsed();
+        assert_eq!(
+            health.get("mode").and_then(JsonValue::as_str),
+            Some("pooled")
+        );
+        assert_eq!(
+            health.get("in_flight").and_then(JsonValue::as_u64),
+            Some(1),
+            "health reports the daemon-wide queue: {health:?}"
+        );
+        assert!(
+            health_took < Duration::from_millis(200),
+            "health waited {health_took:?}"
+        );
+        let quick = ask(
+            &server.connect(),
+            &eco_line_with("c", SPEC_XOR, "{}"),
+            Duration::from_secs(5),
+        )
+        .expect("a request on another connection is answered");
+        // The held request cannot answer before its 400 ms hold ends.
+        assert!(
+            held_at.elapsed() < Duration::from_millis(400),
+            "answered only after the held request: {:?}",
+            held_at.elapsed()
+        );
+        assert_eq!(status(&quick), Some("ok"));
+        let slow = read_answer(&held, Duration::from_secs(5)).expect("the held request answers");
+        assert_eq!(slow.get("id").and_then(JsonValue::as_str), Some("a"));
+        assert_eq!(status(&slow), Some("ok"));
+        server.shut_down();
+    }
+
+    #[test]
+    fn shutdown_hangs_up_idle_connections_and_answers_accepted_work() {
+        let server = SocketServer::start(
+            DaemonConfig {
+                workers: 2,
+                chaos: true,
+                ..DaemonConfig::default()
+            },
+            "hangup",
+        );
+        let idle = server.connect();
+        let held = server.connect();
+        (&held).write_all(hold_line("a").as_bytes()).expect("write");
+        server.wait_for_in_flight(1);
+        let asked = Instant::now();
+        server.shut_down();
+        assert!(
+            asked.elapsed() < Duration::from_secs(2),
+            "an idle connection must not keep the daemon alive: {:?}",
+            asked.elapsed()
+        );
+        let answer = read_answer(&held, Duration::from_secs(1)).expect("accepted work answers");
+        assert_eq!(answer.get("id").and_then(JsonValue::as_str), Some("a"));
+        assert_eq!(status(&answer), Some("ok"));
+        idle.set_read_timeout(Some(Duration::from_secs(1)))
+            .expect("timeout");
+        assert_eq!(
+            (&idle)
+                .read(&mut [0u8; 16])
+                .expect("the idle connection is closed"),
+            0
+        );
+    }
+
+    #[test]
+    fn at_most_workers_plus_queue_capacity_connections_are_open_at_once() {
+        let server = SocketServer::start(
+            DaemonConfig {
+                workers: 2,
+                queue_capacity: 1,
+                chaos: true,
+                ..DaemonConfig::default()
+            },
+            "cap",
+        );
+        let mut idle: Vec<UnixStream> = (0..3).map(|_| server.connect()).collect();
+        let fourth = server.connect();
+        let early = ask(&fourth, &eco_line("d"), Duration::from_millis(300));
+        assert!(
+            early.is_err(),
+            "a fourth connection waits while 3 are open: {early:?}"
+        );
+        drop(idle.remove(0));
+        let answer = read_answer(&fourth, Duration::from_secs(5))
+            .expect("the fourth connection is served once a slot frees");
+        assert_eq!(answer.get("id").and_then(JsonValue::as_str), Some("d"));
+        assert_eq!(status(&answer), Some("ok"));
+        drop(idle);
+        server.shut_down();
     }
 }

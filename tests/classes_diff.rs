@@ -57,7 +57,6 @@ fn harness_options(method: SupportMethod) -> EcoOptions {
         .per_call_conflicts(Some(BUDGET))
         .sat_prune(SatPruneOptions {
             max_iterations: 400,
-            per_call_conflicts: Some(BUDGET / 4),
         })
         .build()
 }
