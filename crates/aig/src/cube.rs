@@ -199,11 +199,6 @@ impl Sop {
         self.cubes.is_empty()
     }
 
-    /// Total number of literals across all cubes.
-    pub fn num_literals(&self) -> usize {
-        self.cubes.iter().map(Cube::len).sum()
-    }
-
     /// Appends a cube.
     pub fn push(&mut self, cube: Cube) {
         for l in cube.lits() {

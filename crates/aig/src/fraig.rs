@@ -225,12 +225,6 @@ impl CandidateClasses {
         CandidateClasses { classes }
     }
 
-    /// Total members across all classes, counting each class's
-    /// non-representative members (the merge candidates).
-    pub fn num_candidates(&self) -> usize {
-        self.classes.iter().map(|c| c.len() - 1).sum()
-    }
-
     /// Candidate merge pairs `(member, representative-literal-phase)`:
     /// for each non-representative member, the representative literal
     /// it is a candidate to be replaced by.

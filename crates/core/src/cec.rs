@@ -18,13 +18,6 @@ pub enum CecResult {
     Unknown,
 }
 
-impl CecResult {
-    /// `true` only for [`CecResult::Equivalent`].
-    pub fn is_equivalent(&self) -> bool {
-        matches!(self, CecResult::Equivalent)
-    }
-}
-
 /// Checks combinational equivalence of `a` and `b` output-by-output
 /// under a shared input space.
 ///

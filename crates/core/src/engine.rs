@@ -474,16 +474,6 @@ impl EcoEngine {
         self
     }
 
-    /// Attaches a shared observer, for callers that need to keep a
-    /// handle to it (e.g. to inspect accumulated state after `solve`).
-    pub fn with_shared_observer(
-        mut self,
-        observer: Arc<Mutex<dyn EcoObserver + Send>>,
-    ) -> EcoEngine {
-        self.observers.push(observer);
-        self
-    }
-
     /// Aggregates a [`MetricsObserver`] internally and attaches the
     /// resulting [`RunMetrics`] to [`EcoOutcome::metrics`].
     pub fn with_metrics(mut self) -> EcoEngine {

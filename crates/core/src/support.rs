@@ -598,11 +598,6 @@ impl SupportSolver {
     pub fn costs(&self) -> &[u64] {
         &self.costs
     }
-
-    /// Statistics of the underlying SAT solver.
-    pub fn solver_stats(&self) -> &eco_sat::SolverStats {
-        self.solver.stats()
-    }
 }
 
 /// Convenience: build a [`SupportSolver`] from a problem, a quantified

@@ -1,24 +1,26 @@
 //! Trace export and offline analysis for engine runs.
 //!
-//! Two exporters turn the [`EcoEvent`] stream into files:
+//! [`ChromeTrace`] writes the one engine trace format: a Chrome
+//! `trace_event` document, loadable in Perfetto or `chrome://tracing`.
+//! It is a shared handle: the CLI attaches one [`ChromeObserver`] to
+//! its run, and `eco_patchd` records request lifecycles and one
+//! observer per request into a single session document. Every engine
+//! event becomes one record whose `args` carry the event's tag
+//! (`"event"`) and all its fields, so the document is lossless.
 //!
-//! - [`JsonlTraceObserver`] streams one JSON object per event (JSON
-//!   Lines) — the lossless format replayed by [`summarize_trace`] and
-//!   the `eco_patch report` command;
-//! - [`ChromeTrace`] writes the Chrome `trace_event` format, loadable
-//!   in Perfetto or `chrome://tracing`. It is a shared handle: the CLI
-//!   attaches one [`ChromeObserver`] to its run, and `eco_patchd`
-//!   records request lifecycles and one observer per request into a
-//!   single session document.
-//!
-//! Replay utilities build a [`TraceSummary`] (time/conflict breakdown
-//! by phase, target, and call kind plus the most expensive calls) and
-//! [`check_span_integrity`] verifies that every `*_started` event is
-//! closed by its `*_finished` partner in LIFO order.
+//! Replay utilities read such a document back: [`summarize_trace`]
+//! builds a [`TraceSummary`] (time/conflict breakdown by phase, target,
+//! and call kind plus the most expensive calls, added up over every run
+//! in the document) and [`check_span_integrity`] verifies that every
+//! `*_started` event is closed by its `*_finished` partner in LIFO
+//! order on its lane. Records without an `event` tag (the daemon's
+//! request spans and control instants) are skipped by both.
 
 use crate::json::{escape_json, parse_json, JsonValue};
 use crate::observe::{duration_us, EcoEvent, EcoObserver};
 use eco_sat::SolveResult;
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -32,46 +34,45 @@ fn result_name(result: SolveResult) -> &'static str {
     }
 }
 
-fn opt_usize(v: Option<usize>) -> String {
+fn opt<T: std::fmt::Display>(v: Option<T>) -> String {
     match v {
         Some(x) => x.to_string(),
         None => "null".to_string(),
     }
 }
 
-/// Renders one event as a single-line JSON object with the given
-/// relative timestamp. This is the line format of
-/// [`JsonlTraceObserver`].
-fn event_record(ts_us: u64, event: &EcoEvent) -> String {
+/// Renders one event as `args` members: `"event":"<tag>"` first, then
+/// every field of the event. Returns the tag with the members.
+fn event_args(event: &EcoEvent) -> (&'static str, String) {
     let mut s = String::with_capacity(96);
-    let _ = write!(s, "{{\"ts_us\":{ts_us},\"event\":");
-    match event {
+    let tag = match event {
         EcoEvent::RunStarted {
             num_targets,
             per_call_conflicts,
         } => {
-            let budget = match per_call_conflicts {
-                Some(b) => b.to_string(),
-                None => "null".to_string(),
-            };
             let _ = write!(
                 s,
-                "\"run_started\",\"num_targets\":{num_targets},\"per_call_conflicts\":{budget}"
+                ",\"num_targets\":{num_targets},\"per_call_conflicts\":{}",
+                opt(*per_call_conflicts)
             );
+            "run_started"
         }
         EcoEvent::PhaseStarted { phase } => {
-            let _ = write!(s, "\"phase_started\",\"phase\":\"{}\"", phase.name());
+            let _ = write!(s, ",\"phase\":\"{}\"", phase.name());
+            "phase_started"
         }
         EcoEvent::PhaseFinished { phase, elapsed } => {
             let _ = write!(
                 s,
-                "\"phase_finished\",\"phase\":\"{}\",\"elapsed_us\":{}",
+                ",\"phase\":\"{}\",\"elapsed_us\":{}",
                 phase.name(),
                 duration_us(*elapsed)
             );
+            "phase_finished"
         }
         EcoEvent::TargetStarted { target_index } => {
-            let _ = write!(s, "\"target_started\",\"target_index\":{target_index}");
+            let _ = write!(s, ",\"target_index\":{target_index}");
+            "target_started"
         }
         EcoEvent::TargetFinished {
             target_index,
@@ -80,10 +81,10 @@ fn event_record(ts_us: u64, event: &EcoEvent) -> String {
         } => {
             let _ = write!(
                 s,
-                "\"target_finished\",\"target_index\":{target_index},\
-                 \"sat_calls\":{sat_calls},\"elapsed_us\":{}",
+                ",\"target_index\":{target_index},\"sat_calls\":{sat_calls},\"elapsed_us\":{}",
                 duration_us(*elapsed)
             );
+            "target_finished"
         }
         EcoEvent::SatCall {
             kind,
@@ -96,17 +97,19 @@ fn event_record(ts_us: u64, event: &EcoEvent) -> String {
         } => {
             let _ = write!(
                 s,
-                "\"sat_call\",\"kind\":\"{}\",\"target_index\":{},\"result\":\"{}\",\
+                ",\"kind\":\"{}\",\"target_index\":{},\"result\":\"{}\",\
                  \"conflicts\":{conflicts},\"decisions\":{decisions},\
                  \"propagations\":{propagations},\"elapsed_us\":{}",
                 kind.name(),
-                opt_usize(*target_index),
+                opt(*target_index),
                 result_name(*result),
                 duration_us(*elapsed)
             );
+            "sat_call"
         }
         EcoEvent::QbfRefinement { copies } => {
-            let _ = write!(s, "\"qbf_refinement\",\"copies\":{copies}");
+            let _ = write!(s, ",\"copies\":{copies}");
+            "qbf_refinement"
         }
         EcoEvent::QuantificationRefinement {
             target_index,
@@ -114,9 +117,9 @@ fn event_record(ts_us: u64, event: &EcoEvent) -> String {
         } => {
             let _ = write!(
                 s,
-                "\"quantification_refinement\",\"target_index\":{target_index},\
-                 \"assignments\":{assignments}"
+                ",\"target_index\":{target_index},\"assignments\":{assignments}"
             );
+            "quantification_refinement"
         }
         EcoEvent::SupportMinimizationStep {
             target_index,
@@ -125,28 +128,27 @@ fn event_record(ts_us: u64, event: &EcoEvent) -> String {
         } => {
             let _ = write!(
                 s,
-                "\"support_minimization_step\",\"target_index\":{},\"step\":\"{}\",\
-                 \"support_size\":{support_size}",
-                opt_usize(*target_index),
+                ",\"target_index\":{},\"step\":\"{}\",\"support_size\":{support_size}",
+                opt(*target_index),
                 step.name()
             );
+            "support_minimization_step"
         }
         EcoEvent::StructuralFallback { target_index } => {
-            let _ = write!(s, "\"structural_fallback\",\"target_index\":{target_index}");
+            let _ = write!(s, ",\"target_index\":{target_index}");
+            "structural_fallback"
         }
         EcoEvent::GovernorTripped { reason } => {
-            let _ = write!(
-                s,
-                "\"governor_tripped\",\"reason\":\"{}\"",
-                escape_json(reason.name())
-            );
+            let _ = write!(s, ",\"reason\":\"{}\"", escape_json(reason.name()));
+            "governor_tripped"
         }
         EcoEvent::LadderStep { target_index, rung } => {
             let _ = write!(
                 s,
-                "\"ladder_step\",\"target_index\":{target_index},\"rung\":\"{}\"",
+                ",\"target_index\":{target_index},\"rung\":\"{}\"",
                 rung.name()
             );
+            "ladder_step"
         }
         EcoEvent::CegarMinRound {
             target_index,
@@ -155,24 +157,18 @@ fn event_record(ts_us: u64, event: &EcoEvent) -> String {
         } => {
             let _ = write!(
                 s,
-                "\"cegar_min_round\",\"target_index\":{},\"sat_calls\":{sat_calls},\
-                 \"cost\":{cost}",
-                opt_usize(*target_index)
+                ",\"target_index\":{},\"sat_calls\":{sat_calls},\"cost\":{cost}",
+                opt(*target_index)
             );
+            "cegar_min_round"
         }
         EcoEvent::RequestTagged { request_id } => {
-            let _ = write!(
-                s,
-                "\"request_tagged\",\"request_id\":\"{}\"",
-                escape_json(request_id)
-            );
+            let _ = write!(s, ",\"request_id\":\"{}\"", escape_json(request_id));
+            "request_tagged"
         }
         EcoEvent::CacheQuery { layer, hit } => {
-            let _ = write!(
-                s,
-                "\"cache_query\",\"layer\":\"{}\",\"hit\":{hit}",
-                layer.name()
-            );
+            let _ = write!(s, ",\"layer\":\"{}\",\"hit\":{hit}", layer.name());
+            "cache_query"
         }
         EcoEvent::ClassesReport {
             target_index,
@@ -183,81 +179,20 @@ fn event_record(ts_us: u64, event: &EcoEvent) -> String {
         } => {
             let _ = write!(
                 s,
-                "\"classes_report\",\"target_index\":{},\"oracle_hits\":{oracle_hits},\
+                ",\"target_index\":{},\"oracle_hits\":{oracle_hits},\
                  \"inherited_answers\":{inherited_answers},\
                  \"refinement_rounds\":{refinement_rounds},\
                  \"witness_replays\":{witness_replays}",
-                opt_usize(*target_index)
+                opt(*target_index)
             );
+            "classes_report"
         }
         EcoEvent::RunFinished { elapsed } => {
-            let _ = write!(
-                s,
-                "\"run_finished\",\"elapsed_us\":{}",
-                duration_us(*elapsed)
-            );
+            let _ = write!(s, ",\"elapsed_us\":{}", duration_us(*elapsed));
+            "run_finished"
         }
-        // `EcoEvent` is non_exhaustive for downstream crates; new
-        // variants must be given a record shape here before release.
-        #[allow(unreachable_patterns)]
-        _ => {
-            let _ = write!(s, "\"unknown\"");
-        }
-    }
-    s.push('}');
-    s
-}
-
-/// Streams every event as one JSON object per line (JSON Lines).
-///
-/// Timestamps (`ts_us`) are microseconds relative to the first
-/// observed event. Write errors are sticky: the first one is kept and
-/// reported by [`JsonlTraceObserver::finish`], and no further lines
-/// are written.
-#[derive(Debug)]
-pub struct JsonlTraceObserver<W: Write> {
-    writer: W,
-    start: Option<Instant>,
-    error: Option<std::io::Error>,
-}
-
-impl<W: Write> JsonlTraceObserver<W> {
-    /// Wraps a writer (typically a buffered file).
-    pub fn new(writer: W) -> JsonlTraceObserver<W> {
-        JsonlTraceObserver {
-            writer,
-            start: None,
-            error: None,
-        }
-    }
-
-    /// Flushes and returns the writer; fails with the first write
-    /// error encountered while streaming, if any.
-    pub fn finish(mut self) -> std::io::Result<W> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.writer.flush()?;
-        Ok(self.writer)
-    }
-
-    fn ts_us(&mut self) -> u64 {
-        let start = *self.start.get_or_insert_with(Instant::now);
-        duration_us(start.elapsed())
-    }
-}
-
-impl<W: Write> EcoObserver for JsonlTraceObserver<W> {
-    fn on_event(&mut self, event: &EcoEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        let ts = self.ts_us();
-        let line = event_record(ts, event);
-        if let Err(e) = writeln!(self.writer, "{line}") {
-            self.error = Some(e);
-        }
-    }
+    };
+    (tag, format!("\"event\":\"{tag}\"{s}"))
 }
 
 /// The lane (`tid`) for records that belong to no run or request
@@ -454,8 +389,9 @@ impl ChromeTrace {
 ///
 /// Run, phase, target, and SAT-call spans become `X` blocks ending at
 /// receipt of their finish event (which carries the duration), so no
-/// `B`/`E` pairing is needed. Start events are implied by the blocks;
-/// every other event becomes an instant.
+/// `B`/`E` pairing is needed. Every other event, the start events
+/// included, becomes an instant named after its tag. Each record's
+/// `args` carry the full event (see [`summarize_trace`]).
 #[derive(Debug)]
 pub struct ChromeObserver {
     trace: ChromeTrace,
@@ -465,67 +401,25 @@ pub struct ChromeObserver {
 
 impl EcoObserver for ChromeObserver {
     fn on_event(&mut self, event: &EcoEvent) {
-        let (name, cat, elapsed, extra) = match event {
-            EcoEvent::RunStarted { .. }
-            | EcoEvent::PhaseStarted { .. }
-            | EcoEvent::TargetStarted { .. } => return,
-            EcoEvent::RunFinished { elapsed } => {
-                ("run".to_string(), "eco", Some(elapsed), String::new())
+        let (tag, args) = event_args(event);
+        let (name, cat, elapsed): (Cow<'static, str>, _, _) = match event {
+            EcoEvent::RunFinished { elapsed } => ("run".into(), "eco", Some(elapsed)),
+            EcoEvent::PhaseFinished { phase, elapsed } => {
+                (phase.name().into(), "eco", Some(elapsed))
             }
-            EcoEvent::PhaseFinished { phase, elapsed } => (
-                phase.name().to_string(),
-                "eco",
-                Some(elapsed),
-                String::new(),
-            ),
             EcoEvent::TargetFinished {
                 target_index,
                 elapsed,
                 ..
             } => (
-                format!("target {target_index}"),
+                format!("target {target_index}").into(),
                 "eco",
                 Some(elapsed),
-                String::new(),
             ),
-            EcoEvent::SatCall {
-                kind,
-                target_index,
-                result,
-                conflicts,
-                elapsed,
-                ..
-            } => (
-                format!("sat:{}", kind.name()),
-                "sat",
-                Some(elapsed),
-                format!(
-                    "\"result\":\"{}\",\"conflicts\":{conflicts},\"target_index\":{}",
-                    result_name(*result),
-                    opt_usize(*target_index)
-                ),
-            ),
-            EcoEvent::GovernorTripped { reason } => (
-                "governor_tripped".to_string(),
-                "eco",
-                None,
-                format!("\"reason\":\"{}\"", escape_json(reason.name())),
-            ),
-            other => {
-                let name = match other {
-                    EcoEvent::QbfRefinement { .. } => "qbf_refinement",
-                    EcoEvent::QuantificationRefinement { .. } => "quantification_refinement",
-                    EcoEvent::SupportMinimizationStep { .. } => "support_minimization_step",
-                    EcoEvent::StructuralFallback { .. } => "structural_fallback",
-                    EcoEvent::LadderStep { .. } => "ladder_step",
-                    EcoEvent::CegarMinRound { .. } => "cegar_min_round",
-                    EcoEvent::RequestTagged { .. } => "request_tagged",
-                    EcoEvent::CacheQuery { .. } => "cache_query",
-                    EcoEvent::ClassesReport { .. } => "classes_report",
-                    _ => "event",
-                };
-                (name.to_string(), "eco", None, String::new())
+            EcoEvent::SatCall { kind, elapsed, .. } => {
+                (format!("sat:{}", kind.name()).into(), "sat", Some(elapsed))
             }
+            _ => (tag.into(), "eco", None),
         };
         let now = self.trace.ts_us();
         let (ph, ts, dur) = match elapsed {
@@ -535,16 +429,13 @@ impl EcoObserver for ChromeObserver {
             }
             None => ('i', now, None),
         };
-        self.trace.record(
-            ph,
-            &name,
-            cat,
-            self.lane,
-            ts,
-            dur,
-            self.request_id.as_deref(),
-            &extra,
-        );
+        // A `request_tagged` record carries its own `request_id`.
+        let request_id = match event {
+            EcoEvent::RequestTagged { .. } => None,
+            _ => self.request_id.as_deref(),
+        };
+        self.trace
+            .record(ph, &name, cat, self.lane, ts, dur, request_id, &args);
     }
 }
 
@@ -553,7 +444,7 @@ impl EcoObserver for ChromeObserver {
 pub struct PhaseSummary {
     /// Phase name as recorded in the trace.
     pub name: String,
-    /// `elapsed_us` of the `phase_finished` record.
+    /// `elapsed_us` summed over this phase's `phase_finished` records.
     pub elapsed_us: u64,
 }
 
@@ -568,8 +459,8 @@ pub struct TargetSummary {
     pub conflicts: u64,
     /// Solver time across those calls, µs.
     pub sat_time_us: u64,
-    /// `elapsed_us` of the `target_finished` record (0 if the target
-    /// never finished).
+    /// `elapsed_us` summed over this target's `target_finished`
+    /// records (0 if the target never finished).
     pub elapsed_us: u64,
 }
 
@@ -604,13 +495,14 @@ pub struct ExpensiveCall {
 /// Aggregated view of one trace, built by [`summarize_trace`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceSummary {
-    /// Records replayed.
+    /// Engine records replayed (records without an `event` tag are
+    /// skipped).
     pub events: u64,
-    /// `num_targets` of the `run_started` record, if present.
+    /// `num_targets` summed over the `run_started` records, if any.
     pub num_targets: Option<u64>,
-    /// `elapsed_us` of the `run_finished` record, if present.
+    /// `elapsed_us` summed over the `run_finished` records, if any.
     pub run_elapsed_us: Option<u64>,
-    /// Phase totals, in completion order.
+    /// Phase totals by name, in first-completion order.
     pub phases: Vec<PhaseSummary>,
     /// Target totals, in first-seen order.
     pub targets: Vec<TargetSummary>,
@@ -628,77 +520,107 @@ pub struct TraceSummary {
     pub governor_trips: u64,
 }
 
-/// Replays a JSONL trace into a [`TraceSummary`], keeping the `top_k`
-/// most expensive calls.
+/// Walks the engine records of a Chrome trace document in document
+/// order: those whose `args` carry an `event` tag. `visit` receives
+/// each record's index in `traceEvents`, its lane (`tid`), its tag and
+/// its `args`.
+fn for_each_engine_record(
+    doc: &str,
+    mut visit: impl FnMut(usize, u64, &str, &JsonValue) -> Result<(), String>,
+) -> Result<(), String> {
+    let doc = parse_json(doc).map_err(|e| e.to_string())?;
+    let records = doc
+        .get("traceEvents")
+        .and_then(JsonValue::as_array)
+        .ok_or("not a Chrome trace: no \"traceEvents\" array")?;
+    for (index, record) in records.iter().enumerate() {
+        let Some(args) = record.get("args") else {
+            continue;
+        };
+        let Some(event) = args.get("event").and_then(JsonValue::as_str) else {
+            continue;
+        };
+        let lane = record.get("tid").and_then(JsonValue::as_u64).unwrap_or(0);
+        visit(index, lane, event, args)?;
+    }
+    Ok(())
+}
+
+/// The entry of `items` that `matches`, appended by `new` if absent.
+fn entry<T>(items: &mut Vec<T>, matches: impl Fn(&T) -> bool, new: impl FnOnce() -> T) -> &mut T {
+    match items.iter().position(matches) {
+        Some(pos) => &mut items[pos],
+        None => {
+            items.push(new());
+            items.last_mut().expect("just pushed")
+        }
+    }
+}
+
+/// Replays a Chrome trace document into a [`TraceSummary`], keeping
+/// the `top_k` most expensive calls. Totals add up over every run in
+/// the document (one for a CLI trace, one or more per request for an
+/// `eco_patchd` session).
 ///
 /// # Errors
 ///
-/// Returns a message naming the offending line when a line is not a
-/// JSON object or lacks the `event` tag.
-pub fn summarize_trace(jsonl: &str, top_k: usize) -> Result<TraceSummary, String> {
+/// Returns a message when the document is not JSON or has no
+/// `traceEvents` array.
+pub fn summarize_trace(doc: &str, top_k: usize) -> Result<TraceSummary, String> {
     let mut summary = TraceSummary::default();
     let mut calls: Vec<ExpensiveCall> = Vec::new();
-    for (lineno, line) in jsonl.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let record = parse_json(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let event = record
-            .get("event")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("line {}: missing \"event\" tag", lineno + 1))?;
+    for_each_engine_record(doc, |_, _, event, args| {
         summary.events += 1;
-        let u = |key: &str| record.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
+        let u = |key: &str| args.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
+        let text = |key: &str| {
+            args.get(key)
+                .and_then(JsonValue::as_str)
+                .unwrap_or("?")
+                .to_string()
+        };
+        let add = |total: &mut Option<u64>, key: &str| {
+            if let Some(n) = args.get(key).and_then(JsonValue::as_u64) {
+                *total.get_or_insert(0) += n;
+            }
+        };
         match event {
-            "run_started" => {
-                summary.num_targets = record.get("num_targets").and_then(JsonValue::as_u64);
-            }
-            "run_finished" => {
-                summary.run_elapsed_us = record.get("elapsed_us").and_then(JsonValue::as_u64);
-            }
+            "run_started" => add(&mut summary.num_targets, "num_targets"),
+            "run_finished" => add(&mut summary.run_elapsed_us, "elapsed_us"),
             "phase_finished" => {
-                let name = record
-                    .get("phase")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("?")
-                    .to_string();
-                summary.phases.push(PhaseSummary {
-                    name,
-                    elapsed_us: u("elapsed_us"),
-                });
+                let name = text("phase");
+                entry(
+                    &mut summary.phases,
+                    |p| p.name == name,
+                    || PhaseSummary {
+                        name: name.clone(),
+                        elapsed_us: 0,
+                    },
+                )
+                .elapsed_us += u("elapsed_us");
             }
             "target_finished" => {
-                let idx = u("target_index");
-                let entry = target_entry(&mut summary.targets, idx);
-                entry.elapsed_us = u("elapsed_us");
+                target_entry(&mut summary.targets, u("target_index")).elapsed_us += u("elapsed_us");
             }
             "governor_tripped" => summary.governor_trips += 1,
             "sat_call" => {
-                let kind = record
-                    .get("kind")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("?")
-                    .to_string();
+                let kind = text("kind");
                 let conflicts = u("conflicts");
                 let elapsed_us = u("elapsed_us");
                 summary.sat_calls += 1;
                 summary.sat_conflicts += conflicts;
                 summary.sat_time_us += elapsed_us;
-                let entry = match summary.kinds.iter_mut().find(|k| k.name == kind) {
-                    Some(entry) => entry,
-                    None => {
-                        summary.kinds.push(KindSummary {
-                            name: kind.clone(),
-                            ..KindSummary::default()
-                        });
-                        summary.kinds.last_mut().expect("just pushed")
-                    }
-                };
-                entry.calls += 1;
-                entry.conflicts += conflicts;
-                entry.time_us += elapsed_us;
-                let target_index = record.get("target_index").and_then(JsonValue::as_u64);
+                let k = entry(
+                    &mut summary.kinds,
+                    |k| k.name == kind,
+                    || KindSummary {
+                        name: kind.clone(),
+                        ..KindSummary::default()
+                    },
+                );
+                k.calls += 1;
+                k.conflicts += conflicts;
+                k.time_us += elapsed_us;
+                let target_index = args.get("target_index").and_then(JsonValue::as_u64);
                 if let Some(idx) = target_index {
                     let t = target_entry(&mut summary.targets, idx);
                     t.sat_calls += 1;
@@ -708,18 +630,15 @@ pub fn summarize_trace(jsonl: &str, top_k: usize) -> Result<TraceSummary, String
                 calls.push(ExpensiveCall {
                     kind,
                     target_index,
-                    result: record
-                        .get("result")
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or("?")
-                        .to_string(),
+                    result: text("result"),
                     conflicts,
                     elapsed_us,
                 });
             }
             _ => {}
         }
-    }
+        Ok(())
+    })?;
     calls.sort_by_key(|c| std::cmp::Reverse((c.elapsed_us, c.conflicts)));
     calls.truncate(top_k);
     summary.top_calls = calls;
@@ -727,14 +646,14 @@ pub fn summarize_trace(jsonl: &str, top_k: usize) -> Result<TraceSummary, String
 }
 
 fn target_entry(targets: &mut Vec<TargetSummary>, target_index: u64) -> &mut TargetSummary {
-    if let Some(pos) = targets.iter().position(|t| t.target_index == target_index) {
-        return &mut targets[pos];
-    }
-    targets.push(TargetSummary {
-        target_index,
-        ..TargetSummary::default()
-    });
-    targets.last_mut().expect("just pushed")
+    entry(
+        targets,
+        |t| t.target_index == target_index,
+        || TargetSummary {
+            target_index,
+            ..TargetSummary::default()
+        },
+    )
 }
 
 fn percent(part: u64, whole: u64) -> f64 {
@@ -832,47 +751,43 @@ pub fn render_report(summary: &TraceSummary) -> String {
     out
 }
 
-/// Verifies the span discipline of a JSONL trace: every
-/// `run/phase/target started` record must be closed by the matching
-/// `finished` record in LIFO order, and nothing may remain open at the
-/// end of a trace that saw `run_finished`.
+/// Verifies the span discipline of a Chrome trace document: on each
+/// lane, every `run/phase/target started` record must be closed by the
+/// matching `finished` record in LIFO order. A lane may hold several
+/// runs back to back (a retried request), so after `run_finished` the
+/// only record allowed on that lane is a new `run_started`.
 ///
-/// Traces of aborted runs (no `run_finished`) pass as long as the
+/// Lanes whose run was aborted (no `run_finished`) pass as long as the
 /// records seen so far nest correctly.
 ///
 /// # Errors
 ///
-/// Returns a message naming the line of the first violation.
-pub fn check_span_integrity(jsonl: &str) -> Result<(), String> {
-    let mut stack: Vec<String> = Vec::new();
-    let mut finished = false;
-    for (lineno, line) in jsonl.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let lineno = lineno + 1;
-        let record = parse_json(line).map_err(|e| format!("line {lineno}: {e}"))?;
-        let event = record
-            .get("event")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("line {lineno}: missing \"event\" tag"))?;
-        if finished {
-            return Err(format!("line {lineno}: record after run_finished"));
+/// Returns a message naming the record (its index in `traceEvents`)
+/// of the first violation.
+pub fn check_span_integrity(doc: &str) -> Result<(), String> {
+    // Per lane: the open spans, innermost last, and whether the lane's
+    // last run has finished.
+    let mut lanes: HashMap<u64, (Vec<String>, bool)> = HashMap::new();
+    for_each_engine_record(doc, |index, lane, event, args| {
+        let (stack, finished) = lanes.entry(lane).or_default();
+        if *finished && event != "run_started" {
+            return Err(format!(
+                "record {index}: {event} after run_finished on lane {lane}"
+            ));
         }
         let span = |kind: &str| -> Result<String, String> {
             match kind {
                 "run" => Ok("run".to_string()),
-                "phase" => record
+                "phase" => args
                     .get("phase")
                     .and_then(JsonValue::as_str)
                     .map(|p| format!("phase {p}"))
-                    .ok_or_else(|| format!("line {lineno}: missing \"phase\"")),
-                _ => record
+                    .ok_or_else(|| format!("record {index}: missing \"phase\"")),
+                _ => args
                     .get("target_index")
                     .and_then(JsonValue::as_u64)
                     .map(|t| format!("target {t}"))
-                    .ok_or_else(|| format!("line {lineno}: missing \"target_index\"")),
+                    .ok_or_else(|| format!("record {index}: missing \"target_index\"")),
             }
         };
         let (open, kind) = match event {
@@ -882,12 +797,15 @@ pub fn check_span_integrity(jsonl: &str) -> Result<(), String> {
             "phase_finished" => (false, "phase"),
             "target_started" => (true, "target"),
             "target_finished" => (false, "target"),
-            _ => continue,
+            _ => return Ok(()),
         };
         let name = span(kind)?;
         if open {
-            if kind == "run" && !stack.is_empty() {
-                return Err(format!("line {lineno}: run_started inside open spans"));
+            if kind == "run" {
+                if !stack.is_empty() {
+                    return Err(format!("record {index}: run_started inside open spans"));
+                }
+                *finished = false;
             }
             stack.push(name);
         } else {
@@ -895,28 +813,26 @@ pub fn check_span_integrity(jsonl: &str) -> Result<(), String> {
                 Some(top) if top == name => {}
                 Some(top) => {
                     return Err(format!(
-                        "line {lineno}: closed '{name}' while '{top}' was innermost"
+                        "record {index}: closed '{name}' while '{top}' was innermost"
                     ));
                 }
                 None => {
-                    return Err(format!("line {lineno}: closed '{name}' with no open span"));
+                    return Err(format!("record {index}: closed '{name}' with no open span"));
                 }
             }
             if kind == "run" {
-                finished = true;
+                *finished = true;
             }
         }
-    }
-    if finished && !stack.is_empty() {
-        return Err(format!("spans left open at end of trace: {stack:?}"));
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::observe::{Phase, SatCallKind};
+    use eco_testutil::SharedBuf;
     use std::time::Duration;
 
     fn sample_events() -> Vec<EcoEvent> {
@@ -962,28 +878,38 @@ mod tests {
         ]
     }
 
-    fn sample_jsonl() -> String {
-        let mut obs = JsonlTraceObserver::new(Vec::new());
-        for event in sample_events() {
-            obs.on_event(&event);
-        }
-        String::from_utf8(obs.finish().expect("no io errors")).expect("utf8")
+    /// The `traceEvents` records written into `buf`.
+    fn records(buf: &SharedBuf) -> Vec<JsonValue> {
+        let text = buf.text();
+        let doc = parse_json(&text).unwrap_or_else(|e| panic!("bad chrome JSON: {e}\n{text}"));
+        doc.get("traceEvents")
+            .and_then(JsonValue::as_array)
+            .expect("traceEvents array")
+            .to_vec()
     }
 
-    #[test]
-    fn jsonl_lines_are_valid_json() {
-        let text = sample_jsonl();
-        assert_eq!(text.lines().count(), 8);
-        for line in text.lines() {
-            let v = parse_json(line).expect("line parses");
-            assert!(v.get("event").is_some(), "{line}");
-            assert!(v.get("ts_us").and_then(JsonValue::as_u64).is_some());
-        }
+    /// The document `record` writes into a fresh trace.
+    fn document(record: impl FnOnce(&ChromeTrace)) -> String {
+        let buf = SharedBuf::default();
+        let trace = ChromeTrace::new(Box::new(buf.clone()));
+        record(&trace);
+        trace.finish().expect("no io errors");
+        buf.text()
+    }
+
+    /// The sample run on one untagged lane, as the CLI writes it.
+    fn sample_doc() -> String {
+        document(|trace| {
+            let mut obs = trace.observer(trace.open_lane(), None);
+            for event in sample_events() {
+                obs.on_event(&event);
+            }
+        })
     }
 
     #[test]
     fn summary_replays_totals() {
-        let summary = summarize_trace(&sample_jsonl(), 1).expect("replay");
+        let summary = summarize_trace(&sample_doc(), 1).expect("replay");
         assert_eq!(summary.events, 8);
         assert_eq!(summary.num_targets, Some(1));
         assert_eq!(summary.run_elapsed_us, Some(600));
@@ -996,85 +922,144 @@ mod tests {
         assert_eq!(summary.targets.len(), 1);
         assert_eq!(summary.targets[0].sat_calls, 1);
         assert_eq!(summary.targets[0].sat_time_us, 250);
+        assert_eq!(summary.targets[0].elapsed_us, 400);
         assert_eq!(summary.top_calls.len(), 1);
         assert_eq!(summary.top_calls[0].kind, "support");
         let report = render_report(&summary);
         assert!(report.contains("patch_generation"));
         assert!(report.contains("top 1 most expensive calls"));
+        assert!(summarize_trace("{\"ts_us\":0,\"event\":\"run_started\"}", 1).is_err());
     }
 
     #[test]
     fn span_integrity_accepts_wellformed_and_rejects_crossed_spans() {
-        check_span_integrity(&sample_jsonl()).expect("well-formed");
-        let crossed = "\
-{\"ts_us\":0,\"event\":\"run_started\",\"num_targets\":1,\"per_call_conflicts\":null}
-{\"ts_us\":1,\"event\":\"phase_started\",\"phase\":\"windowing\"}
-{\"ts_us\":2,\"event\":\"target_started\",\"target_index\":0}
-{\"ts_us\":3,\"event\":\"phase_finished\",\"phase\":\"windowing\",\"elapsed_us\":2}
-";
+        check_span_integrity(&sample_doc()).expect("well-formed");
+        let crossed = r#"{"traceEvents":[
+{"name":"run_started","cat":"eco","ph":"i","ts":0,"pid":1,"tid":2,"s":"t","args":{"event":"run_started","num_targets":1,"per_call_conflicts":null}},
+{"name":"phase_started","cat":"eco","ph":"i","ts":1,"pid":1,"tid":2,"s":"t","args":{"event":"phase_started","phase":"windowing"}},
+{"name":"target_started","cat":"eco","ph":"i","ts":2,"pid":1,"tid":2,"s":"t","args":{"event":"target_started","target_index":0}},
+{"name":"windowing","cat":"eco","ph":"X","ts":1,"dur":2,"pid":1,"tid":2,"args":{"event":"phase_finished","phase":"windowing","elapsed_us":2}}]}"#;
         let err = check_span_integrity(crossed).unwrap_err();
         assert!(err.contains("target 0"), "{err}");
-        let unopened = "{\"ts_us\":0,\"event\":\"target_finished\",\"target_index\":3,\
-                        \"sat_calls\":0,\"elapsed_us\":1}";
+        let unopened = r#"{"traceEvents":[{"name":"target 3","cat":"eco","ph":"X","ts":0,"dur":1,"pid":1,"tid":2,"args":{"event":"target_finished","target_index":3,"sat_calls":0,"elapsed_us":1}}]}"#;
         assert!(check_span_integrity(unopened).is_err());
-    }
-
-    /// A `Write` sink the test keeps a handle to after the trace takes
-    /// ownership of its writer.
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    impl SharedBuf {
-        fn events(&self) -> Vec<JsonValue> {
-            let text = String::from_utf8(self.0.lock().unwrap().clone()).expect("utf8");
-            let doc = parse_json(&text).unwrap_or_else(|e| panic!("bad chrome JSON: {e}\n{text}"));
-            doc.get("traceEvents")
-                .and_then(JsonValue::as_array)
-                .expect("traceEvents array")
-                .to_vec()
-        }
+        let after_run = document(|trace| {
+            let mut obs = trace.observer(trace.open_lane(), None);
+            for event in sample_events() {
+                obs.on_event(&event);
+            }
+            obs.on_event(&EcoEvent::QbfRefinement { copies: 1 });
+        });
+        let err = check_span_integrity(&after_run).unwrap_err();
+        assert!(err.contains("after run_finished"), "{err}");
     }
 
     #[test]
-    fn chrome_observer_writes_complete_blocks_for_every_span() {
+    fn interleaved_runs_on_two_lanes_pass_integrity_and_add_up() {
+        let events = sample_events();
+        let doc = document(|trace| {
+            let (lane_a, lane_b) = (trace.open_lane(), trace.open_lane());
+            let mut a = trace.observer(lane_a, Some("a".to_string()));
+            let mut b = trace.observer(lane_b, Some("b".to_string()));
+            trace.begin(lane_a, "request a", "daemon", 0, Some("a"));
+            trace.instant(CONTROL_LANE, "shed", "daemon", Some("c"));
+            // Lane b runs one event behind lane a, so each lane's spans
+            // cross the other's in document order.
+            a.on_event(&events[0]);
+            for (ea, eb) in events[1..].iter().zip(&events) {
+                a.on_event(ea);
+                b.on_event(eb);
+            }
+            b.on_event(&events[events.len() - 1]);
+            trace.end(lane_a, "daemon", trace.ts_us());
+            // A retried request re-runs the engine on the same lane.
+            let mut again = trace.observer(lane_b, Some("b".to_string()));
+            for event in &events {
+                again.on_event(event);
+            }
+        });
+        check_span_integrity(&doc).expect("each lane nests on its own");
+        let summary = summarize_trace(&doc, 10).expect("replay");
+        assert_eq!(summary.events, 24, "daemon records are skipped");
+        assert_eq!(summary.num_targets, Some(3));
+        assert_eq!(summary.run_elapsed_us, Some(1800));
+        assert_eq!(summary.sat_calls, 6);
+        assert_eq!(summary.sat_conflicts, 45);
+        assert_eq!(summary.sat_time_us, 1020);
+        assert_eq!(summary.phases.len(), 1, "phases add up by name");
+        assert_eq!(summary.phases[0].elapsed_us, 1500);
+        assert_eq!(summary.targets.len(), 1);
+        assert_eq!(summary.targets[0].sat_calls, 3);
+        assert_eq!(summary.targets[0].elapsed_us, 1200);
+        assert_eq!(summary.kinds.len(), 2);
+        assert_eq!(summary.top_calls.len(), 6);
+
+        // A crossed span within one lane still fails, even when
+        // another lane is interleaved with it.
+        let crossed = document(|trace| {
+            let (lane_a, lane_b) = (trace.open_lane(), trace.open_lane());
+            let mut a = trace.observer(lane_a, None);
+            let mut b = trace.observer(lane_b, None);
+            for event in &events[..3] {
+                a.on_event(event);
+                b.on_event(event);
+            }
+            a.on_event(&EcoEvent::PhaseFinished {
+                phase: Phase::PatchGeneration,
+                elapsed: Duration::from_micros(5),
+            });
+        });
+        let err = check_span_integrity(&crossed).unwrap_err();
+        assert!(err.contains("target 0"), "{err}");
+    }
+
+    #[test]
+    fn chrome_observer_writes_every_event_with_its_fields() {
         let buf = SharedBuf::default();
         let trace = ChromeTrace::new(Box::new(buf.clone()));
         let mut obs = trace.observer(trace.open_lane(), Some("r1".to_string()));
         for event in sample_events() {
             obs.on_event(&event);
         }
+        obs.on_event(&EcoEvent::RequestTagged {
+            request_id: "r1".to_string(),
+        });
         trace.finish().expect("no io errors");
-        let events = buf.events();
+        let events = records(&buf);
         let str_of =
             |e: &JsonValue, key: &str| e.get(key).and_then(JsonValue::as_str).map(str::to_owned);
-        let blocks: Vec<String> = events
+        let records: Vec<(String, String)> = events
             .iter()
-            .filter(|e| str_of(e, "ph").as_deref() == Some("X"))
-            .filter_map(|e| str_of(e, "name"))
+            .map(|e| (str_of(e, "ph").unwrap(), str_of(e, "name").unwrap()))
             .collect();
-        assert_eq!(
-            blocks,
-            [
-                "sat:support",
-                "sat:cec",
-                "target 0",
-                "patch_generation",
-                "run"
-            ],
-            "one X block per finished span, in finish order"
-        );
-        assert_eq!(events.len(), blocks.len(), "start events are implied");
-        for e in &events {
+        let want = [
+            ("i", "run_started"),
+            ("i", "phase_started"),
+            ("i", "target_started"),
+            ("X", "sat:support"),
+            ("X", "sat:cec"),
+            ("X", "target 0"),
+            ("X", "patch_generation"),
+            ("X", "run"),
+            ("i", "request_tagged"),
+        ];
+        let want: Vec<(String, String)> = want
+            .iter()
+            .map(|(ph, name)| (ph.to_string(), name.to_string()))
+            .collect();
+        assert_eq!(records, want, "one record per event, in event order");
+        let tags = [
+            "run_started",
+            "phase_started",
+            "target_started",
+            "sat_call",
+            "sat_call",
+            "target_finished",
+            "phase_finished",
+            "run_finished",
+            "request_tagged",
+        ];
+        for (e, tag) in events.iter().zip(tags) {
             assert!(e.get("ts").and_then(JsonValue::as_u64).is_some());
             assert_eq!(e.get("tid").and_then(JsonValue::as_u64), Some(2));
             let args = e.get("args").expect("args");
@@ -1082,12 +1067,39 @@ mod tests {
                 args.get("request_id").and_then(JsonValue::as_str),
                 Some("r1")
             );
+            assert_eq!(args.get("event").and_then(JsonValue::as_str), Some(tag));
         }
-        let target = events
-            .iter()
-            .find(|e| str_of(e, "name").as_deref() == Some("target 0"))
-            .expect("target block");
+        let line = buf
+            .text()
+            .lines()
+            .find(|l| l.contains("request_tagged"))
+            .expect("tag record")
+            .to_string();
+        assert_eq!(line.matches("request_id").count(), 1, "{line}");
+        let target = &events[5];
         assert_eq!(target.get("dur").and_then(JsonValue::as_u64), Some(400));
+        let support = events[3].get("args").expect("args");
+        for (key, value) in [
+            ("conflicts", 12),
+            ("decisions", 4),
+            ("propagations", 40),
+            ("elapsed_us", 250),
+            ("target_index", 0),
+        ] {
+            assert_eq!(
+                support.get(key).and_then(JsonValue::as_u64),
+                Some(value),
+                "{key}"
+            );
+        }
+        assert_eq!(
+            support.get("kind").and_then(JsonValue::as_str),
+            Some("support")
+        );
+        assert_eq!(
+            support.get("result").and_then(JsonValue::as_str),
+            Some("unsat")
+        );
     }
 
     #[test]
@@ -1106,7 +1118,7 @@ mod tests {
         trace.finish().expect("finish");
         trace.finish().expect("idempotent");
         trace.instant(CONTROL_LANE, "late", "daemon", None);
-        let events = buf.events();
+        let events = records(&buf);
         assert_eq!(events.len(), 5, "records after finish are dropped");
         let begin = &events[0];
         assert_eq!(
@@ -1124,10 +1136,12 @@ mod tests {
         assert_eq!(events[1].get("dur").and_then(JsonValue::as_u64), Some(120));
         assert_eq!(events[2].get("tid").and_then(JsonValue::as_u64), Some(1));
         assert_eq!(events[3].get("ph").and_then(JsonValue::as_str), Some("i"));
+        let args = events[3].get("args").expect("engine records carry args");
         assert!(
-            events[3].get("args").is_none(),
-            "untagged lanes carry no args"
+            args.get("request_id").is_none(),
+            "untagged lanes carry no request id"
         );
+        assert_eq!(args.get("copies").and_then(JsonValue::as_u64), Some(2));
         assert_eq!(events[4].get("ph").and_then(JsonValue::as_str), Some("E"));
 
         let empty = SharedBuf::default();
@@ -1135,7 +1149,7 @@ mod tests {
             .finish()
             .expect("io");
         assert!(
-            empty.events().is_empty(),
+            records(&empty).is_empty(),
             "an empty document is still closed"
         );
     }

@@ -271,11 +271,6 @@ impl Solver {
         self.proof = Some(ProofLog::default());
     }
 
-    /// Returns `true` if proof logging is active.
-    pub fn proof_enabled(&self) -> bool {
-        self.proof.is_some()
-    }
-
     /// Number of variables created so far.
     pub fn num_vars(&self) -> usize {
         self.assigns.len()
@@ -284,11 +279,6 @@ impl Solver {
     /// Number of live problem (non-learnt) clauses.
     pub fn num_clauses(&self) -> usize {
         self.num_original
-    }
-
-    /// Number of live learnt clauses.
-    pub fn num_learnts(&self) -> usize {
-        self.db.num_learnt
     }
 
     /// Accumulated statistics.
@@ -373,13 +363,6 @@ impl Solver {
         self.control_last_conflicts = self.budget_conflicts;
         self.control_last_propagations = self.budget_propagations;
         self.control_stop = false;
-    }
-
-    /// Whether the most recent [`Solver::solve`] was stopped by the
-    /// attached [`SearchControl`] (as opposed to finishing or running
-    /// out of a local [`Solver::set_budget`] budget).
-    pub fn control_stopped(&self) -> bool {
-        self.control_stop
     }
 
     /// Reports outstanding conflict/propagation deltas to the control
@@ -1212,16 +1195,6 @@ impl Solver {
                     self.stats.restarts += 1;
                 }
             }
-        }
-    }
-
-    /// Convenience: solve and return `Some(sat)` or `None` on budget
-    /// exhaustion.
-    pub fn solve_bool(&mut self, assumptions: &[Lit]) -> Option<bool> {
-        match self.solve(assumptions) {
-            SolveResult::Sat => Some(true),
-            SolveResult::Unsat => Some(false),
-            SolveResult::Unknown => None,
         }
     }
 }

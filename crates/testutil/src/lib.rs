@@ -9,6 +9,9 @@
 
 pub mod prom;
 
+use std::io::Write;
+use std::sync::{Arc, Mutex, PoisonError};
+
 /// A splitmix64 generator. Cheap, decent-quality, and `Copy`-free so
 /// accidental state sharing is impossible.
 pub struct Rng(u64);
@@ -54,6 +57,32 @@ pub fn cases(n: u64, mut f: impl FnMut(u64, &mut Rng)) {
         // Decorrelate consecutive case streams.
         let mut rng = Rng::new(case.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD6E8_FEB8_6659_FD93);
         f(case, &mut rng);
+    }
+}
+
+/// An `io::Write` sink whose clones share one buffer, so a test can
+/// read back what a writer it handed away has written.
+#[derive(Clone, Default)]
+pub struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl SharedBuf {
+    /// Everything written so far, as UTF-8.
+    pub fn text(&self) -> String {
+        let bytes = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        String::from_utf8(bytes.clone()).expect("UTF-8 output")
+    }
+}
+
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 

@@ -7,8 +7,8 @@
 //!           [--out patched.v] [--budget N] [--default-weight N]
 //!           [--stats-json stats.json|-] [--progress] [--quiet]
 //!           [--no-fallback] [--timeout-ms MS] [--global-budget N]
-//!           [--trace-out trace.json] [--trace-format jsonl|chrome]
-//! eco-patch report <trace.jsonl> [--top N]
+//!           [--trace-out trace.json]
+//! eco-patch report <trace.json> [--top N]
 //! eco-patch report --journal <journal.jsonl>
 //! ```
 //!
@@ -21,11 +21,11 @@
 //! patched netlist, or the stats JSON with `--stats-json -`); progress,
 //! reports, and diagnostics go to stderr.
 //!
-//! `--trace-out` streams every engine event to a file — JSON Lines by
-//! default, or the Chrome `trace_event` format with
-//! `--trace-format chrome` (loadable in Perfetto). `eco-patch report`
-//! replays a JSONL trace and prints the time/conflict breakdown by
-//! phase, target, and call kind plus the most expensive calls;
+//! `--trace-out` streams every engine event to a Chrome `trace_event`
+//! document (loadable in Perfetto). `eco-patch report` replays such a
+//! document — written by `--trace-out` here or by `eco_patchd
+//! --trace-out` — and prints the time/conflict breakdown by phase,
+//! target, and call kind plus the most expensive calls;
 //! `eco-patch report --journal` instead analyzes an `eco_patchd`
 //! `--log-jsonl` event journal (per-command latency percentiles,
 //! shed/expired/panic counts, queue-wait vs solve-time attribution,
@@ -40,9 +40,7 @@
 //! insufficient, 4 SAT budget exhausted, 5 deadline exceeded or run
 //! cancelled.
 
-use eco_patch::core::trace::{
-    check_span_integrity, render_report, summarize_trace, ChromeTrace, JsonlTraceObserver,
-};
+use eco_patch::core::trace::{check_span_integrity, render_report, summarize_trace, ChromeTrace};
 use eco_patch::core::{
     detect_targets, netlist_patches, patched_netlist, EcoEngine, EcoError, EcoEvent, EcoObserver,
     EcoOptions, EcoProblem, GovernorLimits, ResourceGovernor, SupportMethod, TargetDisposition,
@@ -53,7 +51,6 @@ use eco_patch::netlist::{parse_verilog, WeightTable};
 use std::fs::File;
 use std::io::BufWriter;
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const EXIT_USAGE: u8 = 2;
@@ -122,14 +119,6 @@ struct Args {
     timeout_ms: Option<u64>,
     global_budget: Option<u64>,
     trace_out: Option<String>,
-    trace_format: TraceFormat,
-}
-
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-enum TraceFormat {
-    #[default]
-    Jsonl,
-    Chrome,
 }
 
 fn usage() -> &'static str {
@@ -138,8 +127,8 @@ fn usage() -> &'static str {
      [--out patched.v] [--budget CONFLICTS] [--default-weight N] \
      [--stats-json PATH|-] [--progress] [--quiet] [--no-fallback] \
      [--timeout-ms MS] [--global-budget CONFLICTS] \
-     [--trace-out PATH] [--trace-format jsonl|chrome]\n\
-     \x20      eco-patch report TRACE.jsonl [--top N]\n\
+     [--trace-out PATH]\n\
+     \x20      eco-patch report TRACE.json [--top N]\n\
      \x20      eco-patch report --journal JOURNAL.jsonl"
 }
 
@@ -197,17 +186,6 @@ fn parse_args() -> Result<Args, String> {
                 )
             }
             "--trace-out" => args.trace_out = Some(value("--trace-out")?),
-            "--trace-format" => {
-                args.trace_format = match value("--trace-format")?.as_str() {
-                    "jsonl" => TraceFormat::Jsonl,
-                    "chrome" => TraceFormat::Chrome,
-                    other => {
-                        return Err(format!(
-                            "unknown trace format {other:?} (expected jsonl or chrome)"
-                        ))
-                    }
-                }
-            }
             "--help" | "-h" => return Err(usage().to_string()),
             other => return Err(format!("unknown flag {other:?}\n{}", usage())),
         }
@@ -265,33 +243,9 @@ impl EcoObserver for ProgressObserver {
     }
 }
 
-/// The trace writer attached to the engine for `--trace-out`, kept as
-/// a typed handle so the file can be finished after the run.
-enum TraceSink {
-    Jsonl(Arc<Mutex<JsonlTraceObserver<BufWriter<File>>>>),
-    Chrome(ChromeTrace),
-}
-
-impl TraceSink {
-    /// Finishes the trace document and flushes the file.
-    fn finish(self) -> std::io::Result<()> {
-        match self {
-            TraceSink::Jsonl(obs) => {
-                use std::io::Write;
-                Arc::try_unwrap(obs)
-                    .unwrap_or_else(|_| panic!("engine dropped; trace observer no longer shared"))
-                    .into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .finish()?
-                    .flush()
-            }
-            TraceSink::Chrome(trace) => trace.finish(),
-        }
-    }
-}
-
-/// `eco-patch report TRACE.jsonl [--top N]`: replay a JSONL engine
-/// trace and print its profile to stdout. With `--journal FILE` the
+/// `eco-patch report TRACE.json [--top N]`: replay a Chrome engine
+/// trace (one CLI run or a whole `eco_patchd` session) and print its
+/// profile to stdout. With `--journal FILE` the
 /// input is instead an `eco_patchd --log-jsonl` event journal, and the
 /// report shows serving behavior: per-command latency percentiles,
 /// shed/expired/panic counts, queue-wait vs solve-time attribution,
@@ -442,24 +396,13 @@ fn run(args: Args) -> Result<u8, CliError> {
     if args.stats_json.is_some() {
         engine = engine.with_metrics();
     }
-    let mut trace_sink = None;
+    let mut trace = None;
     if let Some(path) = &args.trace_out {
         let file = File::create(path)
             .map_err(|e| CliError::general(format!("cannot write {path}: {e}")))?;
-        let writer = BufWriter::new(file);
-        let sink = match args.trace_format {
-            TraceFormat::Jsonl => {
-                let obs = Arc::new(Mutex::new(JsonlTraceObserver::new(writer)));
-                engine = engine.with_shared_observer(obs.clone());
-                TraceSink::Jsonl(obs)
-            }
-            TraceFormat::Chrome => {
-                let trace = ChromeTrace::new(Box::new(writer));
-                engine = engine.with_observer(trace.observer(trace.open_lane(), None));
-                TraceSink::Chrome(trace)
-            }
-        };
-        trace_sink = Some(sink);
+        let doc = ChromeTrace::new(Box::new(BufWriter::new(file)));
+        engine = engine.with_observer(doc.observer(doc.open_lane(), None));
+        trace = Some(doc);
     }
     // The run's limits; the deadline clock starts here. `--timeout-ms 0`
     // means "already expired": an anytime outcome and exit code 5.
@@ -473,10 +416,10 @@ fn run(args: Args) -> Result<u8, CliError> {
     let run_result = engine.solve(&problem.snapshot());
     // The trace file is finished even when the run errors, so aborted
     // runs still leave a loadable (if truncated) trace behind.
-    drop(engine);
-    if let Some(sink) = trace_sink {
+    if let Some(trace) = trace {
         let path = args.trace_out.as_deref().unwrap_or("trace");
-        sink.finish()
+        trace
+            .finish()
             .map_err(|e| CliError::general(format!("cannot write {path}: {e}")))?;
     }
     let outcome = run_result.map_err(CliError::engine)?;

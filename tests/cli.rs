@@ -242,12 +242,12 @@ fn stats_dash_without_out_is_a_usage_error() {
 }
 
 #[test]
-fn trace_out_writes_jsonl_and_report_reads_it() {
-    let tmp = TempFiles::new("tracejsonl");
+fn trace_out_writes_chrome_and_report_reads_it() {
+    let tmp = TempFiles::new("tracereport");
     let f = tmp.write("F.v", IMPLEMENTATION);
     let g = tmp.write("G.v", SPECIFICATION);
     let out = tmp.path("patched.v");
-    let trace = tmp.path("trace.jsonl");
+    let trace = tmp.path("trace.json");
     let output = bin()
         .args([
             "--impl",
@@ -267,10 +267,7 @@ fn trace_out_writes_jsonl_and_report_reads_it() {
         String::from_utf8_lossy(&output.stderr)
     );
     let text = std::fs::read_to_string(&trace).expect("trace written");
-    assert!(text.lines().count() > 4, "trace too short: {text}");
-    for line in text.lines() {
-        eco_patch::core::json::parse_json(line).expect("each trace line parses as JSON");
-    }
+    eco_patch::core::json::parse_json(&text).expect("the trace parses as one JSON document");
     assert!(text.contains("\"event\":\"run_started\""), "{text}");
     assert!(text.contains("\"event\":\"run_finished\""), "{text}");
 
@@ -303,8 +300,6 @@ fn chrome_trace_is_valid_json() {
             &out,
             "--trace-out",
             &trace,
-            "--trace-format",
-            "chrome",
         ])
         .output()
         .expect("run");
@@ -325,35 +320,12 @@ fn chrome_trace_is_valid_json() {
 #[test]
 fn report_on_missing_file_errors_cleanly() {
     let output = bin()
-        .args(["report", "/nonexistent/trace.jsonl"])
+        .args(["report", "/nonexistent/trace.json"])
         .output()
         .expect("run");
     assert_eq!(output.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("cannot read"), "{stderr}");
-}
-
-#[test]
-fn unknown_trace_format_is_a_usage_error() {
-    let tmp = TempFiles::new("badtraceformat");
-    let f = tmp.write("F.v", IMPLEMENTATION);
-    let g = tmp.write("G.v", SPECIFICATION);
-    let output = bin()
-        .args([
-            "--impl",
-            &f,
-            "--spec",
-            &g,
-            "--trace-out",
-            "t.json",
-            "--trace-format",
-            "xml",
-        ])
-        .output()
-        .expect("run");
-    assert_eq!(output.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("unknown trace format"), "{stderr}");
 }
 
 #[test]

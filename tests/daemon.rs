@@ -818,6 +818,26 @@ fn observability_session_metrics_journal_and_trace_agree() {
             "missing {name} instant in trace"
         );
     }
+    // The session document is one engine trace: every request's runs
+    // nest on their own lane, and its SAT calls are exactly those the
+    // solved requests report.
+    eco_patch::core::trace::check_span_integrity(&trace_text)
+        .unwrap_or_else(|e| panic!("session trace span integrity: {e}"));
+    let summary =
+        eco_patch::core::trace::summarize_trace(&trace_text, 0).expect("report reads the session");
+    let solved: Vec<u64> = responses
+        .iter()
+        .filter(|r| r.get("status").and_then(JsonValue::as_str) == Some("ok"))
+        .filter_map(|r| {
+            r.get("metrics")
+                .and_then(|m| m.get("sat_calls"))
+                .and_then(|c| c.get("total"))
+                .and_then(JsonValue::as_u64)
+        })
+        .collect();
+    assert_eq!(solved.len(), 3, "hold_a, hold_b and queued: {solved:?}");
+    assert_eq!(summary.sat_calls, solved.iter().sum::<u64>());
+    assert!(summary.sat_calls > 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

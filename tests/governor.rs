@@ -40,15 +40,20 @@ fn multi_target_problem() -> EcoProblem {
     EcoProblem::with_unit_weights(im, sp, vec![t1.node(), t2.node()]).expect("valid")
 }
 
-/// Records every event for post-run inspection.
-#[derive(Default)]
-struct Recorder {
-    events: Vec<EcoEvent>,
+/// Records every event for post-run inspection; clones share one
+/// event list, so the test keeps a handle while the engine owns one.
+#[derive(Clone, Default)]
+struct Recorder(Arc<Mutex<Vec<EcoEvent>>>);
+
+impl Recorder {
+    fn take(&self) -> Vec<EcoEvent> {
+        std::mem::take(&mut self.0.lock().expect("no poison"))
+    }
 }
 
 impl EcoObserver for Recorder {
     fn on_event(&mut self, event: &EcoEvent) {
-        self.events.push(event.clone());
+        self.0.lock().expect("no poison").push(event.clone());
     }
 }
 
@@ -75,13 +80,12 @@ fn run_recorded(
     governor: ResourceGovernor,
     problem: &EcoProblem,
 ) -> (eco_patch::core::EcoOutcome, Vec<EcoEvent>) {
-    let recorder = Arc::new(Mutex::new(Recorder::default()));
+    let recorder = Recorder::default();
     let engine = EcoEngine::new(EcoOptions::default())
         .with_governor(governor)
-        .with_shared_observer(recorder.clone() as Arc<Mutex<dyn EcoObserver + Send>>);
+        .with_observer(recorder.clone());
     let outcome = engine.solve(&problem.snapshot()).expect("anytime outcome");
-    let events = std::mem::take(&mut recorder.lock().expect("no poison").events);
-    (outcome, events)
+    (outcome, recorder.take())
 }
 
 /// Ladder edge: full attempt -> reduced retry. A single injected fault

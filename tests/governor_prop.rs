@@ -4,13 +4,12 @@
 //! `EcoError`, and the event stream keeps its LIFO span discipline.
 
 use eco_patch::benchgen::{inject_eco, random_aig, CircuitSpec, InjectSpec};
-use eco_patch::core::trace::{check_span_integrity, JsonlTraceObserver};
+use eco_patch::core::trace::{check_span_integrity, ChromeTrace};
 use eco_patch::core::{
-    EcoEngine, EcoObserver, EcoOptions, EcoProblem, FaultPlan, GovernorLimits, ResourceGovernor,
-    SupportMethod, TargetDisposition,
+    EcoEngine, EcoOptions, EcoProblem, FaultPlan, GovernorLimits, ResourceGovernor, SupportMethod,
+    TargetDisposition,
 };
-use eco_testutil::{cases, Rng};
-use std::sync::{Arc, Mutex, PoisonError};
+use eco_testutil::{cases, Rng, SharedBuf};
 use std::time::Duration;
 
 fn random_fault_plan(rng: &mut Rng) -> Option<FaultPlan> {
@@ -140,7 +139,7 @@ fn engine_is_total_under_chaos() {
 
 #[test]
 fn chaos_keeps_trace_span_discipline() {
-    // Same chaos as above, but with a JSONL trace attached: whatever
+    // Same chaos as above, but with a Chrome trace attached: whatever
     // the governor and fault plan do to the ladder, the event stream
     // must stay a valid LIFO span tree (aborted runs may leave spans
     // open, but never close them out of order).
@@ -149,19 +148,14 @@ fn chaos_keeps_trace_span_discipline() {
             return;
         };
         let (options, limits) = random_run(rng);
-        let trace = Arc::new(Mutex::new(JsonlTraceObserver::new(Vec::new())));
+        let buf = SharedBuf::default();
+        let trace = ChromeTrace::new(Box::new(buf.clone()));
         let engine = EcoEngine::new(options)
             .with_governor(ResourceGovernor::new(limits))
-            .with_shared_observer(trace.clone() as Arc<Mutex<dyn EcoObserver + Send>>);
+            .with_observer(trace.observer(trace.open_lane(), None));
         let result = engine.solve(&problem.snapshot());
-        drop(engine);
-        let writer = Arc::try_unwrap(trace)
-            .unwrap_or_else(|_| panic!("case {case}: engine still holds the trace observer"))
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .finish()
-            .expect("in-memory trace write");
-        let text = String::from_utf8(writer).expect("traces are UTF-8");
+        trace.finish().expect("in-memory trace write");
+        let text = buf.text();
         check_span_integrity(&text).unwrap_or_else(|e| {
             panic!("case {case}: span integrity violated: {e}\ntrace:\n{text}")
         });

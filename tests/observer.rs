@@ -14,15 +14,20 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Records every event for post-run inspection.
-#[derive(Default)]
-struct Recorder {
-    events: Vec<EcoEvent>,
+/// Records every event for post-run inspection; clones share one
+/// event list, so the test keeps a handle while the engine owns one.
+#[derive(Clone, Default)]
+struct Recorder(Arc<Mutex<Vec<EcoEvent>>>);
+
+impl Recorder {
+    fn take(&self) -> Vec<EcoEvent> {
+        std::mem::take(&mut self.0.lock().expect("no poison"))
+    }
 }
 
 impl EcoObserver for Recorder {
     fn on_event(&mut self, event: &EcoEvent) {
-        self.events.push(event.clone());
+        self.0.lock().expect("no poison").push(event.clone());
     }
 }
 
@@ -86,12 +91,10 @@ fn record_run(
     options: EcoOptions,
     problem: &EcoProblem,
 ) -> (eco_patch::core::EcoOutcome, Vec<EcoEvent>) {
-    let recorder = Arc::new(Mutex::new(Recorder::default()));
-    let engine = EcoEngine::new(options)
-        .with_shared_observer(recorder.clone() as Arc<Mutex<dyn EcoObserver + Send>>);
+    let recorder = Recorder::default();
+    let engine = EcoEngine::new(options).with_observer(recorder.clone());
     let outcome = engine.solve(&problem.snapshot()).expect("engine run");
-    let events = std::mem::take(&mut recorder.lock().expect("no poison").events);
-    (outcome, events)
+    (outcome, recorder.take())
 }
 
 #[test]

@@ -1,15 +1,14 @@
-//! Trace-subsystem integration tests: JSONL export round-trips through
-//! the parser, the replayed report agrees with `RunMetrics` v3, and the
-//! Chrome exporter emits a balanced, loadable document.
+//! Trace-subsystem integration tests: the Chrome document carries
+//! every engine event and round-trips through the parser, the replayed
+//! report agrees with `RunMetrics` v3, and the document is balanced
+//! and loadable.
 
 use eco_patch::aig::Aig;
-use eco_patch::core::json::parse_json;
-use eco_patch::core::trace::{
-    check_span_integrity, render_report, summarize_trace, ChromeTrace, JsonlTraceObserver,
-};
-use eco_patch::core::{EcoEngine, EcoObserver, EcoOptions, EcoProblem, RunMetrics};
+use eco_patch::core::json::{parse_json, JsonValue};
+use eco_patch::core::trace::{check_span_integrity, render_report, summarize_trace, ChromeTrace};
+use eco_patch::core::{EcoEngine, EcoEvent, EcoObserver, EcoOptions, EcoProblem, RunMetrics};
+use eco_testutil::SharedBuf;
 use std::collections::HashSet;
-use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 fn multi_target_problem() -> EcoProblem {
@@ -27,48 +26,66 @@ fn multi_target_problem() -> EcoProblem {
     EcoProblem::with_unit_weights(im, sp, vec![t1.node(), t2.node()]).expect("valid")
 }
 
-/// Runs the engine with both metrics and a JSONL trace attached and
-/// returns (trace text, metrics).
-fn traced_run(options: EcoOptions, problem: &EcoProblem) -> (String, RunMetrics) {
-    let sink = Arc::new(Mutex::new(JsonlTraceObserver::new(Vec::new())));
+/// Counts the events the engine delivers.
+#[derive(Clone, Default)]
+struct Counter(Arc<Mutex<usize>>);
+
+impl EcoObserver for Counter {
+    fn on_event(&mut self, _: &EcoEvent) {
+        *self.0.lock().expect("no poison") += 1;
+    }
+}
+
+/// Runs the engine with metrics, an event counter and a Chrome trace
+/// attached, as `eco_patch --trace-out` does (one lane, no request
+/// id), and returns (trace document, metrics, events delivered).
+fn traced_run(options: EcoOptions, problem: &EcoProblem) -> (String, RunMetrics, usize) {
+    let buf = SharedBuf::default();
+    let trace = ChromeTrace::new(Box::new(buf.clone()));
+    let counter = Counter::default();
     let engine = EcoEngine::new(options)
         .with_metrics()
-        .with_shared_observer(sink.clone() as Arc<Mutex<dyn EcoObserver + Send>>);
+        .with_observer(counter.clone())
+        .with_observer(trace.observer(trace.open_lane(), None));
     let outcome = engine.solve(&problem.snapshot()).expect("engine run");
-    drop(engine);
-    let observer = Arc::try_unwrap(sink)
-        .unwrap_or_else(|_| panic!("engine dropped"))
-        .into_inner()
-        .expect("no poison");
-    let bytes = observer.finish().expect("no io error on Vec sink");
-    let text = String::from_utf8(bytes).expect("utf8 trace");
-    (text, outcome.metrics.expect("with_metrics was set"))
+    trace.finish().expect("no io error on Vec sink");
+    let delivered = *counter.0.lock().expect("no poison");
+    (
+        buf.text(),
+        outcome.metrics.expect("with_metrics was set"),
+        delivered,
+    )
 }
 
 #[test]
-fn jsonl_trace_round_trips_and_passes_integrity() {
-    let (text, _) = traced_run(EcoOptions::builder().build(), &multi_target_problem());
-    assert!(text.lines().count() > 8, "trace too short:\n{text}");
-    let mut last_ts = 0u64;
-    for line in text.lines() {
-        let value = parse_json(line).expect("every trace line parses");
-        let ts = value
-            .get("ts_us")
-            .and_then(|v| v.as_u64())
-            .expect("ts_us on every record");
-        assert!(ts >= last_ts, "timestamps must be monotone:\n{text}");
-        last_ts = ts;
-        value
-            .get("event")
-            .and_then(|v| v.as_str())
+fn chrome_trace_round_trips_and_passes_integrity() {
+    let (text, _, delivered) = traced_run(EcoOptions::builder().build(), &multi_target_problem());
+    let doc = parse_json(&text).expect("the trace is one JSON document");
+    let events = doc
+        .get("traceEvents")
+        .and_then(JsonValue::as_array)
+        .expect("traceEvents array");
+    assert!(events.len() > 8, "trace too short:\n{text}");
+    for record in events {
+        record
+            .get("ts")
+            .and_then(JsonValue::as_u64)
+            .expect("ts on every record");
+        record
+            .get("args")
+            .and_then(|a| a.get("event"))
+            .and_then(JsonValue::as_str)
             .expect("event tag on every record");
     }
+    assert_eq!(events.len(), delivered, "one record per engine event");
+    let summary = summarize_trace(&text, 0).expect("summarize");
+    assert_eq!(summary.events, delivered as u64);
     check_span_integrity(&text).expect("spans are LIFO-balanced");
 }
 
 #[test]
 fn report_phase_totals_agree_with_run_metrics_v3() {
-    let (text, metrics) = traced_run(EcoOptions::builder().build(), &multi_target_problem());
+    let (text, metrics, _) = traced_run(EcoOptions::builder().build(), &multi_target_problem());
     let summary = summarize_trace(&text, 5).expect("summarize");
 
     // Phase totals: both paths truncate the same Duration to µs, so
@@ -117,7 +134,7 @@ fn report_phase_totals_agree_with_run_metrics_v3() {
 
 #[test]
 fn top_calls_are_sorted_and_bounded() {
-    let (text, _) = traced_run(EcoOptions::builder().build(), &multi_target_problem());
+    let (text, _, _) = traced_run(EcoOptions::builder().build(), &multi_target_problem());
     let summary = summarize_trace(&text, 3).expect("summarize");
     assert!(summary.top_calls.len() <= 3);
     for pair in summary.top_calls.windows(2) {
@@ -128,35 +145,9 @@ fn top_calls_are_sorted_and_bounded() {
     }
 }
 
-/// A `Write` sink the test reads back after the trace took ownership
-/// of it.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().expect("no poison").extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 #[test]
 fn chrome_trace_is_balanced_and_loadable() {
-    // The document the CLI writes for `--trace-format chrome`: one
-    // observer on one lane, no request id.
-    let buf = SharedBuf::default();
-    let trace = ChromeTrace::new(Box::new(buf.clone()));
-    let engine = EcoEngine::new(EcoOptions::builder().build())
-        .with_metrics()
-        .with_observer(trace.observer(trace.open_lane(), None));
-    let outcome = engine
-        .solve(&multi_target_problem().snapshot())
-        .expect("engine run");
-    trace.finish().expect("no io error on Vec sink");
-    let text = String::from_utf8(buf.0.lock().expect("no poison").clone()).expect("utf8 trace");
+    let (text, metrics, _) = traced_run(EcoOptions::builder().build(), &multi_target_problem());
 
     let value = parse_json(&text).expect("chrome trace is one JSON document");
     let events = value
@@ -185,7 +176,6 @@ fn chrome_trace_is_balanced_and_loadable() {
         .filter(|ev| ev.get("ph").and_then(|v| v.as_str()) == Some("X"))
         .filter_map(|ev| ev.get("name").and_then(|v| v.as_str()))
         .collect();
-    let metrics = outcome.metrics.expect("with_metrics was set");
     assert!(!metrics.phases.is_empty());
     for phase in &metrics.phases {
         assert!(

@@ -3,13 +3,11 @@
 //! a fault plan injects `Unknown` results into arbitrary SAT calls.
 
 use eco_patch::benchgen::{inject_eco, random_aig, CircuitSpec, InjectSpec};
-use eco_patch::core::trace::{check_span_integrity, summarize_trace, JsonlTraceObserver};
+use eco_patch::core::trace::{check_span_integrity, summarize_trace, ChromeTrace};
 use eco_patch::core::{
-    EcoEngine, EcoObserver, EcoOptions, EcoProblem, FaultPlan, GovernorLimits, ResourceGovernor,
-    SupportMethod,
+    EcoEngine, EcoOptions, EcoProblem, FaultPlan, GovernorLimits, ResourceGovernor, SupportMethod,
 };
-use eco_testutil::{cases, Rng};
-use std::sync::{Arc, Mutex};
+use eco_testutil::{cases, Rng, SharedBuf};
 
 fn random_fault_plan(rng: &mut Rng) -> Option<FaultPlan> {
     Some(match rng.below(6) {
@@ -83,19 +81,14 @@ fn spans_stay_lifo_under_faults_and_trips() {
             EcoProblem::with_unit_weights(implementation, injected.specification, injected.targets)
                 .expect("valid problem");
         let (options, limits) = random_run(rng);
-        let sink = Arc::new(Mutex::new(JsonlTraceObserver::new(Vec::new())));
+        let buf = SharedBuf::default();
+        let trace = ChromeTrace::new(Box::new(buf.clone()));
         let engine = EcoEngine::new(options)
             .with_governor(ResourceGovernor::new(limits))
-            .with_shared_observer(sink.clone() as Arc<Mutex<dyn EcoObserver + Send>>);
+            .with_observer(trace.observer(trace.open_lane(), None));
         let result = engine.solve(&problem.snapshot());
-        drop(engine);
-        let bytes = Arc::try_unwrap(sink)
-            .unwrap_or_else(|_| panic!("engine dropped"))
-            .into_inner()
-            .expect("no poison")
-            .finish()
-            .expect("no io error on Vec sink");
-        let text = String::from_utf8(bytes).expect("utf8 trace");
+        trace.finish().expect("no io error on Vec sink");
+        let text = buf.text();
 
         // The property: whatever the run did — completed, degraded, or
         // errored out mid-phase — the trace is span-balanced.
