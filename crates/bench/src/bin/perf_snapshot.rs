@@ -8,8 +8,10 @@
 //! ```
 //!
 //! One record per (unit, method): mean/min wall time plus the key
-//! `RunMetrics` v3 counters (SAT calls, conflicts, solver µs), so perf
-//! regressions are attributable to solver work vs. engine overhead.
+//! `RunMetrics` counters (SAT calls, conflicts, decisions,
+//! propagations, solver µs), so perf regressions are attributable to
+//! solver work vs. engine overhead, and any change to the solver's
+//! search shows in the ledger.
 
 use eco_bench::run_method;
 use eco_benchgen::{build_unit, table1_units};
@@ -119,9 +121,12 @@ fn main() {
             if let Some(m) = &last.metrics {
                 let _ = write!(
                     record,
-                    ",\"sat_calls\":{},\"conflicts\":{},\"sat_time_us\":{}",
+                    ",\"sat_calls\":{},\"conflicts\":{},\"decisions\":{},\
+                     \"propagations\":{},\"sat_time_us\":{}",
                     m.sat_calls.total,
                     m.sat_calls.conflicts,
+                    m.sat_calls.decisions,
+                    m.sat_calls.propagations,
                     duration_us(m.sat_calls.time),
                 );
             }
@@ -138,7 +143,7 @@ fn main() {
     let mut json = String::new();
     let _ = write!(
         json,
-        "{{\"schema_version\":1,\"suite\":\"table1\",\"scale\":{},\"iters\":{},\"cases\":[",
+        "{{\"schema_version\":2,\"suite\":\"table1\",\"scale\":{},\"iters\":{},\"cases\":[",
         config.scale, config.iters
     );
     json.push_str(&cases.join(","));

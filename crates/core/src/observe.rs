@@ -553,6 +553,27 @@ pub struct SatCallMetrics {
     pub latency_histogram: Histogram,
 }
 
+impl SatCallMetrics {
+    /// Adds every call of `other`, e.g. an earlier run for the same
+    /// request.
+    pub fn merge(&mut self, other: &SatCallMetrics) {
+        self.total += other.total;
+        self.conflicts += other.conflicts;
+        self.decisions += other.decisions;
+        self.propagations += other.propagations;
+        self.time += other.time;
+        for (kind, o) in self.by_kind.iter_mut().zip(&other.by_kind) {
+            kind.calls += o.calls;
+            kind.conflicts += o.conflicts;
+            kind.time += o.time;
+            kind.conflict_histogram.merge(&o.conflict_histogram);
+            kind.latency_histogram.merge(&o.latency_histogram);
+        }
+        self.conflict_histogram.merge(&other.conflict_histogram);
+        self.latency_histogram.merge(&other.latency_histogram);
+    }
+}
+
 /// How much of the per-call conflict budget the run actually used.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BudgetMetrics {
@@ -1046,6 +1067,27 @@ mod tests {
             SatCallKind::ALL.len(),
             "names must be distinct"
         );
+    }
+
+    #[test]
+    fn sat_call_merge_adds_totals_kinds_and_histograms() {
+        let mut run = SatCallMetrics {
+            total: 2,
+            conflicts: 7,
+            ..SatCallMetrics::default()
+        };
+        run.by_kind[SatCallKind::Support.index()].calls = 2;
+        run.by_kind[SatCallKind::Support.index()]
+            .conflict_histogram
+            .record(7);
+        run.conflict_histogram.record(7);
+        let mut merged = run.clone();
+        merged.merge(&run);
+        assert_eq!((merged.total, merged.conflicts), (4, 14));
+        let support = &merged.by_kind[SatCallKind::Support.index()];
+        assert_eq!(support.calls, 4);
+        assert_eq!(support.conflict_histogram.count(), 2);
+        assert_eq!(merged.conflict_histogram.sum(), 14);
     }
 
     #[test]

@@ -51,7 +51,7 @@ use eco_core::trace::{ChromeTrace, CONTROL_LANE};
 use eco_core::{
     duration_us, netlist_patches, patched_netlist, CacheCounters, CacheLayer, EcoEngine,
     EcoOptions, EcoProblem, FaultPlan, GovernorLimits, Lookup, ResourceGovernor, RunMetrics,
-    SupportMethod, TargetDisposition, TripReason,
+    SatCallMetrics, SupportMethod, TargetDisposition, TripReason,
 };
 use eco_netlist::WeightTable;
 use std::io::{self, BufRead, BufReader, Write};
@@ -700,6 +700,10 @@ impl Daemon {
         let caller_pool = req.options.global_conflicts;
         let mut pool = caller_pool.or(self.config.fair_share_conflicts);
         let mut retries = 0u64;
+        // SAT work and trips of the runs a retry superseded; the
+        // response's metrics report every run of the request.
+        let mut earlier_sat = SatCallMetrics::default();
+        let mut earlier_trips = 0u64;
         let snapshot = problem.snapshot();
         let solving = Instant::now();
         let outcome = loop {
@@ -740,6 +744,10 @@ impl Daemon {
                 && self.root.trip().is_none();
             if fair_share_trip && retries < MAX_FAIR_SHARE_RETRIES {
                 retries += 1;
+                if let Some(m) = &outcome.metrics {
+                    earlier_sat.merge(&m.sat_calls);
+                    earlier_trips += m.governor_trips;
+                }
                 pool = pool.map(|p| p.saturating_mul(FAIR_SHARE_ESCALATION));
                 self.journal.event(
                     Level::Info,
@@ -787,6 +795,8 @@ impl Daemon {
         metrics.cache.netlist_misses += netlist_misses;
         metrics.cache.outcome_misses += 1;
         metrics.serving.retried = retries;
+        metrics.sat_calls.merge(&earlier_sat);
+        metrics.governor_trips += earlier_trips;
         // This run's engine-layer cache activity feeds the rolling
         // hit-rate series (the cumulative counters come from
         // `DaemonCacheStats` at scrape time).
@@ -1863,6 +1873,32 @@ mod tests {
             .and_then(|s| s.get("retried"))
             .and_then(JsonValue::as_u64);
         assert_eq!(retried, Some(1), "the fair-share trip must retry: {resp}");
+        // The response's SAT work covers both runs: the tripped one
+        // and the escalated retry.
+        let sat_calls = |v: &JsonValue, field: &str| {
+            v.get("metrics")
+                .and_then(|m| m.get("sat_calls"))
+                .and_then(|s| s.get(field))
+                .and_then(JsonValue::as_u64)
+        };
+        let both_runs = sat_calls(&v, "total").expect("sat_calls.total");
+        let trips = v
+            .get("metrics")
+            .and_then(|m| m.get("counters"))
+            .and_then(|c| c.get("governor_trips"))
+            .and_then(JsonValue::as_u64);
+        assert!(trips >= Some(1), "the tripped run's trip is kept: {resp}");
+        let fresh = Daemon::new(DaemonConfig::default());
+        let (clean, _) = fresh.handle_line(&eco_line("clean"));
+        let clean = parse_json(&clean).expect("valid JSON");
+        let one_run = sat_calls(&clean, "total").expect("sat_calls.total");
+        // On this example the tripped run makes as many calls as a
+        // clean one (17 each).
+        assert_eq!(
+            both_runs,
+            2 * one_run,
+            "the tripped run's calls are missing: {resp}"
+        );
         let (health, _) = daemon.handle_line("{\"id\":\"h\",\"cmd\":\"health\"}");
         let h = parse_json(&health).expect("valid JSON");
         assert_eq!(

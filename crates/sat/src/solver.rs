@@ -6,9 +6,11 @@
 //! - final-conflict analysis over assumptions ([`Solver::conflict`],
 //!   the `analyze_final` of MiniSat used by the paper's baseline),
 //! - conflict/propagation budgets for timeout-style `Unknown` results,
-//! - two-watched-literal propagation, 1-UIP learning with clause
-//!   minimization, VSIDS decisions, phase saving, Luby restarts and
-//!   activity-based learnt-clause reduction,
+//! - two-watched-literal propagation over a literal-indexed value table
+//!   and a flat clause arena (`clause.rs`), with binary
+//!   clauses flagged in their watchers, 1-UIP learning with memoized
+//!   clause minimization, VSIDS decisions, phase saving, Luby restarts
+//!   and activity-based learnt-clause reduction,
 //! - optional resolution-proof logging for Craig interpolation
 //!   ([`Solver::enable_proof`]).
 
@@ -127,9 +129,23 @@ impl ProofLog {
     }
 }
 
+/// The `reason` of a decision or an unassigned variable.
+const NO_REASON: u32 = u32::MAX;
+
+/// Tag bit in [`Watcher::cref`] marking a binary clause: its blocker is
+/// the clause's other literal, so a visit never reads clause memory.
+const BINARY: u32 = 1 << 31;
+
+/// `seen` marks: a literal of the clause being learnt, and the two
+/// memoized outcomes of [`Solver::lit_redundant`].
+const SEEN_SOURCE: u8 = 1;
+const SEEN_REMOVABLE: u8 = 2;
+const SEEN_FAILED: u8 = 3;
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Watcher {
-    cref: ClauseRef,
+    /// The clause slot, with [`BINARY`] set for binary clauses.
+    cref: u32,
     blocker: Lit,
 }
 
@@ -158,11 +174,13 @@ pub struct Solver {
     /// Number of live original (problem) clauses.
     num_original: usize,
     watches: Vec<Vec<Watcher>>,
-    assigns: Vec<LBool>,
+    /// Literal-indexed values: `vals[l]` is the value of literal `l`.
+    vals: Vec<LBool>,
     polarity: Vec<bool>,
     decision_var: Vec<bool>,
     level: Vec<u32>,
-    reason: Vec<Option<ClauseRef>>,
+    /// Per-variable reason clause slot, [`NO_REASON`] for decisions.
+    reason: Vec<u32>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -173,11 +191,14 @@ pub struct Solver {
     cla_decay: f64,
     order: VarHeap,
     seen: Vec<u8>,
-    analyze_stack: Vec<Lit>,
+    /// Path stack of [`Solver::lit_redundant`]: the clause position to
+    /// resume at and the literal whose reason is being walked.
+    analyze_stack: Vec<(usize, Lit)>,
     analyze_toclear: Vec<Lit>,
     lbd_stamp: Vec<u32>,
     lbd_counter: u32,
     ok: bool,
+    /// The last model, literal-indexed like `vals`.
     model: Vec<LBool>,
     conflict: Vec<Lit>,
     conflict_budget: Option<u64>,
@@ -211,7 +232,7 @@ impl Solver {
             db: ClauseDb::new(),
             num_original: 0,
             watches: Vec::new(),
-            assigns: Vec::new(),
+            vals: Vec::new(),
             polarity: Vec::new(),
             decision_var: Vec::new(),
             level: Vec::new(),
@@ -273,7 +294,7 @@ impl Solver {
 
     /// Number of variables created so far.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
     /// Number of live problem (non-learnt) clauses.
@@ -303,12 +324,13 @@ impl Solver {
 
     /// Creates a fresh decision variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assigns.len() as u32);
-        self.assigns.push(LBool::Undef);
+        let v = Var(self.level.len() as u32);
+        self.vals.push(LBool::Undef);
+        self.vals.push(LBool::Undef);
         self.polarity.push(true); // default phase: assign false
         self.decision_var.push(true);
         self.level.push(0);
-        self.reason.push(None);
+        self.reason.push(NO_REASON);
         self.activity.push(0.0);
         self.seen.push(0);
         self.lbd_stamp.push(0);
@@ -329,7 +351,7 @@ impl Solver {
     /// useful for auxiliary encodings whose values are implied.
     pub fn set_decision_var(&mut self, v: Var, decision: bool) {
         self.decision_var[v.index()] = decision;
-        if decision && self.assigns[v.index()].is_undef() {
+        if decision && self.vals[v.positive().index()].is_undef() {
             self.order.insert(v, &self.activity);
         }
     }
@@ -398,7 +420,7 @@ impl Solver {
 
     #[inline]
     fn value_lit(&self, l: Lit) -> LBool {
-        self.assigns[l.var().index()] ^ l.is_negated()
+        self.vals[l.index()]
     }
 
     /// Current assignment of a literal (valid during/after search at
@@ -409,15 +431,7 @@ impl Solver {
 
     /// Value of `l` in the most recent model (after a `Sat` answer).
     pub fn model_value(&self, l: Lit) -> LBool {
-        match self.model.get(l.var().index()) {
-            Some(&v) => v ^ l.is_negated(),
-            None => LBool::Undef,
-        }
-    }
-
-    /// The most recent model as a per-variable assignment.
-    pub fn model(&self) -> &[LBool] {
-        &self.model
+        self.model.get(l.index()).copied().unwrap_or(LBool::Undef)
     }
 
     /// After an `Unsat` answer: the subset of the assumptions (in the
@@ -486,7 +500,7 @@ impl Solver {
             }
             1 => {
                 if self.proof.is_some() {
-                    let cref = self.db.alloc(ps.clone(), false, 0);
+                    let cref = self.db.alloc(&ps, false, 0);
                     self.num_original += 1;
                     self.tag_clause(cref, tag, ProofChain::default());
                     match self.value_lit(ps[0]) {
@@ -498,7 +512,7 @@ impl Solver {
                             (false, Some(cref))
                         }
                         LBool::Undef => {
-                            self.unchecked_enqueue(ps[0], Some(cref));
+                            self.unchecked_enqueue(ps[0], cref.0);
                             let confl = self.propagate();
                             if let Some(c) = confl {
                                 self.final_conflict = Some(c);
@@ -510,7 +524,7 @@ impl Solver {
                         }
                     }
                 } else {
-                    self.unchecked_enqueue(ps[0], None);
+                    self.unchecked_enqueue(ps[0], NO_REASON);
                     if self.propagate().is_some() {
                         self.ok = false;
                         (false, None)
@@ -520,7 +534,7 @@ impl Solver {
                 }
             }
             _ => {
-                let cref = self.db.alloc(ps, false, 0);
+                let cref = self.db.alloc(&ps, false, 0);
                 self.num_original += 1;
                 if self.proof.is_some() {
                     self.tag_clause(cref, tag, ProofChain::default());
@@ -549,12 +563,12 @@ impl Solver {
 
     /// The literals of a live clause.
     pub fn clause_lits(&self, cref: ClauseRef) -> &[Lit] {
-        &self.db.get(cref).lits
+        self.db.lits(cref)
     }
 
     /// `true` when the clause was learnt (derived) rather than given.
     pub fn clause_is_learnt(&self, cref: ClauseRef) -> bool {
-        self.db.get(cref).learnt
+        self.db.meta(cref).learnt
     }
 
     /// The recorded derivation of a learnt clause (proof mode only).
@@ -573,7 +587,8 @@ impl Solver {
     /// The reason clause that propagated the current value of `v`
     /// (valid for level-zero inspection after solving in proof mode).
     pub fn var_reason(&self, v: Var) -> Option<ClauseRef> {
-        self.reason[v.index()]
+        let r = self.reason[v.index()];
+        (r != NO_REASON).then_some(ClauseRef(r))
     }
 
     /// Total clause-arena length, covering every [`ClauseRef`] ever
@@ -592,25 +607,43 @@ impl Solver {
         &self.trail[..end]
     }
 
+    /// The watcher tag of a clause: its slot, flagged when binary.
+    fn watch_tag(&self, cref: ClauseRef) -> u32 {
+        debug_assert!(cref.0 & BINARY == 0, "clause slot ids stay below 2^31");
+        if self.db.lits(cref).len() == 2 {
+            cref.0 | BINARY
+        } else {
+            cref.0
+        }
+    }
+
     fn attach(&mut self, cref: ClauseRef) {
+        let tag = self.watch_tag(cref);
         let (l0, l1) = {
-            let c = self.db.get(cref);
-            (c.lits[0], c.lits[1])
+            let c = self.db.lits(cref);
+            (c[0], c[1])
         };
-        self.watches[(!l0).index()].push(Watcher { cref, blocker: l1 });
-        self.watches[(!l1).index()].push(Watcher { cref, blocker: l0 });
+        self.watches[(!l0).index()].push(Watcher {
+            cref: tag,
+            blocker: l1,
+        });
+        self.watches[(!l1).index()].push(Watcher {
+            cref: tag,
+            blocker: l0,
+        });
     }
 
     fn detach(&mut self, cref: ClauseRef) {
+        let tag = self.watch_tag(cref);
         let (l0, l1) = {
-            let c = self.db.get(cref);
-            (c.lits[0], c.lits[1])
+            let c = self.db.lits(cref);
+            (c[0], c[1])
         };
         for w in [(!l0).index(), (!l1).index()] {
             let list = &mut self.watches[w];
             let pos = list
                 .iter()
-                .position(|watcher| watcher.cref == cref)
+                .position(|watcher| watcher.cref == tag)
                 .expect("watcher must exist");
             list.swap_remove(pos);
         }
@@ -621,10 +654,12 @@ impl Solver {
         self.trail_lim.len()
     }
 
-    fn unchecked_enqueue(&mut self, p: Lit, from: Option<ClauseRef>) {
+    #[inline]
+    fn unchecked_enqueue(&mut self, p: Lit, from: u32) {
         debug_assert!(self.value_lit(p).is_undef());
+        self.vals[p.index()] = LBool::True;
+        self.vals[(!p).index()] = LBool::False;
         let v = p.var().index();
-        self.assigns[v] = LBool::from(!p.is_negated());
         self.level[v] = self.decision_level() as u32;
         self.reason[v] = from;
         self.trail.push(p);
@@ -634,46 +669,70 @@ impl Solver {
     /// arises.
     fn propagate(&mut self) -> Option<ClauseRef> {
         let mut confl = None;
+        let proof = self.proof.is_some();
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
             self.budget_propagations += 1;
+            let false_lit = !p;
             let mut i = 0;
             // Take the watch list to appease the borrow checker; indices
-            // into `self.watches[p]` are edited in place.
+            // into `self.watches[p]` are edited in place. No watcher is
+            // ever added to `p`'s own list while it is out: a clause
+            // moving its watch off `false_lit` picks a literal that is
+            // not false, so never `false_lit` itself.
             let mut ws = std::mem::take(&mut self.watches[p.index()]);
             'watchers: while i < ws.len() {
-                let Watcher { cref, blocker } = ws[i];
-                if self.value_lit(blocker).is_true() {
+                let Watcher { cref: tag, blocker } = ws[i];
+                let blocker_value = self.vals[blocker.index()];
+                if blocker_value == LBool::True {
                     i += 1;
                     continue;
                 }
-                let false_lit = !p;
-                {
-                    let c = self.db.get_mut(cref);
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
+                if tag & BINARY != 0 {
+                    // The blocker is the clause's other literal.
+                    let cref = ClauseRef(tag & !BINARY);
+                    i += 1;
+                    let conflicting = blocker_value == LBool::False;
+                    if conflicting || proof {
+                        // `analyze` reads a conflicting clause in order,
+                        // and proof chains read every reason: store it
+                        // as `[other, false_lit]`, the order a long
+                        // clause gets below.
+                        let c = self.db.lits_mut(cref);
+                        debug_assert!(c.contains(&blocker) && c.contains(&false_lit));
+                        c[0] = blocker;
+                        c[1] = false_lit;
                     }
-                    debug_assert_eq!(c.lits[1], false_lit);
+                    if conflicting {
+                        confl = Some(cref);
+                        self.qhead = self.trail.len();
+                        break;
+                    }
+                    self.unchecked_enqueue(blocker, cref.0);
+                    continue;
                 }
-                let first = self.db.get(cref).lits[0];
-                if first != blocker && self.value_lit(first).is_true() {
-                    ws[i] = Watcher {
-                        cref,
-                        blocker: first,
-                    };
+                let cref = ClauseRef(tag);
+                let c = self.db.lits_mut(cref);
+                if c[0] == false_lit {
+                    c.swap(0, 1);
+                }
+                debug_assert_eq!(c[1], false_lit);
+                let first = c[0];
+                let first_value = self.vals[first.index()];
+                if first != blocker && first_value == LBool::True {
+                    ws[i].blocker = first;
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.db.get(cref).lits.len();
-                for k in 2..len {
-                    let lk = self.db.get(cref).lits[k];
-                    if !self.value_lit(lk).is_false() {
-                        self.db.get_mut(cref).lits.swap(1, k);
+                for k in 2..c.len() {
+                    let lk = c[k];
+                    if self.vals[lk.index()] != LBool::False {
+                        c.swap(1, k);
                         self.watches[(!lk).index()].push(Watcher {
-                            cref,
+                            cref: tag,
                             blocker: first,
                         });
                         ws.swap_remove(i);
@@ -681,28 +740,18 @@ impl Solver {
                     }
                 }
                 // Clause is unit or conflicting.
-                ws[i] = Watcher {
-                    cref,
-                    blocker: first,
-                };
+                ws[i].blocker = first;
                 i += 1;
-                if self.value_lit(first).is_false() {
+                if first_value == LBool::False {
                     confl = Some(cref);
                     self.qhead = self.trail.len();
                     break;
                 } else {
-                    self.unchecked_enqueue(first, Some(cref));
+                    self.unchecked_enqueue(first, cref.0);
                 }
             }
-            let mut existing = std::mem::take(&mut self.watches[p.index()]);
-            if existing.is_empty() {
-                self.watches[p.index()] = ws;
-            } else {
-                // New watchers may have been appended for `p` while we held
-                // its list (self-referential clause movement).
-                ws.append(&mut existing);
-                self.watches[p.index()] = ws;
-            }
+            debug_assert!(self.watches[p.index()].is_empty());
+            self.watches[p.index()] = ws;
             if confl.is_some() {
                 break;
             }
@@ -726,12 +775,11 @@ impl Solver {
     }
 
     fn cla_bump_activity(&mut self, cref: ClauseRef) {
-        let c = self.db.get_mut(cref);
-        c.activity += self.cla_inc as f32;
-        if c.activity > 1e20 {
-            let refs = self.db.learnt_refs();
-            for r in refs {
-                self.db.get_mut(r).activity *= 1e-20;
+        let meta = self.db.meta_mut(cref);
+        meta.activity += self.cla_inc as f32;
+        if meta.activity > 1e20 {
+            for r in self.db.learnt_refs() {
+                self.db.meta_mut(r).activity *= 1e-20;
             }
             self.cla_inc *= 1e-20;
         }
@@ -759,6 +807,9 @@ impl Solver {
     /// Analyzes a conflict; returns the learnt clause (first literal is
     /// the asserting literal) and the backtrack level. Records the
     /// resolution chain into `chain_scratch` when proof mode is active.
+    ///
+    /// A reason clause is read skipping its pivot variable rather than
+    /// its first literal: `propagate` leaves binary reasons unordered.
     fn analyze(&mut self, mut confl: ClauseRef) -> (Vec<Lit>, usize) {
         let mut learnt: Vec<Lit> = vec![Lit::UNDEF];
         let mut path_count = 0u32;
@@ -770,15 +821,18 @@ impl Solver {
 
         loop {
             self.cla_bump_activity(confl);
-            let start = usize::from(p.is_some());
-            let n = self.db.get(confl).lits.len();
-            for k in start..n {
-                let q = self.db.get(confl).lits[k];
+            let pivot = p.map(Lit::var);
+            let n = self.db.lits(confl).len();
+            for k in 0..n {
+                let q = self.db.lits(confl)[k];
                 let v = q.var();
+                if Some(v) == pivot {
+                    continue;
+                }
                 if self.seen[v.index()] == 0 {
                     if self.level[v.index()] > 0 {
                         self.var_bump_activity(v);
-                        self.seen[v.index()] = 1;
+                        self.seen[v.index()] = SEEN_SOURCE;
                         if self.level[v.index()] as usize >= self.decision_level() {
                             path_count += 1;
                         } else {
@@ -789,7 +843,7 @@ impl Solver {
                         // resolution with its unit derivation; keeping it
                         // in the clause keeps the recorded chain exact.
                         // The literal is harmless (permanently false).
-                        self.seen[v.index()] = 1;
+                        self.seen[v.index()] = SEEN_SOURCE;
                         learnt.push(q);
                     }
                 }
@@ -808,7 +862,9 @@ impl Solver {
             if path_count == 0 {
                 break;
             }
-            confl = self.reason[pl.var().index()].expect("non-decision must have a reason");
+            let reason = self.reason[pl.var().index()];
+            debug_assert_ne!(reason, NO_REASON, "non-decision must have a reason");
+            confl = ClauseRef(reason);
             if proof {
                 self.chain_scratch.steps.push(ChainStep {
                     pivot: pl.var(),
@@ -818,8 +874,8 @@ impl Solver {
         }
         learnt[0] = !p.expect("asserting literal exists");
 
-        // Recursive (deep) conflict clause minimization, MiniSat-style.
-        // Skipped in proof mode to keep resolution chains exact.
+        // Deep conflict clause minimization, MiniSat-style. Skipped in
+        // proof mode to keep resolution chains exact.
         self.analyze_toclear.clear();
         self.analyze_toclear.extend_from_slice(&learnt);
         if !proof {
@@ -829,7 +885,7 @@ impl Solver {
             let mut j = 1;
             for i in 1..learnt.len() {
                 let l = learnt[i];
-                let keep = self.reason[l.var().index()].is_none()
+                let keep = self.reason[l.var().index()] == NO_REASON
                     || !self.lit_redundant(l, abstract_levels);
                 if keep {
                     learnt[j] = l;
@@ -864,38 +920,64 @@ impl Solver {
         1 << (self.level[v.index()] & 31)
     }
 
-    /// MiniSat's `litRedundant`: checks whether `p` (a literal of the
-    /// learnt clause) is implied by other marked literals, walking
-    /// reasons transitively. Marks visited literals in `seen` /
-    /// `analyze_toclear`.
+    /// MiniSat's `litRedundant` with a path stack: checks whether `p` (a
+    /// literal of the learnt clause, with a reason) is implied by the
+    /// clause's other literals, walking reasons depth first. Every
+    /// literal the walk settles is memoized in `seen` as removable or
+    /// failed (and queued in `analyze_toclear`), so later calls of the
+    /// same analysis never walk it again.
     fn lit_redundant(&mut self, p: Lit, abstract_levels: u32) -> bool {
+        debug_assert_eq!(self.seen[p.var().index()], SEEN_SOURCE);
         self.analyze_stack.clear();
-        self.analyze_stack.push(p);
-        let top = self.analyze_toclear.len();
-        while let Some(q) = self.analyze_stack.pop() {
-            let cref = self.reason[q.var().index()].expect("stacked literals have reasons");
-            let n = self.db.get(cref).lits.len();
-            for k in 1..n {
-                let l = self.db.get(cref).lits[k];
-                let v = l.var();
-                if self.seen[v.index()] == 0 && self.level[v.index()] > 0 {
-                    if self.reason[v.index()].is_some()
-                        && self.abstract_level(v) & abstract_levels != 0
-                    {
-                        self.seen[v.index()] = 1;
-                        self.analyze_stack.push(l);
-                        self.analyze_toclear.push(l);
-                    } else {
-                        for j in top..self.analyze_toclear.len() {
-                            self.seen[self.analyze_toclear[j].var().index()] = 0;
+        let mut p = p;
+        let mut i = 0;
+        loop {
+            let reason = ClauseRef(self.reason[p.var().index()]);
+            let lits = self.db.lits(reason);
+            if i < lits.len() {
+                let l = lits[i];
+                i += 1;
+                let v = l.var().index();
+                if v == p.var().index()
+                    || self.level[v] == 0
+                    || matches!(self.seen[v], SEEN_SOURCE | SEEN_REMOVABLE)
+                {
+                    continue;
+                }
+                if self.reason[v] == NO_REASON
+                    || self.seen[v] == SEEN_FAILED
+                    || self.abstract_level(l.var()) & abstract_levels == 0
+                {
+                    // Everything on the path depends on `l`.
+                    self.analyze_stack.push((0, p));
+                    for &(_, q) in &self.analyze_stack {
+                        let seen = &mut self.seen[q.var().index()];
+                        if *seen == 0 {
+                            *seen = SEEN_FAILED;
+                            self.analyze_toclear.push(q);
                         }
-                        self.analyze_toclear.truncate(top);
-                        return false;
                     }
+                    return false;
+                }
+                // Walk `l`'s reason, then resume `p`'s at position `i`.
+                self.analyze_stack.push((i, p));
+                i = 0;
+                p = l;
+            } else {
+                let seen = &mut self.seen[p.var().index()];
+                if *seen == 0 {
+                    *seen = SEEN_REMOVABLE;
+                    self.analyze_toclear.push(p);
+                }
+                match self.analyze_stack.pop() {
+                    Some((resume, parent)) => {
+                        i = resume;
+                        p = parent;
+                    }
+                    None => return true,
                 }
             }
         }
-        true
     }
 
     /// Computes the set of assumptions responsible for forcing `p` false
@@ -917,17 +999,16 @@ impl Solver {
                 continue;
             }
             match self.reason[xv] {
-                None => {
+                NO_REASON => {
                     debug_assert!(self.level[xv] > 0);
                     // A decision here is an asserted assumption.
                     self.conflict.push(x);
                 }
-                Some(r) => {
-                    let n = self.db.get(r).lits.len();
-                    for k in 1..n {
-                        let q = self.db.get(r).lits[k];
-                        if self.level[q.var().index()] > 0 {
-                            self.seen[q.var().index()] = 1;
+                r => {
+                    for &q in self.db.lits(ClauseRef(r)) {
+                        let qv = q.var().index();
+                        if qv != xv && self.level[qv] > 0 {
+                            self.seen[qv] = 1;
                         }
                     }
                 }
@@ -945,10 +1026,11 @@ impl Solver {
         for i in (bound..self.trail.len()).rev() {
             let l = self.trail[i];
             let v = l.var();
-            self.assigns[v.index()] = LBool::Undef;
+            self.vals[l.index()] = LBool::Undef;
+            self.vals[(!l).index()] = LBool::Undef;
             // Phase saving.
             self.polarity[v.index()] = l.is_negated();
-            self.reason[v.index()] = None;
+            self.reason[v.index()] = NO_REASON;
             if !self.order.contains(v) && self.decision_var[v.index()] {
                 self.order.insert(v, &self.activity);
             }
@@ -961,7 +1043,7 @@ impl Solver {
     fn pick_branch_lit(&mut self) -> Option<Lit> {
         loop {
             let v = self.order.pop(&self.activity)?;
-            if self.assigns[v.index()].is_undef() && self.decision_var[v.index()] {
+            if self.vals[v.positive().index()].is_undef() && self.decision_var[v.index()] {
                 return Some(v.lit(self.polarity[v.index()]));
             }
         }
@@ -974,8 +1056,8 @@ impl Solver {
         let mut refs = self.db.learnt_refs();
         // Sort so the clauses to remove come first: high LBD, low activity.
         refs.sort_by(|&a, &b| {
-            let ca = self.db.get(a);
-            let cb = self.db.get(b);
+            let ca = self.db.meta(a);
+            let cb = self.db.meta(b);
             cb.lbd.cmp(&ca.lbd).then(
                 ca.activity
                     .partial_cmp(&cb.activity)
@@ -988,14 +1070,14 @@ impl Solver {
             if removed >= target {
                 break;
             }
-            let c = self.db.get(r);
-            if c.lbd <= 2 || c.lits.len() == 2 {
+            let lits = self.db.lits(r);
+            if self.db.meta(r).lbd <= 2 || lits.len() == 2 {
                 continue;
             }
             // Never remove a clause that is the reason for a current
             // assignment.
-            let l0 = c.lits[0];
-            let locked = self.value_lit(l0).is_true() && self.reason[l0.var().index()] == Some(r);
+            let l0 = lits[0];
+            let locked = self.value_lit(l0).is_true() && self.reason[l0.var().index()] == r.0;
             if locked {
                 continue;
             }
@@ -1004,6 +1086,7 @@ impl Solver {
             removed += 1;
             self.stats.deleted_learnts += 1;
         }
+        self.db.collect_garbage();
     }
 
     fn budget_exceeded(&self) -> bool {
@@ -1039,7 +1122,7 @@ impl Solver {
                         let cref = self.db.alloc_unit_learnt(learnt[0]);
                         self.tag_clause(cref, 0, chain);
                         if self.decision_level() == 0 && self.value_lit(learnt[0]).is_undef() {
-                            self.unchecked_enqueue(learnt[0], Some(cref));
+                            self.unchecked_enqueue(learnt[0], cref.0);
                         } else if self.decision_level() == 0 {
                             // Already assigned: either satisfied (fine) or
                             // conflicting (unsat).
@@ -1050,23 +1133,23 @@ impl Solver {
                                 return SolveResult::Unsat;
                             }
                         } else {
-                            self.unchecked_enqueue(learnt[0], Some(cref));
+                            self.unchecked_enqueue(learnt[0], cref.0);
                         }
                     } else {
                         debug_assert_eq!(self.decision_level(), 0);
-                        self.unchecked_enqueue(learnt[0], None);
+                        self.unchecked_enqueue(learnt[0], NO_REASON);
                     }
                 } else {
                     let lbd = self.compute_lbd(&learnt);
                     let first = learnt[0];
-                    let cref = self.db.alloc(learnt, true, lbd);
+                    let cref = self.db.alloc(&learnt, true, lbd);
                     if self.proof.is_some() {
                         let chain = std::mem::take(&mut self.chain_scratch);
                         self.tag_clause(cref, 0, chain);
                     }
                     self.attach(cref);
                     self.cla_bump_activity(cref);
-                    self.unchecked_enqueue(first, Some(cref));
+                    self.unchecked_enqueue(first, cref.0);
                 }
                 self.stats.peak_learnts = self.stats.peak_learnts.max(self.db.num_learnt as u64);
                 self.var_decay_activity();
@@ -1123,13 +1206,13 @@ impl Solver {
                         }
                         None => {
                             // All variables assigned: model found.
-                            self.model = self.assigns.clone();
+                            self.model.clone_from(&self.vals);
                             return SolveResult::Sat;
                         }
                     },
                 };
                 self.trail_lim.push(self.trail.len());
-                self.unchecked_enqueue(decision, None);
+                self.unchecked_enqueue(decision, NO_REASON);
             }
         }
     }
@@ -1203,7 +1286,7 @@ impl ClauseDb {
     /// Allocates a learnt *unit* clause; only used in proof mode where
     /// units must be first-class proof objects.
     fn alloc_unit_learnt(&mut self, l: Lit) -> ClauseRef {
-        self.alloc(vec![l], true, 1)
+        self.alloc(&[l], true, 1)
     }
 }
 

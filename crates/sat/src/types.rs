@@ -156,9 +156,8 @@ impl fmt::Display for Lit {
 /// ```
 /// use eco_sat::LBool;
 ///
-/// assert_eq!(LBool::True ^ true, LBool::False);
-/// assert_eq!(LBool::Undef ^ true, LBool::Undef);
 /// assert_eq!(LBool::from(true), LBool::True);
+/// assert_eq!(LBool::Undef.to_option(), None);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 #[repr(u8)]
@@ -209,21 +208,6 @@ impl From<bool> for LBool {
             LBool::True
         } else {
             LBool::False
-        }
-    }
-}
-
-impl std::ops::BitXor<bool> for LBool {
-    type Output = LBool;
-
-    /// Flips the value when `rhs` is true; `Undef` is absorbing.
-    #[inline]
-    fn bitxor(self, rhs: bool) -> LBool {
-        match (self, rhs) {
-            (LBool::Undef, _) => LBool::Undef,
-            (value, false) => value,
-            (LBool::True, true) => LBool::False,
-            (LBool::False, true) => LBool::True,
         }
     }
 }
@@ -300,16 +284,6 @@ mod tests {
         assert_eq!(v.positive().index(), 10);
         assert_eq!(v.negative().index(), 11);
         assert_eq!(Lit::from_code(10), v.positive());
-    }
-
-    #[test]
-    fn lbool_xor_table() {
-        assert_eq!(LBool::True ^ false, LBool::True);
-        assert_eq!(LBool::True ^ true, LBool::False);
-        assert_eq!(LBool::False ^ true, LBool::True);
-        assert_eq!(LBool::False ^ false, LBool::False);
-        assert_eq!(LBool::Undef ^ true, LBool::Undef);
-        assert_eq!(LBool::Undef ^ false, LBool::Undef);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Randomized differential testing of the CDCL solver against a
 //! brute-force evaluator on small CNFs, plus assumption-semantics
-//! properties.
+//! properties on random 3-SAT at the threshold (40–80 variables) and
+//! on a solver driven past its first learnt-clause reduction.
 
 use eco_sat::{Lit, SolveResult, Solver, Var};
 use eco_testutil::{cases, Rng};
@@ -116,4 +117,162 @@ fn assumptions_match_brute_force() {
         let expect_free = brute_force_sat(num_vars, &cnf, &[]);
         assert_eq!(s.solve(&[]) == SolveResult::Sat, expect_free, "case {case}");
     });
+}
+
+/// Random 3-SAT over `n` variables at the satisfiability threshold
+/// (about 4.26 clauses per variable): three distinct variables per
+/// clause, random polarities.
+fn random_3sat(rng: &mut Rng, n: usize) -> Vec<RawClause> {
+    let num_clauses = (n as f64 * 4.26).round() as usize;
+    (0..num_clauses)
+        .map(|_| {
+            let mut vars: Vec<i32> = Vec::with_capacity(3);
+            while vars.len() < 3 {
+                let v = rng.range(1, n as u64 + 1) as i32;
+                if !vars.contains(&v) {
+                    vars.push(v);
+                }
+            }
+            vars.into_iter()
+                .map(|v| if rng.bool() { v } else { -v })
+                .collect()
+        })
+        .collect()
+}
+
+fn random_assumptions(rng: &mut Rng, n: usize, count: usize) -> Vec<Lit> {
+    let mut vars: Vec<usize> = Vec::with_capacity(count);
+    while vars.len() < count {
+        let v = rng.index(n);
+        if !vars.contains(&v) {
+            vars.push(v);
+        }
+    }
+    vars.into_iter()
+        .map(|v| Var::from_index(v).lit(rng.bool()))
+        .collect()
+}
+
+/// Checks one answer to a query on `cnf`, whose raw literals `lit`
+/// maps into the solver: a `Sat` model satisfies every clause and every
+/// assumption; after `Unsat` the final conflict is a subset of the
+/// assumptions and re-solving under it alone is `Unsat` again.
+fn check_answer(
+    s: &mut Solver,
+    cnf: &[RawClause],
+    lit: impl Fn(i32) -> Lit,
+    assumptions: &[Lit],
+    got: SolveResult,
+    ctx: &str,
+) {
+    match got {
+        SolveResult::Sat => {
+            for clause in cnf {
+                let sat = clause.iter().any(|&r| s.model_value(lit(r)).is_true());
+                assert!(sat, "{ctx}: model violates clause {clause:?}");
+            }
+            for &a in assumptions {
+                assert!(s.model_value(a).is_true(), "{ctx}: model violates {a:?}");
+            }
+        }
+        SolveResult::Unsat => {
+            let core = s.conflict().to_vec();
+            for l in &core {
+                assert!(assumptions.contains(l), "{ctx}: {l:?} is not an assumption");
+            }
+            assert_eq!(s.solve(&core), SolveResult::Unsat, "{ctx}: core {core:?}");
+        }
+        SolveResult::Unknown => panic!("{ctx}: no budget was set"),
+    }
+}
+
+#[test]
+fn threshold_3sat_models_and_cores_hold() {
+    cases(12, |case, rng| {
+        let n = rng.range(40, 81) as usize;
+        let cnf = random_3sat(rng, n);
+        let mut s = build_solver(n, &cnf);
+        let got = s.solve(&[]);
+        check_answer(&mut s, &cnf, to_lit, &[], got, &format!("case {case}"));
+        // A fresh solver fed the clauses in reverse order searches
+        // differently but must agree.
+        let reversed: Vec<RawClause> = cnf.iter().rev().cloned().collect();
+        assert_eq!(
+            build_solver(n, &reversed).solve(&[]),
+            got,
+            "case {case}: reversed clause order"
+        );
+        for round in 0..6 {
+            let assumptions = random_assumptions(rng, n, 8);
+            let got = s.solve(&assumptions);
+            check_answer(
+                &mut s,
+                &cnf,
+                to_lit,
+                &assumptions,
+                got,
+                &format!("case {case}.{round}"),
+            );
+        }
+    });
+}
+
+/// Adds `cnf` over fresh variables, every clause switched on by a new
+/// activation literal; returns the variables and the activation literal.
+fn add_gated_block(s: &mut Solver, n: usize, cnf: &[RawClause]) -> (Vec<Var>, Lit) {
+    let vars: Vec<Var> = (0..n).map(|_| s.new_var()).collect();
+    let act = s.new_var().positive();
+    for clause in cnf {
+        let mut lits: Vec<Lit> = clause
+            .iter()
+            .map(|&r| vars[r.unsigned_abs() as usize - 1].lit(r < 0))
+            .collect();
+        lits.push(!act);
+        s.add_clause(&lits);
+    }
+    (vars, act)
+}
+
+#[test]
+fn solver_past_a_database_reduction_answers_like_a_fresh_one() {
+    // One solver meets a stream of over-constrained random blocks, each
+    // on fresh variables and switched on by its own activation literal,
+    // refuted under it and then retired. The conflicts add up to the
+    // first learnt-clause reduction (at 30 000 conflicts); after it,
+    // new learnt clauses recycle the freed slots of a compacted arena.
+    let mut rng = Rng::new(0x5eed_2026);
+    let n = 100;
+    let mut s = Solver::new();
+    let mut blocks = 0;
+    while s.stats().deleted_learnts == 0 {
+        blocks += 1;
+        assert!(blocks < 2_000, "no reduction after {blocks} blocks");
+        let mut cnf = random_3sat(&mut rng, n);
+        cnf.extend(random_3sat(&mut rng, n).into_iter().take(n / 2));
+        let (vars, act) = add_gated_block(&mut s, n, &cnf);
+        assert_ne!(s.solve(&[act]), SolveResult::Unknown);
+        s.add_clause(&[!act]);
+        for v in vars {
+            s.set_decision_var(v, false);
+        }
+    }
+    // Follow-up queries on a last block at the threshold, against a
+    // fresh solver holding only that block.
+    let cnf = random_3sat(&mut rng, n);
+    let (vars, act) = add_gated_block(&mut s, n, &cnf);
+    let mut fresh = build_solver(n, &cnf);
+    for round in 0..40 {
+        let assumptions = random_assumptions(&mut rng, n, 6);
+        let expect = fresh.solve(&assumptions);
+        let mut mapped: Vec<Lit> = assumptions
+            .iter()
+            .map(|l| vars[l.var().index()].lit(l.is_negated()))
+            .collect();
+        mapped.push(act);
+        let got = s.solve(&mapped);
+        let ctx = format!("round {round}: {assumptions:?}");
+        assert_eq!(got, expect, "{ctx}");
+        let lit = |r: i32| vars[r.unsigned_abs() as usize - 1].lit(r < 0);
+        check_answer(&mut s, &cnf, lit, &mapped, got, &ctx);
+    }
 }
