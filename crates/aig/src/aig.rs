@@ -73,6 +73,12 @@ impl Aig {
         }
     }
 
+    /// Reserves room for `ands` more AND nodes.
+    pub fn reserve(&mut self, ands: usize) {
+        self.nodes.reserve(ands);
+        self.strash.reserve(ands);
+    }
+
     /// Total number of nodes, including the constant and inputs.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()

@@ -11,17 +11,8 @@
 
 use crate::aig::Aig;
 use crate::lit::{AigLit, NodeId};
+use crate::splitmix::splitmix64;
 use std::collections::HashMap;
-
-/// `splitmix64` step — the same tiny deterministic generator the bench
-/// crate uses, reimplemented here to keep this crate dependency-free.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A deterministic pool of simulation patterns for an `n`-input AIG,
 /// stored column-wise: 64 patterns per word, one word stream per input.

@@ -41,6 +41,7 @@ mod fraig;
 mod isop;
 mod lit;
 mod sim;
+mod splitmix;
 mod subst;
 mod topo;
 mod tt;
@@ -54,6 +55,7 @@ pub use fraig::{CandidateClasses, PatternPool, SweepCandidate};
 pub use isop::isop_between;
 pub use lit::{AigLit, NodeId};
 pub use sim::{TooManyInputsError, MAX_EXHAUSTIVE_INPUTS};
+pub use splitmix::splitmix64;
 pub use subst::{NodePatch, SubstituteCycleError, SubstituteResult};
 pub use tt::TruthTable;
 pub use write::ParseAagError;

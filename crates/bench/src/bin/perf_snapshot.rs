@@ -9,14 +9,16 @@
 //!
 //! One record per (unit, method): mean/min wall time plus the key
 //! `RunMetrics` counters (SAT calls, conflicts, decisions,
-//! propagations, solver µs), so perf regressions are attributable to
-//! solver work vs. engine overhead, and any change to the solver's
-//! search shows in the ledger.
+//! propagations, solver µs), the engine's phase split (µs per phase)
+//! and the per-kind SAT split (`by_kind`: calls, conflicts, µs), so perf
+//! regressions are attributable to solver work vs. engine overhead, and
+//! any change to the solver's search shows in the ledger. Phase and
+//! per-kind values come from the last iteration.
 
 use eco_bench::run_method;
 use eco_benchgen::{build_unit, table1_units};
 use eco_core::json::escape_json;
-use eco_core::{duration_us, SupportMethod};
+use eco_core::{duration_us, Phase, SatCallKind, SupportMethod};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -129,6 +131,31 @@ fn main() {
                     m.sat_calls.propagations,
                     duration_us(m.sat_calls.time),
                 );
+                record.push_str(",\"phases_us\":{");
+                for (i, phase) in Phase::ALL.iter().enumerate() {
+                    let spent: Duration = m
+                        .phases
+                        .iter()
+                        .filter(|p| p.phase == *phase)
+                        .map(|p| p.elapsed)
+                        .sum();
+                    let sep = if i > 0 { "," } else { "" };
+                    let _ = write!(record, "{sep}\"{}\":{}", phase.name(), duration_us(spent));
+                }
+                record.push_str("},\"by_kind\":{");
+                for (i, kind) in SatCallKind::ALL.iter().enumerate() {
+                    let k = &m.sat_calls.by_kind[i];
+                    let sep = if i > 0 { "," } else { "" };
+                    let _ = write!(
+                        record,
+                        "{sep}\"{}\":{{\"calls\":{},\"conflicts\":{},\"time_us\":{}}}",
+                        kind.name(),
+                        k.calls,
+                        k.conflicts,
+                        duration_us(k.time),
+                    );
+                }
+                record.push('}');
             }
             record.push('}');
             eprintln!(
@@ -143,7 +170,7 @@ fn main() {
     let mut json = String::new();
     let _ = write!(
         json,
-        "{{\"schema_version\":2,\"suite\":\"table1\",\"scale\":{},\"iters\":{},\"cases\":[",
+        "{{\"schema_version\":3,\"suite\":\"table1\",\"scale\":{},\"iters\":{},\"cases\":[",
         config.scale, config.iters
     );
     json.push_str(&cases.join(","));

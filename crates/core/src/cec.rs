@@ -82,6 +82,7 @@ pub(crate) fn check_outputs_equivalence_observed(
     // Build the miter in a fresh AIG so structural hashing can prove
     // identical cones equivalent for free.
     let mut miter = Aig::new();
+    miter.reserve(a.num_ands() + b.num_ands());
     let inputs: Vec<_> = (0..a.num_inputs()).map(|_| miter.add_input()).collect();
     let outs_a = miter.import(a, &inputs);
     let outs_b = miter.import(b, &inputs);

@@ -7,7 +7,7 @@
 use crate::cnf::CnfEncoder;
 use crate::error::EcoError;
 use crate::observe::{ClassesCounters, EcoEvent, ObserverHandle, SatCallKind};
-use eco_aig::{Aig, AigLit, NodeId};
+use eco_aig::{splitmix64, Aig, AigLit, NodeId};
 use eco_graph::{NodeCutGraph, INF};
 use eco_sat::{Lit, ResourceGovernor, SolveResult, Solver};
 
@@ -23,16 +23,6 @@ pub struct CegarMinResult {
     pub cost: u64,
     /// SAT calls spent proving equivalences.
     pub sat_calls: u64,
-}
-
-/// Deterministic pattern generator for candidate filtering
-/// (SplitMix64).
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Rewrites `patch` (a single-output AIG whose inputs are bound to the
@@ -112,7 +102,7 @@ pub(crate) fn cegar_min_observed(
     let sims: Vec<Vec<u64>> = (0..ROUNDS)
         .map(|_| {
             let words: Vec<u64> = (0..combined.num_inputs())
-                .map(|_| splitmix(&mut seed))
+                .map(|_| splitmix64(&mut seed))
                 .collect();
             combined.simulate(&words)
         })

@@ -12,15 +12,15 @@ use eco_sat::{Lit, Solver, Var};
 pub(crate) struct CnfEncoder {
     var_of: Vec<Option<Var>>,
     tag: u8,
+    /// Depth-first work stack of [`CnfEncoder::encode_node`], reused
+    /// across calls.
+    stack: Vec<(NodeId, bool)>,
 }
 
 impl CnfEncoder {
     /// Creates an encoder for `aig` (no clauses are emitted yet).
     pub fn new(aig: &Aig) -> CnfEncoder {
-        CnfEncoder {
-            var_of: vec![None; aig.num_nodes()],
-            tag: 0,
-        }
+        CnfEncoder::with_tag(aig, 0)
     }
 
     /// Creates an encoder whose emitted clauses carry a proof-partition
@@ -30,7 +30,15 @@ impl CnfEncoder {
         CnfEncoder {
             var_of: vec![None; aig.num_nodes()],
             tag,
+            stack: Vec::new(),
         }
+    }
+
+    /// Reserves room in `solver` for `copies` encodings of all of `aig`
+    /// (one variable per node and three clauses per AND node each), so a
+    /// large encoding does not regrow the solver's tables as it goes.
+    pub fn reserve_copies(solver: &mut Solver, aig: &Aig, copies: usize) {
+        solver.reserve(copies * aig.num_nodes(), copies * 3 * aig.num_ands());
     }
 
     /// Returns the SAT literal for an AIG literal, emitting Tseitin
@@ -59,7 +67,8 @@ impl CnfEncoder {
         if let Some(v) = self.var_of[root.index()] {
             return v;
         }
-        let mut stack: Vec<(NodeId, bool)> = vec![(root, false)];
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.push((root, false));
         while let Some((id, expanded)) = stack.pop() {
             if self.var_of[id.index()].is_some() {
                 continue;
@@ -95,6 +104,7 @@ impl CnfEncoder {
                 }
             }
         }
+        self.stack = stack;
         self.var_of[root.index()].expect("root encoded")
     }
 }

@@ -3,7 +3,7 @@
 //! a seed: the resource-cost models under which the ECO engine
 //! minimizes patch support.
 
-use eco_aig::Aig;
+use eco_aig::{splitmix64, Aig};
 
 /// The contest's weight distribution families.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -47,19 +47,11 @@ impl WeightDistribution {
     }
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Membership in a pseudo-random "region" of the circuit (by node
 /// index), deterministic in the seed.
 fn in_region(node: usize, seed: u64, fraction_percent: u64) -> bool {
     let mut s = seed ^ (node as u64).wrapping_mul(0xA24B_AED4_963E_E407);
-    splitmix(&mut s) % 100 < fraction_percent
+    splitmix64(&mut s) % 100 < fraction_percent
 }
 
 /// Generates per-node weights for `aig` under the given distribution,
@@ -92,7 +84,7 @@ pub fn generate_weights(aig: &Aig, dist: WeightDistribution, seed: u64) -> Vec<u
                 // "Paths": a pseudo-random subset biased by level parity
                 // and node hash, giving chains of heavy nodes.
                 let mut s = seed ^ 0x7A57;
-                let stripe = splitmix(&mut s) % 7 + 2;
+                let stripe = splitmix64(&mut s) % 7 + 2;
                 if (lv + node as u64).is_multiple_of(stripe) && in_region(node, seed ^ 1, 60) {
                     80
                 } else {
@@ -103,7 +95,7 @@ pub fn generate_weights(aig: &Aig, dist: WeightDistribution, seed: u64) -> Vec<u
                 // Locality: contiguous index blocks are heavy.
                 let block = node / 64;
                 let mut s = seed ^ (block as u64).wrapping_mul(0x9E37);
-                if splitmix(&mut s) % 100 < 40 {
+                if splitmix64(&mut s) % 100 < 40 {
                     90
                 } else {
                     5
@@ -113,7 +105,7 @@ pub fn generate_weights(aig: &Aig, dist: WeightDistribution, seed: u64) -> Vec<u
                 // Undulating mixture.
                 let mut s = seed ^ (node as u64) ^ lv.rotate_left(17);
                 let wave = ((lv * 7) % 20) * 5;
-                1 + wave + splitmix(&mut s) % 40
+                1 + wave + splitmix64(&mut s) % 40
             }
             _ => unreachable!("compositions handled below"),
         }

@@ -86,6 +86,7 @@ pub(crate) fn enumerate_patch_sop_observed(
     let start_calls = *calls;
     let mut solver = Solver::new();
     solver.set_search_control(governor.map(ResourceGovernor::control));
+    CnfEncoder::reserve_copies(&mut solver, &qm.aig, 1);
     let mut enc = CnfEncoder::new(&qm.aig);
     let out = enc.lit(&qm.aig, &mut solver, qm.output);
     let n = enc.lit(&qm.aig, &mut solver, qm.n_input);

@@ -13,7 +13,7 @@ use crate::cec::{check_equivalence, CecResult};
 use crate::error::EcoError;
 use crate::problem::EcoProblem;
 use crate::qbf::{check_targets_sufficient, QbfOutcome};
-use eco_aig::{Aig, AigNode, NodeId};
+use eco_aig::{splitmix64, Aig, AigNode, NodeId};
 
 /// Largest target set to try.
 const MAX_TARGETS: usize = 8;
@@ -97,13 +97,7 @@ pub fn detect_targets(
     // Phase 1: collect distinguishing patterns (deterministic random
     // words, keeping those that expose a difference).
     let mut seed = 0xDE7E_C700_u64;
-    let mut next = move || {
-        seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = seed;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut next = move || splitmix64(&mut seed);
     let mut pattern_sets: Vec<Vec<u64>> = Vec::new();
     for _ in 0..PATTERN_WORDS {
         let words: Vec<u64> = (0..implementation.num_inputs()).map(|_| next()).collect();
@@ -280,24 +274,16 @@ mod tests {
         use eco_aig::{AigLit, NodePatch};
         use std::collections::HashMap;
 
-        fn mix(seed: &mut u64) -> u64 {
-            *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = *seed;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
         pub fn injected_instance(gates: usize, bugs: usize, seed: u64) -> (Aig, Aig, Vec<NodeId>) {
             let mut s = seed;
             let mut im = Aig::new();
             let inputs: Vec<AigLit> = (0..8).map(|_| im.add_input()).collect();
             let mut pool = inputs.clone();
             while im.num_ands() < gates {
-                let a =
-                    pool[(mix(&mut s) as usize) % pool.len()].xor_complement(mix(&mut s) & 1 == 1);
-                let b =
-                    pool[(mix(&mut s) as usize) % pool.len()].xor_complement(mix(&mut s) & 1 == 1);
+                let a = pool[(splitmix64(&mut s) as usize) % pool.len()]
+                    .xor_complement(splitmix64(&mut s) & 1 == 1);
+                let b = pool[(splitmix64(&mut s) as usize) % pool.len()]
+                    .xor_complement(splitmix64(&mut s) & 1 == 1);
                 let g = im.and(a, b);
                 if !g.is_const() {
                     pool.push(g);
@@ -314,7 +300,7 @@ mod tests {
             let mut guard = 0;
             while targets.len() < bugs && guard < 200 {
                 guard += 1;
-                let t = cands[(mix(&mut s) as usize) % cands.len()];
+                let t = cands[(splitmix64(&mut s) as usize) % cands.len()];
                 if !targets.contains(&t) {
                     targets.push(t);
                 }
@@ -326,8 +312,8 @@ mod tests {
                 .collect();
             let mut patches = HashMap::new();
             for &t in &targets {
-                let d1 = eligible[(mix(&mut s) as usize) % eligible.len()];
-                let d2 = eligible[(mix(&mut s) as usize) % eligible.len()];
+                let d1 = eligible[(splitmix64(&mut s) as usize) % eligible.len()];
+                let d2 = eligible[(splitmix64(&mut s) as usize) % eligible.len()];
                 let mut p = Aig::new();
                 let x = p.add_input();
                 let y = p.add_input();

@@ -5,8 +5,7 @@
 
 use crate::engine::{AppliedPatch, EcoOutcome};
 use eco_aig::{AigLit, NodeId};
-use eco_netlist::{AigConversion, Netlist, NetlistError, NetlistPatch};
-use std::collections::HashMap;
+use eco_netlist::{AigConversion, NetId, Netlist, NetlistError, NetlistPatch};
 
 /// A patch expressed over nets, ready for insertion.
 #[derive(Clone, Debug)]
@@ -31,28 +30,34 @@ pub fn netlist_patches(
     netlist: &Netlist,
     conversion: &AigConversion,
 ) -> Vec<Option<NamedPatch>> {
-    // Reverse map: AIG literal -> a net name computing it.
-    let mut name_of: HashMap<AigLit, String> = HashMap::new();
-    for idx in 0..netlist.num_nets() {
-        let id = eco_netlist::NetId::from_index(idx);
-        let lit = conversion.net_lits[idx];
-        name_of
-            .entry(lit)
-            .or_insert_with(|| netlist.net_name(id).to_string());
+    // Reverse map: AIG literal code -> the lowest-id net computing it.
+    let table_len = conversion
+        .net_lits
+        .iter()
+        .map(|l| l.code() as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let mut net_of: Vec<Option<NetId>> = vec![None; table_len];
+    for (idx, lit) in conversion.net_lits.iter().enumerate() {
+        net_of[lit.code() as usize].get_or_insert(NetId::from_index(idx));
     }
+    let name_of = |lit: AigLit| -> Option<&str> {
+        let id = net_of.get(lit.code() as usize).copied().flatten()?;
+        Some(netlist.net_name(id))
+    };
     let support_name = |node: NodeId, complemented: bool| -> Option<String> {
         let lit = node.lit().xor_complement(complemented);
-        if let Some(n) = name_of.get(&lit) {
-            return Some(n.clone());
+        if let Some(n) = name_of(lit) {
+            return Some(n.to_string());
         }
         // A net of the opposite polarity works with a `!` prefix.
-        name_of.get(&!lit).map(|n| format!("!{n}"))
+        name_of(!lit).map(|n| format!("!{n}"))
     };
     outcome
         .patches
         .iter()
         .map(|applied: &AppliedPatch| {
-            let target_net = target_nets.get(applied.target_index)?.to_string();
+            let target_net = *target_nets.get(applied.target_index)?;
             let mut support = Vec::with_capacity(applied.support.len());
             for (lit, orig) in applied.support.iter().zip(&applied.original_support) {
                 let node = (*orig)?;
@@ -61,7 +66,7 @@ pub fn netlist_patches(
             // The engine patches the AIG *node*; the net may be the
             // complemented literal of that node (e.g. an OR-gate net),
             // in which case the net-level patch is the complement.
-            let net_id = netlist.net(&target_net)?;
+            let net_id = netlist.net(target_net)?;
             let net_lit = conversion.net_lits[net_id.index()];
             let mut aig = applied.aig.clone();
             if net_lit.is_complement() {
@@ -69,7 +74,7 @@ pub fn netlist_patches(
                 aig.set_output(0, !out);
             }
             Some(NamedPatch {
-                target_net,
+                target_net: target_net.to_string(),
                 patch: NetlistPatch { aig, support },
             })
         })
@@ -109,10 +114,12 @@ pub fn patched_netlist(
     if !named.iter().all(Option::is_some) {
         return Ok((rebuilt(), false));
     }
-    let mut current = netlist.clone();
+    let mut current: Option<Netlist> = None;
     for (i, np) in named.iter().flatten().enumerate() {
-        current = current.insert_patch(&np.target_net, &np.patch, &format!("eco{i}"))?;
+        let host = current.as_ref().unwrap_or(netlist);
+        current = Some(host.insert_patch(&np.target_net, &np.patch, &format!("eco{i}"))?);
     }
+    let current = current.unwrap_or_else(|| netlist.clone());
     if named.len() > 1 {
         match current.to_aig() {
             Ok(_) => {}

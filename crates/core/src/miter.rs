@@ -57,6 +57,7 @@ impl EcoMiter {
     /// all outputs).
     pub fn build(problem: &EcoProblem, output_indices: Option<&[usize]>) -> EcoMiter {
         let mut aig = Aig::new();
+        aig.reserve(problem.implementation.num_ands() + problem.specification.num_ands());
         let x_inputs: Vec<AigLit> = (0..problem.num_inputs()).map(|_| aig.add_input()).collect();
         let target_inputs: Vec<AigLit> = problem.targets.iter().map(|_| aig.add_input()).collect();
         let bindings: HashMap<NodeId, AigLit> = problem
@@ -149,6 +150,9 @@ impl QuantifiedMiter {
             assignments
         };
         let mut aig = Aig::new();
+        // Room for the specification and one implementation copy; later
+        // copies fold constants and may stay much smaller.
+        aig.reserve(problem.specification.num_ands() + problem.implementation.num_ands());
         let x_inputs: Vec<AigLit> = (0..problem.num_inputs()).map(|_| aig.add_input()).collect();
         let n_input = aig.add_input();
         let spec_outs = aig.import(&problem.specification, &x_inputs);

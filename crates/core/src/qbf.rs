@@ -76,6 +76,7 @@ pub(crate) fn check_targets_sufficient_observed(
     // Solver B: one persistent copy of the miter with x and n free.
     let mut solver_b = Solver::new();
     solver_b.set_search_control(governor.map(ResourceGovernor::control));
+    CnfEncoder::reserve_copies(&mut solver_b, &miter.aig, 1);
     let mut enc_b = CnfEncoder::new(&miter.aig);
     let out_b = enc_b.lit(&miter.aig, &mut solver_b, miter.output);
     let x_b: Vec<Lit> = miter

@@ -25,7 +25,7 @@
 //!   CNF cache entries of every *other* cone.
 
 use crate::problem::EcoProblem;
-use eco_aig::{Aig, AigNode, NodeId};
+use eco_aig::{splitmix64, Aig, AigNode, NodeId};
 use std::sync::Arc;
 
 /// Seed for the primary hash lane (FNV-1a 64-bit offset basis).
@@ -57,8 +57,11 @@ impl ContentHasher {
 
     /// Folds one word into both lanes.
     pub fn write(&mut self, word: u64) {
-        self.a = mix64(self.a ^ word);
-        self.b = mix64(self.b.wrapping_add(word).rotate_left(17) ^ 0xa076_1d64_78bd_642f);
+        // One `splitmix64` step from a throwaway state is the SplitMix64
+        // finalizer.
+        self.a = splitmix64(&mut (self.a ^ word));
+        self.b =
+            splitmix64(&mut (self.b.wrapping_add(word).rotate_left(17) ^ 0xa076_1d64_78bd_642f));
     }
 
     /// Folds a length-prefixed byte string.
@@ -73,21 +76,13 @@ impl ContentHasher {
 
     /// The primary 64-bit digest.
     pub fn finish(&self) -> u64 {
-        mix64(self.a ^ self.b.rotate_left(32))
+        splitmix64(&mut (self.a ^ self.b.rotate_left(32)))
     }
 
     /// Both lanes as one 128-bit digest (cache keys).
     pub fn finish128(&self) -> u128 {
-        ((self.finish() as u128) << 64) | mix64(self.b ^ self.a.rotate_left(32)) as u128
+        ((self.finish() as u128) << 64) | splitmix64(&mut (self.b ^ self.a.rotate_left(32))) as u128
     }
-}
-
-/// SplitMix64 finalizer.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Hashes a length-prefixed byte string (netlist sources, option

@@ -258,6 +258,7 @@ impl SupportSolver {
     ) -> SupportSolver {
         assert_eq!(divisors.len(), costs.len(), "cost per divisor required");
         let mut solver = Solver::new();
+        CnfEncoder::reserve_copies(&mut solver, &qm.aig, 2);
         let mut enc1 = CnfEncoder::new(&qm.aig);
         let mut enc2 = CnfEncoder::new(&qm.aig);
         let out1 = enc1.lit(&qm.aig, &mut solver, qm.output);
@@ -275,6 +276,7 @@ impl SupportSolver {
             .iter()
             .map(|&l| enc2.lit(&qm.aig, &mut solver, l))
             .collect();
+        solver.reserve(divisors.len(), 2 * divisors.len());
         let mut aux = Vec::with_capacity(divisors.len());
         for &d in &divisors {
             let lit = qm.impl_map[d.index()];

@@ -6,6 +6,7 @@
 
 use crate::netlist::{GateKind, NetId, Netlist, NetlistError};
 use eco_aig::{Aig, AigNode};
+use std::sync::Arc;
 
 /// A patch to splice: single-output logic over named support nets.
 #[derive(Clone, Debug)]
@@ -56,11 +57,21 @@ impl Netlist {
             "support arity must match the patch inputs"
         );
 
-        // Rebuild the netlist without the target's old driver.
-        let mut out = Netlist::new(self.name().to_string());
+        // Rebuild the netlist without the target's old driver. A host net
+        // keeps its name; `remap` caches its id in `out` once it has one
+        // (a name, once added, keeps its id, so the cache is exact).
+        let mut out = Netlist::new(self.name());
+        out.reserve(
+            self.num_nets(),
+            self.gates().len() + 2 * patch.aig.num_nodes(),
+        );
+        let mut remap: Vec<Option<NetId>> = vec![None; self.num_nets()];
         for &i in self.inputs() {
-            out.add_input(self.net_name(i).to_string());
+            remap[i.index()] = Some(out.add_shared_input(self.shared_net_name(i)));
         }
+        let mut host = |out: &mut Netlist, id: NetId| -> NetId {
+            *remap[id.index()].get_or_insert_with(|| out.add_shared_net(self.shared_net_name(id)))
+        };
         if self.inputs().contains(&target) {
             return Err(NetlistError::Undriven(target_net.to_string()));
         }
@@ -70,13 +81,9 @@ impl Netlist {
                 had_driver = true;
                 continue; // dropped: the patch takes over
             }
-            let o = out.add_net(self.net_name(g.output).to_string());
-            let ins: Vec<NetId> = g
-                .inputs
-                .iter()
-                .map(|&i| out.add_net(self.net_name(i).to_string()))
-                .collect();
-            out.add_gate(g.kind, g.name.clone(), o, ins);
+            let o = host(&mut out, g.output);
+            let ins: Vec<NetId> = g.inputs.iter().map(|&i| host(&mut out, i)).collect();
+            out.add_gate(g.kind, Arc::clone(&g.name), o, ins);
         }
         if !had_driver {
             return Err(NetlistError::Undriven(target_net.to_string()));
@@ -94,7 +101,7 @@ impl Netlist {
         net_of_lit[eco_aig::AigLit::FALSE.code() as usize] = Some(const0);
         for (i, &node) in patch.aig.inputs().iter().enumerate() {
             let (net, negated) = support[i];
-            let host = out.add_net(self.net_name(net).to_string());
+            let host = host(&mut out, net);
             let bound = if negated {
                 let inv = out.add_net(format!("{prefix}_in{i}"));
                 out.add_gate(GateKind::Not, format!("{prefix}_ginv{i}"), inv, vec![host]);
@@ -141,7 +148,7 @@ impl Netlist {
         // Drive the target net from the patch output.
         let root = patch.aig.outputs()[0];
         let src = resolve(&mut out, &mut net_of_lit, root, prefix, &mut counter);
-        let target_new = out.add_net(target_net.to_string());
+        let target_new = host(&mut out, target);
         out.add_gate(
             GateKind::Buf,
             format!("{prefix}_gout"),
@@ -151,7 +158,7 @@ impl Netlist {
 
         // Re-mark outputs in original order.
         for &o in self.outputs() {
-            let id = out.add_net(self.net_name(o).to_string());
+            let id = host(&mut out, o);
             out.mark_output(id);
         }
         Ok(out)

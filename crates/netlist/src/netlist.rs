@@ -6,6 +6,7 @@ use eco_aig::{Aig, AigLit, AigNode};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a net (wire) in a [`Netlist`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -89,8 +90,8 @@ impl GateKind {
 pub struct Gate {
     /// Primitive kind.
     pub kind: GateKind,
-    /// Instance name.
-    pub name: String,
+    /// Instance name (shared with netlists spliced from this one).
+    pub name: Arc<str>,
     /// The single driven net.
     pub output: NetId,
     /// Input nets in connection order.
@@ -166,8 +167,10 @@ impl Error for NetlistError {}
 #[derive(Clone, Debug, Default)]
 pub struct Netlist {
     name: String,
-    net_names: Vec<String>,
-    net_ids: HashMap<String, NetId>,
+    /// Net names by id. Each name is stored once and shared with
+    /// `net_ids` and with every netlist spliced from this one.
+    net_names: Vec<Arc<str>>,
+    net_ids: HashMap<Arc<str>, NetId>,
     inputs: Vec<NetId>,
     outputs: Vec<NetId>,
     gates: Vec<Gate>,
@@ -197,21 +200,53 @@ impl Netlist {
         &self.name
     }
 
-    /// Adds (or finds) a net by name.
-    pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
-        let name = name.into();
-        if let Some(&id) = self.net_ids.get(&name) {
+    /// Reserves room for `nets` more nets and `gates` more gates.
+    pub(crate) fn reserve(&mut self, nets: usize, gates: usize) {
+        self.net_names.reserve(nets);
+        self.net_ids.reserve(nets);
+        self.gates.reserve(gates);
+    }
+
+    /// Adds (or finds) a net by name. The name is looked up first and
+    /// only copied when the net is new.
+    pub fn add_net(&mut self, name: impl AsRef<str>) -> NetId {
+        let name = name.as_ref();
+        if let Some(&id) = self.net_ids.get(name) {
             return id;
         }
+        let name: Arc<str> = Arc::from(name);
         let id = NetId(self.net_names.len() as u32);
-        self.net_ids.insert(name.clone(), id);
+        self.net_ids.insert(Arc::clone(&name), id);
         self.net_names.push(name);
         id
     }
 
+    /// Adds (or finds) a net named by a shared name, e.g. one taken from
+    /// another netlist; a new net shares the name instead of copying it.
+    pub(crate) fn add_shared_net(&mut self, name: &Arc<str>) -> NetId {
+        let next = NetId(self.net_names.len() as u32);
+        let id = *self.net_ids.entry(Arc::clone(name)).or_insert(next);
+        if id == next {
+            self.net_names.push(Arc::clone(name));
+        }
+        id
+    }
+
+    /// The shared name of a net.
+    pub(crate) fn shared_net_name(&self, id: NetId) -> &Arc<str> {
+        &self.net_names[id.index()]
+    }
+
     /// Adds a net and marks it as a primary input.
-    pub fn add_input(&mut self, name: impl Into<String>) -> NetId {
+    pub fn add_input(&mut self, name: impl AsRef<str>) -> NetId {
         let id = self.add_net(name);
+        self.inputs.push(id);
+        id
+    }
+
+    /// [`Netlist::add_input`] with a shared name.
+    pub(crate) fn add_shared_input(&mut self, name: &Arc<str>) -> NetId {
+        let id = self.add_shared_net(name);
         self.inputs.push(id);
         id
     }
@@ -225,7 +260,7 @@ impl Netlist {
     pub fn add_gate(
         &mut self,
         kind: GateKind,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         output: NetId,
         inputs: Vec<NetId>,
     ) {
@@ -306,7 +341,7 @@ impl Netlist {
             };
             if !arity_ok {
                 return Err(NetlistError::BadArity {
-                    gate: g.name.clone(),
+                    gate: g.name.to_string(),
                     found: g.inputs.len(),
                 });
             }
@@ -317,21 +352,21 @@ impl Netlist {
             }
             driver[g.output.index()] = Some(gi);
         }
-        for (idx, d) in driver.iter().enumerate() {
-            if d.is_none() {
-                // A dangling net used nowhere is tolerated; a net that is
-                // read must be driven.
-                let read = self
-                    .gates
-                    .iter()
-                    .any(|g| g.inputs.contains(&NetId(idx as u32)))
-                    || self.outputs.contains(&NetId(idx as u32));
-                if read {
-                    return Err(NetlistError::Undriven(self.net_names[idx].clone()));
-                }
-            }
+        // A dangling net used nowhere is tolerated; a net that is read
+        // must be driven. The lowest such net id is reported.
+        let mut read = vec![false; num_nets];
+        for id in self
+            .gates
+            .iter()
+            .flat_map(|g| &g.inputs)
+            .chain(&self.outputs)
+        {
+            read[id.index()] = true;
         }
-        Ok(())
+        match (0..num_nets).find(|&idx| read[idx] && driver[idx].is_none()) {
+            Some(idx) => Err(NetlistError::Undriven(self.net_names[idx].to_string())),
+            None => Ok(()),
+        }
     }
 
     /// Converts to an AIG (inputs/outputs in declaration order).
@@ -343,6 +378,8 @@ impl Netlist {
     pub fn to_aig(&self) -> Result<AigConversion, NetlistError> {
         self.validate()?;
         let mut aig = Aig::new();
+        // Most gates become one AND node.
+        aig.reserve(self.gates.len());
         let mut net_lits: Vec<Option<AigLit>> = vec![None; self.net_names.len()];
         for &i in &self.inputs {
             net_lits[i.index()] = Some(aig.add_input());
@@ -360,17 +397,18 @@ impl Netlist {
             Done,
         }
         let mut state = vec![State::Fresh; self.gates.len()];
-        let roots: Vec<usize> = self
+        let roots = self
             .outputs
             .iter()
             .filter_map(|o| driver[o.index()])
-            .chain((0..self.gates.len()).collect::<Vec<_>>())
-            .collect();
+            .chain(0..self.gates.len());
+        let mut stack: Vec<(usize, bool)> = Vec::new();
+        let mut ins: Vec<AigLit> = Vec::new();
         for root in roots {
             if state[root] == State::Done {
                 continue;
             }
-            let mut stack: Vec<(usize, bool)> = vec![(root, false)];
+            stack.push((root, false));
             while let Some((gi, expanded)) = stack.pop() {
                 if state[gi] == State::Done {
                     continue;
@@ -397,11 +435,12 @@ impl Netlist {
                         }
                     }
                 } else {
-                    let ins: Vec<AigLit> = g
-                        .inputs
-                        .iter()
-                        .map(|i| net_lits[i.index()].expect("input computed"))
-                        .collect();
+                    ins.clear();
+                    ins.extend(
+                        g.inputs
+                            .iter()
+                            .map(|i| net_lits[i.index()].expect("input computed")),
+                    );
                     let lit = match g.kind {
                         GateKind::And => aig.and_many(&ins),
                         GateKind::Nand => !aig.and_many(&ins),
@@ -436,40 +475,41 @@ impl Netlist {
     /// generated net names (`pi<i>`, `po<i>`, `n<i>`).
     pub fn from_aig(name: impl Into<String>, aig: &Aig) -> Netlist {
         let mut nl = Netlist::new(name);
-        let mut lit_net: HashMap<u32, NetId> = HashMap::new();
+        nl.reserve(aig.num_nodes() + aig.num_outputs() + 1, aig.num_nodes());
+        // Net of each AIG literal, indexed by literal code.
+        let mut lit_net: Vec<Option<NetId>> = vec![None; 2 * aig.num_nodes()];
         let const0 = nl.add_net("const0_net");
         nl.add_gate(GateKind::Const0, "gconst0", const0, vec![]);
-        lit_net.insert(AigLit::FALSE.code(), const0);
+        lit_net[AigLit::FALSE.code() as usize] = Some(const0);
         for (i, &n) in aig.inputs().iter().enumerate() {
             let id = nl.add_input(format!("pi{i}"));
-            lit_net.insert(n.lit().code(), id);
+            lit_net[n.lit().code() as usize] = Some(id);
         }
         let mut inverter_count = 0usize;
-        let mut net_of =
-            |nl: &mut Netlist, lit: AigLit, lit_net: &mut HashMap<u32, NetId>| -> NetId {
-                if let Some(&id) = lit_net.get(&lit.code()) {
-                    return id;
-                }
-                // Must be a complemented known literal: create an inverter.
-                let base = *lit_net.get(&(!lit).code()).expect("base literal exists");
-                let id = nl.add_net(format!("inv{inverter_count}"));
-                inverter_count += 1;
-                nl.add_gate(
-                    GateKind::Not,
-                    format!("ginv{}", inverter_count),
-                    id,
-                    vec![base],
-                );
-                lit_net.insert(lit.code(), id);
-                id
-            };
+        let mut net_of = |nl: &mut Netlist, lit: AigLit, lit_net: &mut [Option<NetId>]| -> NetId {
+            if let Some(id) = lit_net[lit.code() as usize] {
+                return id;
+            }
+            // Must be a complemented known literal: create an inverter.
+            let base = lit_net[(!lit).code() as usize].expect("base literal exists");
+            let id = nl.add_net(format!("inv{inverter_count}"));
+            inverter_count += 1;
+            nl.add_gate(
+                GateKind::Not,
+                format!("ginv{}", inverter_count),
+                id,
+                vec![base],
+            );
+            lit_net[lit.code() as usize] = Some(id);
+            id
+        };
         for id in aig.iter_nodes() {
             if let AigNode::And { f0, f1 } = aig.node(id) {
                 let a = net_of(&mut nl, f0, &mut lit_net);
                 let b = net_of(&mut nl, f1, &mut lit_net);
                 let out = nl.add_net(format!("n{}", id.index()));
                 nl.add_gate(GateKind::And, format!("g{}", id.index()), out, vec![a, b]);
-                lit_net.insert(id.lit().code(), out);
+                lit_net[id.lit().code() as usize] = Some(out);
             }
         }
         for (i, &o) in aig.outputs().iter().enumerate() {
@@ -483,72 +523,86 @@ impl Netlist {
 
     /// Serializes as a structural-Verilog module in the contest style.
     pub fn to_verilog(&self) -> String {
-        let mut ports: Vec<&str> = Vec::new();
-        for &i in &self.inputs {
-            ports.push(self.net_name(i));
+        let is_const_alias = |name: &str| name == "1'b0" || name == "1'b1";
+        let mut is_port = vec![false; self.net_names.len()];
+        for &id in self.inputs.iter().chain(&self.outputs) {
+            is_port[id.index()] = true;
         }
-        for &o in &self.outputs {
-            ports.push(self.net_name(o));
-        }
-        let mut out = format!("module {} ({});\n", self.name, ports.join(", "));
+        // Every net name appears about three times (declaration, driver,
+        // readers) and every gate line adds its kind, name and
+        // punctuation.
+        let names: usize = self.net_names.iter().map(|n| n.len() + 2).sum();
+        let gates: usize = self.gates.iter().map(|g| g.name.len() + 16).sum();
+        let mut out = String::with_capacity(self.name.len() + 3 * names + gates + 64);
+        let push_list = |out: &mut String, ids: &mut dyn Iterator<Item = NetId>| {
+            for (k, id) in ids.enumerate() {
+                if k > 0 {
+                    out.push_str(", ");
+                }
+                out.push_str(self.net_name(id));
+            }
+        };
+        out.push_str("module ");
+        out.push_str(&self.name);
+        out.push_str(" (");
+        push_list(
+            &mut out,
+            &mut self.inputs.iter().chain(&self.outputs).copied(),
+        );
+        out.push_str(");\n");
         if !self.inputs.is_empty() {
-            let names: Vec<&str> = self.inputs.iter().map(|&i| self.net_name(i)).collect();
-            out.push_str(&format!("  input {};\n", names.join(", ")));
+            out.push_str("  input ");
+            push_list(&mut out, &mut self.inputs.iter().copied());
+            out.push_str(";\n");
         }
         if !self.outputs.is_empty() {
-            let names: Vec<&str> = self.outputs.iter().map(|&o| self.net_name(o)).collect();
-            out.push_str(&format!("  output {};\n", names.join(", ")));
+            out.push_str("  output ");
+            push_list(&mut out, &mut self.outputs.iter().copied());
+            out.push_str(";\n");
         }
-        let port_set: std::collections::HashSet<NetId> = self
-            .inputs
-            .iter()
-            .chain(self.outputs.iter())
-            .copied()
-            .collect();
-        let is_const_alias = |name: &str| name == "1'b0" || name == "1'b1";
-        let wires: Vec<&str> = (0..self.net_names.len())
-            .map(|i| NetId(i as u32))
-            .filter(|id| !port_set.contains(id))
-            .map(|id| self.net_name(id))
-            .filter(|n| !is_const_alias(n))
-            .collect();
-        if !wires.is_empty() {
-            out.push_str(&format!("  wire {};\n", wires.join(", ")));
+        let mut wires = (0..self.net_names.len())
+            .filter(|&i| !is_port[i] && !is_const_alias(&self.net_names[i]))
+            .map(NetId::from_index)
+            .peekable();
+        if wires.peek().is_some() {
+            out.push_str("  wire ");
+            push_list(&mut out, &mut wires);
+            out.push_str(";\n");
         }
         for g in &self.gates {
-            match g.kind {
+            let constant = match g.kind {
+                GateKind::Const0 => Some("1'b0"),
+                GateKind::Const1 => Some("1'b1"),
+                _ => None,
+            };
+            let driven = self.net_name(g.output);
+            match constant {
                 // Constant drivers of the literal alias nets `1'b0`/`1'b1`
                 // are implicit in the emitted text; other constant nets get
                 // an explicit buf from the literal.
-                GateKind::Const0 => {
-                    if !is_const_alias(self.net_name(g.output)) {
-                        out.push_str(&format!(
-                            "  buf {} ({}, 1'b0);\n",
-                            g.name,
-                            self.net_name(g.output)
-                        ));
-                    }
+                Some(_) if is_const_alias(driven) => continue,
+                Some(literal) => {
+                    out.push_str("  buf ");
+                    out.push_str(&g.name);
+                    out.push_str(" (");
+                    out.push_str(driven);
+                    out.push_str(", ");
+                    out.push_str(literal);
                 }
-                GateKind::Const1 => {
-                    if !is_const_alias(self.net_name(g.output)) {
-                        out.push_str(&format!(
-                            "  buf {} ({}, 1'b1);\n",
-                            g.name,
-                            self.net_name(g.output)
-                        ));
+                None => {
+                    out.push_str("  ");
+                    out.push_str(g.kind.name());
+                    out.push(' ');
+                    out.push_str(&g.name);
+                    out.push_str(" (");
+                    out.push_str(driven);
+                    for &i in &g.inputs {
+                        out.push_str(", ");
+                        out.push_str(self.net_name(i));
                     }
-                }
-                _ => {
-                    let mut conns = vec![self.net_name(g.output)];
-                    conns.extend(g.inputs.iter().map(|&i| self.net_name(i)));
-                    out.push_str(&format!(
-                        "  {} {} ({});\n",
-                        g.kind.name(),
-                        g.name,
-                        conns.join(", ")
-                    ));
                 }
             }
+            out.push_str(");\n");
         }
         out.push_str("endmodule\n");
         out

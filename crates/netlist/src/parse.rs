@@ -2,9 +2,11 @@
 //! contest benchmarks: one module of primitive gate instances, plus
 //! `// eco_target <net>` directives marking rectification points.
 
-use crate::netlist::{GateKind, Netlist};
+use crate::netlist::{GateKind, NetId, Netlist};
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Error from [`parse_verilog`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,179 +39,231 @@ pub struct ParsedModule {
     pub targets: Vec<String>,
 }
 
-#[derive(Clone, Debug, PartialEq)]
-struct Token {
-    text: String,
+/// One token: a slice of the source text and its 1-based line.
+#[derive(Clone, Copy, Debug)]
+struct Tok<'a> {
+    text: &'a str,
     line: usize,
 }
 
-/// Token stream plus `// eco_target` directives with their line numbers.
-type TokenStream = (Vec<Token>, Vec<(usize, String)>);
+fn error(line: usize, message: impl Into<String>) -> ParseVerilogError {
+    ParseVerilogError {
+        line,
+        message: message.into(),
+    }
+}
 
-fn tokenize(src: &str) -> Result<TokenStream, ParseVerilogError> {
-    let mut tokens = Vec::new();
-    let mut directives = Vec::new();
-    let mut chars = src.char_indices().peekable();
-    let mut line = 1usize;
-    while let Some((_, c)) = chars.next() {
-        match c {
-            '\n' => line += 1,
-            c if c.is_whitespace() => {}
-            '/' => match chars.peek() {
-                Some(&(_, '/')) => {
-                    chars.next();
-                    let mut comment = String::new();
-                    for (_, c2) in chars.by_ref() {
-                        if c2 == '\n' {
-                            line += 1;
-                            break;
-                        }
-                        comment.push(c2);
-                    }
-                    let comment = comment.trim();
-                    if let Some(rest) = comment.strip_prefix("eco_target") {
-                        directives.push((line, rest.trim().to_string()));
-                    }
-                }
-                Some(&(_, '*')) => {
-                    chars.next();
-                    let mut prev = ' ';
-                    for (_, c2) in chars.by_ref() {
-                        if c2 == '\n' {
-                            line += 1;
-                        }
-                        if prev == '*' && c2 == '/' {
-                            break;
-                        }
-                        prev = c2;
-                    }
-                }
-                _ => {
-                    return Err(ParseVerilogError {
-                        line,
-                        message: "unexpected '/'".to_string(),
-                    })
-                }
-            },
-            '(' | ')' | ',' | ';' => {
-                tokens.push(Token {
-                    text: c.to_string(),
+/// The ASCII characters `char::is_whitespace` accepts.
+fn is_ascii_space(b: u8) -> bool {
+    matches!(b, b'\t' | b'\n' | 0x0B | 0x0C | b'\r' | b' ')
+}
+
+/// ASCII characters that may continue an identifier (`\` may only
+/// start one).
+fn is_word_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || matches!(b, b'_' | b'\'' | b'[' | b']' | b'.')
+}
+
+/// The character starting at byte `i` of `src` (`i` is a char boundary).
+fn char_at(src: &str, i: usize) -> char {
+    src[i..].chars().next().expect("offset inside the text")
+}
+
+/// Byte offset just past the identifier continuing at `i`.
+fn word_end(src: &str, mut i: usize) -> usize {
+    let bytes = src.as_bytes();
+    while let Some(&b) = bytes.get(i) {
+        if b.is_ascii() {
+            if !is_word_byte(b) {
+                break;
+            }
+            i += 1;
+        } else {
+            let c = char_at(src, i);
+            if !c.is_alphanumeric() {
+                break;
+            }
+            i += c.len_utf8();
+        }
+    }
+    i
+}
+
+/// Tokens (slices of `src`), the `// eco_target` net names in file
+/// order, and the number of `;` tokens (a sizing hint).
+type Lexed<'a> = (Vec<Tok<'a>>, Vec<String>, usize);
+
+/// Splits `src` into tokens in one pass. ASCII bytes are classified
+/// directly; any other character is decoded and classified with
+/// `char::is_alphanumeric` / `char::is_whitespace`.
+fn tokenize(src: &str) -> Result<Lexed<'_>, ParseVerilogError> {
+    let bytes = src.as_bytes();
+    // Contest netlists run a little under one token per four bytes.
+    let mut toks = Vec::with_capacity(src.len() / 4);
+    let mut targets = Vec::new();
+    let mut statements = 0;
+    let mut line = 1;
+    let mut i = 0;
+    while let Some(&b) = bytes.get(i) {
+        match b {
+            b'\n' => {
+                line += 1;
+                i += 1;
+            }
+            b'(' | b')' | b',' | b';' => {
+                statements += usize::from(b == b';');
+                toks.push(Tok {
+                    text: &src[i..i + 1],
                     line,
                 });
+                i += 1;
             }
-            c if c.is_alphanumeric()
-                || c == '_'
-                || c == '\''
-                || c == '\\'
-                || c == '['
-                || c == ']'
-                || c == '.' =>
-            {
-                let mut word = String::new();
-                word.push(c);
-                while let Some(&(_, c2)) = chars.peek() {
-                    if c2.is_alphanumeric()
-                        || c2 == '_'
-                        || c2 == '\''
-                        || c2 == '['
-                        || c2 == ']'
-                        || c2 == '.'
-                    {
-                        word.push(c2);
-                        chars.next();
-                    } else {
-                        break;
+            b'/' => match bytes.get(i + 1) {
+                Some(b'/') => {
+                    let start = i + 2;
+                    let end = bytes[start..]
+                        .iter()
+                        .position(|&c| c == b'\n')
+                        .map_or(bytes.len(), |p| start + p);
+                    if let Some(rest) = src[start..end].trim().strip_prefix("eco_target") {
+                        targets.push(rest.trim().to_string());
+                    }
+                    if end < bytes.len() {
+                        line += 1;
+                    }
+                    i = end + 1;
+                }
+                Some(b'*') => {
+                    i += 2;
+                    let mut prev = b' ';
+                    while let Some(&c) = bytes.get(i) {
+                        i += 1;
+                        if c == b'\n' {
+                            line += 1;
+                        }
+                        if prev == b'*' && c == b'/' {
+                            break;
+                        }
+                        prev = c;
                     }
                 }
-                tokens.push(Token { text: word, line });
-            }
-            other => {
-                return Err(ParseVerilogError {
+                _ => return Err(error(line, "unexpected '/'")),
+            },
+            _ if is_ascii_space(b) => i += 1,
+            _ if is_word_byte(b) || b == b'\\' => {
+                let end = word_end(src, i + 1);
+                toks.push(Tok {
+                    text: &src[i..end],
                     line,
-                    message: format!("unexpected character {other:?}"),
-                })
+                });
+                i = end;
+            }
+            _ => {
+                let c = char_at(src, i);
+                if c.is_whitespace() {
+                    i += c.len_utf8();
+                } else if c.is_alphanumeric() {
+                    let end = word_end(src, i + c.len_utf8());
+                    toks.push(Tok {
+                        text: &src[i..end],
+                        line,
+                    });
+                    i = end;
+                } else {
+                    return Err(error(line, format!("unexpected character {c:?}")));
+                }
             }
         }
     }
-    Ok((tokens, directives))
+    Ok((toks, targets, statements))
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// Read position in the token list.
+struct Cursor<'a> {
+    toks: Vec<Tok<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+impl<'a> Cursor<'a> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).copied()
     }
 
-    fn next(&mut self) -> Result<Token, ParseVerilogError> {
-        let t = self
-            .tokens
-            .get(self.pos)
-            .cloned()
-            .ok_or(ParseVerilogError {
-                line: self.tokens.last().map_or(0, |t| t.line),
-                message: "unexpected end of file".to_string(),
-            })?;
+    fn next(&mut self) -> Result<Tok<'a>, ParseVerilogError> {
+        let t = self.peek().ok_or_else(|| {
+            error(
+                self.toks.last().map_or(0, |t| t.line),
+                "unexpected end of file",
+            )
+        })?;
         self.pos += 1;
         Ok(t)
     }
 
-    fn expect(&mut self, text: &str) -> Result<Token, ParseVerilogError> {
+    fn expect(&mut self, text: &str) -> Result<(), ParseVerilogError> {
         let t = self.next()?;
         if t.text != text {
-            return Err(ParseVerilogError {
-                line: t.line,
-                message: format!("expected {text:?}, found {:?}", t.text),
-            });
+            return Err(error(
+                t.line,
+                format!("expected {text:?}, found {:?}", t.text),
+            ));
         }
-        Ok(t)
+        Ok(())
     }
 
-    fn name_list(&mut self) -> Result<Vec<String>, ParseVerilogError> {
-        let mut names = Vec::new();
+    /// Reads `name, name, ... ;` into `names` (cleared first).
+    fn name_list(&mut self, names: &mut Vec<&'a str>) -> Result<(), ParseVerilogError> {
+        names.clear();
         loop {
-            let t = self.next()?;
-            names.push(t.text);
+            names.push(self.next()?.text);
             let sep = self.next()?;
-            match sep.text.as_str() {
+            match sep.text {
                 "," => continue,
-                ";" => break,
+                ";" => return Ok(()),
                 other => {
-                    return Err(ParseVerilogError {
-                        line: sep.line,
-                        message: format!("expected ',' or ';', found {other:?}"),
-                    })
+                    return Err(error(
+                        sep.line,
+                        format!("expected ',' or ';', found {other:?}"),
+                    ))
                 }
             }
         }
-        Ok(names)
     }
 }
 
-/// Resolves a connection token to a net id, mapping the constants
-/// `1'b0`/`1'b1` to dedicated constant-driven nets.
-fn conn_net(nl: &mut Netlist, token: &str) -> crate::netlist::NetId {
-    match token {
-        "1'b0" | "1'h0" => {
-            // The net is literally named `1'b0`, so `to_verilog` prints it
-            // back verbatim and the driver gate is implicit.
-            let id = nl.add_net("1'b0");
-            if !nl.gates().iter().any(|g| g.output == id) {
-                nl.add_gate(GateKind::Const0, "__gconst0", id, vec![]);
-            }
-            id
+/// Resolves connection tokens to net ids, mapping the constants
+/// `1'b0`/`1'b1` (alias `1'h0`/`1'h1`) to the nets literally named
+/// `1'b0`/`1'b1`. `to_verilog` prints those back verbatim, so their
+/// driver gates are implicit; each is added on the constant's first
+/// use.
+#[derive(Default)]
+struct Connections {
+    const0_driven: bool,
+    const1_driven: bool,
+}
+
+impl Connections {
+    fn net(&mut self, nl: &mut Netlist, token: &str) -> NetId {
+        let (name, driven, kind, gate) = match token {
+            "1'b0" | "1'h0" => (
+                "1'b0",
+                &mut self.const0_driven,
+                GateKind::Const0,
+                "__gconst0",
+            ),
+            "1'b1" | "1'h1" => (
+                "1'b1",
+                &mut self.const1_driven,
+                GateKind::Const1,
+                "__gconst1",
+            ),
+            name => return nl.add_net(name),
+        };
+        let id = nl.add_net(name);
+        if !std::mem::replace(driven, true) {
+            nl.add_gate(kind, gate, id, vec![]);
         }
-        "1'b1" | "1'h1" => {
-            let id = nl.add_net("1'b1");
-            if !nl.gates().iter().any(|g| g.output == id) {
-                nl.add_gate(GateKind::Const1, "__gconst1", id, vec![]);
-            }
-            id
-        }
-        name => nl.add_net(name),
+        id
     }
 }
 
@@ -246,118 +300,109 @@ fn conn_net(nl: &mut Netlist, token: &str) -> crate::netlist::NetId {
 /// # Ok::<(), eco_netlist::ParseVerilogError>(())
 /// ```
 pub fn parse_verilog(src: &str) -> Result<ParsedModule, ParseVerilogError> {
-    let (tokens, directives) = tokenize(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let (toks, targets, statements) = tokenize(src)?;
+    let mut p = Cursor { toks, pos: 0 };
     p.expect("module")?;
-    let name = p.next()?;
-    let mut nl = Netlist::new(name.text);
+    let mut nl = Netlist::new(p.next()?.text);
+    // Nearly every statement is a gate driving a net of its own.
+    nl.reserve(statements, statements);
     // Port list (names recorded; direction comes from declarations).
     p.expect("(")?;
     loop {
-        let t = p.next()?;
-        match t.text.as_str() {
+        match p.next()?.text {
             ")" => break,
             "," => continue,
-            _ => {
-                nl.add_net(t.text);
+            name => {
+                nl.add_net(name);
             }
         }
     }
     p.expect(";")?;
-    let mut outputs: Vec<String> = Vec::new();
-    let mut declared_inputs: std::collections::HashSet<String> = std::collections::HashSet::new();
+    let mut outputs: Vec<&str> = Vec::new();
+    let mut declared_outputs: HashSet<&str> = HashSet::new();
+    let mut declared_inputs: HashSet<&str> = HashSet::new();
+    let mut connections = Connections::default();
+    // Scratch list of the current declaration's names or gate's
+    // connections.
+    let mut names: Vec<&str> = Vec::new();
     loop {
-        let t = p.peek().cloned().ok_or(ParseVerilogError {
-            line: 0,
-            message: "missing endmodule".to_string(),
-        })?;
-        match t.text.as_str() {
-            "endmodule" => {
-                p.next()?;
-                break;
-            }
+        let t = p.peek().ok_or_else(|| error(0, "missing endmodule"))?;
+        p.pos += 1;
+        match t.text {
+            "endmodule" => break,
             "input" => {
-                p.next()?;
-                for n in p.name_list()? {
-                    if !declared_inputs.insert(n.clone()) {
-                        return Err(ParseVerilogError {
-                            line: t.line,
-                            message: format!("net {n:?} declared 'input' more than once"),
-                        });
+                p.name_list(&mut names)?;
+                for &n in &names {
+                    if !declared_inputs.insert(n) {
+                        return Err(error(
+                            t.line,
+                            format!("net {n:?} declared 'input' more than once"),
+                        ));
                     }
                     nl.add_input(n);
                 }
             }
             "output" => {
-                p.next()?;
-                for n in p.name_list()? {
-                    if outputs.contains(&n) {
-                        return Err(ParseVerilogError {
-                            line: t.line,
-                            message: format!("net {n:?} declared 'output' more than once"),
-                        });
+                p.name_list(&mut names)?;
+                for &n in &names {
+                    if !declared_outputs.insert(n) {
+                        return Err(error(
+                            t.line,
+                            format!("net {n:?} declared 'output' more than once"),
+                        ));
                     }
                     outputs.push(n);
                 }
             }
             "wire" => {
-                p.next()?;
-                for n in p.name_list()? {
+                p.name_list(&mut names)?;
+                for &n in &names {
                     nl.add_net(n);
                 }
             }
             prim => {
-                let kind = GateKind::from_name(prim).ok_or(ParseVerilogError {
-                    line: t.line,
-                    message: format!("unsupported primitive or keyword {prim:?}"),
+                let kind = GateKind::from_name(prim).ok_or_else(|| {
+                    error(t.line, format!("unsupported primitive or keyword {prim:?}"))
                 })?;
-                p.next()?;
                 // Optional instance name.
-                let mut inst = format!("g_auto_{}", p.pos);
-                if let Some(tok) = p.peek() {
-                    if tok.text != "(" {
-                        inst = p.next()?.text;
+                let inst = match p.peek() {
+                    Some(tok) if tok.text != "(" => {
+                        p.pos += 1;
+                        Arc::from(tok.text)
                     }
-                }
+                    _ => Arc::from(format!("g_auto_{}", p.pos)),
+                };
                 p.expect("(")?;
-                let mut conns: Vec<String> = Vec::new();
+                names.clear();
                 loop {
-                    let tok = p.next()?;
-                    match tok.text.as_str() {
+                    match p.next()?.text {
                         ")" => break,
                         "," => continue,
-                        _ => conns.push(tok.text),
+                        conn => names.push(conn),
                     }
                 }
                 p.expect(";")?;
-                if conns.is_empty() {
-                    return Err(ParseVerilogError {
-                        line: t.line,
-                        message: format!("gate {inst:?} has no connections"),
-                    });
-                }
-                let out = conn_net(&mut nl, &conns[0]);
-                let ins: Vec<_> = conns[1..].iter().map(|c| conn_net(&mut nl, c)).collect();
-                // `buf g (w, 1'b0)` is how constants appear: rewrite to a
-                // constant driver.
+                let Some((&out, ins)) = names.split_first() else {
+                    return Err(error(t.line, format!("gate {inst:?} has no connections")));
+                };
+                let out = connections.net(&mut nl, out);
+                let ins = ins.iter().map(|c| connections.net(&mut nl, c)).collect();
                 nl.add_gate(kind, inst, out, ins);
             }
         }
     }
     for o in outputs {
-        if declared_inputs.contains(&o) {
-            return Err(ParseVerilogError {
-                line: 0,
-                message: format!("net {o:?} declared both 'input' and 'output'"),
-            });
+        if declared_inputs.contains(o) {
+            return Err(error(
+                0,
+                format!("net {o:?} declared both 'input' and 'output'"),
+            ));
         }
-        let id = nl.net(&o).ok_or(ParseVerilogError {
-            line: 0,
-            message: format!("output {o:?} never declared"),
-        })?;
+        let id = nl
+            .net(o)
+            .ok_or_else(|| error(0, format!("output {o:?} never declared")))?;
         nl.mark_output(id);
     }
-    let targets = directives.into_iter().map(|(_, n)| n).collect();
     Ok(ParsedModule {
         netlist: nl,
         targets,

@@ -249,3 +249,35 @@ fn wrong_arity_from_text_is_typed_error() {
         NetlistError::BadArity { .. }
     ));
 }
+
+/// Two undriven nets are both read, the higher id first (by a gate) and
+/// the lower one only as an output: validation names the lower id.
+#[test]
+fn undriven_read_nets_report_the_lowest_id() {
+    let mut nl = Netlist::new("m");
+    let a = nl.add_input("a");
+    let lo = nl.add_net("lo");
+    let hi = nl.add_net("hi");
+    let y = nl.add_net("y");
+    nl.add_gate(GateKind::And, "g", y, vec![hi, a]);
+    nl.mark_output(y);
+    nl.mark_output(lo);
+    assert!(lo < hi);
+    assert_eq!(
+        nl.validate().unwrap_err(),
+        NetlistError::Undriven("lo".to_string())
+    );
+    // Mirrored: the lower id read by a gate, the higher only as an output.
+    let mut nl = Netlist::new("m");
+    let a = nl.add_input("a");
+    let lo = nl.add_net("lo");
+    let hi = nl.add_net("hi");
+    let y = nl.add_net("y");
+    nl.add_gate(GateKind::And, "g", y, vec![a, lo]);
+    nl.mark_output(hi);
+    nl.mark_output(y);
+    assert_eq!(
+        nl.validate().unwrap_err(),
+        NetlistError::Undriven("lo".to_string())
+    );
+}

@@ -74,6 +74,14 @@ impl ClauseDb {
         ClauseDb::default()
     }
 
+    /// Reserves room for `clauses` more clauses with `lits` literals in
+    /// total.
+    pub fn reserve(&mut self, clauses: usize, lits: usize) {
+        self.lits.reserve(lits);
+        self.spans.reserve(clauses);
+        self.meta.reserve(clauses);
+    }
+
     pub fn alloc(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {
         debug_assert!(
             !lits.is_empty(),

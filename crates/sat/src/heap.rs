@@ -37,6 +37,12 @@ impl VarHeap {
         (v.index() < self.index.len()) && self.index[v.index()] != ABSENT
     }
 
+    /// Reserves room for `n` more variables.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.heap.reserve(n);
+        self.index.reserve(n);
+    }
+
     /// Grows the inverse index to accommodate `n` variables.
     pub(crate) fn reserve_vars(&mut self, n: usize) {
         if self.index.len() < n {

@@ -201,6 +201,9 @@ pub struct Solver {
     /// The last model, literal-indexed like `vals`.
     model: Vec<LBool>,
     conflict: Vec<Lit>,
+    /// Scratch copy of the clause being added (sorted and simplified in
+    /// place), reused across [`Solver::add_clause_tagged`] calls.
+    intake: Vec<Lit>,
     conflict_budget: Option<u64>,
     propagation_budget: Option<u64>,
     budget_conflicts: u64,
@@ -254,6 +257,7 @@ impl Solver {
             ok: true,
             model: Vec::new(),
             conflict: Vec::new(),
+            intake: Vec::new(),
             conflict_budget: None,
             propagation_budget: None,
             budget_conflicts: 0,
@@ -320,6 +324,24 @@ impl Solver {
     /// (without assumptions).
     pub fn is_ok(&self) -> bool {
         self.ok
+    }
+
+    /// Reserves room for at least `vars` more variables and `clauses`
+    /// more problem clauses of about three literals, so that building a
+    /// large encoding does not regrow every per-variable and per-clause
+    /// table along the way.
+    pub fn reserve(&mut self, vars: usize, clauses: usize) {
+        self.vals.reserve(2 * vars);
+        self.polarity.reserve(vars);
+        self.decision_var.reserve(vars);
+        self.level.reserve(vars);
+        self.reason.reserve(vars);
+        self.activity.reserve(vars);
+        self.seen.reserve(vars);
+        self.lbd_stamp.reserve(vars);
+        self.watches.reserve(2 * vars);
+        self.order.reserve(vars);
+        self.db.reserve(clauses, 3 * clauses);
     }
 
     /// Creates a fresh decision variable.
@@ -472,7 +494,18 @@ impl Solver {
         if !self.ok {
             return (false, None);
         }
-        let mut ps: Vec<Lit> = lits.to_vec();
+        let mut ps = std::mem::take(&mut self.intake);
+        ps.clear();
+        ps.extend_from_slice(lits);
+        let added = self.add_sorted_clause(&mut ps, tag);
+        self.intake = ps;
+        added
+    }
+
+    /// [`Solver::add_clause_tagged`] on the scratch copy `ps`: sorts,
+    /// deduplicates and (outside proof mode) simplifies it in place,
+    /// then stores it.
+    fn add_sorted_clause(&mut self, ps: &mut Vec<Lit>, tag: u8) -> (bool, Option<ClauseRef>) {
         ps.sort_unstable();
         ps.dedup();
         // Tautology check.
@@ -483,15 +516,10 @@ impl Solver {
         }
         if self.proof.is_none() {
             // Level-0 simplification (not proof-safe, so skipped there).
-            let mut keep = Vec::with_capacity(ps.len());
-            for &l in &ps {
-                match self.value_lit(l) {
-                    LBool::True => return (true, None),
-                    LBool::False => {}
-                    LBool::Undef => keep.push(l),
-                }
+            if ps.iter().any(|&l| self.value_lit(l) == LBool::True) {
+                return (true, None);
             }
-            ps = keep;
+            ps.retain(|&l| self.value_lit(l) != LBool::False);
         }
         match ps.len() {
             0 => {
@@ -500,7 +528,7 @@ impl Solver {
             }
             1 => {
                 if self.proof.is_some() {
-                    let cref = self.db.alloc(&ps, false, 0);
+                    let cref = self.db.alloc(ps, false, 0);
                     self.num_original += 1;
                     self.tag_clause(cref, tag, ProofChain::default());
                     match self.value_lit(ps[0]) {
@@ -534,7 +562,7 @@ impl Solver {
                 }
             }
             _ => {
-                let cref = self.db.alloc(&ps, false, 0);
+                let cref = self.db.alloc(ps, false, 0);
                 self.num_original += 1;
                 if self.proof.is_some() {
                     self.tag_clause(cref, tag, ProofChain::default());
