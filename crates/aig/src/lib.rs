@@ -37,7 +37,6 @@ mod aig;
 mod cone;
 mod cube;
 mod factor;
-mod fraig;
 mod isop;
 mod lit;
 mod sim;
@@ -51,7 +50,6 @@ pub use aig::{Aig, AigNode};
 pub use cone::Cone;
 pub use cube::{Cube, CubeLit, Sop};
 pub use factor::factor_sop;
-pub use fraig::{CandidateClasses, PatternPool, SweepCandidate};
 pub use isop::isop_between;
 pub use lit::{AigLit, NodeId};
 pub use sim::{TooManyInputsError, MAX_EXHAUSTIVE_INPUTS};

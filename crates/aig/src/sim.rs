@@ -13,9 +13,8 @@ pub const MAX_EXHAUSTIVE_INPUTS: usize = 20;
 /// Error returned by [`Aig::simulate_all_inputs`] when the AIG has more
 /// than [`MAX_EXHAUSTIVE_INPUTS`] inputs.
 ///
-/// Callers that hit this (the sweep layer in particular) are expected
-/// to fall back to sampled simulation via [`Aig::simulate`] instead of
-/// aborting.
+/// Callers that hit this are expected to fall back to sampled
+/// simulation via [`Aig::simulate`] instead of aborting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TooManyInputsError {
     /// Number of inputs of the offending AIG.

@@ -35,7 +35,7 @@
 
 use crate::miter::QuantifiedMiter;
 use crate::observe::ClassesCounters;
-use eco_aig::{Aig, AigLit, NodeId, PatternPool};
+use eco_aig::{splitmix64, Aig, AigLit, NodeId};
 use eco_sat::{Lit, ResourceGovernor, Solver};
 use std::collections::{HashMap, HashSet};
 
@@ -107,11 +107,15 @@ impl EquivClasses {
             stats: ClassesCounters::default(),
             governor: None,
         };
-        // Harvest initial A/B patterns from a pool over the x inputs,
-        // simulating the miter under both cofactors of n.
-        let pool = PatternPool::new(x_count, POOL_WORDS, seed);
-        for w in 0..pool.num_words() {
-            let x_words = pool.input_words(w);
+        // Harvest initial A/B patterns from seeded random words over the
+        // x inputs (input-major, `POOL_WORDS` per input), simulating the
+        // miter under both cofactors of n.
+        let mut state = seed ^ 0x5EED_5EED_5EED_5EEDu64;
+        let columns: Vec<Vec<u64>> = (0..x_count)
+            .map(|_| (0..POOL_WORDS).map(|_| splitmix64(&mut state)).collect())
+            .collect();
+        for w in 0..POOL_WORDS {
+            let x_words: Vec<u64> = columns.iter().map(|c| c[w]).collect();
             for n_value in [false, true] {
                 let mut cols = x_words.clone();
                 cols.push(if n_value { !0u64 } else { 0u64 });

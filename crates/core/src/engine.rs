@@ -96,8 +96,9 @@ pub struct EcoOptions {
     /// triggers the structural fallback when enabled.
     pub per_call_conflicts: Option<u64>,
     /// Up to this many *remaining* targets, quantification expands all
-    /// `2^r` assignments; above it, QBF certificates are used.
-    pub exact_quantification_threshold: usize,
+    /// `2^r` assignments; above it, QBF certificates are used. Fixed
+    /// outside the crate; the unit tests lower it to force certificates.
+    pub(crate) exact_quantification_threshold: usize,
     /// Derive a structural patch when SAT budgets run out. This also
     /// enables the full per-target degradation ladder: failures are
     /// isolated per target (`Degraded`/`Skipped` dispositions) instead
@@ -211,13 +212,6 @@ impl EcoOptionsBuilder {
     /// Sets the per-SAT-call conflict budget (`None` = unlimited).
     pub fn per_call_conflicts(mut self, budget: Option<u64>) -> Self {
         self.options.per_call_conflicts = budget;
-        self
-    }
-
-    /// Sets the remaining-target count up to which quantification
-    /// expands all `2^r` assignments.
-    pub fn exact_quantification_threshold(mut self, threshold: usize) -> Self {
-        self.options.exact_quantification_threshold = threshold;
         self
     }
 
@@ -2149,9 +2143,10 @@ mod tests {
         sp.add_output(y2);
         let p = EcoProblem::with_unit_weights(im, sp, vec![t1.node(), t2.node(), t3.node()])
             .expect("valid");
-        let options = EcoOptions::builder()
-            .exact_quantification_threshold(0)
-            .build();
+        let options = EcoOptions {
+            exact_quantification_threshold: 0,
+            ..EcoOptions::default()
+        };
         match EcoEngine::new(options).solve(&p.snapshot()) {
             Ok(out) => assert!(out.verified, "refined quantification must verify"),
             Err(EcoError::TargetsInsufficient { .. }) => {

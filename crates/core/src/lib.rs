@@ -86,7 +86,6 @@ mod qbf;
 mod snapshot;
 mod structural;
 mod support;
-mod sweep;
 pub mod trace;
 mod window;
 
@@ -118,7 +117,6 @@ pub use support::{
     minimize_assumptions, naive_minimize_assumptions, support_solver_for, SupportResult,
     SupportSolver,
 };
-pub use sweep::{fraig_reduce, FraigOptions, FraigOutcome, FraigStats};
 pub use window::{compute_window, Window};
 
 // Resource-governance types, re-exported so engine callers need not

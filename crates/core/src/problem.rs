@@ -2,8 +2,8 @@
 //! and per-signal resource costs.
 
 use crate::error::EcoError;
-use eco_aig::{Aig, NodeId};
-use eco_netlist::{Netlist, WeightTable};
+use eco_aig::{Aig, AigLit, NodeId};
+use eco_netlist::{AigConversion, Netlist, WeightTable};
 use std::collections::HashSet;
 
 /// An ECO rectification instance in the paper's formulation (Sec. 2.5):
@@ -137,6 +137,57 @@ impl EcoProblem {
             .map_err(|e| EcoError::InvalidProblem {
                 message: format!("specification: {e}"),
             })?;
+        EcoProblem::from_mapped(
+            implementation,
+            &impl_conv.net_lits,
+            impl_conv.aig,
+            spec_conv.aig,
+            target_nets,
+            weights,
+            default_weight,
+        )
+    }
+
+    /// [`EcoProblem::from_netlists`] for callers that already hold the
+    /// implementation's [`AigConversion`] and the specification's AIG,
+    /// so neither netlist is converted again. Both AIGs are cloned into
+    /// the problem; the result is the one `from_netlists` builds.
+    ///
+    /// # Errors
+    ///
+    /// [`EcoError::InvalidProblem`] for unknown nets, plus the
+    /// validations of [`EcoProblem::new`].
+    pub fn from_conversion(
+        implementation: &Netlist,
+        impl_conv: &AigConversion,
+        specification: &Aig,
+        target_nets: &[&str],
+        weights: &WeightTable,
+        default_weight: u64,
+    ) -> Result<EcoProblem, EcoError> {
+        EcoProblem::from_mapped(
+            implementation,
+            &impl_conv.net_lits,
+            impl_conv.aig.clone(),
+            specification.clone(),
+            target_nets,
+            weights,
+            default_weight,
+        )
+    }
+
+    /// The shared body of the netlist constructors: maps target net
+    /// names and the weight table onto the implementation AIG through
+    /// its net-to-literal map.
+    fn from_mapped(
+        implementation: &Netlist,
+        net_lits: &[AigLit],
+        impl_aig: Aig,
+        spec_aig: Aig,
+        target_nets: &[&str],
+        weights: &WeightTable,
+        default_weight: u64,
+    ) -> Result<EcoProblem, EcoError> {
         let mut targets = Vec::new();
         for name in target_nets {
             let net = implementation
@@ -147,7 +198,7 @@ impl EcoProblem {
             // A complemented literal is fine: the rectification freedom at
             // `!n` is identical to the freedom at `n` (the patch function
             // is simply complemented).
-            let lit = impl_conv.net_lits[net.index()];
+            let lit = net_lits[net.index()];
             if lit.is_const() {
                 return Err(EcoError::InvalidProblem {
                     message: format!(
@@ -159,9 +210,9 @@ impl EcoProblem {
         }
         // Per-node weights: the weight of a net whose function the node
         // computes; strash-merged nets take the minimum.
-        let mut node_weights = vec![default_weight; impl_conv.aig.num_nodes()];
+        let mut node_weights = vec![default_weight; impl_aig.num_nodes()];
         let net_weights = weights.resolve(implementation, default_weight);
-        for (net_idx, lit) in impl_conv.net_lits.iter().enumerate() {
+        for (net_idx, lit) in net_lits.iter().enumerate() {
             // Complement is free in an AIG, so a net priced `w` prices its
             // underlying node `w` regardless of polarity; strash-merged
             // nets take the minimum.
@@ -170,7 +221,7 @@ impl EcoProblem {
                 node_weights[n] = node_weights[n].min(net_weights[net_idx]);
             }
         }
-        let mut problem = EcoProblem::new(impl_conv.aig, spec_conv.aig, targets, node_weights)?;
+        let mut problem = EcoProblem::new(impl_aig, spec_aig, targets, node_weights)?;
         problem.default_weight = default_weight.max(1);
         Ok(problem)
     }
@@ -198,7 +249,6 @@ impl EcoProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eco_aig::AigLit;
 
     fn tiny_pair() -> (Aig, Aig, AigLit) {
         let mut im = Aig::new();
@@ -271,6 +321,45 @@ mod tests {
         assert_eq!(p.weight(p.targets[0]), 5);
         // Inputs got the default.
         assert_eq!(p.weight(p.implementation.inputs()[0]), 9);
+    }
+
+    #[test]
+    fn from_conversion_builds_the_from_netlists_problem() {
+        use eco_netlist::parse_verilog;
+        // w1 and w2 strash into one node but carry different weights;
+        // n is a complemented alias of w1.
+        let impl_src = "module m (a, b, c, y, z); input a, b, c; output y, z;
+                        wire w1, w2, n, t;
+                        and g1 (w1, a, b); and g2 (w2, a, b); not g3 (n, w1);
+                        or g4 (t, n, c); buf g5 (y, t); xor g6 (z, w2, c);
+                        endmodule";
+        let spec_src = "module m (a, b, c, y, z); input a, b, c; output y, z;
+                        wire t; and g1 (t, a, c); buf g2 (y, t); or g3 (z, b, c);
+                        endmodule";
+        let im = parse_verilog(impl_src).expect("impl").netlist;
+        let sp = parse_verilog(spec_src).expect("spec").netlist;
+        let mut table = WeightTable::new();
+        table.set("w1", 5);
+        table.set("w2", 3);
+        table.set("n", 7);
+        table.set("c", 2);
+        let targets = ["t", "w2"];
+        let fresh = EcoProblem::from_netlists(&im, &sp, &targets, &table, 9).expect("problem");
+        let impl_conv = im.to_aig().expect("impl converts");
+        let spec_aig = sp.to_aig().expect("spec converts").aig;
+        let reused = EcoProblem::from_conversion(&im, &impl_conv, &spec_aig, &targets, &table, 9)
+            .expect("problem");
+        assert_eq!(
+            fresh.implementation.to_aag(),
+            reused.implementation.to_aag()
+        );
+        assert_eq!(fresh.specification.to_aag(), reused.specification.to_aag());
+        assert_eq!(fresh.targets, reused.targets);
+        assert_eq!(fresh.weights, reused.weights);
+        assert_eq!(fresh.default_weight, reused.default_weight);
+        // The merged node takes the cheapest of its three nets.
+        let merged = impl_conv.net_lits[im.net("w1").expect("net").index()].node();
+        assert_eq!(reused.weight(merged), 3);
     }
 
     #[test]

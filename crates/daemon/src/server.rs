@@ -683,9 +683,10 @@ impl Daemon {
             weights.set(net.clone(), *w);
         }
         let names: Vec<&str> = req.targets.iter().map(String::as_str).collect();
-        let problem = EcoProblem::from_netlists(
+        let problem = EcoProblem::from_conversion(
             impl_design.netlist(),
-            spec_design.netlist(),
+            &impl_design.conversion,
+            &spec_design.conversion.aig,
             &names,
             &weights,
             req.default_weight,

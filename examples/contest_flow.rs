@@ -69,10 +69,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Build the problem & run the engine ------------------------------
+    // Each design is converted to an AIG once; the implementation's
+    // net-to-literal map is reused below to name the patches.
+    let conversion = parsed_impl.netlist.to_aig()?;
+    let spec_aig = parsed_spec.netlist.to_aig()?.aig;
     let target_names: Vec<&str> = parsed_impl.targets.iter().map(String::as_str).collect();
-    let problem = EcoProblem::from_netlists(
+    let problem = EcoProblem::from_conversion(
         &parsed_impl.netlist,
-        &parsed_spec.netlist,
+        &conversion,
+        &spec_aig,
         &target_names,
         &weights,
         100, // default weight for unlisted nets
@@ -94,7 +99,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- Emit net-level patches and splice them in place -----------------
-    let conversion = parsed_impl.netlist.to_aig()?;
     let named =
         eco_core::netlist_patches(&outcome, &target_names, &parsed_impl.netlist, &conversion);
     for (i, np) in named.iter().enumerate() {

@@ -323,19 +323,25 @@ fn run(args: Args) -> Result<u8, CliError> {
         .netlist
         .to_aig()
         .map_err(|e| CliError::general(e.to_string()))?;
+    // The spec is converted once, for detection and the problem alike.
+    let convert_spec = || {
+        parsed_spec.netlist.to_aig().map_err(|e| {
+            CliError::engine(EcoError::InvalidProblem {
+                message: format!("specification: {e}"),
+            })
+        })
+    };
+    let mut spec_aig = None;
     if target_names.is_empty() {
         if !args.detect {
             return Err(CliError::usage(
                 "no targets: pass --targets, add // eco_target directives, or use --detect",
             ));
         }
-        let spec_conv = parsed_spec
-            .netlist
-            .to_aig()
-            .map_err(|e| CliError::general(e.to_string()))?;
+        let spec = spec_aig.insert(convert_spec()?.aig);
         let detected = detect_targets(
             &conversion.aig,
-            &spec_conv.aig,
+            spec,
             args.budget.or(EcoOptions::default().per_call_conflicts),
         )
         .map_err(CliError::engine)?;
@@ -374,9 +380,14 @@ fn run(args: Args) -> Result<u8, CliError> {
     let method = SupportMethod::from_name(args.method.as_deref().unwrap_or("minimize"))
         .map_err(CliError::usage)?;
     let names: Vec<&str> = target_names.iter().map(String::as_str).collect();
-    let problem = EcoProblem::from_netlists(
+    let spec_aig = match spec_aig {
+        Some(aig) => aig,
+        None => convert_spec()?.aig,
+    };
+    let problem = EcoProblem::from_conversion(
         &parsed_impl.netlist,
-        &parsed_spec.netlist,
+        &conversion,
+        &spec_aig,
         &names,
         &weights,
         args.default_weight,
