@@ -96,14 +96,6 @@ impl Cube {
         }
     }
 
-    /// `true` if every literal of `self` appears in `other` (so `other`
-    /// implies `self`).
-    pub fn subsumes(&self, other: &Cube) -> bool {
-        self.lits
-            .iter()
-            .all(|l| other.lits.binary_search(l).is_ok())
-    }
-
     /// The truth table of the cube over `num_vars` variables.
     pub fn truth_table(&self, num_vars: usize) -> TruthTable {
         let mut t = TruthTable::ones(num_vars);
@@ -223,31 +215,6 @@ impl Sop {
         }
         t
     }
-
-    /// Removes cubes subsumed by other cubes (single-cube containment).
-    pub fn remove_subsumed(&mut self) {
-        let mut keep: Vec<bool> = vec![true; self.cubes.len()];
-        for i in 0..self.cubes.len() {
-            if !keep[i] {
-                continue;
-            }
-            for (j, kj) in keep.iter_mut().enumerate() {
-                if i != j
-                    && *kj
-                    && self.cubes[i].subsumes(&self.cubes[j])
-                    && (self.cubes[i].len() < self.cubes[j].len() || i < j)
-                {
-                    *kj = false;
-                }
-            }
-        }
-        let mut idx = 0;
-        self.cubes.retain(|_| {
-            let k = keep[idx];
-            idx += 1;
-            k
-        });
-    }
 }
 
 impl fmt::Debug for Sop {
@@ -297,15 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn subsumption() {
-        let big = Cube::new(vec![lit(0, false), lit(1, true)]);
-        let small = Cube::new(vec![lit(0, false)]);
-        assert!(small.subsumes(&big));
-        assert!(!big.subsumes(&small));
-        assert!(small.subsumes(&small));
-    }
-
-    #[test]
     fn without_removes_literal() {
         let c = Cube::new(vec![lit(0, false), lit(1, true)]);
         let d = c.without(1);
@@ -337,39 +295,10 @@ mod tests {
     }
 
     #[test]
-    fn remove_subsumed_cubes() {
-        let mut sop = Sop::new(
-            2,
-            vec![
-                Cube::new(vec![lit(0, false)]),
-                Cube::new(vec![lit(0, false), lit(1, false)]),
-                Cube::new(vec![lit(1, true)]),
-            ],
-        );
-        let before = sop.truth_table();
-        sop.remove_subsumed();
-        assert_eq!(sop.len(), 2);
-        assert_eq!(sop.truth_table(), before, "function preserved");
-    }
-
-    #[test]
     fn zero_cover() {
         let sop = Sop::zero(2);
         assert!(sop.is_empty());
         assert!(sop.truth_table().is_zero());
         assert!(!sop.eval(&[true, true]));
-    }
-
-    #[test]
-    fn identical_cubes_dedup_via_subsumption() {
-        let mut sop = Sop::new(
-            1,
-            vec![
-                Cube::new(vec![lit(0, false)]),
-                Cube::new(vec![lit(0, false)]),
-            ],
-        );
-        sop.remove_subsumed();
-        assert_eq!(sop.len(), 1);
     }
 }

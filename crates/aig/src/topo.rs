@@ -60,19 +60,6 @@ impl Aig {
         mask
     }
 
-    /// Indices of primary outputs whose cone intersects the TFO of
-    /// `roots` — the paper's "TFO support".
-    pub fn output_support(&self, roots: impl IntoIterator<Item = NodeId>) -> Vec<usize> {
-        let fanouts = self.fanouts();
-        let tfo = self.tfo_mask(roots, &fanouts);
-        self.outputs()
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| tfo[o.node().index()])
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Logic level of each node: inputs and the constant are level 0,
     /// an AND is 1 + max(fanin levels).
     pub fn levels(&self) -> Vec<u32> {
@@ -83,18 +70,6 @@ impl Aig {
             }
         }
         levels
-    }
-
-    /// The set of primary inputs (as input indices) in the TFI of
-    /// `roots`.
-    pub fn input_support(&self, roots: impl IntoIterator<Item = NodeId>) -> Vec<usize> {
-        let tfi = self.tfi_mask(roots);
-        self.inputs()
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| tfi[n.index()])
-            .map(|(i, _)| i)
-            .collect()
     }
 }
 
@@ -135,21 +110,6 @@ mod tests {
         assert!(mask[n[4].index()]);
         assert!(!mask[n[0].index()]);
         assert!(!mask[n[2].index()]);
-    }
-
-    #[test]
-    fn output_support_finds_reachable_outputs() {
-        let (g, n) = diamond();
-        assert_eq!(g.output_support([n[0]]), vec![0]);
-        assert_eq!(g.output_support([n[1]]), vec![0, 1]);
-        assert_eq!(g.output_support([n[2]]), vec![1]);
-    }
-
-    #[test]
-    fn input_support_finds_cone_inputs() {
-        let (g, n) = diamond();
-        assert_eq!(g.input_support([n[3]]), vec![0, 1]);
-        assert_eq!(g.input_support([n[4]]), vec![1, 2]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Interchange formats: ASCII AIGER (`aag`) reading/writing and
 //! Graphviz DOT export for debugging.
 
-use crate::aig::{Aig, AigNode};
+use crate::aig::Aig;
 use crate::lit::AigLit;
 use std::error::Error;
 use std::fmt;
@@ -171,54 +171,6 @@ impl Aig {
         }
         Ok(aig)
     }
-
-    /// Renders the AIG as a Graphviz DOT digraph (dashed edges are
-    /// complemented).
-    pub fn to_dot(&self) -> String {
-        let mut out = String::from("digraph aig {\n  rankdir=BT;\n");
-        for id in self.iter_nodes() {
-            match self.node(id) {
-                AigNode::Const0 => {
-                    out.push_str(&format!("  n{} [label=\"0\",shape=box];\n", id.index()))
-                }
-                AigNode::Input { index } => out.push_str(&format!(
-                    "  n{} [label=\"i{}\",shape=triangle];\n",
-                    id.index(),
-                    index
-                )),
-                AigNode::And { f0, f1 } => {
-                    out.push_str(&format!("  n{} [label=\"∧\"];\n", id.index()));
-                    for f in [f0, f1] {
-                        out.push_str(&format!(
-                            "  n{} -> n{}{};\n",
-                            f.node().index(),
-                            id.index(),
-                            if f.is_complement() {
-                                " [style=dashed]"
-                            } else {
-                                ""
-                            }
-                        ));
-                    }
-                }
-            }
-        }
-        for (i, o) in self.outputs().iter().enumerate() {
-            out.push_str(&format!("  o{i} [label=\"o{i}\",shape=invtriangle];\n"));
-            out.push_str(&format!(
-                "  n{} -> o{}{};\n",
-                o.node().index(),
-                i,
-                if o.is_complement() {
-                    " [style=dashed]"
-                } else {
-                    ""
-                }
-            ));
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -273,15 +225,6 @@ mod tests {
     fn parse_constant_outputs() {
         let g = Aig::from_aag("aag 0 0 0 2 0\n0\n1\n").expect("constants");
         assert_eq!(g.eval(&[]), vec![false, true]);
-    }
-
-    #[test]
-    fn dot_mentions_all_outputs() {
-        let g = sample();
-        let dot = g.to_dot();
-        assert!(dot.contains("o0"));
-        assert!(dot.contains("o1"));
-        assert!(dot.contains("digraph"));
     }
 
     #[test]

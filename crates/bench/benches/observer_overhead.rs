@@ -19,22 +19,17 @@ fn main() {
 
         let plain = EcoEngine::new(options.clone());
         let baseline = bench(&format!("observer/none/{}", unit.name), 10, || {
-            plain
-                .solve(&problem.snapshot())
-                .expect("engine run")
-                .total_cost
+            plain.solve(&problem).expect("engine run").total_cost
         });
 
         let null = EcoEngine::new(options.clone()).with_observer(NullObserver);
         let nulled = bench(&format!("observer/null/{}", unit.name), 10, || {
-            null.solve(&problem.snapshot())
-                .expect("engine run")
-                .total_cost
+            null.solve(&problem).expect("engine run").total_cost
         });
 
         let metered = EcoEngine::new(options).with_metrics();
         bench(&format!("observer/metrics/{}", unit.name), 10, || {
-            let out = metered.solve(&problem.snapshot()).expect("engine run");
+            let out = metered.solve(&problem).expect("engine run");
             out.metrics.as_ref().map(|m| m.sat_calls.total).unwrap_or(0)
         });
 

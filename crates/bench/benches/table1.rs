@@ -21,7 +21,7 @@ fn main() {
         ] {
             let engine = EcoEngine::new(options_for(method, Some(500_000)));
             bench(&format!("table1/{name}/{}", unit.name), 10, || {
-                let out = engine.solve(&problem.snapshot()).expect("engine run");
+                let out = engine.solve(&problem).expect("engine run");
                 out.total_cost
             });
         }

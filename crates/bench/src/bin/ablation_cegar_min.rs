@@ -38,7 +38,7 @@ fn main() {
                 .verify(false)
                 .build();
             let engine = EcoEngine::new(options);
-            let out = engine.solve(&problem.snapshot()).expect("structural run");
+            let out = engine.solve(&problem).expect("structural run");
             let cec = check_equivalence(&out.patched_implementation, &problem.specification, None);
             assert_eq!(
                 cec,

@@ -69,7 +69,7 @@ pub fn run_method(
 ) -> MethodResult {
     let engine = EcoEngine::new(options_for(method, per_call_conflicts)).with_metrics();
     let t = std::time::Instant::now();
-    match engine.solve(&problem.snapshot()) {
+    match engine.solve(problem) {
         Ok(out) => MethodResult {
             cost: out.total_cost,
             gates: out.total_gates,

@@ -180,7 +180,7 @@ mod tests {
         let p = EcoProblem::with_unit_weights(im, inj.specification, inj.targets)
             .expect("valid problem");
         let out = EcoEngine::new(EcoOptions::default())
-            .solve(&p.snapshot())
+            .solve(&p)
             .expect("engine");
         assert!(out.verified);
     }

@@ -129,7 +129,7 @@ mod tests {
         )
         .expect("valid problem");
         let outcome = EcoEngine::new(EcoOptions::default())
-            .solve(&file_problem.snapshot())
+            .solve(&file_problem)
             .expect("engine");
         assert!(outcome.verified);
     }

@@ -1,7 +1,7 @@
 //! Content-hash caches for the serving layer: windows, CNF-ready
 //! quantified miters, and solved per-target patches, keyed by the
-//! snapshot hashes of [`crate::snapshot`] and shared across engine
-//! runs (and, through `eco_patchd`, across requests).
+//! content hashes of [`crate::hash`] and shared across engine runs
+//! (and, through `eco_patchd`, across requests).
 //!
 //! The cache is strictly *sound* with respect to byte-identical
 //! results: every key covers the full representation of whatever the

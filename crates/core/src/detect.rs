@@ -236,7 +236,7 @@ mod tests {
         // flow must produce a verified patch.
         let problem = EcoProblem::with_unit_weights(im, sp, found.targets).expect("valid");
         let outcome = EcoEngine::new(EcoOptions::default())
-            .solve(&problem.snapshot())
+            .solve(&problem)
             .expect("run");
         assert!(outcome.verified);
         let _ = injected;
@@ -251,7 +251,7 @@ mod tests {
         assert!(!found.targets.is_empty());
         let problem = EcoProblem::with_unit_weights(im, sp, found.targets).expect("valid");
         let outcome = EcoEngine::new(EcoOptions::default())
-            .solve(&problem.snapshot())
+            .solve(&problem)
             .expect("run");
         assert!(outcome.verified);
     }

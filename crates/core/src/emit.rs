@@ -168,7 +168,7 @@ mod tests {
             EcoProblem::from_netlists(&parsed.netlist, &spec, &names, &WeightTable::new(), 5)
                 .expect("problem");
         let outcome = EcoEngine::new(EcoOptions::default())
-            .solve(&problem.snapshot())
+            .solve(&problem)
             .expect("run");
         assert!(outcome.verified);
 
@@ -222,7 +222,7 @@ mod tests {
             EcoProblem::from_netlists(&parsed.netlist, &spec, &names, &WeightTable::new(), 5)
                 .expect("problem");
         let outcome = EcoEngine::new(EcoOptions::default())
-            .solve(&problem.snapshot())
+            .solve(&problem)
             .expect("run");
         assert!(outcome.verified);
         let conversion = parsed.netlist.to_aig().expect("valid");
@@ -291,7 +291,7 @@ mod tests {
         let problem = EcoProblem::from_netlists(&parsed.netlist, &spec, &names, &weights, 10)
             .expect("problem");
         let outcome = EcoEngine::new(EcoOptions::default())
-            .solve(&problem.snapshot())
+            .solve(&problem)
             .expect("run");
         assert!(outcome.verified);
         let conversion = parsed.netlist.to_aig().expect("valid");

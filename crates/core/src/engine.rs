@@ -10,6 +10,7 @@ use crate::cnf::CnfEncoder;
 use crate::cubes::enumerate_patch_sop_observed;
 use crate::error::EcoError;
 use crate::exact::{sat_prune_support, SatPruneOptions};
+use crate::hash::{cone_hash, hash_aig, hash_bytes, ContentHasher};
 use crate::miter::{EcoMiter, QuantifiedMiter};
 use crate::observe::{
     ClassesCounters, EcoEvent, EcoObserver, LadderRung, MetricsObserver, ObserverHandle, Phase,
@@ -17,7 +18,6 @@ use crate::observe::{
 };
 use crate::problem::EcoProblem;
 use crate::qbf::{check_targets_sufficient_observed, QbfOutcome};
-use crate::snapshot::{cone_hash, hash_aig, hash_bytes, ContentHasher, ProblemSnapshot};
 use crate::structural::structural_patch;
 use crate::support::{support_solver_for, SupportResult, SupportSolver};
 use crate::window::{
@@ -283,6 +283,18 @@ impl TargetDisposition {
     }
 }
 
+/// The one text label of a disposition: `patched`, `degraded`, or
+/// `skipped: <reason>`.
+impl fmt::Display for TargetDisposition {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TargetDisposition::Patched => f.write_str("patched"),
+            TargetDisposition::Degraded => f.write_str("degraded"),
+            TargetDisposition::Skipped { reason } => write!(f, "skipped: {reason}"),
+        }
+    }
+}
+
 /// Per-target patch statistics.
 #[derive(Clone, Debug)]
 pub struct TargetPatchReport {
@@ -382,7 +394,7 @@ pub struct EcoOutcome {
 ///
 /// let problem = EcoProblem::with_unit_weights(im, sp, vec![target])?;
 /// let options = EcoOptions::builder().build();
-/// let outcome = EcoEngine::new(options).solve(&problem.snapshot())?;
+/// let outcome = EcoEngine::new(options).solve(&problem)?;
 /// assert!(outcome.verified);
 /// # Ok::<(), eco_core::EcoError>(())
 /// ```
@@ -475,12 +487,11 @@ impl EcoEngine {
         self
     }
 
-    /// Runs the full flow on the snapshotted problem.
+    /// Runs the full flow on `problem`.
     ///
-    /// The snapshot shares the underlying [`EcoProblem`] by `Arc` (no
-    /// clone per run) and carries precomputed content hashes, which the
-    /// optional [`EcoCache`] keys on. Build one with
-    /// [`EcoProblem::snapshot`] or [`ProblemSnapshot::new`].
+    /// The problem is only borrowed; patch generation works on its own
+    /// copy. Content hashes are computed only when an [`EcoCache`] is
+    /// attached, and only for the keys its layers look up.
     ///
     /// # Errors
     ///
@@ -490,9 +501,8 @@ impl EcoEngine {
     /// - [`EcoError::VerificationFailed`] when the final check finds a
     ///   counterexample (possible only after a timed-out feasibility
     ///   check, mirroring the paper's invalid-patch caveat).
-    pub fn solve(&self, snapshot: &ProblemSnapshot) -> Result<EcoOutcome, EcoError> {
+    pub fn solve(&self, problem: &EcoProblem) -> Result<EcoOutcome, EcoError> {
         let t0 = Instant::now();
-        let problem: &EcoProblem = snapshot.problem();
         let gov = self.governor.as_ref();
         let mut trips = TripLog::default();
         let (obs, metrics_sink) = self.run_observers();
@@ -509,7 +519,7 @@ impl EcoEngine {
         let certificates = in_phase(&obs, Phase::SufficiencyCheck, || {
             self.sufficiency_check(problem, gov, &mut trips, &obs)
         })?;
-        let window = in_phase(&obs, Phase::Windowing, || Ok(self.windowed(snapshot, &obs)))?;
+        let window = in_phase(&obs, Phase::Windowing, || Ok(self.windowed(problem, &obs)))?;
         let generated = in_phase(&obs, Phase::PatchGeneration, || {
             self.generate_patches(
                 problem,
@@ -1060,12 +1070,11 @@ impl EcoEngine {
     /// over the impl-side window outputs — so a hit is exactly the
     /// window a cold computation would produce, and a spec revision
     /// outside those cones still hits.
-    fn windowed(&self, snapshot: &ProblemSnapshot, obs: &ObserverHandle) -> Window {
-        let problem = snapshot.problem();
+    fn windowed(&self, problem: &EcoProblem, obs: &ObserverHandle) -> Window {
         let Some(cache) = &self.cache else {
             return compute_window(problem);
         };
-        let key = window_cache_key(snapshot);
+        let key = window_cache_key(problem);
         match observed_fill(&cache.windows, CacheLayer::Window, key, None, obs, || {
             let window = compute_window(problem);
             (window.clone(), Some(window))
@@ -1813,6 +1822,7 @@ fn observed_fill<V: Clone, R>(
 
 /// Domain-separation tags for the cache-key spaces.
 const TAG_WINDOW: u64 = 0x57_49_4e;
+const TAG_TARGETS: u64 = 0x54_47_54;
 const TAG_MITER: u64 = 0x4d_49_54;
 const TAG_SOLVE: u64 = 0x53_4f_4c;
 const TAG_OPTS: u64 = 0x4f_50_54;
@@ -1822,8 +1832,7 @@ const TAG_OPTS: u64 = 0x4f_50_54;
 /// outputs (the only part of the spec [`compute_window`] reads). The
 /// output set is recomputed here from the implementation alone, which
 /// is cheap relative to the spec-side TFI walk a miss would pay.
-fn window_cache_key(snapshot: &ProblemSnapshot) -> u128 {
-    let problem = snapshot.problem();
+fn window_cache_key(problem: &EcoProblem) -> u128 {
     let fanouts = problem.implementation.fanouts();
     let tfo = problem
         .implementation
@@ -1836,9 +1845,14 @@ fn window_cache_key(snapshot: &ProblemSnapshot) -> u128 {
         .filter(|(_, out)| tfo[out.node().index()])
         .map(|(i, _)| i)
         .collect();
+    let mut targets = ContentHasher::new(TAG_TARGETS);
+    targets.write(problem.targets.len() as u64);
+    for &t in &problem.targets {
+        targets.write(t.index() as u64);
+    }
     let mut h = ContentHasher::new(TAG_WINDOW);
-    h.write(snapshot.hashes().implementation);
-    h.write(snapshot.hashes().targets);
+    h.write(hash_aig(&problem.implementation));
+    h.write(targets.finish());
     h.write(cone_hash(&problem.specification, &outputs));
     h.finish128()
 }
@@ -1983,9 +1997,7 @@ mod tests {
 
     fn run_with(method: SupportMethod, p: &EcoProblem) -> EcoOutcome {
         let options = EcoOptions::builder().method(method).build();
-        EcoEngine::new(options)
-            .solve(&p.snapshot())
-            .expect("engine run")
+        EcoEngine::new(options).solve(p).expect("engine run")
     }
 
     #[test]
@@ -2041,9 +2053,7 @@ mod tests {
         sp.add_output(a);
         sp.add_output(a);
         let p = EcoProblem::with_unit_weights(im, sp, vec![t.node()]).expect("valid");
-        let err = EcoEngine::new(EcoOptions::default())
-            .solve(&p.snapshot())
-            .unwrap_err();
+        let err = EcoEngine::new(EcoOptions::default()).solve(&p).unwrap_err();
         assert!(matches!(err, EcoError::TargetsInsufficient { .. }));
     }
 
@@ -2055,9 +2065,7 @@ mod tests {
             .cegar_min(false)
             .verify(false)
             .build();
-        let out = EcoEngine::new(options)
-            .solve(&p.snapshot())
-            .expect("fallback run");
+        let out = EcoEngine::new(options).solve(&p).expect("fallback run");
         assert_eq!(out.reports[0].kind, PatchKind::Structural);
         // Check equivalence out-of-band (the in-run verify had no budget).
         assert_eq!(
@@ -2074,9 +2082,7 @@ mod tests {
             .cegar_min(true)
             .verify(false)
             .build();
-        let out = EcoEngine::new(options)
-            .solve(&p.snapshot())
-            .expect("fallback run");
+        let out = EcoEngine::new(options).solve(&p).expect("fallback run");
         assert_eq!(out.reports[0].kind, PatchKind::StructuralCegarMin);
         assert_eq!(
             check_equivalence(&out.patched_implementation, &p.specification, None),
@@ -2147,7 +2153,7 @@ mod tests {
             exact_quantification_threshold: 0,
             ..EcoOptions::default()
         };
-        match EcoEngine::new(options).solve(&p.snapshot()) {
+        match EcoEngine::new(options).solve(&p) {
             Ok(out) => assert!(out.verified, "refined quantification must verify"),
             Err(EcoError::TargetsInsufficient { .. }) => {
                 panic!("instance is solvable by construction")

@@ -52,7 +52,7 @@
 //! let options = EcoOptions::builder()
 //!     .method(SupportMethod::MinimizeAssumptions)
 //!     .build();
-//! let outcome = EcoEngine::new(options).solve(&problem.snapshot())?;
+//! let outcome = EcoEngine::new(options).solve(&problem)?;
 //! assert!(outcome.verified);
 //! # Ok::<(), eco_core::EcoError>(())
 //! ```
@@ -77,13 +77,13 @@ mod emit;
 mod engine;
 mod error;
 mod exact;
+mod hash;
 mod interp;
 pub mod json;
 mod miter;
 mod observe;
 mod problem;
 mod qbf;
-mod snapshot;
 mod structural;
 mod support;
 pub mod trace;
@@ -102,6 +102,7 @@ pub use engine::{
 };
 pub use error::{BudgetExhausted, EcoError};
 pub use exact::{sat_prune_support, SatPruneOptions, SatPruneResult};
+pub use hash::ContentHasher;
 pub use interp::{craig_interpolant, interpolation_patch, InterpolantPatch};
 pub use miter::QuantifiedMiter;
 pub use observe::{
@@ -112,7 +113,6 @@ pub use observe::{
 };
 pub use problem::EcoProblem;
 pub use qbf::{check_targets_sufficient, QbfOutcome};
-pub use snapshot::{ContentHasher, ProblemSnapshot, SnapshotHashes};
 pub use support::{
     minimize_assumptions, naive_minimize_assumptions, support_solver_for, SupportResult,
     SupportSolver,

@@ -114,7 +114,7 @@ fn minimized_cost_beats_baseline_on_geomean() {
         }
         let run = |method| {
             EcoEngine::new(EcoOptions::builder().method(method).build())
-                .solve(&p.snapshot())
+                .solve(&p)
                 .expect("engine run")
         };
         let baseline = run(SupportMethod::AnalyzeFinal);
@@ -156,7 +156,7 @@ fn reports_are_consistent() {
             return;
         }
         let out = EcoEngine::new(EcoOptions::default())
-            .solve(&p.snapshot())
+            .solve(&p)
             .expect("engine run");
         assert!(out.verified, "case {case}");
         assert_eq!(out.reports.len(), k, "case {case}");

@@ -12,7 +12,7 @@
 //! - **parsed netlists** (keyed by the hash of the Verilog text),
 //! - **window extractions, CNF builds, and solved targets** (the
 //!   engine-side [`eco_core::EcoCache`] layers, keyed by canonical
-//!   cone hashes from [`eco_core::ProblemSnapshot`]), and
+//!   cone hashes of the problem's AIGs), and
 //! - **whole outcomes** (keyed by the full request fingerprint), so an
 //!   identical re-run performs zero SAT calls and returns the stored,
 //!   byte-identical patched netlist.

@@ -51,7 +51,7 @@ use eco_core::trace::{ChromeTrace, CONTROL_LANE};
 use eco_core::{
     duration_us, netlist_patches, patched_netlist, CacheCounters, CacheLayer, EcoEngine,
     EcoOptions, EcoProblem, FaultPlan, GovernorLimits, Lookup, ResourceGovernor, RunMetrics,
-    SatCallMetrics, SupportMethod, TargetDisposition, TripReason,
+    SatCallMetrics, SupportMethod, TripReason,
 };
 use eco_netlist::WeightTable;
 use std::io::{self, BufRead, BufReader, Write};
@@ -705,7 +705,6 @@ impl Daemon {
         // response's metrics report every run of the request.
         let mut earlier_sat = SatCallMetrics::default();
         let mut earlier_trips = 0u64;
-        let snapshot = problem.snapshot();
         let solving = Instant::now();
         let outcome = loop {
             // Per-request QoS: the time left before the request's own
@@ -733,7 +732,7 @@ impl Daemon {
             if let (Some(t), Some(lane)) = (self.trace.as_ref(), lane) {
                 engine = engine.with_observer(t.observer(lane, Some(req.id.clone())));
             }
-            let outcome = engine.solve(&snapshot).map_err(|e| e.to_string())?;
+            let outcome = engine.solve(&problem).map_err(|e| e.to_string())?;
             // Daemon-side retry: the trip must come from the
             // fair-share pool this daemon imposed — not the caller's
             // own budget, not a deadline, and not the daemon-wide
@@ -766,12 +765,7 @@ impl Daemon {
         let dispositions: Vec<String> = outcome
             .reports
             .iter()
-            .map(|r| match &r.disposition {
-                TargetDisposition::Patched => "patched".to_string(),
-                TargetDisposition::Degraded => "degraded".to_string(),
-                TargetDisposition::Skipped { reason } => format!("skipped: {reason}"),
-                other => format!("{other:?}"),
-            })
+            .map(|r| r.disposition.to_string())
             .collect();
 
         // Prefer name-preserving splices; fall back to the rebuilt
@@ -1703,7 +1697,7 @@ mod tests {
                         entered: entered_tx,
                         release: release_rx,
                     })
-                    .solve(&problem.snapshot())
+                    .solve(&problem)
             });
             entered
                 .recv_timeout(Duration::from_secs(30))

@@ -171,8 +171,6 @@ struct Watcher {
 #[derive(Clone, Debug)]
 pub struct Solver {
     db: ClauseDb,
-    /// Number of live original (problem) clauses.
-    num_original: usize,
     watches: Vec<Vec<Watcher>>,
     /// Literal-indexed values: `vals[l]` is the value of literal `l`.
     vals: Vec<LBool>,
@@ -233,7 +231,6 @@ impl Solver {
     pub fn new() -> Solver {
         Solver {
             db: ClauseDb::new(),
-            num_original: 0,
             watches: Vec::new(),
             vals: Vec::new(),
             polarity: Vec::new(),
@@ -299,11 +296,6 @@ impl Solver {
     /// Number of variables created so far.
     pub fn num_vars(&self) -> usize {
         self.level.len()
-    }
-
-    /// Number of live problem (non-learnt) clauses.
-    pub fn num_clauses(&self) -> usize {
-        self.num_original
     }
 
     /// Accumulated statistics.
@@ -385,12 +377,6 @@ impl Solver {
     pub fn set_budget(&mut self, conflicts: Option<u64>, propagations: Option<u64>) {
         self.conflict_budget = conflicts.map(|c| self.budget_conflicts + c);
         self.propagation_budget = propagations.map(|p| self.budget_propagations + p);
-    }
-
-    /// Removes any budget set by [`Solver::set_budget`].
-    pub fn clear_budget(&mut self) {
-        self.conflict_budget = None;
-        self.propagation_budget = None;
     }
 
     /// Attaches (or with `None` detaches) a cooperative stop hook.
@@ -529,7 +515,6 @@ impl Solver {
             1 => {
                 if self.proof.is_some() {
                     let cref = self.db.alloc(ps, false, 0);
-                    self.num_original += 1;
                     self.tag_clause(cref, tag, ProofChain::default());
                     match self.value_lit(ps[0]) {
                         LBool::True => (true, Some(cref)),
@@ -563,7 +548,6 @@ impl Solver {
             }
             _ => {
                 let cref = self.db.alloc(ps, false, 0);
-                self.num_original += 1;
                 if self.proof.is_some() {
                     self.tag_clause(cref, tag, ProofChain::default());
                 }
@@ -1375,7 +1359,7 @@ mod tests {
         let mut s = Solver::new();
         let v = s.new_var();
         assert!(s.add_clause(&[v.positive(), v.negative()]));
-        assert_eq!(s.num_clauses(), 0);
+        assert!(s.watches.iter().all(Vec::is_empty), "nothing is watched");
         assert_eq!(s.solve(&[]), SolveResult::Sat);
     }
 
@@ -1481,7 +1465,7 @@ mod tests {
         s.set_budget(Some(1), Some(1));
         let r = s.solve(&[]);
         assert_ne!(r, SolveResult::Sat);
-        s.clear_budget();
+        s.set_budget(None, None);
         let r2 = s.solve(&[]);
         // chain forces alternation: v0 != v29 for odd distance... verify solver
         // gives a definitive answer without budget.
@@ -1610,7 +1594,7 @@ mod more_tests {
         // Budget may or may not trip depending on where the solver checks;
         // clearing it must always restore a definitive answer.
         let _ = s.solve(&[]);
-        s.clear_budget();
+        s.set_budget(None, None);
         assert_eq!(s.solve(&[]), SolveResult::Sat);
         assert!(s.model_value(vars[39].positive()).is_true());
     }

@@ -213,16 +213,6 @@ impl From<bool> for LBool {
 }
 
 /// Outcome of a (possibly budget-limited) solver invocation.
-///
-/// # Examples
-///
-/// ```
-/// use eco_sat::SolveResult;
-///
-/// assert!(SolveResult::Sat.is_sat());
-/// assert!(SolveResult::Unsat.is_unsat());
-/// assert!(!SolveResult::Unknown.is_sat());
-/// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum SolveResult {
     /// A satisfying assignment was found; the model is available.
@@ -232,26 +222,6 @@ pub enum SolveResult {
     Unsat,
     /// The budget (conflicts or propagations) was exhausted.
     Unknown,
-}
-
-impl SolveResult {
-    /// Returns `true` for [`SolveResult::Sat`].
-    #[inline]
-    pub fn is_sat(self) -> bool {
-        self == SolveResult::Sat
-    }
-
-    /// Returns `true` for [`SolveResult::Unsat`].
-    #[inline]
-    pub fn is_unsat(self) -> bool {
-        self == SolveResult::Unsat
-    }
-
-    /// Returns `true` for [`SolveResult::Unknown`].
-    #[inline]
-    pub fn is_unknown(self) -> bool {
-        self == SolveResult::Unknown
-    }
 }
 
 #[cfg(test)]
@@ -294,13 +264,5 @@ mod tests {
         assert!(LBool::True.is_true());
         assert!(LBool::False.is_false());
         assert!(LBool::Undef.is_undef());
-    }
-
-    #[test]
-    fn solve_result_predicates() {
-        assert!(SolveResult::Sat.is_sat());
-        assert!(!SolveResult::Sat.is_unsat());
-        assert!(SolveResult::Unsat.is_unsat());
-        assert!(SolveResult::Unknown.is_unknown());
     }
 }

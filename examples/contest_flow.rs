@@ -87,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .method(SupportMethod::SatPrune)
             .build(),
     );
-    let outcome = engine.solve(&problem.snapshot())?;
+    let outcome = engine.solve(&problem)?;
     println!("verified: {}", outcome.verified);
     println!("total patch cost: {}", outcome.total_cost);
     println!("total patch gates: {}", outcome.total_gates);

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Phase 2: compute and verify the patches.
     let problem = EcoProblem::with_unit_weights(implementation, specification, detected.targets)?;
-    let outcome = EcoEngine::new(EcoOptions::default()).solve(&problem.snapshot())?;
+    let outcome = EcoEngine::new(EcoOptions::default()).solve(&problem)?;
     println!("patched and verified: {}", outcome.verified);
     for r in &outcome.reports {
         println!(

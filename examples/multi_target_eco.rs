@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let engine = EcoEngine::new(EcoOptions::builder().method(method).build());
         let t = std::time::Instant::now();
-        let outcome = engine.solve(&problem.snapshot())?;
+        let outcome = engine.solve(&problem)?;
         assert!(
             outcome.verified,
             "every method must produce a verified patch"

@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .method(SupportMethod::MinimizeAssumptions)
             .build(),
     );
-    let outcome = engine.solve(&problem.snapshot())?;
+    let outcome = engine.solve(&problem)?;
 
     println!("ECO solved and verified: {}", outcome.verified);
     for report in &outcome.reports {

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .verify(false) // no budget to verify in-run; we check below
             .build();
         let engine = EcoEngine::new(options);
-        let outcome = engine.solve(&problem.snapshot())?;
+        let outcome = engine.solve(&problem)?;
         // Out-of-band verification with a real budget.
         let cec = check_equivalence(
             &outcome.patched_implementation,

@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .method(SupportMethod::MinimizeAssumptions)
                 .build(),
         );
-        let outcome = engine.solve(&problem.snapshot())?;
+        let outcome = engine.solve(&problem)?;
         assert!(outcome.verified);
         let support: usize = outcome.reports.iter().map(|r| r.support_size).sum();
         println!(

@@ -43,8 +43,7 @@
 use eco_patch::core::trace::{check_span_integrity, render_report, summarize_trace, ChromeTrace};
 use eco_patch::core::{
     detect_targets, netlist_patches, patched_netlist, EcoEngine, EcoError, EcoEvent, EcoObserver,
-    EcoOptions, EcoProblem, GovernorLimits, ResourceGovernor, SupportMethod, TargetDisposition,
-    TripReason,
+    EcoOptions, EcoProblem, GovernorLimits, ResourceGovernor, SupportMethod, TripReason,
 };
 use eco_patch::daemon::journal::{render_journal_report, summarize_journal};
 use eco_patch::netlist::{parse_verilog, WeightTable};
@@ -424,7 +423,7 @@ fn run(args: Args) -> Result<u8, CliError> {
             ..GovernorLimits::default()
         }));
     }
-    let run_result = engine.solve(&problem.snapshot());
+    let run_result = engine.solve(&problem);
     // The trace file is finished even when the run errors, so aborted
     // runs still leave a loadable (if truncated) trace behind.
     if let Some(trace) = trace {
@@ -452,19 +451,14 @@ fn run(args: Args) -> Result<u8, CliError> {
             eprintln!("governor tripped ({trip}); partial (anytime) result");
         }
         for r in &outcome.reports {
-            let disposition = match &r.disposition {
-                TargetDisposition::Patched => "patched".to_string(),
-                TargetDisposition::Degraded => "degraded".to_string(),
-                TargetDisposition::Skipped { reason } => format!("skipped: {reason}"),
-                _ => "?".to_string(),
-            };
             eprintln!(
-                "  target {} ({:?}, {disposition}): support={} cost={} gates={}",
+                "  target {} ({:?}, {}): support={} cost={} gates={}",
                 target_names
                     .get(r.target_index)
                     .map(String::as_str)
                     .unwrap_or("?"),
                 r.kind,
+                r.disposition,
                 r.support_size,
                 r.cost,
                 r.gates

@@ -36,7 +36,7 @@
 //! let y = sp.or(a, b);
 //! sp.add_output(y);
 //! let problem = EcoProblem::with_unit_weights(im, sp, vec![t.node()])?;
-//! let outcome = EcoEngine::new(EcoOptions::default()).solve(&problem.snapshot())?;
+//! let outcome = EcoEngine::new(EcoOptions::default()).solve(&problem)?;
 //! assert!(outcome.verified);
 //! # Ok::<(), eco_patch::core::EcoError>(())
 //! ```

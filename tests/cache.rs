@@ -63,15 +63,15 @@ fn emitted(outcome: &eco_patch::core::EcoOutcome) -> String {
 fn sequential_eco_stream_is_byte_identical_to_cold_cache() {
     let cache = EcoCache::new(64);
     for rev in 0..3 {
-        let snapshot = problem(rev).snapshot();
+        let p = problem(rev);
         let warm = EcoEngine::new(options())
             .with_metrics()
             .with_cache(cache.clone())
-            .solve(&snapshot)
+            .solve(&p)
             .expect("warm run solves");
         let cold = EcoEngine::new(options())
             .with_metrics()
-            .solve(&snapshot)
+            .solve(&p)
             .expect("cold run solves");
 
         assert!(warm.verified && cold.verified, "rev {rev}: both verify");
@@ -112,11 +112,11 @@ fn sequential_eco_stream_is_byte_identical_to_cold_cache() {
     }
 
     // Replaying the last revision verbatim hits every layer.
-    let snapshot = problem(2).snapshot();
+    let p = problem(2);
     let replay = EcoEngine::new(options())
         .with_metrics()
         .with_cache(cache.clone())
-        .solve(&snapshot)
+        .solve(&p)
         .expect("replay solves");
     let counters = replay.metrics.as_ref().expect("with_metrics was set").cache;
     assert_eq!(counters.window_hits, 1, "identical problem: window hits");
@@ -150,12 +150,12 @@ fn weight_sweep_reuses_cnf_builds_across_requests() {
     let first = EcoEngine::new(options())
         .with_metrics()
         .with_cache(cache.clone())
-        .solve(&unit.snapshot())
+        .solve(&unit)
         .expect("solves");
     let second = EcoEngine::new(options())
         .with_metrics()
         .with_cache(cache.clone())
-        .solve(&weighted.snapshot())
+        .solve(&weighted)
         .expect("solves");
     assert!(first.verified && second.verified);
     let counters = second.metrics.as_ref().expect("with_metrics was set").cache;
@@ -174,6 +174,51 @@ fn weight_sweep_reuses_cnf_builds_across_requests() {
 }
 
 #[test]
+fn identical_problems_built_apart_hit_every_layer() {
+    // Three separately built copies of one problem through one cache:
+    // content keys must not depend on which value was hashed. The
+    // second run changes only an option, which enters the solved-target
+    // key but not the window or quantified-miter keys, so it re-solves
+    // on cached windows and CNF builds; the third repeats the first
+    // run's options and is served from the solved-target layer.
+    let cache = EcoCache::new(64);
+    let run = |options: EcoOptions| {
+        EcoEngine::new(options)
+            .with_metrics()
+            .with_cache(cache.clone())
+            .solve(&problem(0))
+            .expect("solves")
+    };
+    let first = run(options());
+    let resolved = run(EcoOptions::builder()
+        .per_call_conflicts(Some(200_000))
+        .build());
+    let replay = run(options());
+    let counters = |outcome: &eco_patch::core::EcoOutcome| {
+        outcome
+            .metrics
+            .as_ref()
+            .expect("with_metrics was set")
+            .cache
+    };
+
+    let c = counters(&resolved);
+    assert_eq!(c.window_hits, 1, "{c:?}");
+    assert_eq!(c.target_misses, 2, "the option is in the solve key: {c:?}");
+    assert!(c.cnf_hits >= 2, "one CNF hit per target at least: {c:?}");
+    assert_eq!(c.cnf_misses, 0, "{c:?}");
+
+    let c = counters(&replay);
+    assert_eq!(c.window_hits, 1, "{c:?}");
+    assert_eq!(c.target_hits, 2, "{c:?}");
+    assert_eq!(c.target_misses, 0, "{c:?}");
+    assert!(replay.reports.iter().all(|r| r.sat_calls == 0));
+
+    assert_eq!(emitted(&first), emitted(&resolved));
+    assert_eq!(emitted(&first), emitted(&replay));
+}
+
+#[test]
 fn tiny_capacity_evicts_without_corrupting_answers() {
     // Capacity 1 per layer: alternating two revisions thrashes every
     // layer, forcing evictions; answers must stay byte-identical to
@@ -181,13 +226,13 @@ fn tiny_capacity_evicts_without_corrupting_answers() {
     let cache = EcoCache::new(1);
     for step in 0..4 {
         let rev = step % 2;
-        let snapshot = problem(rev).snapshot();
+        let p = problem(rev);
         let warm = EcoEngine::new(options())
             .with_cache(cache.clone())
-            .solve(&snapshot)
+            .solve(&p)
             .expect("warm run solves");
         let cold = EcoEngine::new(options())
-            .solve(&snapshot)
+            .solve(&p)
             .expect("cold run solves");
         assert_eq!(
             emitted(&warm),
@@ -210,9 +255,9 @@ fn concurrent_solves_sharing_a_cache_fill_each_layer_once() {
     // for those fills and hits.
     const SOLVERS: usize = 8;
     let cache = EcoCache::new(64);
-    let snapshot = problem(0).snapshot();
+    let p = problem(0);
     let cold = EcoEngine::new(options())
-        .solve(&snapshot)
+        .solve(&p)
         .expect("cold run solves");
     let barrier = std::sync::Barrier::new(SOLVERS);
     let warm: Vec<String> = std::thread::scope(|s| {
@@ -221,7 +266,7 @@ fn concurrent_solves_sharing_a_cache_fill_each_layer_once() {
                 s.spawn(|| {
                     let engine = EcoEngine::new(options()).with_cache(cache.clone());
                     barrier.wait();
-                    emitted(&engine.solve(&snapshot).expect("warm run solves"))
+                    emitted(&engine.solve(&p).expect("warm run solves"))
                 })
             })
             .collect();

@@ -93,7 +93,7 @@ fn digest(outcome: &EcoOutcome) -> u64 {
 fn solve(unit: &UnitSpec, method: SupportMethod) -> EcoOutcome {
     EcoEngine::new(harness_options(method))
         .with_metrics()
-        .solve(&build_unit(unit).snapshot())
+        .solve(&build_unit(unit))
         .unwrap_or_else(|e| panic!("{} {method:?}: {e}", unit.name))
 }
 

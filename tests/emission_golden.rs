@@ -91,7 +91,7 @@ fn emit(unit: &UnitSpec, method: SupportMethod) -> (u64, bool) {
     )
     .expect("problem builds");
     let outcome = EcoEngine::new(harness_options(method))
-        .solve(&problem.snapshot())
+        .solve(&problem)
         .unwrap_or_else(|e| panic!("{} {method:?}: {e}", unit.name));
     let named = netlist_patches(&outcome, &names, &parsed_impl.netlist, &conversion);
     let (patched, spliced) =

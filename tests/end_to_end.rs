@@ -66,7 +66,7 @@ fn contest_flow_fixes_the_alu_slice() {
     let (problem, targets) = problem_from_sources();
     assert_eq!(targets, vec!["s2"]);
     let engine = EcoEngine::new(EcoOptions::default());
-    let outcome = engine.solve(&problem.snapshot()).expect("engine runs");
+    let outcome = engine.solve(&problem).expect("engine runs");
     assert!(outcome.verified);
     // The cheap patch is xor(s1, cin): support cost 2 + 3 = 5, far below
     // rebuilding from the inputs (20 + 20 + 3).
@@ -86,7 +86,7 @@ fn every_method_produces_an_equivalent_netlist() {
         SupportMethod::SatPrune,
     ] {
         let engine = EcoEngine::new(EcoOptions::builder().method(method).build());
-        let outcome = engine.solve(&problem.snapshot()).expect("engine runs");
+        let outcome = engine.solve(&problem).expect("engine runs");
         assert!(outcome.verified, "{method:?}");
         // And the result survives a netlist round trip.
         let patched_netlist = Netlist::from_aig("patched", &outcome.patched_implementation);
@@ -110,7 +110,7 @@ fn method_cost_ordering_holds() {
     let (problem, _) = problem_from_sources();
     let run = |method| {
         EcoEngine::new(EcoOptions::builder().method(method).build())
-            .solve(&problem.snapshot())
+            .solve(&problem)
             .expect("engine runs")
             .total_cost
     };

@@ -84,7 +84,7 @@ fn run_recorded(
     let engine = EcoEngine::new(EcoOptions::default())
         .with_governor(governor)
         .with_observer(recorder.clone());
-    let outcome = engine.solve(&problem.snapshot()).expect("anytime outcome");
+    let outcome = engine.solve(problem).expect("anytime outcome");
     (outcome, recorder.take())
 }
 
@@ -99,7 +99,7 @@ fn fault_on_full_attempt_degrades_to_retry() {
     // check's QBF calls, whose count a fault-free metered run reveals.
     let baseline = EcoEngine::new(EcoOptions::builder().build())
         .with_metrics()
-        .solve(&p.snapshot())
+        .solve(&p)
         .expect("baseline");
     let qbf_calls =
         baseline.metrics.expect("metrics").sat_calls.by_kind[SatCallKind::Qbf.index()].calls;
@@ -201,7 +201,7 @@ fn expired_deadline_returns_anytime_outcome() {
             timeout: Some(Duration::ZERO),
             ..GovernorLimits::default()
         }))
-        .solve(&p.snapshot())
+        .solve(&p)
         .expect("anytime outcome");
     let elapsed = t0.elapsed();
     assert_eq!(outcome.governor_trip, Some(TripReason::Deadline));
@@ -232,7 +232,7 @@ fn exhausted_global_pool_degrades_but_patches() {
             global_conflicts: Some(0),
             ..GovernorLimits::default()
         }))
-        .solve(&p.snapshot())
+        .solve(&p)
         .expect("anytime outcome");
     assert_eq!(outcome.governor_trip, Some(TripReason::GlobalBudget));
     assert_eq!(outcome.reports.len(), 2);
@@ -254,7 +254,7 @@ fn external_governor_cancellation_is_honored() {
     governor.cancel();
     let outcome = EcoEngine::new(EcoOptions::builder().build())
         .with_governor(governor.clone())
-        .solve(&p.snapshot())
+        .solve(&p)
         .expect("anytime outcome");
     assert_eq!(outcome.governor_trip, Some(TripReason::Cancelled));
     assert!(matches!(
@@ -277,7 +277,7 @@ fn no_fallback_mode_reports_deadline_error() {
             timeout: Some(Duration::ZERO),
             ..GovernorLimits::default()
         }))
-        .solve(&p.snapshot())
+        .solve(&p)
         .unwrap_err();
     assert!(
         matches!(err, eco_patch::core::EcoError::DeadlineExceeded { .. }),
@@ -294,7 +294,7 @@ fn seeded_fault_schedule_is_reproducible() {
     let run = |seed: u64| {
         let out = EcoEngine::new(EcoOptions::default())
             .with_governor(faulted(FaultPlan::Seeded { seed, one_in: 3 }))
-            .solve(&p.snapshot())
+            .solve(&p)
             .expect("anytime outcome");
         (
             out.fault_injections,

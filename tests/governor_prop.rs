@@ -104,7 +104,7 @@ fn engine_is_total_under_chaos() {
         // either an anytime outcome covering every target or a typed
         // error that renders.
         let engine = EcoEngine::new(options).with_governor(ResourceGovernor::new(limits));
-        match engine.solve(&problem.snapshot()) {
+        match engine.solve(&problem) {
             Ok(outcome) => {
                 assert_eq!(
                     outcome.reports.len(),
@@ -153,7 +153,7 @@ fn chaos_keeps_trace_span_discipline() {
         let engine = EcoEngine::new(options)
             .with_governor(ResourceGovernor::new(limits))
             .with_observer(trace.observer(trace.open_lane(), None));
-        let result = engine.solve(&problem.snapshot());
+        let result = engine.solve(&problem);
         trace.finish().expect("in-memory trace write");
         let text = buf.text();
         check_span_integrity(&text).unwrap_or_else(|e| {

@@ -93,7 +93,7 @@ fn record_run(
 ) -> (eco_patch::core::EcoOutcome, Vec<EcoEvent>) {
     let recorder = Recorder::default();
     let engine = EcoEngine::new(options).with_observer(recorder.clone());
-    let outcome = engine.solve(&problem.snapshot()).expect("engine run");
+    let outcome = engine.solve(problem).expect("engine run");
     (outcome, recorder.take())
 }
 
@@ -235,9 +235,7 @@ fn attributed_sat_calls_match_reports_on_structural_fallback() {
 #[test]
 fn metrics_observer_reconciles_with_reports() {
     let engine = EcoEngine::new(EcoOptions::builder().build()).with_metrics();
-    let outcome = engine
-        .solve(&multi_target_problem().snapshot())
-        .expect("engine run");
+    let outcome = engine.solve(&multi_target_problem()).expect("engine run");
     let metrics = outcome.metrics.as_ref().expect("with_metrics attached");
     assert_eq!(metrics.num_targets, 2);
     assert!(!metrics.targets.is_empty());

@@ -59,7 +59,7 @@ fn injected_instances_always_solve_and_verify() {
                 .method(SupportMethod::MinimizeAssumptions)
                 .build(),
         )
-        .solve(&problem.snapshot())
+        .solve(&problem)
         .expect("engine solves injected instances");
         assert!(outcome.verified, "case {case}");
         // Cost accounting sanity: the support cost is the sum of reports.
@@ -81,7 +81,7 @@ fn patched_netlists_roundtrip_through_aag() {
             EcoProblem::with_unit_weights(implementation, injected.specification, injected.targets)
                 .expect("valid problem");
         let outcome = EcoEngine::new(EcoOptions::default())
-            .solve(&problem.snapshot())
+            .solve(&problem)
             .expect("engine solves");
         let text = outcome.patched_implementation.to_aag();
         let back = eco_patch::aig::Aig::from_aag(&text).expect("roundtrip");

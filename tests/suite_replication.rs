@@ -18,7 +18,7 @@ fn all_units_solve_and_verify_with_minimize_assumptions() {
                 .build(),
         );
         let outcome = engine
-            .solve(&problem.snapshot())
+            .solve(&problem)
             .unwrap_or_else(|e| panic!("{} failed: {e}", unit.name));
         assert!(outcome.verified, "{} (index {i}) did not verify", unit.name);
         assert_eq!(
@@ -43,7 +43,7 @@ fn single_target_units_solve_with_analyze_final_baseline() {
                 .build(),
         );
         let outcome = engine
-            .solve(&problem.snapshot())
+            .solve(&problem)
             .unwrap_or_else(|e| panic!("{} failed: {e}", unit.name));
         assert!(outcome.verified, "{}", unit.name);
     }
@@ -57,7 +57,7 @@ fn minimize_assumptions_beats_baseline_on_geomean_cost() {
         let problem = build_unit(unit);
         let run = |method| {
             EcoEngine::new(EcoOptions::builder().method(method).build())
-                .solve(&problem.snapshot())
+                .solve(&problem)
                 .map(|o| o.total_cost)
                 .unwrap_or(u64::MAX)
         };
@@ -92,7 +92,7 @@ fn multi_target_units_solve_with_sat_prune() {
                 .build(),
         );
         let outcome = engine
-            .solve(&problem.snapshot())
+            .solve(&problem)
             .unwrap_or_else(|e| panic!("{} failed: {e}", unit.name));
         assert!(outcome.verified, "{}", unit.name);
     }
@@ -110,7 +110,7 @@ fn structural_path_verifies_on_every_unit() {
             .build();
         let engine = EcoEngine::new(options);
         let outcome = engine
-            .solve(&problem.snapshot())
+            .solve(&problem)
             .unwrap_or_else(|e| panic!("{} failed: {e}", unit.name));
         assert_eq!(
             check_equivalence(

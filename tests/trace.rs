@@ -47,7 +47,7 @@ fn traced_run(options: EcoOptions, problem: &EcoProblem) -> (String, RunMetrics,
         .with_metrics()
         .with_observer(counter.clone())
         .with_observer(trace.observer(trace.open_lane(), None));
-    let outcome = engine.solve(&problem.snapshot()).expect("engine run");
+    let outcome = engine.solve(problem).expect("engine run");
     trace.finish().expect("no io error on Vec sink");
     let delivered = *counter.0.lock().expect("no poison");
     (

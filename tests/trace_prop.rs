@@ -86,7 +86,7 @@ fn spans_stay_lifo_under_faults_and_trips() {
         let engine = EcoEngine::new(options)
             .with_governor(ResourceGovernor::new(limits))
             .with_observer(trace.observer(trace.open_lane(), None));
-        let result = engine.solve(&problem.snapshot());
+        let result = engine.solve(&problem);
         trace.finish().expect("no io error on Vec sink");
         let text = buf.text();
 
