@@ -33,7 +33,7 @@ use std::time::Instant;
 pub enum CacheLayer {
     /// Parsed-netlist layer (daemon-side: source text → parsed design).
     Netlist,
-    /// Window-extraction layer (problem → [`Window`]).
+    /// Window-extraction layer (problem → logic window and divisors).
     Window,
     /// CNF-build layer (subproblem → [`QuantifiedMiter`]).
     Cnf,

@@ -11,7 +11,6 @@ use eco_sat::{Lit, Solver, Var};
 #[derive(Clone, Debug)]
 pub(crate) struct CnfEncoder {
     var_of: Vec<Option<Var>>,
-    tag: u8,
     /// Depth-first work stack of [`CnfEncoder::encode_node`], reused
     /// across calls.
     stack: Vec<(NodeId, bool)>,
@@ -20,16 +19,8 @@ pub(crate) struct CnfEncoder {
 impl CnfEncoder {
     /// Creates an encoder for `aig` (no clauses are emitted yet).
     pub fn new(aig: &Aig) -> CnfEncoder {
-        CnfEncoder::with_tag(aig, 0)
-    }
-
-    /// Creates an encoder whose emitted clauses carry a proof-partition
-    /// tag (used with [`eco_sat::Solver::enable_proof`] for Craig
-    /// interpolation).
-    pub fn with_tag(aig: &Aig, tag: u8) -> CnfEncoder {
         CnfEncoder {
             var_of: vec![None; aig.num_nodes()],
-            tag,
             stack: Vec::new(),
         }
     }
@@ -76,7 +67,7 @@ impl CnfEncoder {
             match aig.node(id) {
                 AigNode::Const0 => {
                     let v = solver.new_var();
-                    solver.add_clause_tagged(&[v.negative()], self.tag);
+                    solver.add_clause(&[v.negative()]);
                     self.var_of[id.index()] = Some(v);
                 }
                 AigNode::Input { .. } => {
@@ -92,9 +83,9 @@ impl CnfEncoder {
                             .lit(f1.is_complement());
                         let v = solver.new_var();
                         let o = v.positive();
-                        solver.add_clause_tagged(&[!o, a], self.tag);
-                        solver.add_clause_tagged(&[!o, b], self.tag);
-                        solver.add_clause_tagged(&[o, !a, !b], self.tag);
+                        solver.add_clause(&[!o, a]);
+                        solver.add_clause(&[!o, b]);
+                        solver.add_clause(&[o, !a, !b]);
                         self.var_of[id.index()] = Some(v);
                     } else {
                         stack.push((id, true));

@@ -13,8 +13,7 @@
 //!
 //! - sufficiency check of the target set via CEGAR 2QBF
 //!   ([`check_targets_sufficient`], Sec. 3.2),
-//! - structural pruning to a logic window ([`compute_window`],
-//!   Sec. 3.3),
+//! - structural pruning to a logic window (Sec. 3.3),
 //! - per-target universal quantification with exact expansion or QBF
 //!   certificates ([`QuantifiedMiter`], Secs. 3.1/3.6.2),
 //! - cost-aware support minimization ([`minimize_assumptions`],
@@ -78,7 +77,6 @@ mod engine;
 mod error;
 mod exact;
 mod hash;
-mod interp;
 pub mod json;
 mod miter;
 mod observe;
@@ -103,7 +101,6 @@ pub use engine::{
 pub use error::{BudgetExhausted, EcoError};
 pub use exact::{sat_prune_support, SatPruneOptions, SatPruneResult};
 pub use hash::ContentHasher;
-pub use interp::{craig_interpolant, interpolation_patch, InterpolantPatch};
 pub use miter::QuantifiedMiter;
 pub use observe::{
     duration_us, BudgetMetrics, CacheCounters, ClassesCounters, EcoEvent, EcoObserver, Histogram,
@@ -113,11 +110,7 @@ pub use observe::{
 };
 pub use problem::EcoProblem;
 pub use qbf::{check_targets_sufficient, QbfOutcome};
-pub use support::{
-    minimize_assumptions, naive_minimize_assumptions, support_solver_for, SupportResult,
-    SupportSolver,
-};
-pub use window::{compute_window, Window};
+pub use support::{minimize_assumptions, naive_minimize_assumptions, SupportResult, SupportSolver};
 
 // Resource-governance types, re-exported so engine callers need not
 // depend on `eco_sat` directly.

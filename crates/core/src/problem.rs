@@ -206,6 +206,15 @@ impl EcoProblem {
                     ),
                 });
             }
+            // Name both nets here: `EcoProblem::new` only sees node ids.
+            if let Some(first) = targets.iter().position(|&t| t == lit.node()) {
+                return Err(EcoError::InvalidProblem {
+                    message: format!(
+                        "target nets {:?} and {name:?} are the same signal",
+                        target_nets[first]
+                    ),
+                });
+            }
             targets.push(lit.node());
         }
         // Per-node weights: the weight of a net whose function the node
@@ -368,6 +377,31 @@ mod tests {
         // The merged node takes the cheapest of its three nets.
         let merged = impl_conv.net_lits[im.net("w1").expect("net").index()].node();
         assert_eq!(reused.weight(merged), 3);
+    }
+
+    #[test]
+    fn aliased_target_nets_are_rejected_by_name() {
+        use eco_netlist::parse_verilog;
+        let impl_src = "module top(a, b, y); input a, b; output y; wire c1;
+                        and g1(c1, a, b); buf g2(y, c1); endmodule";
+        let spec_src = "module top(a, b, y); input a, b; output y; wire c1;
+                        or g1(c1, a, b); buf g2(y, c1); endmodule";
+        let im = parse_verilog(impl_src).expect("impl").netlist;
+        let sp = parse_verilog(spec_src).expect("spec").netlist;
+        for (targets, message) in [
+            (
+                ["c1", "y"],
+                r#"target nets "c1" and "y" are the same signal"#,
+            ),
+            (
+                ["c1", "c1"],
+                r#"target nets "c1" and "c1" are the same signal"#,
+            ),
+        ] {
+            let err =
+                EcoProblem::from_netlists(&im, &sp, &targets, &WeightTable::new(), 1).unwrap_err();
+            assert_eq!(err.to_string(), format!("invalid problem: {message}"));
+        }
     }
 
     #[test]

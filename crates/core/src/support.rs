@@ -605,7 +605,7 @@ impl SupportSolver {
 /// Convenience: build a [`SupportSolver`] from a problem, a quantified
 /// miter, and a window divisor list, resolving costs from the problem's
 /// weights.
-pub fn support_solver_for(
+pub(crate) fn support_solver_for(
     problem: &EcoProblem,
     qm: &QuantifiedMiter,
     divisors: &[NodeId],

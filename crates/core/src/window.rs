@@ -6,7 +6,7 @@ use eco_aig::NodeId;
 
 /// The logic window used while solving the ECO problem.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Window {
+pub(crate) struct Window {
     /// Primary-output indices reachable from the targets (window POs).
     pub outputs: Vec<usize>,
     /// Primary-input indices feeding those POs in either netlist
@@ -25,7 +25,7 @@ pub struct Window {
 ///    specification (union),
 /// 3. implementation signals outside the targets' TFO whose support is
 ///    contained in the window PIs.
-pub fn compute_window(problem: &EcoProblem) -> Window {
+pub(crate) fn compute_window(problem: &EcoProblem) -> Window {
     let implementation = &problem.implementation;
     let fanouts = implementation.fanouts();
     let tfo = implementation.tfo_mask(problem.targets.iter().copied(), &fanouts);

@@ -9,27 +9,19 @@
 //!
 //! Deleting a clause tombstones its slot and puts the slot on a free
 //! list; the next allocation recycles it, so references stay dense and
-//! stable across database reductions (proof logs keep pointing at
-//! original clause ids). A deleted clause's literals stay in the flat
-//! vector as waste. After a database reduction, once waste exceeds a
-//! fifth of the vector, the live literals are copied into a fresh
-//! vector in slot order and the spans rewritten. Slots never move, so
-//! no watcher or reason needs fixing.
+//! stable across database reductions. A deleted clause's literals stay
+//! in the flat vector as waste. After a database reduction, once waste
+//! exceeds a fifth of the vector, the live literals are copied into a
+//! fresh vector in slot order and the spans rewritten. Slots never
+//! move, so no watcher or reason needs fixing.
 
 use crate::types::Lit;
 
 /// Stable handle to a clause in the solver's clause arena.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-pub struct ClauseRef(pub(crate) u32);
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct ClauseRef(pub(crate) u32);
 
 impl ClauseRef {
-    /// Creates a reference from a dense arena index (for proof
-    /// traversal; only meaningful for indices below the arena length).
-    #[inline]
-    pub fn from_index(index: usize) -> ClauseRef {
-        ClauseRef(index as u32)
-    }
-
     /// Returns the dense arena index of the clause.
     #[inline]
     pub fn index(self) -> usize {
@@ -180,17 +172,6 @@ impl ClauseDb {
             .map(|(i, _)| ClauseRef(i as u32))
             .collect()
     }
-
-    /// Number of live clauses (learnt and original).
-    pub fn len(&self) -> usize {
-        self.spans.len() - self.free.len()
-    }
-
-    /// Total arena length including tombstones (equals the live count
-    /// in proof mode, which never frees).
-    pub fn arena_len(&self) -> usize {
-        self.spans.len()
-    }
 }
 
 #[cfg(test)]
@@ -210,7 +191,6 @@ mod tests {
         let c = db.alloc(&lits(&[1, -2, 3]), false, 0);
         assert_eq!(db.lits(c), lits(&[1, -2, 3]));
         assert!(!db.meta(c).learnt);
-        assert_eq!(db.len(), 1);
     }
 
     #[test]
@@ -220,7 +200,6 @@ mod tests {
         assert_eq!(db.num_learnt, 1);
         db.free(a);
         assert_eq!(db.num_learnt, 0);
-        assert_eq!(db.len(), 0);
         let b = db.alloc(&lits(&[3, 4]), false, 0);
         assert_eq!(a.0, b.0, "slot should be recycled");
         assert_eq!(db.lits(b), lits(&[3, 4]));

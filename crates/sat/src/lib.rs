@@ -13,9 +13,6 @@
 //!   paper's SAT timeouts and fall back to structural patching.
 //! - **Pseudo-Boolean sums** ([`PbSum`]) via a binary adder network,
 //!   used by the exact `SAT_prune` method to bound patch cost.
-//! - **Resolution-proof logging** ([`Solver::enable_proof`]) so Craig
-//!   interpolants can be computed for the interpolation-vs-cube
-//!   enumeration ablation.
 //! - **Resource governance** ([`ResourceGovernor`]): a shared handle
 //!   carrying a wall-clock deadline, a global conflict/propagation
 //!   pool and a cancellation flag, polled cooperatively from the
@@ -47,9 +44,8 @@ mod pb;
 mod solver;
 mod types;
 
-pub use clause::ClauseRef;
 pub use dimacs::{parse_dimacs, DimacsInstance, ParseDimacsError};
 pub use govern::{FaultPlan, GovernorLimits, ResourceGovernor, SearchControl, TripReason};
 pub use pb::PbSum;
-pub use solver::{ChainStep, ProofChain, Solver, SolverStats};
+pub use solver::{Solver, SolverStats};
 pub use types::{LBool, Lit, SolveResult, Var};

@@ -10,9 +10,7 @@
 //!   and a flat clause arena (`clause.rs`), with binary
 //!   clauses flagged in their watchers, 1-UIP learning with memoized
 //!   clause minimization, VSIDS decisions, phase saving, Luby restarts
-//!   and activity-based learnt-clause reduction,
-//! - optional resolution-proof logging for Craig interpolation
-//!   ([`Solver::enable_proof`]).
+//!   and activity-based learnt-clause reduction.
 
 use crate::clause::{ClauseDb, ClauseRef};
 use crate::govern::SearchControl;
@@ -90,45 +88,6 @@ impl std::fmt::Display for SolverStats {
     }
 }
 
-/// One step of a recorded resolution chain: resolve the running
-/// resolvent with `clause` on pivot variable `pivot`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChainStep {
-    /// The pivot variable of this resolution step.
-    pub pivot: Var,
-    /// The antecedent clause resolved in.
-    pub clause: ClauseRef,
-}
-
-/// Resolution derivation of a learnt clause: the head clause resolved
-/// successively with each [`ChainStep`].
-#[derive(Clone, Debug, Default)]
-pub struct ProofChain {
-    /// First antecedent (the conflicting clause when learning).
-    pub head: Option<ClauseRef>,
-    /// Subsequent resolution steps in order.
-    pub steps: Vec<ChainStep>,
-}
-
-#[derive(Clone, Debug, Default)]
-struct ProofLog {
-    /// `chains[cref]` is the derivation of learnt clause `cref`
-    /// (`None` head for original clauses).
-    chains: Vec<ProofChain>,
-    /// Clause partition tags for interpolation (user-defined meaning).
-    tags: Vec<u8>,
-}
-
-impl ProofLog {
-    fn ensure(&mut self, cref: ClauseRef) {
-        let need = cref.index() + 1;
-        if self.chains.len() < need {
-            self.chains.resize_with(need, ProofChain::default);
-            self.tags.resize(need, 0);
-        }
-    }
-}
-
 /// The `reason` of a decision or an unassigned variable.
 const NO_REASON: u32 = u32::MAX;
 
@@ -200,7 +159,7 @@ pub struct Solver {
     model: Vec<LBool>,
     conflict: Vec<Lit>,
     /// Scratch copy of the clause being added (sorted and simplified in
-    /// place), reused across [`Solver::add_clause_tagged`] calls.
+    /// place), reused across [`Solver::add_clause`] calls.
     intake: Vec<Lit>,
     conflict_budget: Option<u64>,
     propagation_budget: Option<u64>,
@@ -210,9 +169,6 @@ pub struct Solver {
     num_reduces: u64,
     restart_base: u64,
     stats: SolverStats,
-    proof: Option<ProofLog>,
-    final_conflict: Option<ClauseRef>,
-    chain_scratch: ProofChain,
     control: Option<Arc<dyn SearchControl>>,
     control_last_conflicts: u64,
     control_last_propagations: u64,
@@ -263,34 +219,12 @@ impl Solver {
             num_reduces: 0,
             restart_base: 100,
             stats: SolverStats::default(),
-            proof: None,
-            final_conflict: None,
-            chain_scratch: ProofChain::default(),
             control: None,
             control_last_conflicts: 0,
             control_last_propagations: 0,
             control_stop: false,
             timing: false,
         }
-    }
-
-    /// Enables resolution-proof logging for Craig interpolation.
-    ///
-    /// Must be called before any clause is added. In proof mode the
-    /// solver keeps every learnt clause (no database reduction), does not
-    /// simplify added clauses, and records a [`ProofChain`] for each
-    /// learnt clause, so an UNSAT answer at decision level zero carries a
-    /// complete refutation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if clauses have already been added.
-    pub fn enable_proof(&mut self) {
-        assert!(
-            self.db.len() == 0 && self.trail.is_empty(),
-            "proof logging must be enabled on a fresh solver"
-        );
-        self.proof = Some(ProofLog::default());
     }
 
     /// Number of variables created so far.
@@ -431,12 +365,6 @@ impl Solver {
         self.vals[l.index()]
     }
 
-    /// Current assignment of a literal (valid during/after search at
-    /// level zero; use [`Solver::model_value`] for models).
-    pub fn value(&self, l: Lit) -> LBool {
-        self.value_lit(l)
-    }
-
     /// Value of `l` in the most recent model (after a `Sat` answer).
     pub fn model_value(&self, l: Lit) -> LBool {
         self.model.get(l.index()).copied().unwrap_or(LBool::Undef)
@@ -463,13 +391,6 @@ impl Solver {
     /// (i.e. from inside a search callback) or if a literal references a
     /// variable that was never created.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        self.add_clause_tagged(lits, 0).0
-    }
-
-    /// Adds a clause carrying a proof-partition tag (meaningful only in
-    /// proof mode; see [`Solver::enable_proof`]). Returns the ok-flag and
-    /// the allocated clause reference, when one was created.
-    pub fn add_clause_tagged(&mut self, lits: &[Lit], tag: u8) -> (bool, Option<ClauseRef>) {
         assert_eq!(self.decision_level(), 0, "clauses must be added at level 0");
         for l in lits {
             assert!(
@@ -478,145 +399,50 @@ impl Solver {
             );
         }
         if !self.ok {
-            return (false, None);
+            return false;
         }
         let mut ps = std::mem::take(&mut self.intake);
         ps.clear();
         ps.extend_from_slice(lits);
-        let added = self.add_sorted_clause(&mut ps, tag);
+        let ok = self.add_sorted_clause(&mut ps);
         self.intake = ps;
-        added
+        ok
     }
 
-    /// [`Solver::add_clause_tagged`] on the scratch copy `ps`: sorts,
-    /// deduplicates and (outside proof mode) simplifies it in place,
-    /// then stores it.
-    fn add_sorted_clause(&mut self, ps: &mut Vec<Lit>, tag: u8) -> (bool, Option<ClauseRef>) {
+    /// [`Solver::add_clause`] on the scratch copy `ps`: sorts,
+    /// deduplicates and simplifies it in place against the level-0
+    /// assignment, then stores it.
+    fn add_sorted_clause(&mut self, ps: &mut Vec<Lit>) -> bool {
         ps.sort_unstable();
         ps.dedup();
         // Tautology check.
         for w in ps.windows(2) {
             if w[0] == !w[1] {
-                return (true, None);
+                return true;
             }
         }
-        if self.proof.is_none() {
-            // Level-0 simplification (not proof-safe, so skipped there).
-            if ps.iter().any(|&l| self.value_lit(l) == LBool::True) {
-                return (true, None);
-            }
-            ps.retain(|&l| self.value_lit(l) != LBool::False);
+        if ps.iter().any(|&l| self.value_lit(l) == LBool::True) {
+            return true;
         }
+        ps.retain(|&l| self.value_lit(l) != LBool::False);
         match ps.len() {
             0 => {
                 self.ok = false;
-                (false, None)
+                false
             }
             1 => {
-                if self.proof.is_some() {
-                    let cref = self.db.alloc(ps, false, 0);
-                    self.tag_clause(cref, tag, ProofChain::default());
-                    match self.value_lit(ps[0]) {
-                        LBool::True => (true, Some(cref)),
-                        LBool::False => {
-                            // Immediate contradiction with an earlier unit.
-                            self.final_conflict = Some(cref);
-                            self.ok = false;
-                            (false, Some(cref))
-                        }
-                        LBool::Undef => {
-                            self.unchecked_enqueue(ps[0], cref.0);
-                            let confl = self.propagate();
-                            if let Some(c) = confl {
-                                self.final_conflict = Some(c);
-                                self.ok = false;
-                                (false, Some(cref))
-                            } else {
-                                (true, Some(cref))
-                            }
-                        }
-                    }
-                } else {
-                    self.unchecked_enqueue(ps[0], NO_REASON);
-                    if self.propagate().is_some() {
-                        self.ok = false;
-                        (false, None)
-                    } else {
-                        (true, None)
-                    }
+                self.unchecked_enqueue(ps[0], NO_REASON);
+                if self.propagate().is_some() {
+                    self.ok = false;
                 }
+                self.ok
             }
             _ => {
                 let cref = self.db.alloc(ps, false, 0);
-                if self.proof.is_some() {
-                    self.tag_clause(cref, tag, ProofChain::default());
-                }
                 self.attach(cref);
-                (true, Some(cref))
+                true
             }
         }
-    }
-
-    fn tag_clause(&mut self, cref: ClauseRef, tag: u8, chain: ProofChain) {
-        if let Some(p) = self.proof.as_mut() {
-            p.ensure(cref);
-            p.tags[cref.index()] = tag;
-            p.chains[cref.index()] = chain;
-        }
-    }
-
-    /// The proof-partition tag of a clause (0 unless set).
-    pub fn clause_tag(&self, cref: ClauseRef) -> u8 {
-        self.proof
-            .as_ref()
-            .and_then(|p| p.tags.get(cref.index()).copied())
-            .unwrap_or(0)
-    }
-
-    /// The literals of a live clause.
-    pub fn clause_lits(&self, cref: ClauseRef) -> &[Lit] {
-        self.db.lits(cref)
-    }
-
-    /// `true` when the clause was learnt (derived) rather than given.
-    pub fn clause_is_learnt(&self, cref: ClauseRef) -> bool {
-        self.db.meta(cref).learnt
-    }
-
-    /// The recorded derivation of a learnt clause (proof mode only).
-    pub fn proof_chain(&self, cref: ClauseRef) -> Option<&ProofChain> {
-        self.proof.as_ref().map(|p| &p.chains[cref.index()])
-    }
-
-    /// After an `Unsat` answer with no assumptions in proof mode: the
-    /// clause that is conflicting at decision level zero. The refutation
-    /// is this clause resolved against the reasons of its (all false)
-    /// literals, transitively.
-    pub fn final_conflict_clause(&self) -> Option<ClauseRef> {
-        self.final_conflict
-    }
-
-    /// The reason clause that propagated the current value of `v`
-    /// (valid for level-zero inspection after solving in proof mode).
-    pub fn var_reason(&self, v: Var) -> Option<ClauseRef> {
-        let r = self.reason[v.index()];
-        (r != NO_REASON).then_some(ClauseRef(r))
-    }
-
-    /// Total clause-arena length, covering every [`ClauseRef`] ever
-    /// allocated (proof mode never recycles slots, so indices
-    /// `0..proof_arena_len()` enumerate the resolution DAG in
-    /// topological order).
-    pub fn proof_arena_len(&self) -> usize {
-        self.db.arena_len()
-    }
-
-    /// The level-zero prefix of the assignment trail, in propagation
-    /// order. After an UNSAT answer the solver sits at level zero, so
-    /// this is the full set of derived facts backing the refutation.
-    pub fn trail_level0(&self) -> &[Lit] {
-        let end = self.trail_lim.first().copied().unwrap_or(self.trail.len());
-        &self.trail[..end]
     }
 
     /// The watcher tag of a clause: its slot, flagged when binary.
@@ -681,7 +507,6 @@ impl Solver {
     /// arises.
     fn propagate(&mut self) -> Option<ClauseRef> {
         let mut confl = None;
-        let proof = self.proof.is_some();
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -706,18 +531,14 @@ impl Solver {
                     // The blocker is the clause's other literal.
                     let cref = ClauseRef(tag & !BINARY);
                     i += 1;
-                    let conflicting = blocker_value == LBool::False;
-                    if conflicting || proof {
-                        // `analyze` reads a conflicting clause in order,
-                        // and proof chains read every reason: store it
-                        // as `[other, false_lit]`, the order a long
-                        // clause gets below.
+                    if blocker_value == LBool::False {
+                        // `analyze` reads a conflicting clause in order:
+                        // store it as `[other, false_lit]`, the order a
+                        // long clause gets below.
                         let c = self.db.lits_mut(cref);
                         debug_assert!(c.contains(&blocker) && c.contains(&false_lit));
                         c[0] = blocker;
                         c[1] = false_lit;
-                    }
-                    if conflicting {
                         confl = Some(cref);
                         self.qhead = self.trail.len();
                         break;
@@ -817,8 +638,7 @@ impl Solver {
     }
 
     /// Analyzes a conflict; returns the learnt clause (first literal is
-    /// the asserting literal) and the backtrack level. Records the
-    /// resolution chain into `chain_scratch` when proof mode is active.
+    /// the asserting literal) and the backtrack level.
     ///
     /// A reason clause is read skipping its pivot variable rather than
     /// its first literal: `propagate` leaves binary reasons unordered.
@@ -827,9 +647,6 @@ impl Solver {
         let mut path_count = 0u32;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
-        let proof = self.proof.is_some();
-        self.chain_scratch.head = Some(confl);
-        self.chain_scratch.steps.clear();
 
         loop {
             self.cla_bump_activity(confl);
@@ -841,21 +658,12 @@ impl Solver {
                 if Some(v) == pivot {
                     continue;
                 }
-                if self.seen[v.index()] == 0 {
-                    if self.level[v.index()] > 0 {
-                        self.var_bump_activity(v);
-                        self.seen[v.index()] = SEEN_SOURCE;
-                        if self.level[v.index()] as usize >= self.decision_level() {
-                            path_count += 1;
-                        } else {
-                            learnt.push(q);
-                        }
-                    } else if proof {
-                        // Dropping a false level-0 literal is an implicit
-                        // resolution with its unit derivation; keeping it
-                        // in the clause keeps the recorded chain exact.
-                        // The literal is harmless (permanently false).
-                        self.seen[v.index()] = SEEN_SOURCE;
+                if self.seen[v.index()] == 0 && self.level[v.index()] > 0 {
+                    self.var_bump_activity(v);
+                    self.seen[v.index()] = SEEN_SOURCE;
+                    if self.level[v.index()] as usize >= self.decision_level() {
+                        path_count += 1;
+                    } else {
                         learnt.push(q);
                     }
                 }
@@ -877,35 +685,26 @@ impl Solver {
             let reason = self.reason[pl.var().index()];
             debug_assert_ne!(reason, NO_REASON, "non-decision must have a reason");
             confl = ClauseRef(reason);
-            if proof {
-                self.chain_scratch.steps.push(ChainStep {
-                    pivot: pl.var(),
-                    clause: confl,
-                });
-            }
         }
         learnt[0] = !p.expect("asserting literal exists");
 
-        // Deep conflict clause minimization, MiniSat-style. Skipped in
-        // proof mode to keep resolution chains exact.
+        // Deep conflict clause minimization, MiniSat-style.
         self.analyze_toclear.clear();
         self.analyze_toclear.extend_from_slice(&learnt);
-        if !proof {
-            let abstract_levels: u32 = learnt[1..]
-                .iter()
-                .fold(0, |acc, l| acc | self.abstract_level(l.var()));
-            let mut j = 1;
-            for i in 1..learnt.len() {
-                let l = learnt[i];
-                let keep = self.reason[l.var().index()] == NO_REASON
-                    || !self.lit_redundant(l, abstract_levels);
-                if keep {
-                    learnt[j] = l;
-                    j += 1;
-                }
+        let abstract_levels: u32 = learnt[1..]
+            .iter()
+            .fold(0, |acc, l| acc | self.abstract_level(l.var()));
+        let mut j = 1;
+        for i in 1..learnt.len() {
+            let l = learnt[i];
+            let keep = self.reason[l.var().index()] == NO_REASON
+                || !self.lit_redundant(l, abstract_levels);
+            if keep {
+                learnt[j] = l;
+                j += 1;
             }
-            learnt.truncate(j);
         }
+        learnt.truncate(j);
         for i in 0..self.analyze_toclear.len() {
             self.seen[self.analyze_toclear[i].var().index()] = 0;
         }
@@ -1062,9 +861,6 @@ impl Solver {
     }
 
     fn reduce_db(&mut self) {
-        if self.proof.is_some() {
-            return; // keep everything for the refutation
-        }
         let mut refs = self.db.learnt_refs();
         // Sort so the clauses to remove come first: high LBD, low activity.
         refs.sort_by(|&a, &b| {
@@ -1119,7 +915,6 @@ impl Solver {
                 conflicts_here += 1;
                 if self.decision_level() == 0 {
                     self.ok = false;
-                    self.final_conflict = Some(confl);
                     self.conflict.clear();
                     return SolveResult::Unsat;
                 }
@@ -1129,36 +924,12 @@ impl Solver {
                 self.cancel_until(bt_level);
                 self.stats.learned_clauses += 1;
                 if learnt.len() == 1 {
-                    if self.proof.is_some() {
-                        let chain = std::mem::take(&mut self.chain_scratch);
-                        let cref = self.db.alloc_unit_learnt(learnt[0]);
-                        self.tag_clause(cref, 0, chain);
-                        if self.decision_level() == 0 && self.value_lit(learnt[0]).is_undef() {
-                            self.unchecked_enqueue(learnt[0], cref.0);
-                        } else if self.decision_level() == 0 {
-                            // Already assigned: either satisfied (fine) or
-                            // conflicting (unsat).
-                            if self.value_lit(learnt[0]).is_false() {
-                                self.ok = false;
-                                self.final_conflict = Some(cref);
-                                self.conflict.clear();
-                                return SolveResult::Unsat;
-                            }
-                        } else {
-                            self.unchecked_enqueue(learnt[0], cref.0);
-                        }
-                    } else {
-                        debug_assert_eq!(self.decision_level(), 0);
-                        self.unchecked_enqueue(learnt[0], NO_REASON);
-                    }
+                    debug_assert_eq!(self.decision_level(), 0);
+                    self.unchecked_enqueue(learnt[0], NO_REASON);
                 } else {
                     let lbd = self.compute_lbd(&learnt);
                     let first = learnt[0];
                     let cref = self.db.alloc(&learnt, true, lbd);
-                    if self.proof.is_some() {
-                        let chain = std::mem::take(&mut self.chain_scratch);
-                        self.tag_clause(cref, 0, chain);
-                    }
                     self.attach(cref);
                     self.cla_bump_activity(cref);
                     self.unchecked_enqueue(first, cref.0);
@@ -1185,7 +956,7 @@ impl Solver {
                     return SolveResult::Unknown;
                 }
                 // Glucose-style periodic reduction keyed on total conflicts.
-                if self.proof.is_none() && self.stats.conflicts >= self.next_reduce {
+                if self.stats.conflicts >= self.next_reduce {
                     self.num_reduces += 1;
                     self.next_reduce = self.stats.conflicts + 10_000 + 2_000 * self.num_reduces;
                     self.reduce_db();
@@ -1291,14 +1062,6 @@ impl Solver {
                 }
             }
         }
-    }
-}
-
-impl ClauseDb {
-    /// Allocates a learnt *unit* clause; only used in proof mode where
-    /// units must be first-class proof objects.
-    fn alloc_unit_learnt(&mut self, l: Lit) -> ClauseRef {
-        self.alloc(&[l], true, 1)
     }
 }
 
@@ -1523,25 +1286,6 @@ mod tests {
         s.solve(&[]);
         assert!(s.stats().solves == 1);
         assert!(s.stats().propagations > 0 || s.stats().decisions > 0);
-    }
-
-    #[test]
-    fn proof_mode_records_refutation() {
-        let mut s = Solver::new();
-        s.enable_proof();
-        let v = nvars(&mut s, 2);
-        let (a, b) = (v[0], v[1]);
-        s.add_clause_tagged(&[a.positive(), b.positive()], 1);
-        s.add_clause_tagged(&[a.positive(), b.negative()], 1);
-        s.add_clause_tagged(&[a.negative(), b.positive()], 2);
-        s.add_clause_tagged(&[a.negative(), b.negative()], 2);
-        assert_eq!(s.solve(&[]), SolveResult::Unsat);
-        let confl = s.final_conflict_clause().expect("conflict clause recorded");
-        // Every literal of the final conflict is false at level 0 and has a
-        // reason (or is a unit original clause).
-        for &l in s.clause_lits(confl) {
-            assert!(s.value(l).is_false());
-        }
     }
 
     #[test]

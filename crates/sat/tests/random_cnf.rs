@@ -1,5 +1,6 @@
 //! Randomized differential testing of the CDCL solver against a
-//! brute-force evaluator on small CNFs, plus assumption-semantics
+//! brute-force evaluator on small CNFs (also with clauses added between
+//! solves), plus assumption-semantics
 //! properties on random 3-SAT at the threshold (40–80 variables) and
 //! on a solver driven past its first learnt-clause reduction.
 
@@ -116,6 +117,64 @@ fn assumptions_match_brute_force() {
         // The solver must remain reusable after assumption solving.
         let expect_free = brute_force_sat(num_vars, &cnf, &[]);
         assert_eq!(s.solve(&[]) == SolveResult::Sat, expect_free, "case {case}");
+    });
+}
+
+#[test]
+fn clauses_added_between_solves_match_brute_force() {
+    // The engine's CEGAR loops add blocking clauses between solves. Each
+    // batch here mixes units, repeated literals, and literals on
+    // variables an earlier unit fixed at level 0 (either polarity, so
+    // the clause is either satisfied or loses that literal on intake).
+    cases(256, |case, rng| {
+        let (num_vars, mut cnf) = random_cnf(rng);
+        let mut s = build_solver(num_vars, &cnf);
+        let mut units: Vec<i32> = Vec::new();
+        for round in 0..6 {
+            for _ in 0..rng.range(1, 4) {
+                let mut clause = random_clause(rng, num_vars as i32);
+                match rng.below(4) {
+                    0 => {
+                        clause.truncate(1);
+                        units.push(clause[0]);
+                    }
+                    1 => clause.push(clause[0]),
+                    2 if !units.is_empty() => {
+                        let u = units[rng.index(units.len())];
+                        clause.push(if rng.bool() { u } else { -u });
+                    }
+                    _ => {}
+                }
+                let lits: Vec<Lit> = clause.iter().map(|&r| to_lit(r)).collect();
+                cnf.push(clause);
+                if !s.add_clause(&lits) {
+                    assert!(
+                        !brute_force_sat(num_vars, &cnf, &[]),
+                        "case {case}.{round}: intake refuted a satisfiable {cnf:?}"
+                    );
+                }
+            }
+            let ctx = format!("case {case}.{round}: {cnf:?}");
+            let got = s.solve(&[]);
+            assert_eq!(
+                got == SolveResult::Sat,
+                brute_force_sat(num_vars, &cnf, &[]),
+                "{ctx}"
+            );
+            check_answer(&mut s, &cnf, to_lit, &[], got, &ctx);
+            let fixed: Vec<(usize, bool)> = (0..num_vars.min(2)).map(|v| (v, rng.bool())).collect();
+            let assumptions: Vec<Lit> = fixed
+                .iter()
+                .map(|&(v, val)| Var::from_index(v).lit(!val))
+                .collect();
+            let got = s.solve(&assumptions);
+            assert_eq!(
+                got == SolveResult::Sat,
+                brute_force_sat(num_vars, &cnf, &fixed),
+                "{ctx} under {fixed:?}"
+            );
+            check_answer(&mut s, &cnf, to_lit, &assumptions, got, &ctx);
+        }
     });
 }
 

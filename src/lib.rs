@@ -8,7 +8,7 @@
 //! This crate re-exports the workspace members:
 //!
 //! - [`sat`] — CDCL SAT solver with assumptions, `analyze_final`,
-//!   pseudo-Boolean sums, and proof logging,
+//!   budgets, and pseudo-Boolean sums,
 //! - [`aig`] — And-Inverter Graphs, simulation, cubes/SOPs, factoring,
 //! - [`netlist`] — contest-style Verilog netlists and weight files,
 //! - [`graph`] — max-flow / node-capacitated min-cut,
