@@ -101,7 +101,7 @@ pub(crate) fn check_outputs_equivalence_observed(
     let mut solver = Solver::new();
     solver.set_search_control(governor.map(ResourceGovernor::control));
     if let Some(budget) = conflict_budget {
-        solver.set_budget(Some(budget), None);
+        solver.set_budget(Some(budget));
     }
     let mut enc = CnfEncoder::new(&miter);
     let out_lit = enc.lit(&miter, &mut solver, any_diff);

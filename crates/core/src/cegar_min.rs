@@ -171,7 +171,7 @@ pub(crate) fn cegar_min_observed(
                     return Some(false);
                 }
                 if let Some(c) = per_call_conflicts {
-                    solver.set_budget(Some(c), None);
+                    solver.set_budget(Some(c));
                 }
                 let before = obs.snapshot(solver);
                 let result = solver.solve(&[x, y]);

@@ -104,7 +104,7 @@ pub(crate) fn enumerate_patch_sop_observed(
             return Err(EcoError::budget_exhausted("cube enumeration"));
         }
         if let Some(c) = per_call_conflicts {
-            solver.set_budget(Some(c), None);
+            solver.set_budget(Some(c));
         }
         *calls += 1;
         let before = obs.snapshot(&mut solver);
@@ -134,7 +134,7 @@ pub(crate) fn enumerate_patch_sop_observed(
                     .collect();
                 // The full minterm must be disjoint from the offset.
                 if let Some(c) = per_call_conflicts {
-                    solver.set_budget(Some(c), None);
+                    solver.set_budget(Some(c));
                 }
                 *calls += 1;
                 let mut check = offset_base.clone();
@@ -158,7 +158,7 @@ pub(crate) fn enumerate_patch_sop_observed(
                 // Expand to a prime cube: minimal literal subset still
                 // avoiding the offset.
                 if let Some(c) = per_call_conflicts {
-                    solver.set_budget(Some(c.saturating_mul(32)), None);
+                    solver.set_budget(Some(c.saturating_mul(32)));
                 }
                 let kept = minimize_assumptions_observed(
                     &mut solver,

@@ -1382,7 +1382,7 @@ impl EcoEngine {
             assumptions.push(if n0_value { n_lits[pos] } else { !n_lits[pos] });
             assumptions.push(!out);
             if let Some(c) = opts.per_call_conflicts {
-                solver.set_budget(Some(c), None);
+                solver.set_budget(Some(c));
             }
             *spent += 1;
             let before = obs.snapshot(&mut solver);

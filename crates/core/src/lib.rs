@@ -105,8 +105,7 @@ pub use miter::QuantifiedMiter;
 pub use observe::{
     duration_us, BudgetMetrics, CacheCounters, ClassesCounters, EcoEvent, EcoObserver, Histogram,
     KindMetrics, LadderRung, MetricsObserver, NullObserver, Phase, PhaseMetrics, RunMetrics,
-    SatCallKind, SatCallMetrics, ServingCounters, SupportStep, SweepCounters, TargetMetrics,
-    HISTOGRAM_BUCKETS,
+    SatCallKind, SatCallMetrics, SupportStep, SweepCounters, TargetMetrics, HISTOGRAM_BUCKETS,
 };
 pub use problem::EcoProblem;
 pub use qbf::{check_targets_sufficient, QbfOutcome};

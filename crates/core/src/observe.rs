@@ -553,27 +553,6 @@ pub struct SatCallMetrics {
     pub latency_histogram: Histogram,
 }
 
-impl SatCallMetrics {
-    /// Adds every call of `other`, e.g. an earlier run for the same
-    /// request.
-    pub fn merge(&mut self, other: &SatCallMetrics) {
-        self.total += other.total;
-        self.conflicts += other.conflicts;
-        self.decisions += other.decisions;
-        self.propagations += other.propagations;
-        self.time += other.time;
-        for (kind, o) in self.by_kind.iter_mut().zip(&other.by_kind) {
-            kind.calls += o.calls;
-            kind.conflicts += o.conflicts;
-            kind.time += o.time;
-            kind.conflict_histogram.merge(&o.conflict_histogram);
-            kind.latency_histogram.merge(&o.latency_histogram);
-        }
-        self.conflict_histogram.merge(&other.conflict_histogram);
-        self.latency_histogram.merge(&other.latency_histogram);
-    }
-}
-
 /// How much of the per-call conflict budget the run actually used.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BudgetMetrics {
@@ -635,15 +614,6 @@ pub struct ClassesCounters {
     pub refinement_rounds: u64,
     /// Carried/cached witness patterns accepted on replay.
     pub witness_replays: u64,
-}
-
-/// Per-request serving-layer counters, filled in by `eco_patchd` when
-/// it serializes per-request metrics. Zero for runs that never crossed
-/// a serving layer.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServingCounters {
-    /// Daemon-side retries after a fair-share budget trip.
-    pub retried: u64,
 }
 
 impl CacheCounters {
@@ -734,9 +704,6 @@ pub struct RunMetrics {
     /// Cache hit/miss counters ([`EcoEvent::CacheQuery`]); all zero
     /// when no cache is attached.
     pub cache: CacheCounters,
-    /// Serving-layer counters; zero for runs that never crossed a
-    /// serving layer.
-    pub serving: ServingCounters,
     /// Witness replays of the `SAT_prune` class layer.
     pub sweep: SweepCounters,
     /// Inherited answers of the `SAT_prune` class layer.
@@ -762,7 +729,7 @@ fn push_json_string(out: &mut String, text: &str) {
 
 impl RunMetrics {
     /// Serializes to the stable JSON schema documented in
-    /// `EXPERIMENTS.md` (schema_version 11, whose histogram arrays
+    /// `EXPERIMENTS.md` (schema_version 12, whose histogram arrays
     /// carry the [`HISTOGRAM_BUCKETS`] buckets of [`Histogram`]). Key order is fixed; durations
     /// are integer microseconds; fractions carry six decimal places.
     pub fn to_json(&self) -> String {
@@ -771,7 +738,7 @@ impl RunMetrics {
             None => "null".to_string(),
         };
         let mut s = String::new();
-        s.push_str("{\"schema_version\":11");
+        s.push_str("{\"schema_version\":12");
         match &self.request_id {
             Some(id) => {
                 s.push_str(",\"request_id\":");
@@ -884,14 +851,10 @@ impl RunMetrics {
         ));
         let c = &self.classes;
         s.push_str(&format!(
-            ",\"serving\":{{\"retried\":{}}},\"sweep\":{{\"oracle_hits\":{}}},\
+            ",\"sweep\":{{\"oracle_hits\":{}}},\
              \"classes\":{{\"inherited_answers\":{},\"refinement_rounds\":{},\
              \"witness_replays\":{}}}",
-            self.serving.retried,
-            self.sweep.oracle_hits,
-            c.inherited_answers,
-            c.refinement_rounds,
-            c.witness_replays
+            self.sweep.oracle_hits, c.inherited_answers, c.refinement_rounds, c.witness_replays
         ));
         s.push('}');
         s
@@ -1070,27 +1033,6 @@ mod tests {
     }
 
     #[test]
-    fn sat_call_merge_adds_totals_kinds_and_histograms() {
-        let mut run = SatCallMetrics {
-            total: 2,
-            conflicts: 7,
-            ..SatCallMetrics::default()
-        };
-        run.by_kind[SatCallKind::Support.index()].calls = 2;
-        run.by_kind[SatCallKind::Support.index()]
-            .conflict_histogram
-            .record(7);
-        run.conflict_histogram.record(7);
-        let mut merged = run.clone();
-        merged.merge(&run);
-        assert_eq!((merged.total, merged.conflicts), (4, 14));
-        let support = &merged.by_kind[SatCallKind::Support.index()];
-        assert_eq!(support.calls, 4);
-        assert_eq!(support.conflict_histogram.count(), 2);
-        assert_eq!(merged.conflict_histogram.sum(), 14);
-    }
-
-    #[test]
     fn histogram_buckets_and_totals_accumulate() {
         let mut h = Histogram::default();
         h.record(1); // bucket 0 (<= 1)
@@ -1197,11 +1139,11 @@ mod tests {
             ..RunMetrics::default()
         };
         let json = m.to_json();
-        assert!(json.starts_with("{\"schema_version\":11"));
+        assert!(json.starts_with("{\"schema_version\":12"));
         assert!(json.contains("\"request_id\":null"));
         assert!(json.contains("\"cache\":{\"netlist_hits\":0"));
         assert!(json.contains(
-            "\"serving\":{\"retried\":0},\"sweep\":{\"oracle_hits\":0},\
+            "\"sweep\":{\"oracle_hits\":0},\
              \"classes\":{\"inherited_answers\":0,\"refinement_rounds\":0,\
              \"witness_replays\":0}"
         ));

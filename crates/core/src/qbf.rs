@@ -129,7 +129,7 @@ pub(crate) fn check_targets_sufficient_observed(
 
     for _ in 0..max_iterations {
         if let Some(c) = per_call_conflicts {
-            solver_a.set_budget(Some(c), None);
+            solver_a.set_budget(Some(c));
         }
         sat_calls += 1;
         let before = obs.snapshot(&mut solver_a);
@@ -169,7 +169,7 @@ pub(crate) fn check_targets_sufficient_observed(
                     .collect();
                 assumptions.push(!out_b);
                 if let Some(c) = per_call_conflicts {
-                    solver_b.set_budget(Some(c), None);
+                    solver_b.set_budget(Some(c));
                 }
                 sat_calls += 1;
                 let before = obs.snapshot(&mut solver_b);

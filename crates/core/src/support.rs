@@ -381,7 +381,7 @@ impl SupportSolver {
     fn solve(&mut self, assumptions: &[Lit]) -> Result<bool, EcoError> {
         self.sat_calls += 1;
         if let Some(c) = self.per_call_conflicts {
-            self.solver.set_budget(Some(c), None);
+            self.solver.set_budget(Some(c));
         }
         let before = self.obs.snapshot(&mut self.solver);
         let result = self.solver.solve(assumptions);
@@ -515,7 +515,7 @@ impl SupportSolver {
         if let Some(c) = self.per_call_conflicts {
             // One shared budget across the whole minimization keeps the
             // emulation of the paper's timeout behaviour simple.
-            self.solver.set_budget(Some(c.saturating_mul(64)), None);
+            self.solver.set_budget(Some(c.saturating_mul(64)));
         }
         let lit_index: std::collections::HashMap<Lit, usize> =
             self.aux.iter().enumerate().map(|(i, &l)| (l, i)).collect();

@@ -754,8 +754,9 @@ pub fn render_report(summary: &TraceSummary) -> String {
 /// Verifies the span discipline of a Chrome trace document: on each
 /// lane, every `run/phase/target started` record must be closed by the
 /// matching `finished` record in LIFO order. A lane may hold several
-/// runs back to back (a retried request), so after `run_finished` the
-/// only record allowed on that lane is a new `run_started`.
+/// engine runs back to back (observers handed the same lane), so after
+/// `run_finished` the only record allowed on that lane is a new
+/// `run_started`.
 ///
 /// Lanes whose run was aborted (no `run_finished`) pass as long as the
 /// records seen so far nest correctly.
@@ -972,7 +973,7 @@ mod tests {
             }
             b.on_event(&events[events.len() - 1]);
             trace.end(lane_a, "daemon", trace.ts_us());
-            // A retried request re-runs the engine on the same lane.
+            // A second engine run on the same lane.
             let mut again = trace.observer(lane_b, Some("b".to_string()));
             for event in &events {
                 again.on_event(event);

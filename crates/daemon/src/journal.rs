@@ -1,7 +1,7 @@
 //! The structured event journal of `eco_patchd` and its offline
 //! analysis.
 //!
-//! [`Journal`] records every admit / shed / expire / retry / panic /
+//! [`Journal`] records every admit / shed / expire / panic /
 //! poison / eviction / drain transition as one JSON object per line,
 //! stamped with a monotonic `ts_us` (microseconds since daemon start)
 //! and a strictly increasing `seq`. Sinks are leveled: the daemon
@@ -318,8 +318,6 @@ pub struct JournalSummary {
     pub panicked: u64,
     /// `poison_hit` events (known-poison fingerprints refused).
     pub poison_hits: u64,
-    /// `retry` events (fair-share escalations).
-    pub retried: u64,
     /// `drain_refused` events (requests refused while draining).
     pub drain_refused: u64,
     /// `parse_error` events (unparseable request lines).
@@ -382,7 +380,6 @@ pub fn summarize_journal(jsonl: &str) -> Result<JournalSummary, String> {
             "expired" => summary.expired += 1,
             "panic" => summary.panicked += 1,
             "poison_hit" => summary.poison_hits += 1,
-            "retry" => summary.retried += 1,
             "drain_refused" => summary.drain_refused += 1,
             "parse_error" => summary.parse_errors += 1,
             "request_done" => {
@@ -441,14 +438,13 @@ pub fn render_journal_report(summary: &JournalSummary) -> String {
     let _ = writeln!(out, "journal: {} events", summary.events);
     let _ = writeln!(
         out,
-        "serving: admitted={} shed={} expired={} panicked={} poison_hits={} retried={} \
+        "serving: admitted={} shed={} expired={} panicked={} poison_hits={} \
          drain_refused={} parse_errors={}",
         summary.admitted,
         summary.shed,
         summary.expired,
         summary.panicked,
         summary.poison_hits,
-        summary.retried,
         summary.drain_refused,
         summary.parse_errors
     );
@@ -636,7 +632,6 @@ mod tests {
             journal_line(1, "admit", "\"request_id\":\"a\""),
             journal_line(2, "shed", "\"request_id\":\"b\",\"retry_after_ms\":300"),
             journal_line(3, "expired", "\"request_id\":\"c\",\"queued_ms\":5"),
-            journal_line(4, "retry", "\"request_id\":\"a\",\"escalated_pool\":400"),
             journal_line(5, "panic", "\"request_id\":\"d\",\"error\":\"boom\""),
             journal_line(6, "parse_error", "\"error\":\"bad line\""),
             journal_line(7, "drain_refused", "\"request_id\":\"e\""),
@@ -662,12 +657,11 @@ mod tests {
             "\"request_id\":\"d\",\"cmd\":\"eco\",\"status\":\"panic\",\"total_us\":7",
         ));
         let summary = summarize_journal(&lines.join("\n")).expect("journal parses");
-        assert_eq!(summary.events, 8 + 101);
+        assert_eq!(summary.events, 7 + 101);
         assert_eq!(summary.admitted, 1);
         assert_eq!(summary.shed, 1);
         assert_eq!(summary.expired, 1);
         assert_eq!(summary.panicked, 1);
-        assert_eq!(summary.retried, 1);
         assert_eq!(summary.parse_errors, 1);
         assert_eq!(summary.drain_refused, 1);
         assert_eq!(

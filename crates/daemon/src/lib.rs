@@ -34,12 +34,10 @@
 //! {netlist, window, target → CNF}, so they cannot deadlock. The full
 //! contract is on [`eco_core::CacheTable`].
 //!
-//! Per-request quality of service rides on the governor chain: the
-//! daemon holds one root [`eco_core::ResourceGovernor`] with the
-//! process-wide pools, and each request runs under a
-//! [`eco_core::ResourceGovernor::child_with_limits`] governor carrying
-//! its own deadline (counted from when the daemon starts answering it)
-//! and fair-share conflict pool. A request that trips its own limits
+//! Each request runs under one [`eco_core::ResourceGovernor`] built
+//! from its own limits: its deadline (counted from when the daemon
+//! starts answering it) and its `global_conflicts` pool. The daemon
+//! adds no limit of its own, so a request that trips its limits
 //! degrades alone; the rest of the stream is unharmed.
 //!
 //! The daemon is also built to *stay up*: every request's solve path

@@ -38,8 +38,7 @@ pub struct RequestOptions {
     pub method: Option<String>,
     /// Per-SAT-call conflict budget.
     pub budget: Option<u64>,
-    /// Fair-share conflict pool for this request (drawn alongside the
-    /// daemon-wide pool through the governor chain).
+    /// Conflict pool shared by every SAT call of this request.
     pub global_conflicts: Option<u64>,
     /// Per-request wall-clock deadline in milliseconds.
     pub deadline_ms: Option<u64>,

@@ -23,17 +23,17 @@
 //!   new requests with `"status":"overloaded"` and a `retry_after_ms`
 //!   hint; a request whose own `deadline_ms` expires while queued is
 //!   rejected with `"status":"expired"` before any solver work.
-//! - **Retry with backoff** — a request that tripped the daemon's
-//!   fair-share conflict pool (not its own deadline or an explicit
-//!   caller budget) is re-run once with an escalated budget before the
-//!   degraded answer is returned.
+//! - **Per-request limits** — each request solves once under one
+//!   governor built from its own `deadline_ms` and `global_conflicts`;
+//!   a trip degrades that request's answer (which is then never
+//!   cached) and touches no other request.
 //! - **Graceful drain** — the `drain` command stops admission
 //!   (subsequent requests answer `"status":"draining"`), lets
 //!   in-flight work finish, and exits cleanly once the stream closes.
 //!   End-of-stream without `drain` behaves the same way: accepted work
 //!   always drains before exit.
 //! - **Health** — the `health` command reports queue depth, in-flight
-//!   count, uptime, poison-pill count, shed/expired/retried/panicked
+//!   count, uptime, poison-pill count, shed/expired/panicked
 //!   counters, and per-layer cache statistics, and is answered by the
 //!   connection's reader thread so it works even while every worker
 //!   is busy.
@@ -51,7 +51,7 @@ use eco_core::trace::{ChromeTrace, CONTROL_LANE};
 use eco_core::{
     duration_us, netlist_patches, patched_netlist, CacheCounters, CacheLayer, EcoEngine,
     EcoOptions, EcoProblem, FaultPlan, GovernorLimits, Lookup, ResourceGovernor, RunMetrics,
-    SatCallMetrics, SupportMethod, TripReason,
+    SupportMethod,
 };
 use eco_netlist::WeightTable;
 use std::io::{self, BufRead, BufReader, Write};
@@ -66,13 +66,6 @@ use std::time::{Duration, Instant};
 /// `retry_after_ms` hint on `draining` responses: the client should
 /// fail over to another instance, so the hint is deliberately long.
 const DRAIN_RETRY_HINT_MS: u64 = 1000;
-
-/// How many times a fair-share budget trip is retried with an
-/// escalated budget before the degraded answer is returned.
-const MAX_FAIR_SHARE_RETRIES: u64 = 1;
-
-/// Budget multiplier per fair-share retry.
-const FAIR_SHARE_ESCALATION: u64 = 4;
 
 /// Upper bound on the `hold_ms` chaos hook, so a hostile client with
 /// `--chaos` enabled cannot park a worker forever.
@@ -95,19 +88,10 @@ pub struct DaemonConfig {
     /// is shared by every connection, and at most `workers +
     /// queue_capacity` connections are open at once.
     pub queue_capacity: usize,
-    /// Default per-request conflict pool applied when a request does
-    /// not bring its own `global_conflicts`. A request that trips
-    /// this daemon-imposed pool (and only this pool) is retried with
-    /// an escalated budget.
-    pub fair_share_conflicts: Option<u64>,
     /// Enables the chaos hooks (`hold_ms`, `inject_panic` request
     /// options). Off by default: chaos requests are refused so a
     /// stray client cannot park or panic workers in production.
     pub chaos: bool,
-    /// Daemon-wide resource limits, shared fairly by every request
-    /// through the governor chain (per-request limits layer under
-    /// these).
-    pub limits: GovernorLimits,
 }
 
 impl Default for DaemonConfig {
@@ -116,22 +100,18 @@ impl Default for DaemonConfig {
             workers: 1,
             cache_capacity: 256,
             queue_capacity: 64,
-            fair_share_conflicts: None,
             chaos: false,
-            limits: GovernorLimits::default(),
         }
     }
 }
 
-/// The `eco_patchd` daemon: shared caches, the root governor, the
-/// serving loops, the resilience state (drain flag, poison pills),
-/// and the observability plane (metrics registry, event journal,
-/// trace aggregation).
+/// The `eco_patchd` daemon: shared caches, the serving loops, the
+/// resilience state (drain flag, poison pills), and the observability
+/// plane (metrics registry, event journal, trace aggregation).
 #[derive(Debug)]
 pub struct Daemon {
     config: DaemonConfig,
     cache: DaemonCache,
-    root: ResourceGovernor,
     shutdown: AtomicBool,
     draining: AtomicBool,
     started: Instant,
@@ -144,10 +124,9 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Creates a daemon with fresh caches, a root governor holding the
-    /// daemon-wide pools, and the default observability plane: metrics
-    /// always on, journal to stderr at [`Level::Warn`], no trace
-    /// aggregation.
+    /// Creates a daemon with fresh caches and the default
+    /// observability plane: metrics always on, journal to stderr at
+    /// [`Level::Warn`], no trace aggregation.
     pub fn new(config: DaemonConfig) -> Daemon {
         let journal = Journal::new().with_stderr(Level::Warn);
         Daemon::with_observability(config, journal, None)
@@ -160,13 +139,11 @@ impl Daemon {
         journal: Journal,
         trace: Option<ChromeTrace>,
     ) -> Daemon {
-        let root = ResourceGovernor::new(config.limits.clone());
         let cache = DaemonCache::new(config.cache_capacity);
         let telemetry = Telemetry::new(config.workers);
         Daemon {
             config,
             cache,
-            root,
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             started: Instant::now(),
@@ -262,7 +239,7 @@ impl Daemon {
             "{{\"id\":\"{}\",\"status\":\"ok\",\"health\":{{\"uptime_ms\":{},\
              \"mode\":\"{mode}\",\"draining\":{},\"queue_depth\":{queue_depth},\
              \"in_flight\":{in_flight},\
-             \"poison_pills\":{},\"shed\":{},\"expired\":{},\"retried\":{},\"panicked\":{},\
+             \"poison_pills\":{},\"shed\":{},\"expired\":{},\"panicked\":{},\
              \"cache\":{}}}}}",
             escape_json(id),
             self.started.elapsed().as_millis().min(u64::MAX as u128) as u64,
@@ -270,7 +247,6 @@ impl Daemon {
             stats.poison_pills,
             self.telemetry.shed.get(),
             self.telemetry.expired.get(),
-            self.telemetry.retried.get(),
             self.telemetry.panicked.get(),
             stats.to_json()
         )
@@ -695,72 +671,25 @@ impl Daemon {
         stage.parse_us = Some(duration_us(parsing.elapsed()));
 
         let options = engine_options(&req.options)?;
-        // The fair-share pool: the caller's own budget wins when
-        // present; otherwise the daemon's default applies, and trips
-        // of that daemon-imposed pool are eligible for escalation.
-        let caller_pool = req.options.global_conflicts;
-        let mut pool = caller_pool.or(self.config.fair_share_conflicts);
-        let mut retries = 0u64;
-        // SAT work and trips of the runs a retry superseded; the
-        // response's metrics report every run of the request.
-        let mut earlier_sat = SatCallMetrics::default();
-        let mut earlier_trips = 0u64;
         let solving = Instant::now();
-        let outcome = loop {
-            // Per-request QoS: the time left before the request's own
-            // deadline and its fair-share conflict pool layer under the
-            // daemon-wide root limits. A passed deadline leaves a zero
-            // timeout: "already expired" (anytime answer).
-            let limits = GovernorLimits {
-                timeout: deadline.map(|d| d.saturating_duration_since(Instant::now())),
-                global_conflicts: pool,
-                global_propagations: None,
-                // Chaos hook: panic on this request's first SAT call
-                // (the call counter is chain-wide, so "next call" is
-                // current + 1).
-                fault_plan: req
-                    .options
-                    .inject_panic
-                    .then(|| FaultPlan::PanicAt(self.root.sat_calls() + 1)),
-            };
-            let governor = self.root.child_with_limits(limits);
-            let mut engine = EcoEngine::new(options.clone())
-                .with_metrics()
-                .with_cache(self.cache.engine())
-                .with_request_id(req.id.clone())
-                .with_governor(governor);
-            if let (Some(t), Some(lane)) = (self.trace.as_ref(), lane) {
-                engine = engine.with_observer(t.observer(lane, Some(req.id.clone())));
-            }
-            let outcome = engine.solve(&problem).map_err(|e| e.to_string())?;
-            // Daemon-side retry: the trip must come from the
-            // fair-share pool this daemon imposed — not the caller's
-            // own budget, not a deadline, and not the daemon-wide
-            // root pool (whose exhaustion an escalated retry would
-            // only make worse).
-            let fair_share_trip = outcome.governor_trip == Some(TripReason::GlobalBudget)
-                && caller_pool.is_none()
-                && self.config.fair_share_conflicts.is_some()
-                && self.root.trip().is_none();
-            if fair_share_trip && retries < MAX_FAIR_SHARE_RETRIES {
-                retries += 1;
-                if let Some(m) = &outcome.metrics {
-                    earlier_sat.merge(&m.sat_calls);
-                    earlier_trips += m.governor_trips;
-                }
-                pool = pool.map(|p| p.saturating_mul(FAIR_SHARE_ESCALATION));
-                self.journal.event(
-                    Level::Info,
-                    "retry",
-                    Some(&req.id),
-                    &[("escalated_pool", Field::U(pool.unwrap_or(0)))],
-                );
-                continue;
-            }
-            break outcome;
-        };
+        // The request's own limits; a passed deadline leaves a zero
+        // timeout: "already expired" (anytime answer).
+        let governor = ResourceGovernor::new(GovernorLimits {
+            timeout: deadline.map(|d| d.saturating_duration_since(Instant::now())),
+            global_conflicts: req.options.global_conflicts,
+            // Chaos hook: panic on this request's first SAT call.
+            fault_plan: req.options.inject_panic.then_some(FaultPlan::PanicAt(1)),
+        });
+        let mut engine = EcoEngine::new(options)
+            .with_metrics()
+            .with_cache(self.cache.engine())
+            .with_request_id(req.id.clone())
+            .with_governor(governor);
+        if let (Some(t), Some(lane)) = (self.trace.as_ref(), lane) {
+            engine = engine.with_observer(t.observer(lane, Some(req.id.clone())));
+        }
+        let outcome = engine.solve(&problem).map_err(|e| e.to_string())?;
         stage.solve_us = Some(duration_us(solving.elapsed()));
-        self.telemetry.retried.add(retries);
 
         let dispositions: Vec<String> = outcome
             .reports
@@ -789,9 +718,6 @@ impl Daemon {
         metrics.cache.netlist_hits += netlist_hits;
         metrics.cache.netlist_misses += netlist_misses;
         metrics.cache.outcome_misses += 1;
-        metrics.serving.retried = retries;
-        metrics.sat_calls.merge(&earlier_sat);
-        metrics.governor_trips += earlier_trips;
         // This run's engine-layer cache activity feeds the rolling
         // hit-rate series (the cumulative counters come from
         // `DaemonCacheStats` at scrape time).
@@ -1241,8 +1167,7 @@ eco_patchd: persistent ECO patch daemon (JSONL over stdio or a unix socket)
 
 USAGE:
   eco_patchd [--socket PATH] [--workers N] [--cache-capacity N]
-             [--queue-capacity N] [--fair-share N] [--chaos]
-             [--global-budget N] [--timeout-ms N]
+             [--queue-capacity N] [--chaos]
              [--log-jsonl PATH] [--log-level LVL] [--log-rotate-bytes N]
              [--trace-out PATH]
 
@@ -1259,12 +1184,8 @@ OPTIONS:
                       when --workers > 1; daemon-wide on a socket,
                       which then holds at most workers + N
                       connections open)
-  --fair-share N      default per-request conflict pool; requests that
-                      trip it are retried once with an escalated budget
   --chaos             enable the hold_ms / inject_panic chaos request
                       options (testing only)
-  --global-budget N   daemon-wide shared conflict pool
-  --timeout-ms N      daemon-wide deadline (whole-process wall clock)
   --log-jsonl PATH    append the structured event journal to PATH
                       (one JSON object per line; rotated in place)
   --log-level LVL     journal file verbosity: debug, info, warn, or
@@ -1280,155 +1201,103 @@ PROTOCOL: one JSON object per line; see the eco-daemon crate docs.
 COMMANDS: {\"id\":...,\"cmd\":\"stats\"|\"health\"|\"metrics\"|\"drain\"|\"shutdown\"}
 ";
 
+/// What `eco_patchd`'s flags ask for.
+struct CliArgs {
+    config: DaemonConfig,
+    socket: Option<String>,
+    log_jsonl: Option<String>,
+    log_level: Level,
+    log_rotate_bytes: u64,
+    trace_out: Option<String>,
+}
+
+/// Reports a usage error on stderr; returns its exit code.
+fn usage_error(message: &str) -> u8 {
+    eprintln!("eco_patchd: {message}");
+    2
+}
+
+/// The argument after `flag`, which names a `what`.
+fn flag_value<'a>(
+    rest: &mut std::slice::Iter<'a, String>,
+    flag: &str,
+    what: &str,
+) -> Result<&'a str, u8> {
+    rest.next()
+        .map(String::as_str)
+        .ok_or_else(|| usage_error(&format!("{flag} requires a {what}")))
+}
+
+/// The non-negative integer after `flag`.
+fn flag_number(rest: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<u64, u8> {
+    flag_value(rest, flag, "value")?
+        .parse()
+        .map_err(|_| usage_error(&format!("{flag} expects a non-negative integer")))
+}
+
+/// Parses `eco_patchd`'s arguments. `Err` carries the exit code: `0`
+/// after `--help`, `2` for a usage error (already reported).
+fn parse_cli(args: &[String]) -> Result<CliArgs, u8> {
+    let mut cli = CliArgs {
+        config: DaemonConfig::default(),
+        socket: None,
+        log_jsonl: None,
+        log_level: Level::Info,
+        log_rotate_bytes: crate::journal::DEFAULT_LOG_ROTATE_BYTES,
+        trace_out: None,
+    };
+    let config = &mut cli.config;
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "-h" | "--help" => {
+                print!("{USAGE}");
+                return Err(0);
+            }
+            "--socket" => cli.socket = Some(flag_value(&mut rest, arg, "path")?.to_string()),
+            "--workers" => config.workers = (flag_number(&mut rest, arg)? as usize).max(1),
+            "--cache-capacity" => {
+                config.cache_capacity = (flag_number(&mut rest, arg)? as usize).max(1);
+            }
+            "--queue-capacity" => {
+                config.queue_capacity = (flag_number(&mut rest, arg)? as usize).max(1);
+            }
+            "--chaos" => config.chaos = true,
+            "--log-jsonl" => cli.log_jsonl = Some(flag_value(&mut rest, arg, "path")?.to_string()),
+            "--log-level" => {
+                let value = flag_value(&mut rest, arg, "value")?;
+                cli.log_level = Level::parse(value).ok_or_else(|| {
+                    usage_error(&format!(
+                        "--log-level expects debug, info, warn, or error, got {value:?}"
+                    ))
+                })?;
+            }
+            "--log-rotate-bytes" => cli.log_rotate_bytes = flag_number(&mut rest, arg)?.max(1024),
+            "--trace-out" => cli.trace_out = Some(flag_value(&mut rest, arg, "path")?.to_string()),
+            other => {
+                return Err(usage_error(&format!(
+                    "unexpected argument {other:?} (try --help)"
+                )))
+            }
+        }
+    }
+    Ok(cli)
+}
+
 /// Entry point for the `eco_patchd` binary. Returns the process exit
 /// code: `0` on success, `1` for I/O failures, `2` for usage errors.
 pub fn run_cli(args: &[String]) -> u8 {
-    let mut config = DaemonConfig::default();
-    let mut socket: Option<String> = None;
-    let mut log_jsonl: Option<String> = None;
-    let mut log_level = Level::Info;
-    let mut log_rotate_bytes = crate::journal::DEFAULT_LOG_ROTATE_BYTES;
-    let mut trace_out: Option<String> = None;
-    let mut i = 0;
-    let parse_num = |args: &[String], i: usize, flag: &str| -> Result<u64, String> {
-        args.get(i)
-            .ok_or_else(|| format!("{flag} requires a value"))?
-            .parse()
-            .map_err(|_| format!("{flag} expects a non-negative integer"))
+    let CliArgs {
+        config,
+        socket,
+        log_jsonl,
+        log_level,
+        log_rotate_bytes,
+        trace_out,
+    } = match parse_cli(args) {
+        Ok(cli) => cli,
+        Err(code) => return code,
     };
-    while i < args.len() {
-        match args[i].as_str() {
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                return 0;
-            }
-            "--socket" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => socket = Some(path.clone()),
-                    None => {
-                        eprintln!("eco_patchd: --socket requires a path");
-                        return 2;
-                    }
-                }
-            }
-            "--workers" => {
-                i += 1;
-                match parse_num(args, i, "--workers") {
-                    Ok(n) => config.workers = (n as usize).max(1),
-                    Err(e) => {
-                        eprintln!("eco_patchd: {e}");
-                        return 2;
-                    }
-                }
-            }
-            "--cache-capacity" => {
-                i += 1;
-                match parse_num(args, i, "--cache-capacity") {
-                    Ok(n) => config.cache_capacity = (n as usize).max(1),
-                    Err(e) => {
-                        eprintln!("eco_patchd: {e}");
-                        return 2;
-                    }
-                }
-            }
-            "--queue-capacity" => {
-                i += 1;
-                match parse_num(args, i, "--queue-capacity") {
-                    Ok(n) => config.queue_capacity = (n as usize).max(1),
-                    Err(e) => {
-                        eprintln!("eco_patchd: {e}");
-                        return 2;
-                    }
-                }
-            }
-            "--fair-share" => {
-                i += 1;
-                match parse_num(args, i, "--fair-share") {
-                    Ok(n) => config.fair_share_conflicts = Some(n.max(1)),
-                    Err(e) => {
-                        eprintln!("eco_patchd: {e}");
-                        return 2;
-                    }
-                }
-            }
-            "--chaos" => {
-                config.chaos = true;
-            }
-            "--global-budget" => {
-                i += 1;
-                match parse_num(args, i, "--global-budget") {
-                    Ok(n) => config.limits.global_conflicts = Some(n),
-                    Err(e) => {
-                        eprintln!("eco_patchd: {e}");
-                        return 2;
-                    }
-                }
-            }
-            "--timeout-ms" => {
-                i += 1;
-                match parse_num(args, i, "--timeout-ms") {
-                    Ok(n) => config.limits.timeout = Some(Duration::from_millis(n)),
-                    Err(e) => {
-                        eprintln!("eco_patchd: {e}");
-                        return 2;
-                    }
-                }
-            }
-            "--log-jsonl" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => log_jsonl = Some(path.clone()),
-                    None => {
-                        eprintln!("eco_patchd: --log-jsonl requires a path");
-                        return 2;
-                    }
-                }
-            }
-            "--log-level" => {
-                i += 1;
-                match args.get(i).map(String::as_str).map(Level::parse) {
-                    Some(Some(level)) => log_level = level,
-                    Some(None) => {
-                        eprintln!(
-                            "eco_patchd: --log-level expects debug, info, warn, or error, got {:?}",
-                            args[i]
-                        );
-                        return 2;
-                    }
-                    None => {
-                        eprintln!("eco_patchd: --log-level requires a value");
-                        return 2;
-                    }
-                }
-            }
-            "--log-rotate-bytes" => {
-                i += 1;
-                match parse_num(args, i, "--log-rotate-bytes") {
-                    Ok(n) => log_rotate_bytes = n.max(1024),
-                    Err(e) => {
-                        eprintln!("eco_patchd: {e}");
-                        return 2;
-                    }
-                }
-            }
-            "--trace-out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => trace_out = Some(path.clone()),
-                    None => {
-                        eprintln!("eco_patchd: --trace-out requires a path");
-                        return 2;
-                    }
-                }
-            }
-            other => {
-                eprintln!("eco_patchd: unexpected argument {other:?} (try --help)");
-                return 2;
-            }
-        }
-        i += 1;
-    }
     let mut journal = Journal::new().with_stderr(Level::Warn);
     if let Some(path) = &log_jsonl {
         match journal.with_file(Path::new(path), log_level, log_rotate_bytes) {
@@ -1852,70 +1721,53 @@ mod tests {
     }
 
     #[test]
-    fn fair_share_trips_are_retried_with_an_escalated_budget() {
-        // A 1-conflict fair share trips immediately; the escalated
-        // retry gets enough budget to finish cleanly.
-        let daemon = Daemon::new(DaemonConfig {
-            fair_share_conflicts: Some(1),
-            ..DaemonConfig::default()
-        });
-        let (resp, _) = daemon.handle_line(&eco_line("fs"));
-        let v = parse_json(&resp).expect("valid JSON");
-        assert_eq!(status(&v), Some("ok"), "got: {resp}");
-        let retried = v
-            .get("metrics")
-            .and_then(|m| m.get("serving"))
-            .and_then(|s| s.get("retried"))
-            .and_then(JsonValue::as_u64);
-        assert_eq!(retried, Some(1), "the fair-share trip must retry: {resp}");
-        // The response's SAT work covers both runs: the tripped one
-        // and the escalated retry.
-        let sat_calls = |v: &JsonValue, field: &str| {
+    fn a_request_conflict_pool_trips_and_is_never_cached() {
+        let daemon = Daemon::new(DaemonConfig::default());
+        let line = eco_line_with("own", SPEC_XOR, "{\"global_conflicts\":1}");
+        let metric = |v: &JsonValue, group: &str, field: &str| {
             v.get("metrics")
-                .and_then(|m| m.get("sat_calls"))
-                .and_then(|s| s.get(field))
+                .and_then(|m| m.get(group))
+                .and_then(|g| g.get(field))
                 .and_then(JsonValue::as_u64)
         };
-        let both_runs = sat_calls(&v, "total").expect("sat_calls.total");
-        let trips = v
-            .get("metrics")
-            .and_then(|m| m.get("counters"))
-            .and_then(|c| c.get("governor_trips"))
-            .and_then(JsonValue::as_u64);
-        assert!(trips >= Some(1), "the tripped run's trip is kept: {resp}");
-        let fresh = Daemon::new(DaemonConfig::default());
-        let (clean, _) = fresh.handle_line(&eco_line("clean"));
-        let clean = parse_json(&clean).expect("valid JSON");
-        let one_run = sat_calls(&clean, "total").expect("sat_calls.total");
-        // On this example the tripped run makes as many calls as a
-        // clean one (17 each).
-        assert_eq!(
-            both_runs,
-            2 * one_run,
-            "the tripped run's calls are missing: {resp}"
-        );
-        let (health, _) = daemon.handle_line("{\"id\":\"h\",\"cmd\":\"health\"}");
-        let h = parse_json(&health).expect("valid JSON");
-        assert_eq!(
-            h.get("health")
-                .and_then(|x| x.get("retried"))
-                .and_then(JsonValue::as_u64),
-            Some(1)
-        );
-        // A caller-chosen budget is never second-guessed: the tripped
-        // answer comes back without a retry.
-        let caller = eco_line_with("own", SPEC_XOR, "{\"global_conflicts\":1}");
-        let (resp, _) = daemon.handle_line(&caller);
+        let (resp, _) = daemon.handle_line(&line);
         let v = parse_json(&resp).expect("valid JSON");
-        assert_eq!(status(&v), Some("ok"));
+        assert_eq!(status(&v), Some("ok"), "got: {resp}");
         assert_eq!(
-            v.get("metrics")
-                .and_then(|m| m.get("serving"))
-                .and_then(|s| s.get("retried"))
-                .and_then(JsonValue::as_u64),
-            Some(0),
-            "caller budgets are not escalated: {resp}"
+            v.get("governor_trip").and_then(JsonValue::as_str),
+            Some("global budget"),
+            "a one-conflict pool must trip: {resp}"
         );
+        assert!(
+            metric(&v, "counters", "governor_trips") >= Some(1),
+            "the trip is counted: {resp}"
+        );
+        // A tripped answer is never stored: the identical repeat
+        // misses the outcome cache and does fresh SAT work.
+        let (repeat, _) = daemon.handle_line(&line);
+        let repeat = parse_json(&repeat).expect("valid JSON");
+        assert_eq!(
+            repeat
+                .get("cache")
+                .and_then(|c| c.get("outcome"))
+                .and_then(JsonValue::as_str),
+            Some("miss")
+        );
+        assert!(metric(&repeat, "sat_calls", "total") > Some(0));
+    }
+
+    #[test]
+    fn run_cli_rejects_removed_and_malformed_flags() {
+        for args in [
+            ["--fair-share", "1"],
+            ["--global-budget", "5"],
+            ["--timeout-ms", "5"],
+            ["--workers", "x"],
+        ] {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            // A usage error returns before the daemon serves stdin.
+            assert_eq!(run_cli(&args), 2, "{args:?}");
+        }
     }
 
     #[test]

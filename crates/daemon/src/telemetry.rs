@@ -167,7 +167,7 @@ pub enum Stage {
     QueueWait,
     /// Netlist parsing / AIG conversion (cache misses only pay this).
     Parse,
-    /// Engine solve, including fair-share retries.
+    /// Engine solve.
     Solve,
     /// Patched-Verilog emission and response serialization.
     Serialize,
@@ -290,8 +290,6 @@ pub struct Telemetry {
     pub shed: Counter,
     /// Requests whose deadline expired while queued.
     pub expired: Counter,
-    /// Fair-share budget retries performed.
-    pub retried: Counter,
     /// Requests whose solve path panicked (isolated and poisoned).
     pub panicked: Counter,
     requests: [Counter; CommandKind::ALL.len()],
@@ -306,7 +304,6 @@ impl std::fmt::Debug for Telemetry {
             .field("workers", &self.workers)
             .field("shed", &self.shed.get())
             .field("expired", &self.expired.get())
-            .field("retried", &self.retried.get())
             .field("panicked", &self.panicked.get())
             .finish_non_exhaustive()
     }
@@ -322,7 +319,6 @@ impl Telemetry {
             workers,
             shed: Counter::new(),
             expired: Counter::new(),
-            retried: Counter::new(),
             panicked: Counter::new(),
             requests: std::array::from_fn(|_| Counter::new()),
             worker_busy_us: (0..workers).map(|_| Counter::new()).collect(),
@@ -516,11 +512,6 @@ impl Telemetry {
                 "expired_total",
                 "Requests whose deadline expired in the queue.",
                 &self.expired,
-            ),
-            (
-                "retried_total",
-                "Fair-share budget retries performed.",
-                &self.retried,
             ),
             (
                 "panicked_total",
@@ -741,10 +732,9 @@ impl Telemetry {
         );
         let _ = write!(
             s,
-            ",\"serving\":{{\"shed\":{},\"expired\":{},\"retried\":{},\"panicked\":{}}}",
+            ",\"serving\":{{\"shed\":{},\"expired\":{},\"panicked\":{}}}",
             self.shed.get(),
             self.expired.get(),
-            self.retried.get(),
             self.panicked.get()
         );
         s.push_str(",\"requests\":{");
@@ -994,7 +984,6 @@ mod tests {
                 "eco_patchd_queue_depth",
                 "eco_patchd_queue_depth_peak",
                 "eco_patchd_requests_total",
-                "eco_patchd_retried_total",
                 "eco_patchd_shed_total",
                 "eco_patchd_stage_latency_quantile_us",
                 "eco_patchd_stage_latency_us_bucket",

@@ -1,9 +1,11 @@
 //! Cooperative resource governance for long SAT call chains.
 //!
 //! A [`ResourceGovernor`] is a cheaply-cloneable shared handle carrying
-//! a wall-clock deadline, a global conflict/propagation budget pool
-//! drawn down across *all* solver calls that share the handle, and a
-//! cooperative cancellation flag. Attach it to any number of solvers
+//! a wall-clock deadline, a global conflict pool drawn down across
+//! *all* solver calls that share the handle, and a cooperative
+//! cancellation flag. Each CLI run, daemon request or library call
+//! builds its own governor from the limits its caller set; governors
+//! do not nest. Attach it to any number of solvers
 //! with [`Solver::set_search_control`](crate::Solver::set_search_control);
 //! each solver then polls the governor periodically from inside its
 //! search loop and returns [`SolveResult::Unknown`](crate::SolveResult)
@@ -32,9 +34,9 @@ pub trait SearchControl: std::fmt::Debug + Send + Sync {
     }
 
     /// Called periodically from the search loop (and once more when a
-    /// call finishes) with the conflicts and propagations spent since
-    /// the previous report. Returning `true` stops the current call.
-    fn consume(&self, conflicts: u64, propagations: u64) -> bool;
+    /// call finishes) with the conflicts spent since the previous
+    /// report. Returning `true` stops the current call.
+    fn consume(&self, conflicts: u64) -> bool;
 }
 
 /// Why a [`ResourceGovernor`] stopped (or is stopping) solver calls.
@@ -45,7 +47,7 @@ pub enum TripReason {
     Cancelled,
     /// The wall-clock deadline passed.
     Deadline,
-    /// The shared global conflict/propagation pool ran dry.
+    /// The shared global conflict pool ran dry.
     GlobalBudget,
     /// A [`FaultPlan`] forced this call to fail (per-call, not sticky).
     FaultInjected,
@@ -97,9 +99,8 @@ pub enum FaultPlan {
     /// Panic at the start of the first call whose index is `>= n`,
     /// simulating a solver bug deep inside a search. Serving layers
     /// wrap solve paths in `catch_unwind` and must turn this into a
-    /// structured error instead of dying; the `>=` comparison makes
-    /// the plan usable on a child governor sharing a chain-wide call
-    /// counter ("panic on this child's next call").
+    /// structured error instead of dying; `PanicAt(1)` panics on the
+    /// governor's first call.
     PanicAt(u64),
 }
 
@@ -144,8 +145,6 @@ pub struct GovernorLimits {
     pub timeout: Option<Duration>,
     /// Global conflict pool shared by every attached solver.
     pub global_conflicts: Option<u64>,
-    /// Global propagation pool shared by every attached solver.
-    pub global_propagations: Option<u64>,
     /// Deterministic fault-injection schedule.
     pub fault_plan: Option<FaultPlan>,
 }
@@ -154,56 +153,18 @@ pub struct GovernorLimits {
 struct GovernorState {
     deadline: Option<Instant>,
     conflict_pool: Option<AtomicU64>,
-    propagation_pool: Option<AtomicU64>,
     cancelled: AtomicBool,
     deadline_tripped: AtomicBool,
     budget_tripped: AtomicBool,
     calls: AtomicU64,
     fault_injections: AtomicU64,
     fault_plan: Option<FaultPlan>,
-    /// Child governors carry their own cancellation flag and — when
-    /// created with [`ResourceGovernor::child_with_limits`] — their own
-    /// deadline, budget pools and fault plan, while still observing
-    /// every ancestor's limits through the chain. The SAT-call counter
-    /// always lives at the root, so fault plans anywhere in a chain
-    /// see one consistent call numbering.
-    parent: Option<Arc<GovernorState>>,
 }
 
 impl GovernorState {
-    /// The root of the parent chain (`self` when not a child).
-    fn root(&self) -> &GovernorState {
-        let mut state = self;
-        while let Some(parent) = state.parent.as_deref() {
-            state = parent;
-        }
-        state
-    }
-
-    /// Walks the chain from `self` to the root until `f` returns
-    /// `Some`.
-    fn find_up<T>(&self, mut f: impl FnMut(&GovernorState) -> Option<T>) -> Option<T> {
-        let mut state = self;
-        loop {
-            if let Some(found) = f(state) {
-                return Some(found);
-            }
-            match state.parent.as_deref() {
-                Some(parent) => state = parent,
-                None => return None,
-            }
-        }
-    }
-
-    /// Whether this handle or any ancestor was cancelled.
-    fn cancelled_chain(&self) -> bool {
-        self.find_up(|s| s.cancelled.load(Ordering::Relaxed).then_some(()))
-            .is_some()
-    }
-
-    /// Whether this state's own deadline (if any) has passed, latching
-    /// the sticky flag on first observation.
-    fn own_deadline_passed(&self) -> bool {
+    /// Whether the deadline (if any) has passed, latching the sticky
+    /// flag on first observation.
+    fn deadline_passed(&self) -> bool {
         if self.deadline_tripped.load(Ordering::Relaxed) {
             return true;
         }
@@ -256,45 +217,19 @@ pub struct ResourceGovernor {
 }
 
 impl ResourceGovernor {
-    /// Creates a governor; the deadline clock starts now.
+    /// Creates a governor; the deadline clock starts now, so a zero
+    /// timeout is expired at the first check.
     pub fn new(limits: GovernorLimits) -> ResourceGovernor {
-        ResourceGovernor::with_state(limits, None)
-    }
-
-    /// An unlimited governor (useful as a cancellation-only handle).
-    pub fn unlimited() -> ResourceGovernor {
-        ResourceGovernor::new(GovernorLimits::default())
-    }
-
-    /// A child handle with its *own* limits layered under the parent's:
-    /// its deadline clock starts now, its pools are private, and its
-    /// fault plan is evaluated against the chain-wide call counter.
-    /// Every check observes the tightest constraint along the chain, so
-    /// the child can never outlive or outspend the parent — the
-    /// per-request QoS primitive: a serving process keeps one root
-    /// governor for global capacity and derives one bounded child per
-    /// request (deadline + fair-share conflict pool), cancelling or
-    /// expiring requests individually without touching its neighbours.
-    pub fn child_with_limits(&self, limits: GovernorLimits) -> ResourceGovernor {
-        ResourceGovernor::with_state(limits, Some(self.state.clone()))
-    }
-
-    /// A fresh handle under `parent` (a root when `None`); the deadline
-    /// clock starts now, so a zero timeout is expired at the first
-    /// check.
-    fn with_state(limits: GovernorLimits, parent: Option<Arc<GovernorState>>) -> ResourceGovernor {
         ResourceGovernor {
             state: Arc::new(GovernorState {
                 deadline: limits.timeout.map(|t| Instant::now() + t),
                 conflict_pool: limits.global_conflicts.map(AtomicU64::new),
-                propagation_pool: limits.global_propagations.map(AtomicU64::new),
                 cancelled: AtomicBool::new(false),
                 deadline_tripped: AtomicBool::new(false),
                 budget_tripped: AtomicBool::new(false),
                 calls: AtomicU64::new(0),
                 fault_injections: AtomicU64::new(0),
                 fault_plan: limits.fault_plan,
-                parent,
             }),
         }
     }
@@ -313,13 +248,13 @@ impl ResourceGovernor {
 
     /// The sticky trip reason, if any — checked in severity order
     /// (cancellation, deadline, then global budget). Per-call injected
-    /// faults are *not* sticky and never appear here. Child handles
-    /// also observe the trips of every ancestor.
+    /// faults are *not* sticky and never appear here.
     pub fn trip(&self) -> Option<TripReason> {
         self.hard_trip().or_else(|| {
             self.state
-                .find_up(|s| s.budget_tripped.load(Ordering::Relaxed).then_some(()))
-                .map(|()| TripReason::GlobalBudget)
+                .budget_tripped
+                .load(Ordering::Relaxed)
+                .then_some(TripReason::GlobalBudget)
         })
     }
 
@@ -328,63 +263,31 @@ impl ResourceGovernor {
     /// expired deadline), not a drained budget pool, which still leaves
     /// room for SAT-free work.
     pub fn hard_trip(&self) -> Option<TripReason> {
-        if self.state.cancelled_chain() {
+        if self.state.cancelled.load(Ordering::Relaxed) {
             return Some(TripReason::Cancelled);
         }
-        if self.deadline_passed() {
+        if self.state.deadline_passed() {
             return Some(TripReason::Deadline);
         }
         None
     }
 
-    /// Number of solver calls started under this governor (shared with
-    /// the whole parent chain for child handles).
+    /// Number of solver calls started under this governor.
     pub fn sat_calls(&self) -> u64 {
-        self.state.root().calls.load(Ordering::Relaxed)
+        self.state.calls.load(Ordering::Relaxed)
     }
 
-    /// Number of faults injected so far by the [`FaultPlan`]s of this
-    /// handle and its ancestors.
+    /// Number of faults injected so far by the [`FaultPlan`].
     pub fn fault_injections(&self) -> u64 {
-        let mut total = 0;
-        let _ = self.state.find_up(|s| {
-            total += s.fault_injections.load(Ordering::Relaxed);
-            None::<()>
-        });
-        total
+        self.state.fault_injections.load(Ordering::Relaxed)
     }
 
-    /// Tightest remaining conflict pool along the chain (`None` =
-    /// unlimited everywhere).
-    pub fn remaining_conflicts(&self) -> Option<u64> {
-        let mut min: Option<u64> = None;
-        let _ = self.state.find_up(|s| {
-            if let Some(pool) = &s.conflict_pool {
-                let left = pool.load(Ordering::Relaxed);
-                min = Some(min.map_or(left, |m| m.min(left)));
-            }
-            None::<()>
-        });
-        min
-    }
-
-    /// Time left before the nearest deadline along the chain (`None` =
-    /// no deadline anywhere). Zero once any deadline has passed.
+    /// Time left before the deadline (`None` = no deadline). Zero once
+    /// the deadline has passed.
     pub fn remaining_time(&self) -> Option<Duration> {
-        let mut nearest: Option<Instant> = None;
-        let _ = self.state.find_up(|s| {
-            if let Some(d) = s.deadline {
-                nearest = Some(nearest.map_or(d, |n| n.min(d)));
-            }
-            None::<()>
-        });
-        nearest.map(|d| d.saturating_duration_since(Instant::now()))
-    }
-
-    fn deadline_passed(&self) -> bool {
         self.state
-            .find_up(|s| s.own_deadline_passed().then_some(()))
-            .is_some()
+            .deadline
+            .map(|d| d.saturating_duration_since(Instant::now()))
     }
 
     /// Draws `amount` from `pool`; returns `true` when the pool is now
@@ -403,46 +306,30 @@ impl ResourceGovernor {
 
 impl SearchControl for ResourceGovernor {
     fn solve_started(&self) -> bool {
-        // One chain-wide call numbering, owned by the root; each
-        // state's own fault plan is then evaluated against it.
-        let call = self.state.root().calls.fetch_add(1, Ordering::Relaxed) + 1;
-        let injected = self
-            .state
-            .find_up(|s| {
-                let plan = s.fault_plan.as_ref()?;
-                if plan.cancels(call) {
-                    s.cancelled.store(true, Ordering::Relaxed);
-                }
-                if plan.panics(call) {
-                    s.fault_injections.fetch_add(1, Ordering::Relaxed);
-                    panic!("injected solver panic (fault plan, call {call})");
-                }
-                if plan.injects(call) {
-                    s.fault_injections.fetch_add(1, Ordering::Relaxed);
-                    return Some(());
-                }
-                None
-            })
-            .is_some();
-        injected || self.trip().is_some()
+        let state = &self.state;
+        let call = state.calls.fetch_add(1, Ordering::Relaxed) + 1;
+        if let Some(plan) = &state.fault_plan {
+            if plan.cancels(call) {
+                state.cancelled.store(true, Ordering::Relaxed);
+            }
+            if plan.panics(call) {
+                state.fault_injections.fetch_add(1, Ordering::Relaxed);
+                panic!("injected solver panic (fault plan, call {call})");
+            }
+            if plan.injects(call) {
+                state.fault_injections.fetch_add(1, Ordering::Relaxed);
+                return true;
+            }
+        }
+        self.trip().is_some()
     }
 
-    fn consume(&self, conflicts: u64, propagations: u64) -> bool {
-        // Spend against every pool along the chain: a child's private
-        // fair-share pool and the root's global capacity drain together.
-        let _ = self.state.find_up(|s| {
-            if let Some(pool) = &s.conflict_pool {
-                if ResourceGovernor::draw(pool, conflicts) {
-                    s.budget_tripped.store(true, Ordering::Relaxed);
-                }
+    fn consume(&self, conflicts: u64) -> bool {
+        if let Some(pool) = &self.state.conflict_pool {
+            if ResourceGovernor::draw(pool, conflicts) {
+                self.state.budget_tripped.store(true, Ordering::Relaxed);
             }
-            if let Some(pool) = &s.propagation_pool {
-                if ResourceGovernor::draw(pool, propagations) {
-                    s.budget_tripped.store(true, Ordering::Relaxed);
-                }
-            }
-            None::<()>
-        });
+        }
         self.trip().is_some()
     }
 }
@@ -522,7 +409,6 @@ mod tests {
         assert_eq!(governor.trip(), Some(TripReason::GlobalBudget));
         // ...so the second one is rejected at call entry.
         assert_eq!(b.solve(&[]), SolveResult::Unknown);
-        assert_eq!(governor.remaining_conflicts(), Some(0));
     }
 
     #[test]
@@ -594,114 +480,19 @@ mod tests {
     }
 
     #[test]
-    fn panic_at_fires_on_a_child_joining_a_running_call_chain() {
-        // The chain-wide counter is already past 1; a child plan with
-        // `PanicAt(current + 1)` must fire on the child's next call.
-        let root = ResourceGovernor::unlimited();
-        let mut warm = Solver::new();
-        let v = warm.new_var();
-        warm.add_clause(&[v.positive()]);
-        warm.set_search_control(Some(root.control()));
-        assert_eq!(warm.solve(&[]), SolveResult::Sat);
-        assert_eq!(warm.solve(&[]), SolveResult::Sat);
-        let child = root.child_with_limits(GovernorLimits {
-            fault_plan: Some(FaultPlan::PanicAt(root.sat_calls() + 1)),
-            ..GovernorLimits::default()
-        });
-        let mut solver = Solver::new();
-        let v = solver.new_var();
-        solver.add_clause(&[v.positive()]);
-        solver.set_search_control(Some(child.control()));
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| solver.solve(&[])));
-        assert!(unwound.is_err(), "the child's first call must panic");
-        // The panic stays scoped to the child's plan: solvers on the
-        // root keep working.
-        assert_eq!(warm.solve(&[]), SolveResult::Sat);
-    }
-
-    #[test]
-    fn child_cancellation_is_scoped_and_shares_resources() {
-        let governor = ResourceGovernor::new(GovernorLimits {
-            global_conflicts: Some(50),
-            ..GovernorLimits::default()
-        });
-        let child = governor.child_with_limits(GovernorLimits::default());
-        // Cancelling the child does not affect the parent...
-        child.cancel();
-        assert_eq!(child.trip(), Some(TripReason::Cancelled));
-        assert_eq!(governor.trip(), None);
-        // ...but the child draws from the parent's shared pool.
-        let sibling = governor.child_with_limits(GovernorLimits::default());
-        let mut solver = Solver::new();
-        pigeonhole(&mut solver, 7);
-        solver.set_search_control(Some(sibling.control()));
-        assert_eq!(solver.solve(&[]), SolveResult::Unknown);
-        assert_eq!(governor.trip(), Some(TripReason::GlobalBudget));
-        assert_eq!(sibling.trip(), Some(TripReason::GlobalBudget));
-        assert_eq!(governor.remaining_conflicts(), Some(0));
-        assert_eq!(sibling.remaining_conflicts(), Some(0));
-        // A parent cancellation reaches every child.
-        governor.cancel();
-        assert_eq!(sibling.hard_trip(), Some(TripReason::Cancelled));
-        // Calls made under children count on the shared counter.
-        assert_eq!(governor.sat_calls(), sibling.sat_calls());
-        assert!(governor.sat_calls() >= 1);
-    }
-
-    #[test]
-    fn child_limits_layer_under_the_parent() {
-        let root = ResourceGovernor::new(GovernorLimits {
-            global_conflicts: Some(1_000_000),
-            ..GovernorLimits::default()
-        });
-        // A request-scoped child with a small private fair-share pool.
-        let request = root.child_with_limits(GovernorLimits {
-            global_conflicts: Some(50),
-            ..GovernorLimits::default()
-        });
-        assert_eq!(request.remaining_conflicts(), Some(50), "tightest pool");
-        let mut solver = Solver::new();
-        pigeonhole(&mut solver, 7);
-        solver.set_search_control(Some(request.control()));
-        assert_eq!(solver.solve(&[]), SolveResult::Unknown);
-        // The request tripped on its own pool; the root keeps capacity
-        // (minus what the request actually spent) and stays untripped.
-        assert_eq!(request.trip(), Some(TripReason::GlobalBudget));
-        assert_eq!(root.trip(), None);
-        let left = root.remaining_conflicts().expect("root pool present");
-        assert!(left < 1_000_000, "spend drains the root pool too");
-        assert!(left > 0, "a 50-conflict request cannot drain the root");
-        // Calls still count on the shared chain-wide counter.
-        assert_eq!(root.sat_calls(), request.sat_calls());
-    }
-
-    #[test]
     fn zero_deadline_root_is_expired_at_the_first_check() {
-        let root = ResourceGovernor::new(GovernorLimits {
+        let governor = ResourceGovernor::new(GovernorLimits {
             timeout: Some(Duration::ZERO),
             ..GovernorLimits::default()
         });
-        assert_eq!(root.hard_trip(), Some(TripReason::Deadline));
-        assert_eq!(root.trip(), Some(TripReason::Deadline));
-        assert_eq!(root.remaining_time(), Some(Duration::ZERO));
-    }
-
-    #[test]
-    fn child_deadline_expires_without_touching_the_parent() {
-        let root = ResourceGovernor::unlimited();
-        let request = root.child_with_limits(GovernorLimits {
-            timeout: Some(Duration::from_millis(0)),
-            ..GovernorLimits::default()
-        });
-        assert_eq!(request.hard_trip(), Some(TripReason::Deadline));
-        assert_eq!(request.remaining_time(), Some(Duration::ZERO));
-        assert_eq!(root.trip(), None);
-        assert_eq!(root.remaining_time(), None);
+        assert_eq!(governor.hard_trip(), Some(TripReason::Deadline));
+        assert_eq!(governor.trip(), Some(TripReason::Deadline));
+        assert_eq!(governor.remaining_time(), Some(Duration::ZERO));
     }
 
     #[test]
     fn unlimited_governor_never_interferes() {
-        let governor = ResourceGovernor::unlimited();
+        let governor = ResourceGovernor::new(GovernorLimits::default());
         let mut solver = Solver::new();
         pigeonhole(&mut solver, 5);
         solver.set_search_control(Some(governor.control()));

@@ -14,10 +14,11 @@
 //! - **Pseudo-Boolean sums** ([`PbSum`]) via a binary adder network,
 //!   used by the exact `SAT_prune` method to bound patch cost.
 //! - **Resource governance** ([`ResourceGovernor`]): a shared handle
-//!   carrying a wall-clock deadline, a global conflict/propagation
-//!   pool and a cancellation flag, polled cooperatively from the
-//!   search loop ([`Solver::set_search_control`]), plus deterministic
-//!   fault injection ([`FaultPlan`]) for robustness testing.
+//!   carrying a wall-clock deadline, a global conflict pool and a
+//!   cancellation flag, polled cooperatively from the search loop
+//!   ([`Solver::set_search_control`]), plus deterministic fault
+//!   injection ([`FaultPlan`]) for robustness testing. Each run builds
+//!   one governor from its caller's limits; governors do not nest.
 //!
 //! # Examples
 //!

@@ -175,7 +175,7 @@ fn stats_json_has_the_documented_schema() {
     );
     let json = std::fs::read_to_string(&stats).expect("stats file written");
     for key in [
-        "\"schema_version\":11",
+        "\"schema_version\":12",
         "\"num_targets\":1",
         "\"phases\":[",
         "\"targets\":[",
@@ -187,7 +187,7 @@ fn stats_json_has_the_documented_schema() {
         assert!(json.contains(key), "missing {key} in {json}");
     }
     for gone in ["\"jobs\"", "\"workers\""] {
-        assert!(!json.contains(gone), "schema 11 has no {gone}: {json}");
+        assert!(!json.contains(gone), "schema 12 has no {gone}: {json}");
     }
 }
 
@@ -222,7 +222,7 @@ fn stdout_is_pure_json_with_stats_dash() {
     let value = eco_patch::core::json::parse_json(&stdout).expect("stdout parses as JSON");
     assert_eq!(
         value.get("schema_version").and_then(|v| v.as_u64()),
-        Some(11),
+        Some(12),
         "stdout: {stdout}"
     );
 }

@@ -44,11 +44,6 @@ fn random_run(rng: &mut Rng) -> (EcoOptions, GovernorLimits) {
         } else {
             None
         },
-        global_propagations: if rng.below(4) == 0 {
-            Some(rng.below(2000))
-        } else {
-            None
-        },
         // Already expired or expiring mid-run. Wall-clock dependent,
         // so assertions below stay timing-agnostic.
         timeout: if rng.below(4) == 0 {

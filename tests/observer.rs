@@ -7,8 +7,7 @@ use eco_patch::core::json::{parse_json, JsonValue};
 use eco_patch::core::{
     BudgetMetrics, CacheCounters, ClassesCounters, EcoEngine, EcoEvent, EcoObserver, EcoOptions,
     EcoProblem, Histogram, KindMetrics, PatchKind, Phase, PhaseMetrics, RunMetrics, SatCallKind,
-    SatCallMetrics, ServingCounters, SupportMethod, SweepCounters, TargetMetrics,
-    HISTOGRAM_BUCKETS,
+    SatCallMetrics, SupportMethod, SweepCounters, TargetMetrics, HISTOGRAM_BUCKETS,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -365,7 +364,6 @@ fn golden_metrics() -> RunMetrics {
             cnf_misses: 4,
             ..CacheCounters::default()
         },
-        serving: ServingCounters { retried: 10 },
         sweep: SweepCounters { oracle_hits: 17 },
         classes: ClassesCounters {
             inherited_answers: 21,
@@ -382,7 +380,7 @@ fn run_metrics_golden_json() {
                              \"latency_histogram\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}";
     let expected = format!(
         concat!(
-            "{{\"schema_version\":11,\"request_id\":\"req-7\",",
+            "{{\"schema_version\":12,\"request_id\":\"req-7\",",
             "\"num_targets\":1,\"per_call_conflicts\":1000,",
             "\"elapsed_us\":1234,",
             "\"phases\":[{{\"phase\":\"sufficiency_check\",\"elapsed_us\":10}}],",
@@ -414,7 +412,7 @@ fn run_metrics_golden_json() {
             "\"cache\":{{\"netlist_hits\":0,\"netlist_misses\":0,\"window_hits\":1,",
             "\"window_misses\":2,\"cnf_hits\":3,\"cnf_misses\":4,\"target_hits\":0,",
             "\"target_misses\":0,\"outcome_hits\":0,\"outcome_misses\":0}},",
-            "\"serving\":{{\"retried\":10}},\"sweep\":{{\"oracle_hits\":17}},",
+            "\"sweep\":{{\"oracle_hits\":17}},",
             "\"classes\":{{\"inherited_answers\":21,\"refinement_rounds\":22,",
             "\"witness_replays\":23}}}}"
         ),
@@ -424,13 +422,12 @@ fn run_metrics_golden_json() {
 }
 
 #[test]
-fn run_metrics_v11_round_trips_through_parser() {
+fn run_metrics_schema_round_trips_through_parser() {
     let metrics = golden_metrics();
-    let doc = parse_json(&metrics.to_json()).expect("schema v11 output is valid JSON");
+    let doc = parse_json(&metrics.to_json()).expect("schema v12 output is valid JSON");
     let u = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_u64);
-    assert_eq!(u(&doc, "schema_version"), Some(11));
-    let serving = doc.get("serving").expect("serving counters object");
-    assert_eq!(u(serving, "retried"), Some(10));
+    assert_eq!(u(&doc, "schema_version"), Some(12));
+    assert!(doc.get("serving").is_none(), "v12 has no serving object");
     let sweep = doc.get("sweep").expect("sweep counters object");
     assert_eq!(u(sweep, "oracle_hits"), Some(17));
     let classes = doc.get("classes").expect("classes counters object");
