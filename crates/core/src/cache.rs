@@ -11,9 +11,9 @@
 //! fewer [`crate::EcoEvent::SatCall`]s but identical patches and
 //! dispositions.
 //!
-//! Every table — the engine's window / CNF / solved-target layers and
-//! witness side table here, and the daemon's netlist / outcome /
-//! poison-pill tables — is one [`CacheTable`]: an LRU map with its own
+//! Every table — the engine's window / CNF / solved-target layers
+//! here, and the daemon's netlist / outcome / poison-pill tables — is
+//! one [`CacheTable`]: an LRU map with its own
 //! capacity, a per-key in-flight slot, and one [`TableStats`] record.
 //! Fills are single-flight: when several callers miss the same key at
 //! once, one computes and the others wait for its stored value. The
@@ -362,11 +362,6 @@ pub(crate) struct CachedSolve {
     pub(crate) report: TargetPatchReport,
 }
 
-/// A shared, immutable batch of class-layer witness pattern pairs
-/// (`(input_a, input_b)` valuations), as stored in the cache side
-/// table and replayed into a fresh [`crate::classes::EquivClasses`].
-pub(crate) type WitnessPatterns = Arc<Vec<(Vec<bool>, Vec<bool>)>>;
-
 /// Shared, thread-safe content-hash cache attached to an engine with
 /// [`crate::EcoEngine::with_cache`]. Cloning shares the same storage
 /// (`Arc` bumps), so one cache can serve many engines — the daemon
@@ -376,11 +371,6 @@ pub struct EcoCache {
     pub(crate) windows: Arc<CacheTable<Window>>,
     pub(crate) miters: Arc<CacheTable<Arc<QuantifiedMiter>>>,
     pub(crate) solves: Arc<CacheTable<CachedSolve>>,
-    /// Class-layer counterexample witnesses, keyed like `miters`. A
-    /// side table rather than a [`CacheLayer`]: hits and misses are
-    /// deliberately unobserved (witness reuse is a warm-start hint that
-    /// must not perturb the event stream or [`CacheStats`]).
-    pub(crate) witnesses: Arc<CacheTable<WitnessPatterns>>,
 }
 
 impl std::fmt::Debug for EcoCache {
@@ -399,7 +389,6 @@ impl EcoCache {
             windows: Arc::new(CacheTable::new(capacity)),
             miters: Arc::new(CacheTable::new(capacity)),
             solves: Arc::new(CacheTable::new(capacity)),
-            witnesses: Arc::new(CacheTable::new(capacity)),
         }
     }
 
@@ -417,7 +406,7 @@ impl EcoCache {
             cnf_misses: c.misses,
             target_hits: t.hits,
             target_misses: t.misses,
-            evictions: w.evictions + c.evictions + t.evictions + self.witnesses.stats().evictions,
+            evictions: w.evictions + c.evictions + t.evictions,
         }
     }
 }

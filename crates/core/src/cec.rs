@@ -5,7 +5,7 @@
 use crate::cnf::CnfEncoder;
 use crate::observe::{ObserverHandle, SatCallKind};
 use eco_aig::Aig;
-use eco_sat::{Lit, ResourceGovernor, SolveResult, Solver};
+use eco_sat::{GovernorLimits, Lit, ResourceGovernor, SolveResult, Solver};
 
 /// Outcome of an equivalence check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -48,34 +48,29 @@ pub enum CecResult {
 /// assert_eq!(check_equivalence(&f, &g, None), CecResult::Equivalent);
 /// ```
 pub fn check_equivalence(a: &Aig, b: &Aig, conflict_budget: Option<u64>) -> CecResult {
-    check_equivalence_observed(a, b, conflict_budget, &ObserverHandle::default(), None)
-}
-
-/// [`check_equivalence`] with event emission: the SAT call (if the
-/// miter is not discharged structurally) reports as
-/// [`SatCallKind::Cec`], unattributed.
-pub(crate) fn check_equivalence_observed(
-    a: &Aig,
-    b: &Aig,
-    conflict_budget: Option<u64>,
-    obs: &ObserverHandle,
-    governor: Option<&ResourceGovernor>,
-) -> CecResult {
-    check_outputs_equivalence_observed(a, b, None, conflict_budget, obs, governor)
+    check_outputs_equivalence_observed(
+        a,
+        b,
+        None,
+        conflict_budget,
+        &ObserverHandle::default(),
+        &ResourceGovernor::new(GovernorLimits::default()),
+    )
 }
 
 /// Equivalence of `a` and `b` restricted to `outputs` (`None` = all
 /// outputs) — the sweep primitive behind the engine's incremental
 /// verification. The CNF encoding is lazy, so only the cones of the
 /// selected outputs reach the solver even though both AIGs are imported
-/// in full.
+/// in full. The SAT call (if the miter is not discharged structurally)
+/// reports as [`SatCallKind::Cec`], unattributed.
 pub(crate) fn check_outputs_equivalence_observed(
     a: &Aig,
     b: &Aig,
     outputs: Option<&[usize]>,
     conflict_budget: Option<u64>,
     obs: &ObserverHandle,
-    governor: Option<&ResourceGovernor>,
+    governor: &ResourceGovernor,
 ) -> CecResult {
     assert_eq!(a.num_inputs(), b.num_inputs(), "input count mismatch");
     assert_eq!(a.num_outputs(), b.num_outputs(), "output count mismatch");
@@ -99,7 +94,7 @@ pub(crate) fn check_outputs_equivalence_observed(
         return CecResult::Equivalent;
     }
     let mut solver = Solver::new();
-    solver.set_search_control(governor.map(ResourceGovernor::control));
+    solver.set_governor(governor.clone());
     if let Some(budget) = conflict_budget {
         solver.set_budget(Some(budget));
     }
@@ -109,10 +104,7 @@ pub(crate) fn check_outputs_equivalence_observed(
         .iter()
         .map(|&i| enc.lit(&miter, &mut solver, i))
         .collect();
-    let before = obs.snapshot(&mut solver);
-    let result = solver.solve(&[out_lit]);
-    obs.sat_call(before, &solver, SatCallKind::Cec, None, result);
-    match result {
+    match obs.solve(&mut solver, &[out_lit], SatCallKind::Cec, None) {
         SolveResult::Unsat => CecResult::Equivalent,
         SolveResult::Sat => {
             let cex = in_lits
@@ -208,16 +200,17 @@ mod tests {
         g.add_output(a);
         g.add_output(a); // differs on output 1 only
         let obs = ObserverHandle::default();
+        let gov = ResourceGovernor::new(GovernorLimits::default());
         assert_eq!(
-            check_outputs_equivalence_observed(&f, &g, Some(&[0]), None, &obs, None),
+            check_outputs_equivalence_observed(&f, &g, Some(&[0]), None, &obs, &gov),
             CecResult::Equivalent
         );
         assert!(matches!(
-            check_outputs_equivalence_observed(&f, &g, Some(&[1]), None, &obs, None),
+            check_outputs_equivalence_observed(&f, &g, Some(&[1]), None, &obs, &gov),
             CecResult::Counterexample(_)
         ));
         assert_eq!(
-            check_outputs_equivalence_observed(&f, &g, Some(&[]), None, &obs, None),
+            check_outputs_equivalence_observed(&f, &g, Some(&[]), None, &obs, &gov),
             CecResult::Equivalent,
             "an empty sweep is vacuously equivalent"
         );

@@ -9,7 +9,7 @@ use crate::error::EcoError;
 use crate::observe::{ClassesCounters, EcoEvent, ObserverHandle, SatCallKind};
 use eco_aig::{splitmix64, Aig, AigLit, NodeId};
 use eco_graph::{NodeCutGraph, INF};
-use eco_sat::{Lit, ResourceGovernor, SolveResult, Solver};
+use eco_sat::{GovernorLimits, Lit, ResourceGovernor, SolveResult, Solver};
 
 /// Result of the max-flow resubstitution.
 #[derive(Clone, Debug)]
@@ -56,7 +56,7 @@ pub fn cegar_min(
         per_call_conflicts,
         &ObserverHandle::default(),
         None,
-        None,
+        &ResourceGovernor::new(GovernorLimits::default()),
         None,
     )
 }
@@ -85,7 +85,7 @@ pub(crate) fn cegar_min_observed(
     per_call_conflicts: Option<u64>,
     obs: &ObserverHandle,
     target_index: Option<usize>,
-    governor: Option<&ResourceGovernor>,
+    governor: &ResourceGovernor,
     classes: Option<&mut ClassesCounters>,
 ) -> Result<CegarMinResult, EcoError> {
     assert_eq!(patch.num_outputs(), 1, "patch must be single-output");
@@ -125,7 +125,7 @@ pub(crate) fn cegar_min_observed(
 
     // SAT context over the combined network for equivalence proofs.
     let mut solver = Solver::new();
-    solver.set_search_control(governor.map(ResourceGovernor::control));
+    solver.set_governor(governor.clone());
     let mut enc = CnfEncoder::new(&combined);
     let mut sat_calls = 0u64;
     // Class layer: full node valuations of counterexample inputs
@@ -146,12 +146,10 @@ pub(crate) fn cegar_min_observed(
         if a == b {
             return Ok(Some(true));
         }
-        let governed_ok =
-            || !governor.is_some_and(|g| g.trip().is_some() || g.fault_injections() != 0);
         let eval = |vals: &[bool], l: AigLit| vals[l.node().index()] ^ l.is_complement();
         // known[0]: some valuation has a=1, b=0; known[1]: a=0, b=1.
         let mut known = [false; 2];
-        if use_store && governed_ok() {
+        if use_store && !governor.interfered() {
             for vals in &cex_store {
                 let (va, vb) = (eval(vals, a), eval(vals, b));
                 known[0] |= va && !vb;
@@ -173,12 +171,10 @@ pub(crate) fn cegar_min_observed(
                 if let Some(c) = per_call_conflicts {
                     solver.set_budget(Some(c));
                 }
-                let before = obs.snapshot(solver);
-                let result = solver.solve(&[x, y]);
-                obs.sat_call(before, solver, SatCallKind::CegarMin, target_index, result);
+                let result = obs.solve(solver, &[x, y], SatCallKind::CegarMin, target_index);
                 if result == SolveResult::Sat
                     && use_store
-                    && governed_ok()
+                    && !governor.interfered()
                     && cex_store.len() < MAX_CEGAR_CEX
                 {
                     let words: Vec<u64> = combined

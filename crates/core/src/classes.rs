@@ -11,9 +11,8 @@
 //!   feasible-set store (UNSAT answers inherited by supersets of a
 //!   proven-feasible subset — a monotonicity argument, see
 //!   [`EquivClasses::proves_feasible`]). Witness models from real SAT
-//!   calls refine the stores CEGAR-style, and raw witnesses carry
-//!   across quantification-refinement rounds and across requests via
-//!   the [`EcoCache`](crate::EcoCache).
+//!   calls refine the stores CEGAR-style, and both stores carry
+//!   across quantification-refinement rounds ([`EquivClasses::carry`]).
 //! - [`MinimizeHook`]: the *learn-only* observation point
 //!   `minimize_assumptions` exposes so the class layer can harvest
 //!   witnesses and feasible sets from the recursion's real calls.
@@ -46,7 +45,7 @@ const POOL_WORDS: usize = 4;
 /// sound, just less sharp.
 const MAX_WITNESS_PATTERNS: usize = 1024;
 
-/// Cap on raw witness pairs carried across refinement rounds/requests.
+/// Cap on raw witness pairs carried across refinement rounds.
 const MAX_CARRIED_WITNESSES: usize = 1024;
 
 /// Cap on stored feasible (UNSAT-proven) subsets.
@@ -77,21 +76,29 @@ pub(crate) struct EquivClasses {
     a_sigs: Vec<Vec<u64>>,
     /// Divisor signatures of patterns where `M(1, x) = 1`.
     b_sigs: Vec<Vec<u64>>,
-    /// Raw witness pairs, for carry across rounds and requests.
+    /// Raw witness pairs, for carry across refinement rounds.
     witnesses: Vec<(Vec<bool>, Vec<bool>)>,
     /// Canonical (sorted) divisor-index sets proven feasible (UNSAT).
     feasible: Vec<Vec<usize>>,
     /// `Sat` answers replayed from stored witness pairs.
     oracle_hits: u64,
     stats: ClassesCounters,
-    governor: Option<ResourceGovernor>,
+    /// The run's governor: once it has interfered, every lookup and
+    /// learn is off, degrading the layer to the identity (zero
+    /// inherited answers).
+    governor: ResourceGovernor,
 }
 
 impl EquivClasses {
     /// Builds the class layer for one quantified miter and its divisor
     /// list, seeding the pattern pool deterministically (identical
     /// inputs produce an identical layer).
-    pub(crate) fn build(qm: &QuantifiedMiter, divisors: &[NodeId], seed: u64) -> EquivClasses {
+    pub(crate) fn build(
+        qm: &QuantifiedMiter,
+        divisors: &[NodeId],
+        seed: u64,
+        governor: ResourceGovernor,
+    ) -> EquivClasses {
         let x_count = qm.x_inputs.len();
         let divisor_lits: Vec<AigLit> = divisors.iter().map(|d| qm.impl_map[d.index()]).collect();
         let mut classes = EquivClasses {
@@ -105,7 +112,7 @@ impl EquivClasses {
             feasible: Vec::new(),
             oracle_hits: 0,
             stats: ClassesCounters::default(),
-            governor: None,
+            governor,
         };
         // Harvest initial A/B patterns from seeded random words over the
         // x inputs (input-major, `POOL_WORDS` per input), simulating the
@@ -133,17 +140,8 @@ impl EquivClasses {
         classes
     }
 
-    /// Attaches the engine's governor; a tripped or fault-injecting
-    /// governor deactivates every lookup and learn, degrading the
-    /// layer to the identity (zero inherited answers).
-    pub(crate) fn set_governor(&mut self, governor: Option<ResourceGovernor>) {
-        self.governor = governor;
-    }
-
     fn active(&self) -> bool {
-        self.governor
-            .as_ref()
-            .is_none_or(|g| g.trip().is_none() && g.fault_injections() == 0)
+        !self.governor.interfered()
     }
 
     fn store(&mut self, n_value: bool, sig: Vec<u64>) {
@@ -206,11 +204,15 @@ impl EquivClasses {
     }
 
     /// Records a subset proven feasible (UNSAT) by a real SAT call.
-    /// Subsets subsume their supersets, so subsumed entries are pruned.
     pub(crate) fn learn_feasible(&mut self, indices: &[usize]) {
-        if !self.active() {
-            return;
+        if self.active() {
+            self.store_feasible(indices);
         }
+    }
+
+    /// Stores a feasible subset. Subsets subsume their supersets, so
+    /// subsumed entries are pruned.
+    fn store_feasible(&mut self, indices: &[usize]) {
         let mut canon: Vec<usize> = indices.to_vec();
         canon.sort_unstable();
         canon.dedup();
@@ -242,14 +244,20 @@ impl EquivClasses {
         }
     }
 
-    /// Replays a witness carried from an earlier refinement round or a
-    /// cached request; counted separately from fresh learning.
-    pub(crate) fn replay_witness(&mut self, x1: &[bool], x2: &[bool]) {
-        if !self.active() {
-            return;
+    /// Carries the knowledge of the previous refinement round's layer
+    /// into this one: witnesses are replayed (re-verified by simulation
+    /// against the refined miter, counted separately from fresh
+    /// learning), feasible sets adopted directly (refinement only
+    /// strengthens the miter, so UNSAT answers persist). Unconditional:
+    /// the lookups stay gated by the governor.
+    pub(crate) fn carry(&mut self, prev: &EquivClasses) {
+        for (x1, x2) in &prev.witnesses {
+            if self.absorb_witness(x1, x2) {
+                self.stats.witness_replays += 1;
+            }
         }
-        if self.absorb_witness(x1, x2) {
-            self.stats.witness_replays += 1;
+        for f in &prev.feasible {
+            self.store_feasible(f);
         }
     }
 
@@ -291,18 +299,6 @@ impl EquivClasses {
             self.a_sigs.len()
         };
         after > before
-    }
-
-    /// The raw witness pairs accumulated so far (for carry/caching).
-    pub(crate) fn witnesses(&self) -> &[(Vec<bool>, Vec<bool>)] {
-        &self.witnesses
-    }
-
-    /// The feasible sets accumulated so far (for carry across
-    /// refinement rounds — refinement strengthens the miter, so UNSAT
-    /// answers persist).
-    pub(crate) fn feasible_sets(&self) -> &[Vec<usize>] {
-        &self.feasible
     }
 
     /// The accumulated counters: `Sat` answers replayed from stored
@@ -393,6 +389,7 @@ mod tests {
     use crate::problem::EcoProblem;
     use crate::support::support_solver_for;
     use crate::window::compute_window;
+    use eco_sat::GovernorLimits;
 
     #[test]
     fn feasible_set_inheritance_is_superset_monotone() {
@@ -413,13 +410,14 @@ mod tests {
                 .collect(),
         };
         let divisors: Vec<NodeId> = vec![a.node(), b.node()];
-        let mut c = EquivClasses::build(&qm, &divisors, 3);
+        let unlimited = ResourceGovernor::new(GovernorLimits::default());
+        let mut c = EquivClasses::build(&qm, &divisors, 3, unlimited);
         c.learn_feasible(&[0]);
         assert!(c.proves_feasible(&[0, 1]), "superset inherits UNSAT");
         assert!(!c.proves_feasible(&[1]));
         // learning the superset afterwards is subsumed away
         c.learn_feasible(&[0, 1]);
-        assert_eq!(c.feasible_sets().len(), 1);
+        assert_eq!(c.feasible.len(), 1);
         assert_eq!(c.stats().1.inherited_answers, 1);
     }
 
@@ -439,8 +437,9 @@ mod tests {
         let p = EcoProblem::with_unit_weights(im, sp, vec![t.node()]).expect("valid");
         let qm = QuantifiedMiter::build(&p, 0, &[], None);
         let divisors = compute_window(&p).divisors;
-        let mut classes = EquivClasses::build(&qm, &divisors, 1);
-        let mut ss = support_solver_for(&p, &qm, &divisors, None);
+        let unlimited = ResourceGovernor::new(GovernorLimits::default());
+        let mut classes = EquivClasses::build(&qm, &divisors, 1, unlimited.clone());
+        let mut ss = support_solver_for(&p, &qm, &divisors, None, &unlimited);
         // Every subset the store calls infeasible must be Sat for the
         // real instance (soundness).
         for mask in 0u32..1 << divisors.len().min(4) {

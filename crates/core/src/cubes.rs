@@ -8,7 +8,7 @@ use crate::miter::QuantifiedMiter;
 use crate::observe::{ObserverHandle, SatCallKind};
 use crate::support::minimize_assumptions_observed;
 use eco_aig::{Cube, CubeLit, NodeId, Sop};
-use eco_sat::{Lit, ResourceGovernor, SolveResult, Solver};
+use eco_sat::{GovernorLimits, Lit, ResourceGovernor, SolveResult, Solver};
 
 /// Result of the cube-enumeration patch computation.
 #[derive(Clone, Debug)]
@@ -58,7 +58,7 @@ pub fn enumerate_patch_sop(
         max_cubes,
         &ObserverHandle::default(),
         &mut calls,
-        None,
+        &ResourceGovernor::new(GovernorLimits::default()),
     )
 }
 
@@ -81,11 +81,11 @@ pub(crate) fn enumerate_patch_sop_observed(
     max_cubes: usize,
     obs: &ObserverHandle,
     calls: &mut u64,
-    governor: Option<&ResourceGovernor>,
+    governor: &ResourceGovernor,
 ) -> Result<PatchSop, EcoError> {
     let start_calls = *calls;
     let mut solver = Solver::new();
-    solver.set_search_control(governor.map(ResourceGovernor::control));
+    solver.set_governor(governor.clone());
     CnfEncoder::reserve_copies(&mut solver, &qm.aig, 1);
     let mut enc = CnfEncoder::new(&qm.aig);
     let out = enc.lit(&qm.aig, &mut solver, qm.output);
@@ -107,16 +107,12 @@ pub(crate) fn enumerate_patch_sop_observed(
             solver.set_budget(Some(c));
         }
         *calls += 1;
-        let before = obs.snapshot(&mut solver);
-        let onset = solver.solve(&onset_base);
-        obs.sat_call(
-            before,
-            &solver,
+        match obs.solve(
+            &mut solver,
+            &onset_base,
             SatCallKind::CubeEnumeration,
             Some(target_index),
-            onset,
-        );
-        match onset {
+        ) {
             SolveResult::Unsat => break,
             SolveResult::Unknown => return Err(EcoError::budget_exhausted("cube enumeration")),
             SolveResult::Sat => {
@@ -139,16 +135,12 @@ pub(crate) fn enumerate_patch_sop_observed(
                 *calls += 1;
                 let mut check = offset_base.clone();
                 check.extend_from_slice(&lits);
-                let before = obs.snapshot(&mut solver);
-                let disjoint = solver.solve(&check);
-                obs.sat_call(
-                    before,
-                    &solver,
+                match obs.solve(
+                    &mut solver,
+                    &check,
                     SatCallKind::CubeEnumeration,
                     Some(target_index),
-                    disjoint,
-                );
-                match disjoint {
+                ) {
                     SolveResult::Sat => return Err(EcoError::NoFeasibleSupport { target_index }),
                     SolveResult::Unknown => {
                         return Err(EcoError::budget_exhausted("cube expansion"))

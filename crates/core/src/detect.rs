@@ -12,7 +12,7 @@
 use crate::cec::{check_equivalence, CecResult};
 use crate::error::EcoError;
 use crate::problem::EcoProblem;
-use crate::qbf::{check_targets_sufficient, QbfOutcome};
+use crate::qbf::{check_targets_sufficient, QbfOutcome, QBF_MAX_ITERATIONS};
 use eco_aig::{splitmix64, Aig, AigNode, NodeId};
 
 /// Largest target set to try.
@@ -23,9 +23,6 @@ const MAX_CANDIDATES: usize = 64;
 
 /// Distinguishing pattern words (64 patterns each) to collect.
 const PATTERN_WORDS: usize = 16;
-
-/// Iteration cap for each sufficiency check.
-const QBF_MAX_ITERATIONS: usize = 512;
 
 /// Result of target detection.
 #[derive(Clone, Debug)]

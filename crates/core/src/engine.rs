@@ -17,14 +17,14 @@ use crate::observe::{
     RunMetrics, SatCallKind,
 };
 use crate::problem::EcoProblem;
-use crate::qbf::{check_targets_sufficient_observed, QbfOutcome};
+use crate::qbf::{check_targets_sufficient_observed, QbfOutcome, QBF_MAX_ITERATIONS};
 use crate::structural::structural_patch;
 use crate::support::{support_solver_for, SupportResult, SupportSolver};
 use crate::window::{
     compute_divisors, compute_window, independent_targets, per_target_outputs, Window,
 };
 use eco_aig::{factor_sop, Aig, AigLit, NodeId, NodePatch};
-use eco_sat::{ResourceGovernor, SolveResult, Solver, TripReason};
+use eco_sat::{GovernorLimits, ResourceGovernor, SolveResult, Solver, TripReason};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -123,9 +123,6 @@ impl Default for EcoOptions {
         }
     }
 }
-
-/// Iteration cap for the 2QBF sufficiency check.
-const QBF_MAX_ITERATIONS: usize = 512;
 
 /// Cap on candidate divisors per target (cheapest kept).
 const MAX_DIVISORS: usize = 3_000;
@@ -361,9 +358,9 @@ pub struct EcoOutcome {
     /// Aggregated run telemetry, present when the engine was built
     /// with [`EcoEngine::with_metrics`].
     pub metrics: Option<RunMetrics>,
-    /// The sticky governor trip that cut the run short (`None` when no
-    /// governor was configured or it never tripped). A `Some` here
-    /// marks an *anytime* outcome: inspect the per-target
+    /// The sticky governor trip that cut the run short (`None` when the
+    /// governor never tripped, as an unlimited one never does). A
+    /// `Some` here marks an *anytime* outcome: inspect the per-target
     /// [`TargetPatchReport::disposition`]s for what completed.
     pub governor_trip: Option<TripReason>,
     /// Faults injected by the governor's
@@ -404,13 +401,15 @@ pub struct EcoOutcome {
 /// [`RunMetrics`] into [`EcoOutcome::metrics`]. Attach an [`EcoCache`]
 /// with [`EcoEngine::with_cache`] to reuse windows, CNF builds, and
 /// solved targets across runs sharing the cache.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct EcoEngine {
     /// Configuration used by [`EcoEngine::solve`].
     pub options: EcoOptions,
     observers: Vec<Arc<Mutex<dyn EcoObserver + Send>>>,
     collect_metrics: bool,
-    governor: Option<ResourceGovernor>,
+    /// Bounds every solve; unlimited unless [`EcoEngine::with_governor`]
+    /// installed one.
+    governor: ResourceGovernor,
     cache: Option<EcoCache>,
     request_id: Option<String>,
 }
@@ -427,6 +426,12 @@ impl fmt::Debug for EcoEngine {
     }
 }
 
+impl Default for EcoEngine {
+    fn default() -> EcoEngine {
+        EcoEngine::new(EcoOptions::default())
+    }
+}
+
 impl EcoEngine {
     /// Creates an engine with the given options.
     pub fn new(options: EcoOptions) -> EcoEngine {
@@ -434,7 +439,7 @@ impl EcoEngine {
             options,
             observers: Vec::new(),
             collect_metrics: false,
-            governor: None,
+            governor: ResourceGovernor::new(GovernorLimits::default()),
             cache: None,
             request_id: None,
         }
@@ -462,13 +467,14 @@ impl EcoEngine {
     }
 
     /// Installs a [`ResourceGovernor`] that bounds every
-    /// [`EcoEngine::solve`] call of this engine (runs are ungoverned
-    /// without one). Its deadline clock starts when it is built, so
-    /// build one per solve for a per-run deadline. Keep a clone of the
-    /// handle to [`ResourceGovernor::cancel`] a running engine from
-    /// another thread or to share one pool across several runs.
+    /// [`EcoEngine::solve`] call of this engine (without one, runs are
+    /// governed by an unlimited governor). Its deadline clock starts
+    /// when it is built, so build one per solve for a per-run deadline.
+    /// Keep a clone of the handle to [`ResourceGovernor::cancel`] a
+    /// running engine from another thread or to share one pool across
+    /// several runs.
     pub fn with_governor(mut self, governor: ResourceGovernor) -> EcoEngine {
-        self.governor = Some(governor);
+        self.governor = governor;
         self
     }
 
@@ -503,7 +509,7 @@ impl EcoEngine {
     ///   check, mirroring the paper's invalid-patch caveat).
     pub fn solve(&self, problem: &EcoProblem) -> Result<EcoOutcome, EcoError> {
         let t0 = Instant::now();
-        let gov = self.governor.as_ref();
+        let gov = &self.governor;
         let mut trips = TripLog::default();
         let (obs, metrics_sink) = self.run_observers();
         obs.emit(|| EcoEvent::RunStarted {
@@ -555,8 +561,8 @@ impl EcoEngine {
             qbf_certificates: certificates.as_ref().map_or(0, Vec::len),
             patches: applied,
             metrics,
-            governor_trip: gov.and_then(ResourceGovernor::trip),
-            fault_injections: gov.map_or(0, ResourceGovernor::fault_injections),
+            governor_trip: gov.trip(),
+            fault_injections: gov.fault_injections(),
         })
     }
 
@@ -579,7 +585,7 @@ impl EcoEngine {
     fn sufficiency_check(
         &self,
         problem: &EcoProblem,
-        gov: Option<&ResourceGovernor>,
+        gov: &ResourceGovernor,
         trips: &mut TripLog,
         obs: &ObserverHandle,
     ) -> Result<Option<Vec<Vec<bool>>>, EcoError> {
@@ -617,7 +623,7 @@ impl EcoEngine {
         problem: &EcoProblem,
         window: &Window,
         certificates: Option<&[Vec<bool>]>,
-        gov: Option<&ResourceGovernor>,
+        gov: &ResourceGovernor,
         trips: &mut TripLog,
         obs: &ObserverHandle,
     ) -> Result<Generated, EcoError> {
@@ -783,7 +789,7 @@ impl EcoEngine {
         &self,
         generated: &Generated,
         spec: &Aig,
-        gov: Option<&ResourceGovernor>,
+        gov: &ResourceGovernor,
         trips: &mut TripLog,
         obs: &ObserverHandle,
     ) -> Result<bool, EcoError> {
@@ -792,7 +798,7 @@ impl EcoEngine {
             .reports
             .iter()
             .any(|r| !r.disposition.is_patched());
-        let hard_tripped = gov.is_some_and(|g| g.hard_trip().is_some());
+        let hard_tripped = gov.hard_trip().is_some();
         let mut verified = opts.verify && !any_skipped && !hard_tripped;
         if verified {
             let budget = opts
@@ -830,7 +836,7 @@ impl EcoEngine {
         &self,
         work: &EcoProblem,
         target: &TargetPlan,
-        governor: Option<&ResourceGovernor>,
+        governor: &ResourceGovernor,
         trips: &mut TripLog,
         obs: &ObserverHandle,
     ) -> Result<Result<(NodePatch, TargetPatchReport), TargetPatchReport>, EcoError> {
@@ -855,9 +861,7 @@ impl EcoEngine {
                 // Another run's fill of this key is awaited only until
                 // this run's own deadline, so a tight deadline still
                 // trips on time instead of waiting out a longer solve.
-                let deadline = governor
-                    .and_then(ResourceGovernor::remaining_time)
-                    .map(|left| Instant::now() + left);
+                let deadline = governor.remaining_time().map(|left| Instant::now() + left);
                 let fill = || {
                     let ladder = ladder();
                     let stored = match &ladder {
@@ -921,7 +925,7 @@ impl EcoEngine {
         work: &EcoProblem,
         target: &TargetPlan,
         spent: &mut u64,
-        governor: Option<&ResourceGovernor>,
+        governor: &ResourceGovernor,
         trips: &mut TripLog,
         obs: &ObserverHandle,
     ) -> Result<Result<(NodePatch, TargetPatchReport), String>, EcoError> {
@@ -935,7 +939,7 @@ impl EcoEngine {
         } = *target;
         // Rung 0: a deadline/cancellation trip means no further work of
         // any kind can help; skip every rung.
-        if let Some(reason) = governor.and_then(ResourceGovernor::hard_trip) {
+        if let Some(reason) = governor.hard_trip() {
             trips.note(obs, governor);
             obs.emit(|| EcoEvent::LadderStep {
                 target_index: original_index,
@@ -972,7 +976,7 @@ impl EcoEngine {
         // — cheap enough to often succeed where the minimization loop
         // blew the budget. The per-call budget is kept: the point is
         // fewer and cheaper calls, not a bigger allowance.
-        if governor.and_then(ResourceGovernor::hard_trip).is_none() {
+        if governor.hard_trip().is_none() {
             obs.emit(|| EcoEvent::LadderStep {
                 target_index: original_index,
                 rung: LadderRung::DegradedRetry,
@@ -1007,7 +1011,7 @@ impl EcoEngine {
         // Rung 3: structural patch. Needs no SAT unless CEGAR_min is
         // on; when CEGAR_min itself runs out of resources, fall back to
         // the plain (SAT-free) structural cofactor patch.
-        if governor.and_then(ResourceGovernor::hard_trip).is_none() {
+        if governor.hard_trip().is_none() {
             obs.emit(|| EcoEvent::StructuralFallback {
                 target_index: original_index,
             });
@@ -1029,7 +1033,7 @@ impl EcoEngine {
                 Ok(ok) => return Ok(Ok(ok)),
                 Err(e) if e.is_resource_exhausted() => {
                     trips.note(obs, governor);
-                    if opts.cegar_min && governor.and_then(ResourceGovernor::hard_trip).is_none() {
+                    if opts.cegar_min && governor.hard_trip().is_none() {
                         let mut plain = opts.clone();
                         plain.cegar_min = false;
                         match self.structural_patch_for_target(
@@ -1120,35 +1124,6 @@ impl EcoEngine {
         }
     }
 
-    /// Persists a class layer's accumulated counterexample witnesses
-    /// under the subproblem's miter key so a later request for the same
-    /// state starts with a warm pattern pool. Witness replay re-verifies
-    /// every pattern by simulation before use, so a stale entry can
-    /// never change a verdict — but anything observed under governor
-    /// pressure is still skipped, mirroring [`solve_is_cacheable`].
-    fn store_witnesses(
-        &self,
-        work: &EcoProblem,
-        pos: usize,
-        assignments: &[Vec<bool>],
-        window: &Window,
-        classes: &EquivClasses,
-        governor: Option<&ResourceGovernor>,
-    ) {
-        let Some(cache) = &self.cache else {
-            return;
-        };
-        if governor.is_some_and(|g| g.trip().is_some() || g.fault_injections() != 0) {
-            return;
-        }
-        let witnesses = classes.witnesses();
-        if witnesses.is_empty() {
-            return;
-        }
-        let key = miter_cache_key(work, pos, assignments, &window.outputs);
-        cache.witnesses.put(key, Arc::new(witnesses.to_vec()));
-    }
-
     /// SAT path for `work.targets[pos]`: feasibility (with CEGAR
     /// quantification refinement when approximate), support
     /// computation, cube enumeration, factoring.
@@ -1174,15 +1149,12 @@ impl EcoEngine {
         spent: &mut u64,
         opts: &EcoOptions,
         effort: Effort,
-        governor: Option<&ResourceGovernor>,
+        governor: &ResourceGovernor,
         obs: &ObserverHandle,
     ) -> Result<(NodePatch, TargetPatchReport), EcoError> {
         let classes_on = class_layer_on(opts);
         // Class layer carried across quantification-refinement
-        // iterations: witnesses are replayed (re-verified by
-        // simulation against the refined miter), feasible sets are
-        // adopted directly (refinement only strengthens the miter, so
-        // UNSAT answers persist).
+        // iterations (see `EquivClasses::carry`).
         let mut carried: Option<EquivClasses> = None;
         loop {
             let qm = self.quantified_miter(work, pos, assignments, window, obs);
@@ -1191,34 +1163,13 @@ impl EcoEngine {
                 compute_divisors(&work.implementation, &work.targets, &window.inputs);
             divisors.sort_by_key(|d| (work.weight(*d), d.index()));
             divisors.truncate(MAX_DIVISORS);
-            let mut ss = support_solver_for(work, qm, &divisors, opts.per_call_conflicts);
+            let mut ss = support_solver_for(work, qm, &divisors, opts.per_call_conflicts, governor);
             ss.set_observer(obs.clone(), Some(original_index));
-            ss.set_governor(governor.cloned());
             if classes_on {
                 let seed = classes_seed(original_index, assignments.len());
-                let mut classes = EquivClasses::build(qm, &divisors, seed);
-                match carried.take() {
-                    Some(prev) => {
-                        for (x1, x2) in prev.witnesses() {
-                            classes.replay_witness(x1, x2);
-                        }
-                        for f in prev.feasible_sets() {
-                            classes.learn_feasible(f);
-                        }
-                    }
-                    None => {
-                        // Cold iteration: replay witnesses an earlier
-                        // request left in the cache for this exact
-                        // subproblem state.
-                        if let Some(cache) = &self.cache {
-                            let key = miter_cache_key(work, pos, assignments, &window.outputs);
-                            if let Some(ws) = cache.witnesses.get(key) {
-                                for (x1, x2) in ws.iter() {
-                                    classes.replay_witness(x1, x2);
-                                }
-                            }
-                        }
-                    }
+                let mut classes = EquivClasses::build(qm, &divisors, seed, governor.clone());
+                if let Some(prev) = carried.take() {
+                    classes.carry(&prev);
                 }
                 ss.set_classes(Some(classes));
             }
@@ -1248,9 +1199,6 @@ impl EcoEngine {
                 emit_classes_report(obs, &ss, original_index);
                 if classes_on {
                     carried = ss.take_classes();
-                    if let Some(classes) = carried.as_ref() {
-                        self.store_witnesses(work, pos, assignments, window, classes, governor);
-                    }
                 }
                 if !self.refine_assignments(
                     work,
@@ -1299,11 +1247,6 @@ impl EcoEngine {
                 .collect();
             *spent += ss.sat_calls;
             emit_classes_report(obs, &ss, original_index);
-            if classes_on {
-                if let Some(classes) = ss.take_classes() {
-                    self.store_witnesses(work, pos, assignments, window, &classes, governor);
-                }
-            }
             let sop = enumerate_patch_sop_observed(
                 qm,
                 &support_nodes,
@@ -1354,12 +1297,12 @@ impl EcoEngine {
         target_index: usize,
         spent: &mut u64,
         opts: &EcoOptions,
-        governor: Option<&ResourceGovernor>,
+        governor: &ResourceGovernor,
         obs: &ObserverHandle,
     ) -> Result<bool, EcoError> {
         let miter = EcoMiter::build(work, Some(&window.outputs));
         let mut solver = Solver::new();
-        solver.set_search_control(governor.map(ResourceGovernor::control));
+        solver.set_governor(governor.clone());
         let mut enc = CnfEncoder::new(&miter.aig);
         let out = enc.lit(&miter.aig, &mut solver, miter.output);
         let x_lits: Vec<_> = miter
@@ -1385,16 +1328,12 @@ impl EcoEngine {
                 solver.set_budget(Some(c));
             }
             *spent += 1;
-            let before = obs.snapshot(&mut solver);
-            let result = solver.solve(&assumptions);
-            obs.sat_call(
-                before,
-                &solver,
+            match obs.solve(
+                &mut solver,
+                &assumptions,
                 SatCallKind::Refinement,
                 Some(target_index),
-                result,
-            );
-            match result {
+            ) {
                 SolveResult::Unknown => return Err(EcoError::budget_exhausted("refinement")),
                 SolveResult::Unsat => {} // genuine: no fixing assignment
                 SolveResult::Sat => {
@@ -1430,7 +1369,7 @@ impl EcoEngine {
         original_index: usize,
         spent: u64,
         opts: &EcoOptions,
-        governor: Option<&ResourceGovernor>,
+        governor: &ResourceGovernor,
         obs: &ObserverHandle,
     ) -> Result<(NodePatch, TargetPatchReport), EcoError> {
         let qm = QuantifiedMiter::build(work, pos, assignments, Some(&window.outputs));
@@ -1708,15 +1647,14 @@ struct TripLog {
 }
 
 impl TripLog {
-    fn note(&mut self, obs: &ObserverHandle, governor: Option<&ResourceGovernor>) {
-        let Some(gov) = governor else { return };
-        if let Some(reason) = gov.trip() {
+    fn note(&mut self, obs: &ObserverHandle, governor: &ResourceGovernor) {
+        if let Some(reason) = governor.trip() {
             if !self.seen.contains(&reason) {
                 self.seen.push(reason);
                 obs.emit(|| EcoEvent::GovernorTripped { reason });
             }
         }
-        let faults = gov.fault_injections();
+        let faults = governor.fault_injections();
         while self.faults < faults {
             self.faults += 1;
             obs.emit(|| EcoEvent::GovernorTripped {
@@ -1730,12 +1668,12 @@ impl TripLog {
 /// reason, so a run cut short by a deadline or cancellation reports
 /// [`EcoError::DeadlineExceeded`]/[`EcoError::Cancelled`] instead of a
 /// generic per-call budget failure.
-fn classify_error(e: EcoError, governor: Option<&ResourceGovernor>) -> EcoError {
+fn classify_error(e: EcoError, governor: &ResourceGovernor) -> EcoError {
     let EcoError::SolverBudgetExhausted { source } = &e else {
         return e;
     };
     let phase = source.phase;
-    match governor.and_then(ResourceGovernor::hard_trip) {
+    match governor.hard_trip() {
         Some(TripReason::Deadline) => EcoError::DeadlineExceeded { phase },
         Some(TripReason::Cancelled) => EcoError::Cancelled { phase },
         _ => e,
@@ -1745,8 +1683,8 @@ fn classify_error(e: EcoError, governor: Option<&ResourceGovernor>) -> EcoError 
 /// The reason string recorded on a [`TargetDisposition::Skipped`]:
 /// the governor's trip reason when it tripped, the ladder's first
 /// error otherwise.
-fn skip_reason_for(e: &EcoError, governor: Option<&ResourceGovernor>) -> String {
-    match governor.and_then(ResourceGovernor::trip) {
+fn skip_reason_for(e: &EcoError, governor: &ResourceGovernor) -> String {
+    match governor.trip() {
         Some(reason) => reason.name().to_string(),
         None => e.to_string(),
     }
@@ -1972,9 +1910,8 @@ fn emit_classes_report(obs: &ObserverHandle, ss: &SupportSolver, target_index: u
 /// the run so far — means the result reflects resource pressure, not
 /// the subproblem, and caching it would leak that pressure into later
 /// unrelated runs.
-fn solve_is_cacheable(report: &TargetPatchReport, governor: Option<&ResourceGovernor>) -> bool {
-    matches!(report.disposition, TargetDisposition::Patched)
-        && !governor.is_some_and(|g| g.trip().is_some() || g.fault_injections() != 0)
+fn solve_is_cacheable(report: &TargetPatchReport, governor: &ResourceGovernor) -> bool {
+    matches!(report.disposition, TargetDisposition::Patched) && !governor.interfered()
 }
 
 #[cfg(test)]

@@ -60,13 +60,9 @@ pub fn sat_prune_support(
     let obs = support_solver.observer().clone();
     let n = costs.len();
     let mut search = Solver::new();
-    // The subset-search solver runs under the same governor (if any) as
-    // the feasibility oracle it drives.
-    search.set_search_control(
-        support_solver
-            .governor()
-            .map(eco_sat::ResourceGovernor::control),
-    );
+    // The subset-search solver runs under the same governor as the
+    // feasibility oracle it drives.
+    search.set_governor(support_solver.governor().clone());
     let selection: Vec<Lit> = (0..n).map(|_| search.new_var().positive()).collect();
     for &s in &selection {
         // Prefer small subsets: branch "not selected" first.
@@ -94,10 +90,7 @@ pub fn sat_prune_support(
         }
         iterations += 1;
         let assumptions: Vec<Lit> = bound_act.into_iter().collect();
-        let before = obs.snapshot(&mut search);
-        let result = search.solve(&assumptions);
-        obs.sat_call(before, &search, SatCallKind::SatPruneSearch, None, result);
-        match result {
+        match obs.solve(&mut search, &assumptions, SatCallKind::SatPruneSearch, None) {
             SolveResult::Unknown => break false,
             SolveResult::Unsat => break true,
             SolveResult::Sat => {

@@ -113,6 +113,4 @@ pub use support::{minimize_assumptions, naive_minimize_assumptions, SupportResul
 
 // Resource-governance types, re-exported so engine callers need not
 // depend on `eco_sat` directly.
-pub use eco_sat::{
-    FaultPlan, GovernorLimits, ResourceGovernor, SearchControl, SolveResult, TripReason,
-};
+pub use eco_sat::{FaultPlan, GovernorLimits, ResourceGovernor, SolveResult, TripReason};

@@ -6,7 +6,7 @@
 //! engine pays nothing beyond a branch per event site when none are
 //! attached (event payloads are built lazily).
 
-use eco_sat::{SolveResult, Solver, SolverStats, TripReason};
+use eco_sat::{Lit, SolveResult, Solver, TripReason};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -299,7 +299,8 @@ pub enum EcoEvent {
         inherited_answers: u64,
         /// Partition refinements from replayed witness models.
         refinement_rounds: u64,
-        /// Carried/cached witness patterns accepted on replay.
+        /// Witness patterns carried across refinement rounds and accepted
+        /// on replay.
         witness_replays: u64,
     },
     /// The run completed (success paths only; errors abort the stream).
@@ -355,41 +356,34 @@ impl ObserverHandle {
         }
     }
 
-    /// Pre-call statistics snapshot; `None` when no sink is attached,
-    /// which lets call sites skip the post-call delta entirely. Being
-    /// observed also switches on the solver's wall-clock timing, so
-    /// unobserved runs never touch the clock.
-    pub(crate) fn snapshot(&self, solver: &mut Solver) -> Option<SolverStats> {
-        if self.is_active() {
-            solver.set_timing(true);
-            Some(*solver.stats())
-        } else {
-            None
-        }
-    }
-
-    /// Emits a [`EcoEvent::SatCall`] with the delta since `before`
-    /// (no-op when `before` is `None`).
-    pub(crate) fn sat_call(
+    /// Runs one solver call and reports it as an [`EcoEvent::SatCall`]
+    /// carrying the call's counter deltas. Unobserved runs skip the
+    /// statistics snapshot and never switch on the solver's wall-clock
+    /// timing.
+    pub(crate) fn solve(
         &self,
-        before: Option<SolverStats>,
-        solver: &Solver,
+        solver: &mut Solver,
+        assumptions: &[Lit],
         kind: SatCallKind,
         target_index: Option<usize>,
-        result: SolveResult,
-    ) {
-        if let Some(earlier) = before {
-            let delta = solver.stats().since(earlier);
-            self.emit(|| EcoEvent::SatCall {
-                kind,
-                target_index,
-                result,
-                conflicts: delta.conflicts,
-                decisions: delta.decisions,
-                propagations: delta.propagations,
-                elapsed: delta.solve_time,
-            });
+    ) -> SolveResult {
+        if !self.is_active() {
+            return solver.solve(assumptions);
         }
+        solver.set_timing(true);
+        let before = *solver.stats();
+        let result = solver.solve(assumptions);
+        let delta = solver.stats().since(before);
+        self.emit(|| EcoEvent::SatCall {
+            kind,
+            target_index,
+            result,
+            conflicts: delta.conflicts,
+            decisions: delta.decisions,
+            propagations: delta.propagations,
+            elapsed: delta.solve_time,
+        });
+        result
     }
 }
 
@@ -612,7 +606,8 @@ pub struct ClassesCounters {
     pub inherited_answers: u64,
     /// Witness models from real calls absorbed into the pattern store.
     pub refinement_rounds: u64,
-    /// Carried/cached witness patterns accepted on replay.
+    /// Witness patterns carried across refinement rounds and accepted
+    /// on replay.
     pub witness_replays: u64,
 }
 

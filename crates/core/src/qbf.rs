@@ -9,7 +9,11 @@ use crate::miter::EcoMiter;
 use crate::observe::{EcoEvent, ObserverHandle, SatCallKind};
 use crate::problem::EcoProblem;
 use eco_aig::{Aig, AigLit};
-use eco_sat::{Lit, ResourceGovernor, SolveResult, Solver};
+use eco_sat::{GovernorLimits, Lit, ResourceGovernor, SolveResult, Solver};
+
+/// Iteration cap for the 2QBF sufficiency check, in the engine and in
+/// target detection.
+pub(crate) const QBF_MAX_ITERATIONS: usize = 512;
 
 /// Outcome of the 2QBF sufficiency check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -55,7 +59,7 @@ pub fn check_targets_sufficient(
         max_iterations,
         per_call_conflicts,
         &ObserverHandle::default(),
-        None,
+        &ResourceGovernor::new(GovernorLimits::default()),
     )
 }
 
@@ -68,14 +72,14 @@ pub(crate) fn check_targets_sufficient_observed(
     max_iterations: usize,
     per_call_conflicts: Option<u64>,
     obs: &ObserverHandle,
-    governor: Option<&ResourceGovernor>,
+    governor: &ResourceGovernor,
 ) -> QbfOutcome {
     let miter = EcoMiter::build(problem, None);
     let num_targets = problem.targets.len();
 
     // Solver B: one persistent copy of the miter with x and n free.
     let mut solver_b = Solver::new();
-    solver_b.set_search_control(governor.map(ResourceGovernor::control));
+    solver_b.set_governor(governor.clone());
     CnfEncoder::reserve_copies(&mut solver_b, &miter.aig, 1);
     let mut enc_b = CnfEncoder::new(&miter.aig);
     let out_b = enc_b.lit(&miter.aig, &mut solver_b, miter.output);
@@ -96,7 +100,7 @@ pub(crate) fn check_targets_sufficient_observed(
     let mut acc = Aig::new();
     let acc_inputs: Vec<AigLit> = (0..problem.num_inputs()).map(|_| acc.add_input()).collect();
     let mut solver_a = Solver::new();
-    solver_a.set_search_control(governor.map(ResourceGovernor::control));
+    solver_a.set_governor(governor.clone());
     let mut enc_a = CnfEncoder::new(&acc);
     let x_a: Vec<Lit> = acc_inputs
         .iter()
@@ -132,10 +136,7 @@ pub(crate) fn check_targets_sufficient_observed(
             solver_a.set_budget(Some(c));
         }
         sat_calls += 1;
-        let before = obs.snapshot(&mut solver_a);
-        let result_a = solver_a.solve(&copy_outs);
-        obs.sat_call(before, &solver_a, SatCallKind::Qbf, None, result_a);
-        match result_a {
+        match obs.solve(&mut solver_a, &copy_outs, SatCallKind::Qbf, None) {
             SolveResult::Unknown => return QbfOutcome::Unknown,
             SolveResult::Unsat => {
                 let core: std::collections::HashSet<Lit> =
@@ -172,10 +173,7 @@ pub(crate) fn check_targets_sufficient_observed(
                     solver_b.set_budget(Some(c));
                 }
                 sat_calls += 1;
-                let before = obs.snapshot(&mut solver_b);
-                let result_b = solver_b.solve(&assumptions);
-                obs.sat_call(before, &solver_b, SatCallKind::Qbf, None, result_b);
-                match result_b {
+                match obs.solve(&mut solver_b, &assumptions, SatCallKind::Qbf, None) {
                     SolveResult::Unknown => return QbfOutcome::Unknown,
                     SolveResult::Unsat => {
                         return QbfOutcome::Unsolvable { witness: x_star };

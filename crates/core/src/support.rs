@@ -9,7 +9,7 @@ use crate::miter::QuantifiedMiter;
 use crate::observe::{ClassesCounters, EcoEvent, ObserverHandle, SatCallKind, SupportStep};
 use crate::problem::EcoProblem;
 use eco_aig::NodeId;
-use eco_sat::{Lit, ResourceGovernor, SolveResult, Solver};
+use eco_sat::{GovernorLimits, Lit, ResourceGovernor, SolveResult, Solver};
 
 /// Divide-and-conquer minimization of an assumption set (Algorithm 1 of
 /// the paper, closely related to LEXUNSAT).
@@ -140,10 +140,9 @@ impl MinCtx<'_, '_> {
         *self.calls += 1;
         let mut assumptions = self.fixed.clone();
         assumptions.extend_from_slice(extra);
-        let before = self.obs.snapshot(self.solver);
-        let result = self.solver.solve(&assumptions);
-        self.obs
-            .sat_call(before, self.solver, self.kind, self.target_index, result);
+        let result = self
+            .obs
+            .solve(self.solver, &assumptions, self.kind, self.target_index);
         match result {
             SolveResult::Unsat | SolveResult::Sat => {
                 let unsat = result == SolveResult::Unsat;
@@ -224,8 +223,8 @@ pub struct SupportSolver {
     /// Event sink plus the target index its calls are attributed to.
     obs: ObserverHandle,
     target_index: Option<usize>,
-    /// Shared resource governor, when the engine runs under one.
-    governor: Option<ResourceGovernor>,
+    /// The run's resource governor, attached to the solver.
+    governor: ResourceGovernor,
     /// Test-equivalence-class layer inheriting both verdict kinds for
     /// subset queries, fed additionally by the minimization
     /// recursion's real calls (attached for `SAT_prune` solves).
@@ -256,8 +255,27 @@ impl SupportSolver {
         costs: Vec<u64>,
         per_call_conflicts: Option<u64>,
     ) -> SupportSolver {
+        SupportSolver::governed(
+            qm,
+            divisors,
+            costs,
+            per_call_conflicts,
+            ResourceGovernor::new(GovernorLimits::default()),
+        )
+    }
+
+    /// [`SupportSolver::new`] under the run's governor: every SAT call
+    /// checks it cooperatively and draws from its global pools.
+    fn governed(
+        qm: &QuantifiedMiter,
+        divisors: Vec<NodeId>,
+        costs: Vec<u64>,
+        per_call_conflicts: Option<u64>,
+        governor: ResourceGovernor,
+    ) -> SupportSolver {
         assert_eq!(divisors.len(), costs.len(), "cost per divisor required");
         let mut solver = Solver::new();
+        solver.set_governor(governor.clone());
         CnfEncoder::reserve_copies(&mut solver, &qm.aig, 2);
         let mut enc1 = CnfEncoder::new(&qm.aig);
         let mut enc2 = CnfEncoder::new(&qm.aig);
@@ -300,7 +318,7 @@ impl SupportSolver {
             sat_calls: 0,
             obs: ObserverHandle::default(),
             target_index: None,
-            governor: None,
+            governor,
             classes: None,
         }
     }
@@ -309,13 +327,9 @@ impl SupportSolver {
     /// attached, [`SupportSolver::subset_feasible`] inherits answers
     /// the layer already knows (and the minimization recursion feeds
     /// it); the verdict stream — and therefore every downstream
-    /// artifact — is unchanged. The layer adopts the solver's governor
-    /// so chaos degrades it to the identity.
+    /// artifact — is unchanged.
     pub(crate) fn set_classes(&mut self, classes: Option<EquivClasses>) {
         self.classes = classes;
-        if let Some(c) = self.classes.as_mut() {
-            c.set_governor(self.governor.clone());
-        }
     }
 
     /// Gives the class layer back (with everything it learned), e.g.
@@ -342,21 +356,10 @@ impl SupportSolver {
         &self.obs
     }
 
-    /// Attaches a resource governor; every subsequent SAT call checks
-    /// it cooperatively and draws from its global pools.
-    pub(crate) fn set_governor(&mut self, governor: Option<ResourceGovernor>) {
-        self.solver
-            .set_search_control(governor.as_ref().map(ResourceGovernor::control));
-        if let Some(c) = self.classes.as_mut() {
-            c.set_governor(governor.clone());
-        }
-        self.governor = governor;
-    }
-
-    /// The attached governor, if any (for sibling solvers — e.g. the
+    /// The attached governor (for sibling solvers — e.g. the
     /// `SAT_prune` search solver — that must share the same limits).
-    pub(crate) fn governor(&self) -> Option<&ResourceGovernor> {
-        self.governor.as_ref()
+    pub(crate) fn governor(&self) -> &ResourceGovernor {
+        &self.governor
     }
 
     /// After a satisfiable (infeasible) [`SupportSolver::all_feasible`]
@@ -383,16 +386,12 @@ impl SupportSolver {
         if let Some(c) = self.per_call_conflicts {
             self.solver.set_budget(Some(c));
         }
-        let before = self.obs.snapshot(&mut self.solver);
-        let result = self.solver.solve(assumptions);
-        self.obs.sat_call(
-            before,
-            &self.solver,
+        match self.obs.solve(
+            &mut self.solver,
+            assumptions,
             SatCallKind::Support,
             self.target_index,
-            result,
-        );
-        match result {
+        ) {
             SolveResult::Unsat => Ok(true),
             SolveResult::Sat => Ok(false),
             SolveResult::Unknown => Err(EcoError::budget_exhausted("support feasibility")),
@@ -602,17 +601,24 @@ impl SupportSolver {
     }
 }
 
-/// Convenience: build a [`SupportSolver`] from a problem, a quantified
-/// miter, and a window divisor list, resolving costs from the problem's
-/// weights.
+/// Convenience: build a [`SupportSolver`] under `governor` from a
+/// problem, a quantified miter, and a window divisor list, resolving
+/// costs from the problem's weights.
 pub(crate) fn support_solver_for(
     problem: &EcoProblem,
     qm: &QuantifiedMiter,
     divisors: &[NodeId],
     per_call_conflicts: Option<u64>,
+    governor: &ResourceGovernor,
 ) -> SupportSolver {
     let costs = divisors.iter().map(|&d| problem.weight(d)).collect();
-    SupportSolver::new(qm, divisors.to_vec(), costs, per_call_conflicts)
+    SupportSolver::governed(
+        qm,
+        divisors.to_vec(),
+        costs,
+        per_call_conflicts,
+        governor.clone(),
+    )
 }
 
 #[cfg(test)]

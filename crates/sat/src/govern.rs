@@ -6,10 +6,12 @@
 //! cancellation flag. Each CLI run, daemon request or library call
 //! builds its own governor from the limits its caller set; governors
 //! do not nest. Attach it to any number of solvers
-//! with [`Solver::set_search_control`](crate::Solver::set_search_control);
+//! with [`Solver::set_governor`](crate::Solver::set_governor);
 //! each solver then polls the governor periodically from inside its
 //! search loop and returns [`SolveResult::Unknown`](crate::SolveResult)
-//! promptly once the governor trips.
+//! promptly once the governor trips. An unlimited governor
+//! (`GovernorLimits::default()`) never stops a call and leaves the
+//! search unchanged.
 //!
 //! For deterministic robustness testing the governor can also carry a
 //! [`FaultPlan`] that forces `Unknown` answers (or a cancellation) at
@@ -18,26 +20,6 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A cooperative stop hook polled by [`Solver`](crate::Solver) during
-/// search.
-///
-/// Returning `true` from either method asks the solver to abandon the
-/// current call and answer
-/// [`SolveResult::Unknown`](crate::SolveResult); the solver stays fully
-/// usable for later calls.
-pub trait SearchControl: std::fmt::Debug + Send + Sync {
-    /// Called once at the start of every [`Solver::solve`](crate::Solver::solve).
-    /// Returning `true` aborts the call before any search happens.
-    fn solve_started(&self) -> bool {
-        false
-    }
-
-    /// Called periodically from the search loop (and once more when a
-    /// call finishes) with the conflicts spent since the previous
-    /// report. Returning `true` stops the current call.
-    fn consume(&self, conflicts: u64) -> bool;
-}
 
 /// Why a [`ResourceGovernor`] stopped (or is stopping) solver calls.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -199,7 +181,7 @@ impl GovernorState {
 /// let mut solver = Solver::new();
 /// let v = solver.new_var();
 /// solver.add_clause(&[v.positive()]);
-/// solver.set_search_control(Some(governor.control()));
+/// solver.set_governor(governor.clone());
 /// assert_eq!(solver.solve(&[]), SolveResult::Unknown);
 /// assert_eq!(governor.fault_injections(), 1);
 /// // Fault trips are per-call, not sticky: the next call succeeds.
@@ -234,12 +216,6 @@ impl ResourceGovernor {
         }
     }
 
-    /// The handle as a solver hook for
-    /// [`Solver::set_search_control`](crate::Solver::set_search_control).
-    pub fn control(&self) -> Arc<dyn SearchControl> {
-        Arc::new(self.clone())
-    }
-
     /// Requests cooperative cancellation: every attached solver answers
     /// `Unknown` at its next check.
     pub fn cancel(&self) {
@@ -272,14 +248,16 @@ impl ResourceGovernor {
         None
     }
 
-    /// Number of solver calls started under this governor.
-    pub fn sat_calls(&self) -> u64 {
-        self.state.calls.load(Ordering::Relaxed)
-    }
-
     /// Number of faults injected so far by the [`FaultPlan`].
     pub fn fault_injections(&self) -> u64 {
         self.state.fault_injections.load(Ordering::Relaxed)
+    }
+
+    /// Whether the governor has tripped or injected a fault so far:
+    /// anything computed under it may then reflect resource pressure
+    /// rather than the problem alone.
+    pub fn interfered(&self) -> bool {
+        self.trip().is_some() || self.fault_injections() != 0
     }
 
     /// Time left before the deadline (`None` = no deadline). Zero once
@@ -302,10 +280,11 @@ impl ResourceGovernor {
             }
         }
     }
-}
 
-impl SearchControl for ResourceGovernor {
-    fn solve_started(&self) -> bool {
+    /// Called by an attached solver once at the start of every
+    /// [`Solver::solve`](crate::Solver::solve); `true` aborts the call
+    /// before any search happens.
+    pub(crate) fn solve_started(&self) -> bool {
         let state = &self.state;
         let call = state.calls.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(plan) = &state.fault_plan {
@@ -324,7 +303,10 @@ impl SearchControl for ResourceGovernor {
         self.trip().is_some()
     }
 
-    fn consume(&self, conflicts: u64) -> bool {
+    /// Called by an attached solver periodically from its search loop
+    /// (and once more when a call finishes) with the conflicts spent
+    /// since its previous report; `true` stops the current call.
+    pub(crate) fn consume(&self, conflicts: u64) -> bool {
         if let Some(pool) = &self.state.conflict_pool {
             if ResourceGovernor::draw(pool, conflicts) {
                 self.state.budget_tripped.store(true, Ordering::Relaxed);
@@ -385,13 +367,15 @@ mod tests {
         let mut solver = Solver::new();
         let v = solver.new_var();
         solver.add_clause(&[v.positive()]);
-        solver.set_search_control(Some(governor.control()));
+        solver.set_governor(governor.clone());
         assert_eq!(solver.solve(&[]), SolveResult::Sat);
         assert_eq!(solver.solve(&[]), SolveResult::Unknown);
         assert_eq!(solver.solve(&[]), SolveResult::Sat);
-        assert_eq!(governor.sat_calls(), 3);
+        assert_eq!(solver.stats().solves, 3);
+        assert_eq!(governor.state.calls.load(Ordering::Relaxed), 3);
         assert_eq!(governor.fault_injections(), 1);
         assert_eq!(governor.trip(), None, "faults are not sticky");
+        assert!(governor.interfered(), "but they count as interference");
     }
 
     #[test]
@@ -402,7 +386,7 @@ mod tests {
         });
         let mut a = Solver::new();
         pigeonhole(&mut a, 7);
-        a.set_search_control(Some(governor.control()));
+        a.set_governor(governor.clone());
         let mut b = a.clone();
         // The first solver drains the pool...
         assert_eq!(a.solve(&[]), SolveResult::Unknown);
@@ -419,7 +403,7 @@ mod tests {
         });
         let mut solver = Solver::new();
         pigeonhole(&mut solver, 10);
-        solver.set_search_control(Some(governor.control()));
+        solver.set_governor(governor.clone());
         let t0 = Instant::now();
         let result = solver.solve(&[]);
         assert_eq!(result, SolveResult::Unknown);
@@ -450,7 +434,7 @@ mod tests {
         let mut solver = Solver::new();
         let v = solver.new_var();
         solver.add_clause(&[v.positive()]);
-        solver.set_search_control(Some(governor.control()));
+        solver.set_governor(governor.clone());
         assert_eq!(solver.solve(&[]), SolveResult::Sat);
         assert_eq!(solver.solve(&[]), SolveResult::Unknown);
         assert_eq!(governor.trip(), Some(TripReason::Cancelled));
@@ -466,7 +450,7 @@ mod tests {
         let mut solver = Solver::new();
         let v = solver.new_var();
         solver.add_clause(&[v.positive()]);
-        solver.set_search_control(Some(governor.control()));
+        solver.set_governor(governor.clone());
         assert_eq!(solver.solve(&[]), SolveResult::Sat);
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| solver.solve(&[])));
         let payload = unwound.expect_err("call 2 must panic");
@@ -495,9 +479,11 @@ mod tests {
         let governor = ResourceGovernor::new(GovernorLimits::default());
         let mut solver = Solver::new();
         pigeonhole(&mut solver, 5);
-        solver.set_search_control(Some(governor.control()));
+        solver.set_governor(governor.clone());
         assert_eq!(solver.solve(&[]), SolveResult::Unsat);
-        assert!(governor.sat_calls() >= 1);
+        assert_eq!(solver.stats().solves, 1);
+        assert_eq!(governor.state.calls.load(Ordering::Relaxed), 1);
+        assert!(!governor.interfered());
         assert_eq!(governor.trip(), None);
     }
 }

@@ -16,7 +16,7 @@
 //! - **Resource governance** ([`ResourceGovernor`]): a shared handle
 //!   carrying a wall-clock deadline, a global conflict pool and a
 //!   cancellation flag, polled cooperatively from the search loop
-//!   ([`Solver::set_search_control`]), plus deterministic fault
+//!   ([`Solver::set_governor`]), plus deterministic fault
 //!   injection ([`FaultPlan`]) for robustness testing. Each run builds
 //!   one governor from its caller's limits; governors do not nest.
 //!
@@ -46,7 +46,7 @@ mod solver;
 mod types;
 
 pub use dimacs::{parse_dimacs, DimacsInstance, ParseDimacsError};
-pub use govern::{FaultPlan, GovernorLimits, ResourceGovernor, SearchControl, TripReason};
+pub use govern::{FaultPlan, GovernorLimits, ResourceGovernor, TripReason};
 pub use pb::PbSum;
 pub use solver::{Solver, SolverStats};
 pub use types::{LBool, Lit, SolveResult, Var};

@@ -13,17 +13,16 @@
 //!   and activity-based learnt-clause reduction.
 
 use crate::clause::{ClauseDb, ClauseRef};
-use crate::govern::SearchControl;
+use crate::govern::ResourceGovernor;
 use crate::heap::VarHeap;
 use crate::types::{LBool, Lit, SolveResult, Var};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How many conflicts may pass between [`SearchControl::consume`]
-/// reports from the search loop.
+/// How many conflicts may pass between reports to the attached
+/// [`ResourceGovernor`] from the search loop.
 const CONTROL_CHECK_CONFLICTS: u64 = 128;
-/// How many propagations may pass between [`SearchControl::consume`]
-/// reports (the conflict-free bound on check latency, so a deadline
+/// How many propagations may pass between governor reports (the
+/// conflict-free bound on check latency, so a deadline
 /// still stops a call that propagates a lot but hits few conflicts).
 const CONTROL_CHECK_PROPAGATIONS: u64 = 8_192;
 
@@ -169,7 +168,7 @@ pub struct Solver {
     num_reduces: u64,
     restart_base: u64,
     stats: SolverStats,
-    control: Option<Arc<dyn SearchControl>>,
+    governor: Option<ResourceGovernor>,
     control_last_conflicts: u64,
     control_last_propagations: u64,
     control_stop: bool,
@@ -218,7 +217,7 @@ impl Solver {
             num_reduces: 0,
             restart_base: 100,
             stats: SolverStats::default(),
-            control: None,
+            governor: None,
             control_last_conflicts: 0,
             control_last_propagations: 0,
             control_stop: false,
@@ -311,44 +310,43 @@ impl Solver {
         self.conflict_budget = conflicts.map(|c| self.budget_conflicts + c);
     }
 
-    /// Attaches (or with `None` detaches) a cooperative stop hook.
+    /// Attaches a [`ResourceGovernor`], replacing any earlier one.
     ///
-    /// The hook is asked once at the start of every [`Solver::solve`]
-    /// and then periodically from the search loop with the conflicts
-    /// spent since its previous report; when it returns `true` the
-    /// current call answers [`SolveResult::Unknown`]. A
-    /// [`ResourceGovernor`](crate::ResourceGovernor) shared across
-    /// several solvers implements deadlines, a global conflict pool,
-    /// cancellation, and fault injection this way.
-    pub fn set_search_control(&mut self, control: Option<Arc<dyn SearchControl>>) {
-        self.control = control;
+    /// The governor is asked once at the start of every
+    /// [`Solver::solve`] and then periodically from the search loop with
+    /// the conflicts spent since its previous report; once it trips (or
+    /// injects a fault) the current call answers
+    /// [`SolveResult::Unknown`]. One governor shared across several
+    /// solvers bounds them all with one deadline, one global conflict
+    /// pool and one cancellation flag.
+    pub fn set_governor(&mut self, governor: ResourceGovernor) {
+        self.governor = Some(governor);
         self.control_last_conflicts = self.budget_conflicts;
         self.control_last_propagations = self.budget_propagations;
         self.control_stop = false;
     }
 
-    /// Reports outstanding work to the control hook (the conflicts
-    /// since the last report), recording a pending stop if it asks for
-    /// one.
+    /// Reports outstanding work to the governor (the conflicts since
+    /// the last report), recording a pending stop if it asks for one.
     fn control_flush(&mut self) {
-        if let Some(control) = &self.control {
+        if let Some(governor) = &self.governor {
             let dc = self.budget_conflicts - self.control_last_conflicts;
             let dp = self.budget_propagations - self.control_last_propagations;
             if dc > 0 || dp > 0 {
                 self.control_last_conflicts = self.budget_conflicts;
                 self.control_last_propagations = self.budget_propagations;
-                if control.consume(dc) {
+                if governor.consume(dc) {
                     self.control_stop = true;
                 }
             }
         }
     }
 
-    /// Periodic in-search control check: flushes deltas to the hook
+    /// Periodic in-search control check: flushes deltas to the governor
     /// once enough work has accumulated. Returns `true` when the
     /// current call must stop.
     fn control_check(&mut self) -> bool {
-        if self.control.is_none() {
+        if self.governor.is_none() {
             return false;
         }
         let dc = self.budget_conflicts - self.control_last_conflicts;
@@ -1020,10 +1018,10 @@ impl Solver {
         self.model.clear();
         self.conflict.clear();
         self.control_stop = false;
-        if let Some(control) = &self.control {
+        if let Some(governor) = &self.governor {
             self.control_last_conflicts = self.budget_conflicts;
             self.control_last_propagations = self.budget_propagations;
-            if control.solve_started() {
+            if governor.solve_started() {
                 self.control_stop = true;
                 return SolveResult::Unknown;
             }

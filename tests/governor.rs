@@ -253,7 +253,8 @@ fn external_governor_cancellation_is_honored() {
     let governor = ResourceGovernor::new(GovernorLimits::default());
     governor.cancel();
     let outcome = EcoEngine::new(EcoOptions::builder().build())
-        .with_governor(governor.clone())
+        .with_governor(governor)
+        .with_metrics()
         .solve(&p)
         .expect("anytime outcome");
     assert_eq!(outcome.governor_trip, Some(TripReason::Cancelled));
@@ -261,9 +262,11 @@ fn external_governor_cancellation_is_honored() {
         outcome.reports[0].disposition,
         TargetDisposition::Skipped { .. }
     ));
-    // The sufficiency probe's solve attempt is still counted, but it
-    // must return `Unknown` before any search; nothing else may run.
-    assert!(governor.sat_calls() <= 1, "got {}", governor.sat_calls());
+    // The sufficiency probe's solve attempt is still counted (an
+    // aborted call emits its `SatCall` too), but it must return
+    // `Unknown` before any search; nothing else may run.
+    let calls = outcome.metrics.expect("metrics requested").sat_calls.total;
+    assert!(calls <= 1, "got {calls}");
 }
 
 /// With the fallback ladder disabled, a deadline surfaces as the typed
