@@ -83,6 +83,11 @@ fn main() {
             std::process::exit(2);
         }
     };
+    // Fail on an unwritable `--out` before any unit is solved.
+    if let Err(e) = std::fs::create_dir_all(&config.out_dir) {
+        eprintln!("error: cannot create {}: {e}", config.out_dir);
+        std::process::exit(1);
+    }
     let mut cases = Vec::new();
     for unit in table1_units(config.scale)
         .iter()

@@ -1,7 +1,8 @@
 //! Admission control: a capacity-bounded request queue with explicit
 //! load-shedding and deadline-aware dequeue.
 //!
-//! The daemon's reader threads parse each line and *offer* ECO
+//! The daemon's reader threads (one per open connection, reused from
+//! one connection to the next) parse each line and *offer* ECO
 //! requests to the queue, each tagged with where its answer goes (the
 //! connection it came in on). When the queue is full the offer is refused
 //! on the spot — the caller answers `"status":"overloaded"` with a

@@ -35,10 +35,11 @@
 //! - **Health** — the `health` command reports queue depth, in-flight
 //!   count, uptime, poison-pill count, shed/expired/panicked
 //!   counters, and per-layer cache statistics, and is answered by the
-//!   connection's reader thread so it works even while every worker
+//!   thread reading its connection (on a pooled socket, a reader
+//!   reused across connections) so it works even while every worker
 //!   is busy.
 
-use crate::cache::{outcome_key, CachedOutcome, DaemonCache};
+use crate::cache::{outcome_key, CachedOutcome, DaemonCache, DaemonCacheStats};
 use crate::journal::{Field, Journal, Level};
 use crate::protocol::{
     draining_response, error_response, expired_response, overloaded_response, panic_response,
@@ -54,12 +55,13 @@ use eco_core::{
     SupportMethod,
 };
 use eco_netlist::WeightTable;
+use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -121,6 +123,8 @@ pub struct Daemon {
     /// `(daemon, engine)` eviction counts already reported to the
     /// journal, so each eviction is journaled exactly once.
     evictions_seen: Mutex<(u64, u64)>,
+    /// Reader threads the pooled socket server has spawned.
+    readers_spawned: AtomicUsize,
 }
 
 impl Daemon {
@@ -151,6 +155,7 @@ impl Daemon {
             journal,
             trace,
             evictions_seen: Mutex::new((0, 0)),
+            readers_spawned: AtomicUsize::new(0),
         }
     }
 
@@ -180,8 +185,8 @@ impl Daemon {
 
     /// Journals cache evictions that happened since the last call, so
     /// the journal carries one `eviction` event per observed batch.
-    fn note_evictions(&self) {
-        let stats = self.cache.stats();
+    /// `stats` is the caller's snapshot of the cache.
+    fn note_evictions(&self, stats: &DaemonCacheStats) {
         let mut seen = self
             .evictions_seen
             .lock()
@@ -567,7 +572,7 @@ impl Daemon {
                 ),
             ],
         );
-        self.note_evictions();
+        self.note_evictions(&stats);
         line
     }
 
@@ -887,8 +892,10 @@ impl Daemon {
     ///
     /// With `workers == 1`, connections are accepted one at a time and
     /// served inline; a `shutdown` or `drain` request ends the accept
-    /// loop after its connection closes. With more workers, each
-    /// connection gets its own reader thread, and all of them feed one
+    /// loop after its connection closes. With more workers, each open
+    /// connection is served by a reader thread of its own, taken from
+    /// the readers parked after earlier connections (a new one is
+    /// spawned only when none is idle for it), and all of them feed one
     /// daemon-wide admission queue and worker pool: `queue_capacity`
     /// bounds the requests waiting across every connection, and at
     /// most `workers + queue_capacity` connections are open at once
@@ -927,16 +934,32 @@ impl Daemon {
     }
 
     /// The pooled socket server: an accept loop that hands each
-    /// connection to a scoped reader thread, all feeding one pool.
+    /// connection to a reused scoped reader thread, all feeding one
+    /// pool. A reader is spawned only for a connection no idle reader
+    /// can take, so there are never more readers than the most
+    /// connections open at once.
     fn serve_connections(&self, listener: UnixListener, path: &Path) {
         let connections = Connections::new(self.config.workers + self.config.queue_capacity);
+        let handoff = Handoff::default();
         self.pooled(|queue| {
             std::thread::scope(|readers| {
+                let (connections, handoff) = (&connections, &handoff);
+                let reader = move || {
+                    while let Some((stream, number)) = handoff.take() {
+                        if let Err(e) = self.serve_connection(stream, queue, connections, path) {
+                            self.connection_error(&e);
+                        }
+                        // Idle before the slot frees, so the connection
+                        // accepted next finds this reader.
+                        handoff.rest();
+                        connections.close(number);
+                    }
+                };
                 while connections.wait_for_slot() {
                     let accepted = listener.accept().and_then(|(stream, _)| {
                         Ok(connections.open(&stream)?.map(|n| (stream, n)))
                     });
-                    let (stream, number) = match accepted {
+                    let open = match accepted {
                         Ok(Some(open)) => open,
                         // Accepting stopped while this one connected.
                         Ok(None) => break,
@@ -945,21 +968,25 @@ impl Daemon {
                             continue;
                         }
                     };
-                    let connections = &connections;
-                    let reader = move || {
-                        if let Err(e) = self.serve_connection(stream, queue, connections, path) {
-                            self.connection_error(&e);
+                    if !handoff.offer(open) {
+                        continue;
+                    }
+                    match std::thread::Builder::new().spawn_scoped(readers, reader) {
+                        Ok(_) => {
+                            self.readers_spawned.fetch_add(1, Ordering::Relaxed);
                         }
-                        connections.close(number);
-                    };
-                    if let Err(e) = std::thread::Builder::new().spawn_scoped(readers, reader) {
-                        self.connection_error(&e);
-                        connections.close(number);
+                        Err(e) => {
+                            self.connection_error(&e);
+                            if let Some((_, number)) = handoff.withdraw() {
+                                connections.close(number);
+                            }
+                        }
                     }
                 }
                 // Refuse, rather than queue, connections made while the
-                // open ones finish.
+                // open ones finish, and let idle readers end.
                 drop(listener);
+                handoff.close();
             });
         });
     }
@@ -1074,6 +1101,86 @@ impl Connections {
         drop(state);
         self.changed.notify_all();
         was_accepting
+    }
+}
+
+/// Hands accepted connections of a pooled socket server to its reader
+/// threads. A reader takes a connection, serves it to the end, and
+/// parks again; the accept loop spawns a new reader only when the
+/// queued connections outnumber the idle readers.
+#[derive(Default)]
+struct Handoff {
+    state: Mutex<Handed>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct Handed {
+    /// Accepted connections no reader has taken yet.
+    queued: VecDeque<(UnixStream, u64)>,
+    /// Readers not serving a connection: parked, or spawned and not yet
+    /// at their first `take`.
+    idle: usize,
+    closed: bool,
+}
+
+impl Handoff {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Handed> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues an accepted connection for a reader. Returns `true` when
+    /// no idle reader is left to take it: the caller must spawn one,
+    /// which counts as idle from here on.
+    fn offer(&self, connection: (UnixStream, u64)) -> bool {
+        let mut state = self.lock();
+        state.queued.push_back(connection);
+        let spawn = state.queued.len() > state.idle;
+        if spawn {
+            state.idle += 1;
+        }
+        drop(state);
+        self.ready.notify_one();
+        spawn
+    }
+
+    /// Undoes the reader count of an `offer` whose spawn failed, and
+    /// returns the queued connection that is left without a reader, if
+    /// any (an idle reader may have taken it meanwhile).
+    fn withdraw(&self) -> Option<(UnixStream, u64)> {
+        let mut state = self.lock();
+        state.idle -= 1;
+        if state.queued.len() > state.idle {
+            state.queued.pop_back()
+        } else {
+            None
+        }
+    }
+
+    /// Parks an idle reader until a connection is queued, and takes
+    /// it; `None` once the handoff is closed and empty.
+    fn take(&self) -> Option<(UnixStream, u64)> {
+        let mut state = self
+            .ready
+            .wait_while(self.lock(), |s| s.queued.is_empty() && !s.closed)
+            .unwrap_or_else(PoisonError::into_inner);
+        let taken = state.queued.pop_front();
+        if taken.is_some() {
+            state.idle -= 1;
+        }
+        taken
+    }
+
+    /// Counts a reader whose connection ended as idle again.
+    fn rest(&self) {
+        self.lock().idle += 1;
+    }
+
+    /// Stops the handoff: parked readers wake and end, once every
+    /// queued connection has been taken.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
     }
 }
 
@@ -2027,6 +2134,7 @@ mod tests {
     /// hang on it.
     struct SocketServer {
         path: std::path::PathBuf,
+        daemon: Arc<Daemon>,
         done: std::sync::mpsc::Receiver<io::Result<()>>,
         thread: std::thread::JoinHandle<()>,
     }
@@ -2038,12 +2146,41 @@ mod tests {
             std::fs::create_dir_all(&dir).expect("temp dir");
             let path = dir.join("sock");
             let (report, done) = std::sync::mpsc::channel();
-            let daemon = Daemon::new(config);
-            let serving = path.clone();
+            let daemon = Arc::new(Daemon::new(config));
+            let (serving, server) = (path.clone(), Arc::clone(&daemon));
             let thread = std::thread::spawn(move || {
-                let _ = report.send(daemon.serve_unix(&serving));
+                let _ = report.send(server.serve_unix(&serving));
             });
-            SocketServer { path, done, thread }
+            SocketServer {
+                path,
+                daemon,
+                done,
+                thread,
+            }
+        }
+
+        fn readers_spawned(&self) -> usize {
+            self.daemon.readers_spawned.load(Ordering::Relaxed)
+        }
+
+        /// Asks `health` on a fresh connection, hangs up, and waits
+        /// until the daemon has closed its end: its reader is idle.
+        fn health_and_hang_up(&self) {
+            let stream = self.connect();
+            let v = ask(
+                &stream,
+                "{\"id\":\"h\",\"cmd\":\"health\"}",
+                Duration::from_secs(2),
+            )
+            .expect("health answers");
+            assert_eq!(status(&v), Some("ok"));
+            stream.shutdown(std::net::Shutdown::Write).expect("hang up");
+            assert_eq!(
+                (&stream)
+                    .read(&mut [0u8; 16])
+                    .expect("the daemon closes the connection"),
+                0
+            );
         }
 
         fn connect(&self) -> UnixStream {
@@ -2087,6 +2224,12 @@ mod tests {
             )
             .expect("shutdown answers");
             assert_eq!(bye.get("shutdown").and_then(JsonValue::as_bool), Some(true));
+            self.finish();
+        }
+
+        /// Checks that `serve_unix` returned cleanly within a few
+        /// seconds and removed its socket file.
+        fn finish(self) {
             self.done
                 .recv_timeout(Duration::from_secs(5))
                 .expect("serve_unix returns after shutdown")
@@ -2225,5 +2368,132 @@ mod tests {
         assert_eq!(status(&answer), Some("ok"));
         drop(idle);
         server.shut_down();
+    }
+
+    #[test]
+    fn sequential_connections_reuse_one_reader() {
+        let server = SocketServer::start(
+            DaemonConfig {
+                workers: 2,
+                ..DaemonConfig::default()
+            },
+            "reuse",
+        );
+        server.health_and_hang_up();
+        assert_eq!(server.readers_spawned(), 1);
+        for _ in 0..20 {
+            server.health_and_hang_up();
+        }
+        assert_eq!(
+            server.readers_spawned(),
+            1,
+            "each connection is served by the parked reader"
+        );
+        server.shut_down();
+    }
+
+    #[test]
+    fn back_to_back_connections_are_served_concurrently_beside_an_idle_reader() {
+        let server = SocketServer::start(
+            DaemonConfig {
+                workers: 2,
+                chaos: true,
+                ..DaemonConfig::default()
+            },
+            "back_to_back",
+        );
+        server.health_and_hang_up();
+        let held = server.connect();
+        let other = server.connect();
+        (&held).write_all(hold_line("a").as_bytes()).expect("write");
+        let asked = Instant::now();
+        let health = ask(
+            &other,
+            "{\"id\":\"h\",\"cmd\":\"health\"}",
+            Duration::from_secs(2),
+        )
+        .expect("the second connection is served while the first is open");
+        let health_took = asked.elapsed();
+        assert_eq!(status(&health), Some("ok"));
+        assert!(
+            health_took < Duration::from_millis(200),
+            "health waited {health_took:?}"
+        );
+        let slow = read_answer(&held, Duration::from_secs(5)).expect("the held request answers");
+        assert_eq!(slow.get("id").and_then(JsonValue::as_str), Some("a"));
+        assert_eq!(status(&slow), Some("ok"));
+        assert_eq!(
+            server.readers_spawned(),
+            2,
+            "one reader per connection open at once"
+        );
+        server.shut_down();
+    }
+
+    #[test]
+    fn shutdown_and_drain_return_promptly_with_idle_readers_parked() {
+        for cmd in ["shutdown", "drain"] {
+            let server = SocketServer::start(
+                DaemonConfig {
+                    workers: 2,
+                    ..DaemonConfig::default()
+                },
+                &format!("parked_{cmd}"),
+            );
+            // Two connections open at once leave two readers parked.
+            let (first, second) = (server.connect(), server.connect());
+            for stream in [&first, &second] {
+                let v = ask(
+                    stream,
+                    "{\"id\":\"h\",\"cmd\":\"health\"}",
+                    Duration::from_secs(2),
+                )
+                .expect("health answers");
+                assert_eq!(status(&v), Some("ok"));
+            }
+            drop((first, second));
+            server.health_and_hang_up();
+            assert_eq!(server.readers_spawned(), 2);
+            let asked = Instant::now();
+            if cmd == "shutdown" {
+                server.shut_down();
+            } else {
+                let ack = ask(
+                    &server.connect(),
+                    "{\"id\":\"d\",\"cmd\":\"drain\"}",
+                    Duration::from_secs(2),
+                )
+                .expect("drain answers");
+                assert_eq!(ack.get("draining").and_then(JsonValue::as_bool), Some(true));
+                server.finish();
+            }
+            assert!(
+                asked.elapsed() < Duration::from_secs(2),
+                "{cmd} waited on parked readers: {:?}",
+                asked.elapsed()
+            );
+        }
+    }
+
+    #[test]
+    fn a_reader_is_spawned_for_each_connection_no_idle_reader_can_take() {
+        let handoff = Handoff::default();
+        let connection = |n| (UnixStream::pair().expect("socket pair").0, n);
+        assert!(handoff.offer(connection(0)), "no reader yet");
+        // The new reader serves it and parks again.
+        assert_eq!(handoff.take().map(|(_, n)| n), Some(0));
+        handoff.rest();
+        // Back to back, before the idle reader wakes for the first:
+        // the second needs a reader of its own.
+        assert!(!handoff.offer(connection(1)));
+        assert!(handoff.offer(connection(2)));
+        // A failed spawn leaves one connection without a reader.
+        assert_eq!(handoff.withdraw().map(|(_, n)| n), Some(2));
+        assert_eq!(handoff.take().map(|(_, n)| n), Some(1));
+        handoff.close();
+        assert!(
+            handoff.take().is_none(),
+            "a closed handoff ends its readers"
+        );
     }
 }
